@@ -23,6 +23,7 @@ is a thin facade over the four.
 """
 
 from .cache import LRUCache, fingerprint_array, fingerprint_points
+from .corpus import Corpus
 from .engine import MatrixMotifResult, MotifEngine, default_engine
 from .executor import EngineExecutor, fork_context
 from .oracles import OracleManager
@@ -42,6 +43,7 @@ from .shm import (
 )
 
 __all__ = [
+    "Corpus",
     "EngineExecutor",
     "LRUCache",
     "MatrixMotifResult",

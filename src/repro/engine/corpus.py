@@ -3,8 +3,9 @@
 The :class:`~repro.engine.MotifEngine` facade delegates its
 collection-level workloads here.  Each workload follows one shape:
 
-1. the **planner** derives the content-addressed result key and the
-   candidate layout;
+1. the engine edge turns each collection into a :class:`Corpus`
+   handle, keyed once; the **planner** derives the result key from the
+   handles' keys, and the candidate layout;
 2. the **corpus index** (:class:`repro.index.CorpusIndex`) generates
    the candidate pairs the bounds cannot prove apart (indexed paths),
    or the full tile grid stands in (unindexed paths);
@@ -34,7 +35,7 @@ import numpy as np
 from .. import obs
 from ..core.motif import _as_trajectory
 from ..distances.ground import get_metric
-from ..errors import ReproError
+from ..errors import QueryParameterError, ReproError
 from ..extensions.join import (
     JoinStats,
     _points_getter,
@@ -46,6 +47,7 @@ from ..extensions.join import (
     similarity_join,
 )
 from ..index import CorpusIndex, IndexStats
+from ..store.snapshot import snapshot_trajectories
 from . import planner
 from . import worker as _worker
 from .cache import fingerprint_points, metric_key
@@ -58,34 +60,124 @@ def _points_list(items) -> List[np.ndarray]:
     ]
 
 
-def corpus_index_cache_key(fps: tuple, metric) -> tuple:
-    """Tables-cache key of one corpus' :class:`CorpusIndex`.
+# ----------------------------------------------------------------------
+# Corpus identity and the verb edge
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True, eq=False)
+class Corpus:
+    """An immutable trajectory collection and its one content key.
 
-    Shared with the serving layer: :class:`repro.service.MotifService`
-    seeds this exact key with a snapshot-restored index so corpus
-    queries against a loaded snapshot never rebuild the summaries.
+    Every cache a corpus workload consults -- results, indexes,
+    candidate pairs, shared-memory slabs -- is keyed by ``key``, which
+    is computed once, when the handle is made, never per lookup.  The
+    constructors fill disjoint key namespaces (:mod:`.planner`):
+
+    * :meth:`of` -- an inline collection, keyed by one SHA-1 pass over
+      its points (:func:`planner.corpus_fingerprint`);
+    * :meth:`from_snapshot` -- a snapshot-restored corpus, keyed by its
+      manifest ``content_key`` at no cost, with the restored
+      :class:`CorpusIndex` attached as ``index``;
+    * :meth:`subset` -- ``parent[picks]``, keyed by the parent key and
+      the picks, at a cost independent of the corpus size.
     """
-    return ("cindex", fps, metric_key(metric))
+
+    items: tuple = dataclasses.field(repr=False)
+    key: str
+    index: Optional[CorpusIndex] = dataclasses.field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, items) -> "Corpus":
+        """``items`` as a handle (a :class:`Corpus` passes through)."""
+        if isinstance(items, Corpus):
+            return items
+        items = tuple(items)
+        return cls(items, planner.corpus_fingerprint(items))
+
+    @classmethod
+    def from_snapshot(cls, index: CorpusIndex) -> "Corpus":
+        """The corpus of a snapshot-restored index, the index attached."""
+        return cls(
+            tuple(snapshot_trajectories(index)),
+            planner.snapshot_corpus_key(index.snapshot_manifest["content_key"]),
+            index,
+        )
+
+    def subset(self, picks) -> "Corpus":
+        """``self[picks]`` in pick order; a bad pick raises IndexError."""
+        positions = range(len(self.items))
+        picks = [positions[int(i)] for i in picks]
+        return Corpus(
+            tuple(self.items[i] for i in picks),
+            planner.subset_corpus_key(self.key, picks),
+        )
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+    def __iter__(self):
+        return iter(self.items)
 
 
-def corpus_index_for(engine, items, metric) -> Tuple[CorpusIndex, tuple]:
-    """A (cached) :class:`CorpusIndex` over ``items`` under ``metric``.
+def handles(left, right) -> Tuple[Corpus, Corpus]:
+    """Both join sides as handles; one collection passed twice keys once."""
+    left_corpus = Corpus.of(left)
+    return left_corpus, left_corpus if right is left else Corpus.of(right)
 
-    Indexes are pure functions of (content, metric), so they ride the
-    engine's tables cache -- a serving workload joining the same
-    corpora repeatedly builds the summaries once.
+
+def shard_handles(left_shards, right_shards):
+    """Per-shard handles of both sides of a sharded join."""
+    lefts = [Corpus.of(shard) for shard in left_shards]
+    if right_shards is left_shards:
+        return lefts, lefts
+    return lefts, [Corpus.of(shard) for shard in right_shards]
+
+
+def check_threshold(name: str, value) -> float:
+    """A join ``theta`` / range ``radius``: finite and non-negative."""
+    try:
+        valid = math.isfinite(value) and value >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise QueryParameterError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
+    return float(value)
+
+
+def check_k(k) -> int:
+    """A knn / closest-pair ``k``: a positive integer."""
+    try:
+        valid = int(k) == k and k >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise QueryParameterError(f"k must be a positive integer, got {k!r}")
+    return int(k)
+
+
+def corpus_index_for(engine, corpus: Corpus, metric) -> CorpusIndex:
+    """The :class:`CorpusIndex` of ``corpus`` under ``metric``.
+
+    A handle's attached index (a snapshot's persisted summaries and
+    tree) answers for the metric it was built under; any other
+    (corpus, metric) pair is built once into the engine's tables cache
+    under ``(corpus.key, metric)`` -- a serving workload joining the
+    same corpora repeatedly builds the summaries once.
     """
-    fps = planner.corpus_fingerprint(items)
-    return (
-        engine._oracles.tables.get_or_build(
-            corpus_index_cache_key(fps, metric),
-            lambda: CorpusIndex(items, metric),
-        ),
-        fps,
+    mkey = metric_key(metric)
+    if corpus.index is not None and metric_key(corpus.index.metric) == mkey:
+        return corpus.index
+    return engine._oracles.tables.get_or_build(
+        ("cindex", corpus.key, mkey),
+        lambda: CorpusIndex(corpus.items, metric),
     )
 
 
-def _share_corpus(engine, index: CorpusIndex, fps: tuple):
+def _share_corpus(engine, index: CorpusIndex, corpus_key: str):
     """Publish one corpus' transport slabs; None -> ship inline.
 
     A snapshot-restored index already lives in mapped files, so its
@@ -97,7 +189,7 @@ def _share_corpus(engine, index: CorpusIndex, fps: tuple):
     if ref is not None:
         return ref
     return engine._exec.share_index(
-        planner.corpus_slab_key(fps), index.transport_slabs()
+        planner.corpus_slab_key(corpus_key), index.transport_slabs()
     )
 
 
@@ -121,9 +213,9 @@ def run_join(engine, left, right, theta, metric, workers, use_index):
     round-robin into chunks whose tasks carry only refs, and the
     per-chunk cascades fold into statistics identical to the serial
     ``similarity_join(index=True)`` -- for every worker count.
+    ``left`` / ``right`` are :class:`Corpus` handles and ``theta`` was
+    validated at the engine edge.
     """
-    if theta < 0:  # one validation for both paths, same exception type
-        raise ValueError("theta must be non-negative")
     resolved = get_metric(metric)
     mode = planner.normalize_index_mode(use_index)
     key = planner.join_result_key(left, right, resolved, theta, mode)
@@ -191,15 +283,15 @@ def _indexed_join(engine, left, right, theta, metric, resolved, workers,
     byte-identical to grid-mode matches.
     """
     exec_ = engine._exec
-    index_left, fps_left = corpus_index_for(engine, left, resolved)
-    index_right, fps_right = corpus_index_for(engine, right, resolved)
-    self_join = fps_left == fps_right
+    index_left = corpus_index_for(engine, left, resolved)
+    index_right = corpus_index_for(engine, right, resolved)
+    self_join = left.key == right.key
     # Candidate sets are pure functions of (corpora, metric, theta,
     # generator mode); serving workloads re-join the same collections,
     # so they ride the tables cache next to the indexes themselves.
     with obs.span("engine.index", mode=mode) as _sp:
         pairs, index_stats = engine._oracles.tables.get_or_build(
-            ("cpairs", fps_left, fps_right, metric_key(resolved),
+            ("cpairs", left.key, right.key, metric_key(resolved),
              float(theta), mode),
             lambda: index_left.candidate_pairs(index_right, theta, mode=mode),
         )
@@ -215,13 +307,13 @@ def _indexed_join(engine, left, right, theta, metric, resolved, workers,
         with exec_.scan_lock:
             try:
                 exec_.shm.begin_batch()
-                left_ref = _share_corpus(engine, index_left, fps_left)
+                left_ref = _share_corpus(engine, index_left, left.key)
                 right_ref = (
                     left_ref if self_join
-                    else _share_corpus(engine, index_right, fps_right)
+                    else _share_corpus(engine, index_right, right.key)
                 )
                 pairs_ref = exec_.share_index(
-                    planner.pairs_slab_key(fps_left, fps_right, resolved,
+                    planner.pairs_slab_key(left.key, right.key, resolved,
                                            theta, mode),
                     {"pairs": pairs},
                 )
@@ -298,8 +390,8 @@ def _shard_block_bound(engine, left, right, resolved) -> float:
     -bounds every cross-shard trajectory pair -- O(1) per block, built
     from summaries a snapshot-restored shard already carries.
     """
-    index_left, _ = corpus_index_for(engine, left, resolved)
-    index_right, _ = corpus_index_for(engine, right, resolved)
+    index_left = corpus_index_for(engine, left, resolved)
+    index_right = corpus_index_for(engine, right, resolved)
     left_tree = index_left.ensure_tree()
     right_tree = index_right.ensure_tree()
     root_lb = float(left_tree.pair_lower_bounds(right_tree, [0], [0])[0])
@@ -445,8 +537,6 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     the k-th best through the engine's shared threshold and merge
     per-chunk heaps exactly.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     resolved = get_metric(metric)
     key = planner.join_topk_result_key(left, right, resolved, k)
     cached = engine._oracles.result(key)
@@ -463,8 +553,8 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     pairs = lbs = None
     use_index = bool(mode) and bool(len(left)) and bool(len(right))
     if use_index:
-        index_left, _ = corpus_index_for(engine, left, resolved)
-        index_right, _ = corpus_index_for(engine, right, resolved)
+        index_left = corpus_index_for(engine, left, resolved)
+        index_right = corpus_index_for(engine, right, resolved)
         pairs, lbs = index_left.ordered_pairs(index_right)
     n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
     n_pairs = len(left) * len(right)
@@ -504,8 +594,8 @@ def _tree_join_topk(engine, left, right, k, metric, resolved, workers):
     The n x n pair grid is never materialised.
     """
     exec_ = engine._exec
-    index_left, _ = corpus_index_for(engine, left, resolved)
-    index_right, _ = corpus_index_for(engine, right, resolved)
+    index_left = corpus_index_for(engine, left, resolved)
+    index_right = corpus_index_for(engine, right, resolved)
     cursor = index_left.pair_cursor(index_right)
     head_pairs, head_lbs = cursor.take(max(4 * k, 64))
     head_entries = scan_join_topk(
@@ -535,23 +625,23 @@ def _sharded_join_topk(engine, left, right, pairs, lbs, k, metric, resolved,
                        workers, *, kth0=math.inf, mode="grid"):
     """Deal the (ordered) pair list into chunks sharing the k-th best."""
     exec_ = engine._exec
-    index_left, fps_left = corpus_index_for(engine, left, resolved)
-    index_right, fps_right = corpus_index_for(engine, right, resolved)
-    self_join = fps_left == fps_right
+    index_left = corpus_index_for(engine, left, resolved)
+    index_right = corpus_index_for(engine, right, resolved)
+    self_join = left.key == right.key
     with exec_.scan_lock:
         try:
             exec_.shm.begin_batch()
-            left_ref = _share_corpus(engine, index_left, fps_left)
+            left_ref = _share_corpus(engine, index_left, left.key)
             right_ref = (
                 left_ref if self_join
-                else _share_corpus(engine, index_right, fps_right)
+                else _share_corpus(engine, index_right, right.key)
             )
             slabs = {"pairs": pairs}
             if lbs is not None:
                 slabs["lbs"] = lbs
             pairs_ref = exec_.share_index(
                 planner.topk_pairs_slab_key(
-                    fps_left, fps_right, resolved, lbs is not None, mode
+                    left.key, right.key, resolved, lbs is not None, mode
                 ),
                 slabs,
             )
@@ -627,7 +717,7 @@ def run_range(engine, query, corpus, radius, metric, use_index):
     if cached is not None:
         matches, stats = cached
         return list(matches), copy.deepcopy(stats)
-    index, _ = corpus_index_for(engine, corpus, resolved)
+    index = corpus_index_for(engine, corpus, resolved)
     matches, stats = index.range_scan(query, radius, use_tree=use_tree)
     engine._oracles.put_result(key, (list(matches), copy.deepcopy(stats)))
     return matches, stats
@@ -641,8 +731,6 @@ def run_knn(engine, query, corpus, k, metric, use_index):
     ties broken by corpus index, reproduced exactly by the best-first
     tree traversal.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if not len(corpus):
         return [], IndexStats()
     resolved = get_metric(metric)
@@ -652,7 +740,7 @@ def run_knn(engine, query, corpus, k, metric, use_index):
     if cached is not None:
         neighbors, stats = cached
         return list(neighbors), copy.deepcopy(stats)
-    index, _ = corpus_index_for(engine, corpus, resolved)
+    index = corpus_index_for(engine, corpus, resolved)
     neighbors, stats = index.knn_scan(query, k, use_tree=use_tree)
     engine._oracles.put_result(key, (list(neighbors), copy.deepcopy(stats)))
     return neighbors, stats
@@ -748,17 +836,18 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
             candidates, theta, resolved,
         )
     else:
-        fps = ("windows", fingerprint_points(traj), int(window_length),
-               int(stride))
+        windows_key = (f"windows:{fingerprint_points(traj)}:"
+                       f"{int(window_length)}:{int(stride)}")
         with exec_.scan_lock:
             try:
                 exec_.shm.begin_batch()
                 corpus_ref = exec_.share_index(
-                    planner.corpus_slab_key(fps), windex.transport_slabs()
+                    planner.corpus_slab_key(windows_key),
+                    windex.transport_slabs(),
                 )
                 pairs_ref = exec_.share_index(
-                    planner.pairs_slab_key(fps + (mode,),
-                                           fps, resolved, theta),
+                    planner.pairs_slab_key(windows_key, windows_key,
+                                           resolved, theta, mode),
                     {"pairs": candidates},
                 )
                 tasks = [

@@ -495,14 +495,19 @@ class MotifEngine:
         are identical on every path and re-sort to the serial
         (left-major) order; the filter statistics fold additively
         (indexed runs account the index's share in ``pruned_index``).
-        Results are cached by content fingerprint
-        (workers-independent).
+        Results are cached under the corpora's keys
+        (workers-independent): ``left`` / ``right`` may be
+        :class:`~repro.engine.Corpus` handles, else each is keyed once
+        here.  ``theta`` must be finite and non-negative
+        (:class:`~repro.errors.QueryParameterError`).
         """
+        theta = _corpus.check_threshold("theta", theta)
         workers = self.workers if workers is None else max(1, int(workers))
         use_index = (
             self.index if index is None
             else planner.normalize_index_mode(index)
         )
+        left, right = _corpus.handles(left, right)
         return _corpus.run_join(
             self, left, right, theta, metric, workers, use_index
         )
@@ -525,13 +530,16 @@ class MotifEngine:
         index-bound order so the tail is never touched).  The answer
         is canonical under ``(distance, (a, b))`` -- identical for the
         serial reference :func:`repro.extensions.join.join_top_k`,
-        every worker count, indexed or not.
+        every worker count, indexed or not.  ``k`` must be a positive
+        integer; corpora are taken as in :meth:`join`.
         """
+        k = _corpus.check_k(k)
         workers = self.workers if workers is None else max(1, int(workers))
         use_index = (
             self.index if index is None
             else planner.normalize_index_mode(index)
         )
+        left, right = _corpus.handles(left, right)
         return _corpus.run_join_top_k(
             self, left, right, k, metric, workers, use_index
         )
@@ -557,12 +565,16 @@ class MotifEngine:
         the union re-sorts to serial left-major order.  Matches are
         identical to ``join(concat(left), concat(right))``; the filter
         statistics fold additively with the index accounting summed
-        key-wise.
+        key-wise.  Shards may be :class:`~repro.engine.Corpus` handles.
         """
+        theta = _corpus.check_threshold("theta", theta)
         workers = self.workers if workers is None else max(1, int(workers))
         use_index = (
             self.index if index is None
             else planner.normalize_index_mode(index)
+        )
+        left_shards, right_shards = _corpus.shard_handles(
+            left_shards, right_shards
         )
         return _corpus.run_sharded_join(
             self, left_shards, right_shards, theta, metric, workers, use_index
@@ -584,10 +596,14 @@ class MotifEngine:
         reducer the chunked scan uses -- so the ranking equals the
         unsharded :meth:`join_top_k` exactly, ties included.
         """
+        k = _corpus.check_k(k)
         workers = self.workers if workers is None else max(1, int(workers))
         use_index = (
             self.index if index is None
             else planner.normalize_index_mode(index)
+        )
+        left_shards, right_shards = _corpus.shard_handles(
+            left_shards, right_shards
         )
         return _corpus.run_sharded_join_top_k(
             self, left_shards, right_shards, k, metric, workers, use_index
@@ -611,13 +627,16 @@ class MotifEngine:
         subtrees whose admissible query bound strictly exceeds the
         radius; ``index=False`` scans brute-force.  Answers are
         byte-identical either way, ties at the radius included.
+        ``radius`` must be finite and non-negative; ``corpus`` may be a
+        :class:`~repro.engine.Corpus` handle.
         """
+        radius = _corpus.check_threshold("radius", radius)
         use_index = (
             self.index if index is None
             else planner.normalize_index_mode(index)
         )
-        return _corpus.run_range(self, query, corpus, radius, metric,
-                                 use_index)
+        return _corpus.run_range(self, query, _corpus.Corpus.of(corpus),
+                                 radius, metric, use_index)
 
     def knn(
         self,
@@ -634,13 +653,16 @@ class MotifEngine:
         ``sorted((dfd(q, T_i), i))[:k]``.  The tree traversal
         (``index="tree"`` or any truthy mode) expands node pairs
         best-first against the evolving k-th best and stops when the
-        cheapest remaining bound strictly exceeds it.
+        cheapest remaining bound strictly exceeds it.  ``k`` must be a
+        positive integer; ``corpus`` may be a handle.
         """
+        k = _corpus.check_k(k)
         use_index = (
             self.index if index is None
             else planner.normalize_index_mode(index)
         )
-        return _corpus.run_knn(self, query, corpus, k, metric, use_index)
+        return _corpus.run_knn(self, query, _corpus.Corpus.of(corpus), k,
+                               metric, use_index)
 
     def cluster(
         self,

@@ -152,9 +152,43 @@ def topk_result_key(traj_a, traj_b, metric, min_length: int, k: int) -> tuple:
     )
 
 
-def corpus_fingerprint(trajectories: Sequence) -> tuple:
-    """Order-sensitive content fingerprint of a trajectory collection."""
-    return tuple(fingerprint_points(t) for t in trajectories)
+#: Corpus-key namespaces.  An inline collection's key hashes its
+#: points, a snapshot's is the manifest ``content_key`` and a subset's
+#: hashes its parent key plus the picks -- three different inputs, so
+#: the prefix makes it structural that no two kinds ever share a key.
+INLINE_PREFIX = "inline:"
+SNAPSHOT_PREFIX = "snapshot:"
+SUBSET_PREFIX = "subset:"
+
+
+def corpus_fingerprint(trajectories: Sequence) -> str:
+    """The content key of an inline trajectory collection, in one pass.
+
+    One SHA-1 over every trajectory's shape, then the float64 point
+    bytes in order -- the digest of the concatenated points slab,
+    without building the slab.  Order-sensitive, like the indices the
+    corpus answers are expressed in.
+    """
+    arrays = [
+        np.ascontiguousarray(getattr(t, "points", t), dtype=np.float64)
+        for t in trajectories
+    ]
+    digest = hashlib.sha1(repr([a.shape for a in arrays]).encode())
+    for array in arrays:
+        digest.update(array)
+    return INLINE_PREFIX + digest.hexdigest()
+
+
+def snapshot_corpus_key(content_key: str) -> str:
+    """The corpus key of a snapshot (or shard): its manifest key, free."""
+    return SNAPSHOT_PREFIX + str(content_key)
+
+
+def subset_corpus_key(parent_key: str, picks: Sequence[int]) -> str:
+    """The corpus key of ``parent[picks]``: ``H(parent key, picks)``."""
+    digest = hashlib.sha1(parent_key.encode() + b"\0")
+    digest.update(np.asarray(picks, dtype=np.int64).tobytes())
+    return SUBSET_PREFIX + digest.hexdigest()
 
 
 def normalize_index_mode(index):
@@ -178,64 +212,46 @@ def normalize_index_mode(index):
 
 
 def join_result_key(left, right, metric, theta: float, indexed) -> tuple:
-    """Result-cache key of one similarity join.
+    """Result-cache key of one similarity join of two corpus handles.
 
     ``indexed`` participates because the indexed, unindexed and
     tree-walk paths report different (all correct) filter statistics;
     the *matches* are identical in every mode.
     """
     return (
-        "join",
-        corpus_fingerprint(left),
-        corpus_fingerprint(right),
-        metric_key(metric),
-        float(theta),
+        "join", left.key, right.key, metric_key(metric), float(theta),
         normalize_index_mode(indexed),
     )
 
 
 def range_result_key(query, corpus, metric, radius: float, use_tree) -> tuple:
-    """Result-cache key of one range query over a corpus."""
+    """Result-cache key of one range query over a corpus handle."""
     return (
-        "range",
-        fingerprint_points(query),
-        corpus_fingerprint(corpus),
-        metric_key(metric),
-        float(radius),
-        bool(use_tree),
+        "range", fingerprint_points(query), corpus.key, metric_key(metric),
+        float(radius), bool(use_tree),
     )
 
 
 def knn_result_key(query, corpus, metric, k: int, use_tree) -> tuple:
     """Result-cache key of one k-nearest-neighbour query over a corpus."""
     return (
-        "knn",
-        fingerprint_points(query),
-        corpus_fingerprint(corpus),
-        metric_key(metric),
-        int(k),
-        bool(use_tree),
+        "knn", fingerprint_points(query), corpus.key, metric_key(metric),
+        int(k), bool(use_tree),
     )
 
 
 def join_topk_result_key(left, right, metric, k: int) -> tuple:
     """Result-cache key of one top-k closest-pair join (canonical)."""
-    return (
-        "join_topk",
-        corpus_fingerprint(left),
-        corpus_fingerprint(right),
-        metric_key(metric),
-        int(k),
-    )
+    return ("join_topk", left.key, right.key, metric_key(metric), int(k))
 
 
-def corpus_slab_key(fingerprints) -> tuple:
+def corpus_slab_key(corpus_key: str) -> tuple:
     """Shared-segment key of one published corpus transport group."""
-    return ("corpus", fingerprints)
+    return ("corpus", corpus_key)
 
 
 def pairs_slab_key(
-    fps_left, fps_right, metric, theta: float, mode="grid"
+    left_key: str, right_key: str, metric, theta: float, mode="grid"
 ) -> tuple:
     """Shared-segment key of one join's candidate-pair slab.
 
@@ -244,17 +260,17 @@ def pairs_slab_key(
     slab key would let a stale segment answer for the other mode.
     """
     return (
-        "pairs", fps_left, fps_right, metric_key(metric), float(theta),
+        "pairs", left_key, right_key, metric_key(metric), float(theta),
         str(mode),
     )
 
 
 def topk_pairs_slab_key(
-    fps_left, fps_right, metric, with_bounds: bool, mode="grid"
+    left_key: str, right_key: str, metric, with_bounds: bool, mode="grid"
 ) -> tuple:
     """Shared-segment key of one top-k join's ordered-pair slab."""
     return (
-        "topk_pairs", fps_left, fps_right, metric_key(metric),
+        "topk_pairs", left_key, right_key, metric_key(metric),
         bool(with_bounds), str(mode),
     )
 

@@ -34,6 +34,17 @@ class DatasetError(ReproError, ValueError):
     """Raised for unknown dataset names or invalid generator parameters."""
 
 
+class QueryParameterError(ReproError, ValueError):
+    """Raised when a corpus-query parameter is outside its domain.
+
+    A join ``theta`` or range ``radius`` that is NaN, infinite or
+    negative, or a ``k`` that is not a positive integer.  Checked once,
+    where the engine's corpus verbs take their arguments; a
+    ``ValueError`` too, so callers that caught the bare ``ValueError``
+    these checks used to raise keep working.
+    """
+
+
 class WorkerCrashError(ReproError, RuntimeError):
     """Raised when pool workers keep dying and re-dispatch gives up.
 

@@ -65,6 +65,10 @@ class MotifRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-motif-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: ``_send_json`` writes the headers and the body as two segments;
+    #: with Nagle's algorithm on, the body waits for the client's
+    #: delayed ACK -- ~40 ms on every keep-alive response.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> MotifService:

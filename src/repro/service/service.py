@@ -29,12 +29,12 @@ serving mechanisms live here, independent of the HTTP transport
   rather than building an unbounded backlog.
 
 Snapshots loaded via :meth:`MotifService.load_snapshot` are mapped
-read-only (``numpy.memmap``) and **seeded into the engine's index
-cache** under the exact key the corpus workloads look up
-(:func:`repro.engine.corpus.corpus_index_cache_key`), so a join or
-top-k against a snapshot corpus reuses the persisted summaries --
+read-only (``numpy.memmap``) and registered as
+:class:`~repro.engine.Corpus` handles -- keyed by their manifest
+``content_key``, restored index attached -- so a request against a
+snapshot computes no corpus key and reuses the persisted summaries:
 zero simplification DPs, observable as ``summary_builds == 0`` in the
-reply's index statistics -- and pool workers re-map the snapshot files
+reply's index statistics, and pool workers re-map the snapshot files
 themselves (one host-wide page cache, nothing pickled or copied).
 """
 
@@ -53,17 +53,16 @@ import numpy as np
 from .. import obs
 from ..core.brute import MotifTimeout
 from ..distances.ground import get_metric
-from ..engine import MotifEngine
+from ..engine import Corpus, MotifEngine
 from ..engine import planner
 from ..engine.cache import fingerprint_points, metric_key
-from ..engine.corpus import corpus_index_cache_key
 from ..errors import ReproError, WorkerCrashError
 from ..faults import fail_at
 from ..store import (
     SnapshotError,
     load_snapshot_shards,
+    shard_set_key,
     snapshot_fingerprint,
-    snapshot_trajectories,
 )
 from ..trajectory import Trajectory
 from .protocol import (
@@ -202,10 +201,10 @@ def _encode_join_stats(stats) -> dict:
 
 @dataclass
 class _Snapshot:
-    """One loaded snapshot: its shard indexes, corpus views, metadata.
+    """One loaded snapshot: its corpus handle(s) and metadata.
 
-    A plain snapshot is the one-shard case (``shard_items is None``);
-    a K-shard set keeps the per-shard trajectory lists so corpus
+    ``corpus`` is the whole corpus; a K-shard set also keeps one handle
+    per shard (``shards``; ``None`` for a plain snapshot) so corpus
     queries can scatter across shards and merge canonically.
     ``generation`` counts hot-reload swaps of this registration.
     """
@@ -213,8 +212,8 @@ class _Snapshot:
     name: str
     path: str
     indexes: List[object]
-    trajectories: List[Trajectory]
-    shard_items: Optional[List[List[Trajectory]]] = None
+    corpus: Corpus
+    shards: Optional[List[Corpus]] = None
     content_key: Optional[str] = None
     verify: bool = False
     generation: int = 0
@@ -223,7 +222,7 @@ class _Snapshot:
         manifest = getattr(self.indexes[0], "snapshot_manifest", {}) or {}
         return {
             "path": self.path,
-            "n": len(self.trajectories),
+            "n": len(self.corpus),
             "content_key": self.content_key,
             "metric": manifest.get("metric"),
             "shards": len(self.indexes),
@@ -432,12 +431,12 @@ class MotifService:
     def load_snapshot(self, name: str, path, *, verify: bool = False) -> dict:
         """Map a :mod:`repro.store` snapshot and register it as ``name``.
 
-        Accepts plain snapshots and K-shard sets alike.  Every
-        restored shard index is seeded into the engine's tables cache
-        under :func:`~repro.engine.corpus.corpus_index_cache_key`, so
-        corpus queries referencing this snapshot reuse its persisted
-        summaries instead of rebuilding them; whole-corpus joins over
-        a shard set scatter per shard and merge canonically.
+        Accepts plain snapshots and K-shard sets alike.  Every shard
+        becomes a :class:`~repro.engine.Corpus` handle keyed by its
+        manifest ``content_key`` with its restored index attached, so
+        corpus queries referencing this snapshot compute no key and
+        reuse its persisted summaries; whole-corpus queries over a
+        shard set scatter per shard and merge canonically.
         """
         snap = self._map_snapshot(str(name), path, verify=verify)
         with self._cond:
@@ -452,18 +451,25 @@ class MotifService:
         fail_at("service.reload")
         fingerprint = snapshot_fingerprint(path)
         indexes = load_snapshot_shards(path, mmap=True, verify=verify)
-        shard_items = [snapshot_trajectories(index) for index in indexes]
-        for index, items in zip(indexes, shard_items):
-            fps = planner.corpus_fingerprint(items)
-            self.engine._oracles.tables.put(
-                corpus_index_cache_key(fps, index.metric), index
+        shards = [Corpus.from_snapshot(index) for index in indexes]
+        if len(shards) == 1:
+            corpus, shards = shards[0], None
+        else:
+            # Keyed from the shard manifests actually mapped, so the key
+            # describes these bytes even if a rebuild raced the load.
+            set_key = shard_set_key(
+                index.snapshot_manifest["content_key"] for index in indexes
+            )
+            corpus = Corpus(
+                tuple(t for shard in shards for t in shard.items),
+                planner.snapshot_corpus_key(set_key),
             )
         return _Snapshot(
             name=name,
             path=str(path),
             indexes=list(indexes),
-            trajectories=[t for items in shard_items for t in items],
-            shard_items=shard_items if len(indexes) > 1 else None,
+            corpus=corpus,
+            shards=shards,
             content_key=fingerprint,
             verify=verify,
         )
@@ -869,7 +875,7 @@ class MotifService:
                     "trajectory snapshot spec needs an 'item' index"
                 )
             try:
-                return snap.trajectories[int(item)]
+                return snap.corpus.items[int(item)]
             except (IndexError, ValueError) as exc:
                 raise BadRequestError(
                     f"snapshot {snap.name!r} has no item {item!r}"
@@ -880,26 +886,27 @@ class MotifService:
         except (ValueError, TypeError, ReproError) as exc:
             raise BadRequestError(f"bad trajectory spec: {exc}") from exc
 
-    def _corpus_from_spec(self, spec) -> List[Trajectory]:
+    def _corpus_from_spec(self, spec) -> Corpus:
+        """A corpus spec as a handle: registered, subset, or keyed once."""
         if isinstance(spec, dict):
             snap = self._snapshot(spec.get("snapshot"))
             items = spec.get("items")
             if items is None:
-                return snap.trajectories
+                return snap.corpus
             try:
-                return [snap.trajectories[int(i)] for i in items]
+                return snap.corpus.subset(items)
             except (IndexError, ValueError, TypeError) as exc:
                 raise BadRequestError(
                     f"bad items for snapshot {snap.name!r}: {exc}"
                 ) from exc
         if not isinstance(spec, (list, tuple)) or not spec:
             raise BadRequestError("corpus spec must be a non-empty list")
-        return [self._trajectory_from_spec(item) for item in spec]
+        return Corpus.of([self._trajectory_from_spec(item) for item in spec])
 
     def _corpus_and_shards_from_spec(
         self, spec
-    ) -> Tuple[List[Trajectory], Optional[List[List[Trajectory]]]]:
-        """``(corpus, per-shard lists)`` -- one snapshot resolution.
+    ) -> Tuple[Corpus, Optional[List[Corpus]]]:
+        """``(corpus, per-shard handles)`` -- one snapshot resolution.
 
         Only a snapshot reference without an ``items`` subset scatters:
         explicit item picks and inline corpora span shard boundaries,
@@ -909,7 +916,7 @@ class MotifService:
         """
         if isinstance(spec, dict) and spec.get("items") is None:
             snap = self._snapshot(spec.get("snapshot"))
-            return snap.trajectories, snap.shard_items
+            return snap.corpus, snap.shards
         return self._corpus_from_spec(spec), None
 
     def _note_tree_stats(self, index_stats) -> None:

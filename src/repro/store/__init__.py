@@ -23,6 +23,7 @@ from .snapshot import (
     load_snapshot_shards,
     save_snapshot,
     shard_bounds,
+    shard_set_key,
     snapshot_fingerprint,
     snapshot_trajectories,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "load_snapshot_shards",
     "save_snapshot",
     "shard_bounds",
+    "shard_set_key",
     "snapshot_fingerprint",
     "snapshot_trajectories",
 ]

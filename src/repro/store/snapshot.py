@@ -204,6 +204,11 @@ def _slice_index(index: CorpusIndex, start: int, stop: int) -> CorpusIndex:
     )
 
 
+def shard_set_key(content_keys) -> str:
+    """The ``content_key`` of a shard set: SHA-1 over its shard keys."""
+    return hashlib.sha1("|".join(content_keys).encode()).hexdigest()
+
+
 def _save_shard_set(
     index: CorpusIndex,
     root: Path,
@@ -231,9 +236,7 @@ def _save_shard_set(
             "start": start,
             "stop": stop,
         })
-    combined = hashlib.sha1(
-        "|".join(entry["content_key"] for entry in entries).encode()
-    ).hexdigest()
+    combined = shard_set_key(entry["content_key"] for entry in entries)
     set_manifest = {
         "format": SHARD_SET_FORMAT,
         "version": SNAPSHOT_VERSION,

@@ -15,7 +15,7 @@ import pytest
 from repro.core import GTM
 from repro.core.problem import self_space
 from repro.distances.ground import get_metric
-from repro.engine import EngineExecutor, MotifEngine, OracleManager
+from repro.engine import Corpus, EngineExecutor, MotifEngine, OracleManager
 from repro.engine import planner
 from repro.errors import ReproError
 from repro.testing import random_walk
@@ -56,7 +56,7 @@ class TestPlanner:
 
     def test_join_keys_depend_on_index_flag(self):
         metric = get_metric("euclidean")
-        items = [random_walk(8, seed=s) for s in range(3)]
+        items = Corpus.of([random_walk(8, seed=s) for s in range(3)])
         k_plain = planner.join_result_key(items, items, metric, 1.0, False)
         k_index = planner.join_result_key(items, items, metric, 1.0, True)
         assert k_plain != k_index  # different statistics, different entry

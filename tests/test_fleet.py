@@ -25,6 +25,7 @@ import json
 import os
 import shutil
 import signal
+import socket
 import threading
 import time
 
@@ -35,6 +36,7 @@ from repro.extensions.join import join_top_k, similarity_join
 from repro.index import CorpusIndex
 from repro.engine import MotifEngine
 from repro.service import MotifService, ServiceFleet
+from repro.service.server import MotifRequestHandler
 from repro.store import (
     SnapshotError,
     is_shard_set,
@@ -432,6 +434,27 @@ class TestFleet:
             assert status == 200
             assert out["result"]["matches"] == ref["result"]["matches"]
             assert len(fleet.pids()) == 2
+
+    def test_fleet_worker_socket_has_tcp_nodelay(self, tmp_path,
+                                                 monkeypatch):
+        """Fleet workers serve through the same handler: no Nagle stall
+        between the header and body writes."""
+        record = tmp_path / "nodelay"
+        setup = MotifRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            flag = handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            with open(record, "a") as fh:
+                fh.write(f"{flag}\n")
+
+        # Patched before the fork, so the worker process inherits it.
+        monkeypatch.setattr(MotifRequestHandler, "setup", recording_setup)
+        with ServiceFleet(workers=1, service_kwargs={"workers": 1}) as fleet:
+            wait_for_fleet(fleet.port)
+        flags = [int(value) for value in record.read_text().split()]
+        assert flags and all(flags)
 
     def test_fleet_rejects_bad_config(self):
         with pytest.raises(ValueError):

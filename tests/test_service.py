@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -34,6 +35,7 @@ from repro.service import (
     UnknownSnapshotError,
     make_server,
 )
+from repro.service.server import MotifRequestHandler
 from repro.store import save_snapshot
 from repro.trajectory import Trajectory
 
@@ -194,6 +196,25 @@ class TestWireParity:
             httpd.server_close()
             thread.join(timeout=10.0)
             service.stop()
+
+
+class TestNagle:
+    def test_accepted_socket_has_tcp_nodelay(self, snapshot_dir,
+                                             monkeypatch):
+        """Headers and body leave as two writes; with Nagle's algorithm
+        on, the body waits out the client's delayed ACK (~40 ms)."""
+        flags = []
+        setup = MotifRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            flags.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(MotifRequestHandler, "setup", recording_setup)
+        with running_service(snapshot_dir) as (_, client):
+            assert client.health()["ok"]
+        assert flags and all(flags)
 
 
 class TestCoalescing:

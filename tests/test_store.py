@@ -23,11 +23,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import MotifEngine, fork_context
+from repro.engine import Corpus, MotifEngine, fork_context
 from repro.errors import ReproError
 from repro.engine.cache import metric_key
-from repro.engine.corpus import corpus_index_cache_key
-from repro.engine.planner import corpus_fingerprint
 from repro.distances.ground import get_metric
 from repro.index import CorpusIndex
 from repro.store import (
@@ -233,19 +231,16 @@ class TestErrorPaths:
 
 
 def seeded_engine(tmp_path, corpus, metric, workers, executor):
-    """An engine whose index cache is warmed from a snapshot on disk."""
+    """An engine plus the handle of the corpus restored from a snapshot.
+
+    The handle carries the restored index, so the engine serves the
+    snapshot's persisted summaries without any cache seeding.
+    """
     index = CorpusIndex(corpus, metric)
     save_snapshot(index, tmp_path / "snap")
-    loaded = load_snapshot(tmp_path / "snap")
-    trajs = snapshot_trajectories(loaded)
+    handle = Corpus.from_snapshot(load_snapshot(tmp_path / "snap"))
     engine = MotifEngine(workers=workers, executor=executor)
-    engine._oracles.tables.put(
-        corpus_index_cache_key(
-            corpus_fingerprint(trajs), get_metric(metric)
-        ),
-        loaded,
-    )
-    return engine, trajs
+    return engine, handle
 
 
 class TestEngineParity:
