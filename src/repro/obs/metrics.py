@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import os
+import signal
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -284,6 +285,20 @@ class MetricsRegistry:
         return self._slot * self._cells
 
     def _claim_slot(self, pid: int) -> int:
+        # Hold SIGTERM off while this thread may own the semaphore:
+        # ``ProcessPoolExecutor`` SIGTERMs every worker of a broken
+        # pool, and one dying mid-claim would orphan the semaphore for
+        # every process forked afterwards.  A pending SIGTERM lands as
+        # soon as the mask is restored, after the release.
+        if not hasattr(signal, "pthread_sigmask"):  # pragma: no cover
+            return self._take_slot(pid)
+        previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            return self._take_slot(pid)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+    def _take_slot(self, pid: int) -> int:
         lock = self._pids.get_lock()
         if not lock.acquire(timeout=CLAIM_TIMEOUT):
             # The semaphore is orphaned: its holder died mid-claim (a
@@ -332,6 +347,17 @@ class MetricsRegistry:
                 self._values[base + cell] = 0.0
 
     # -- merged reads -----------------------------------------------
+    def _slot_pids(self) -> List[int]:
+        """Slot owners, read without the slot-table semaphore.
+
+        Only claims need the semaphore; a reader racing one sees the
+        slot's old or new pid.  A blocking acquire here would hang
+        every merged read for good once a claimer dies holding it
+        (see :data:`CLAIM_TIMEOUT`).
+        """
+        cells = self._pids.get_obj() if _CTX is not None else self._pids
+        return [cells[s] for s in range(self._slots)]
+
     def _cell_value(self, cell: int, *, live_only: bool = False) -> float:
         if not live_only:
             return sum(
@@ -339,16 +365,18 @@ class MetricsRegistry:
                 for s in range(self._slots)
             )
         total = 0.0
+        pids = self._slot_pids()
         for s in range(1, self._slots):
-            pid = self._pids[s]
+            pid = pids[s]
             if pid and _pid_alive(pid):
                 total += self._values[s * self._cells + cell]
         return total
 
     def _cell_per_process(self, cell: int) -> Dict[int, float]:
         out: Dict[int, float] = {}
+        pids = self._slot_pids()
         for s in range(1, self._slots):
-            pid = self._pids[s]
+            pid = pids[s]
             if pid and _pid_alive(pid):
                 out[int(pid)] = self._values[s * self._cells + cell]
         return out
