@@ -265,6 +265,71 @@ class TestForkSharedRegistry:
         # the parent keeps its claimed slot and its counts
         assert counter.value() == 1
 
+    def test_merged_reads_survive_an_orphaned_claim_lock(self):
+        # A fleet master polls per-process counters and live gauges;
+        # those reads must not wait on the claim semaphore either.
+        reg = MetricsRegistry(slots=4, cells=16)
+        counter = reg.counter("t_reader_total", "reader probe")
+        depth = reg.gauge("t_reader_depth", "reader probe")
+        counter.inc(3)
+        depth.set(2.0)
+
+        def die_holding():
+            reg._pids.get_lock().acquire()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        holder = FORK.Process(target=die_holding)
+        holder.start()
+        holder.join()
+        assert holder.exitcode == -signal.SIGKILL
+
+        out = FORK.SimpleQueue()
+
+        def read():
+            out.put((counter.per_process(), depth.value()))
+
+        probe = FORK.Process(target=read)
+        probe.start()
+        probe.join(10)
+        try:
+            assert probe.exitcode == 0, "merged read deadlocked"
+            assert out.get() == ({os.getpid(): 3.0}, 2.0)
+        finally:
+            if probe.is_alive():  # pragma: no cover - deadlock path
+                probe.kill()
+
+    def test_sigterm_mid_claim_leaves_the_lock_free(self):
+        # Slots: archive, this process, one dead child -- the probe
+        # must fold the dead slot into the archive to claim it, and is
+        # SIGTERMed (as a broken pool's siblings are) while doing so.
+        reg = MetricsRegistry(slots=3, cells=16)
+        counter = reg.counter("t_term_total", "sigterm probe")
+        counter.inc()
+        first = FORK.Process(target=counter.inc)
+        first.start()
+        first.join()
+        assert first.exitcode == 0
+
+        def terminated_mid_claim():
+            archive = reg._archive_slot
+
+            def archive_then_terminated(slot):
+                os.kill(os.getpid(), signal.SIGTERM)
+                archive(slot)
+
+            reg._archive_slot = archive_then_terminated
+            counter.inc()
+
+        probe = FORK.Process(target=terminated_mid_claim)
+        probe.start()
+        probe.join(10)
+        assert probe.exitcode == -signal.SIGTERM
+        lock = reg._pids.get_lock()
+        assert lock.acquire(timeout=1.0), "claim semaphore orphaned"
+        lock.release()
+        # The signal landed after the claim: the dead slot was folded.
+        assert counter.value() == 2
+
 
 # ----------------------------------------------------------------------
 # Trace records and the JSONL sink
