@@ -2,7 +2,9 @@
 
 Not a paper figure, but the O(l^2) DFD computation is the unit cost the
 whole paper optimises around; this tracks the relative cost of the DP,
-the decision-based binary search, and the memoised recurrence.
+the decision-based binary search, and the memoised recurrence -- and,
+for the corpus paths that verify many candidate pairs, the absolute
+time of one kernel call per pair against one stacked call for all.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from repro.distances import (
     dfd_matrix,
     dfd_matrix_by_search,
     dfd_matrix_recursive,
+    ground_stack,
 )
 
 RNG = np.random.default_rng(0)
@@ -46,6 +49,40 @@ def test_decision_only(benchmark):
     benchmark.group = "substrate: DFD, 256x256"
     eps = float(np.median(D_LARGE))
     benchmark(dfd_decision, D_LARGE, eps)
+
+
+# A join's verification step: P = 200 candidate pairs of 30-point walks
+# (the corpus_join workload's shape), close enough that every pair
+# reaches the exact decision.
+_WALKS = RNG.normal(size=(400, 30, 2)).cumsum(axis=1)
+PAIR_STACK, PAIR_LENGTHS = ground_stack(
+    list(_WALKS[:200]), list(_WALKS[:200] + 0.3 * _WALKS[200:])
+)
+PAIR_EPS = float(np.median(PAIR_STACK))
+
+
+def _per_pair(kernel, *args):
+    return [kernel(d, *args) for d in PAIR_STACK]
+
+
+@pytest.mark.parametrize("form", ["per_pair", "stacked"])
+def test_pair_batched_value(benchmark, form):
+    benchmark.group = "substrate: DFD of 200 pairs of 30x30, ms"
+    if form == "stacked":
+        values = benchmark(dfd_matrix, PAIR_STACK, PAIR_LENGTHS)
+    else:
+        values = benchmark(_per_pair, dfd_matrix)
+    assert list(values) == [dfd_matrix(d) for d in PAIR_STACK]
+
+
+@pytest.mark.parametrize("form", ["per_pair", "stacked"])
+def test_pair_batched_decision(benchmark, form):
+    benchmark.group = "substrate: DFD <= eps for 200 pairs of 30x30, ms"
+    if form == "stacked":
+        answers = benchmark(dfd_decision, PAIR_STACK, PAIR_EPS, PAIR_LENGTHS)
+    else:
+        answers = benchmark(_per_pair, dfd_decision, PAIR_EPS)
+    assert list(answers) == [dfd_matrix(d) <= PAIR_EPS for d in PAIR_STACK]
 
 
 def test_continuous_frechet(benchmark):

@@ -17,16 +17,18 @@ from .ground import (
     cross_ground_matrix,
     get_metric,
     ground_matrix,
+    ground_stack,
     register_metric,
 )
 from .frechet import (
     dfd_decision,
     dfd_matrix,
     dfd_matrix_by_search,
-    dfd_matrix_linear_space,
     dfd_matrix_recursive,
+    dfd_pairs,
     discrete_frechet,
     frechet_path,
+    ground_stacks,
 )
 from .continuous_frechet import continuous_frechet, continuous_frechet_decision
 from .dtw import dtw, dtw_matrix
@@ -54,8 +56,8 @@ __all__ = [
     "dfd_decision",
     "dfd_matrix",
     "dfd_matrix_by_search",
-    "dfd_matrix_linear_space",
     "dfd_matrix_recursive",
+    "dfd_pairs",
     "directed_hausdorff",
     "directed_hausdorff_matrix",
     "discrete_frechet",
@@ -67,6 +69,8 @@ __all__ = [
     "frechet_path",
     "get_metric",
     "ground_matrix",
+    "ground_stack",
+    "ground_stacks",
     "hausdorff",
     "hausdorff_matrix",
     "lcss",

@@ -10,39 +10,133 @@ DFD equals the min-max weight over monotone staircase paths from cell
 ``(0, 0)`` to cell ``(n-1, m-1)`` of the ground distance matrix.  All
 implementations here work on that matrix:
 
-* :func:`dfd_matrix` -- row-scan dynamic program, the workhorse;
-* :func:`dfd_matrix_linear_space` -- same values, two rows of memory
-  (idea (ii) of GTM*, Section 5.5);
+* :func:`dfd_matrix` -- the dynamic program, the workhorse.  A 2-D
+  matrix runs a row scan holding two rows (idea (ii) of GTM*, Section
+  5.5); a padded ``(P, N, M)`` stack runs one anti-diagonal sweep
+  vectorised across all ``P`` pairs;
 * :func:`dfd_matrix_recursive` -- memoised literal recurrence, used as a
   correctness oracle in tests;
-* :func:`dfd_decision` -- vectorised reachability test ``DFD <= eps``;
+* :func:`dfd_decision` -- reachability test ``DFD <= eps``, for a matrix
+  or a stack;
 * :func:`dfd_matrix_by_search` -- binary search on the sorted matrix
   values using :func:`dfd_decision` (the DFD always equals some ground
   distance).
 
+Corpus paths hold lists of trajectory pairs; :func:`ground_stacks`
+buckets such a list by length into bounded stacked blocks and
+:func:`dfd_pairs` returns every pair's DFD from them.
 :func:`discrete_frechet` is the public convenience entry point taking
 raw point arrays.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import TrajectoryError
-from .ground import GroundMetric, cross_ground_matrix
+from .ground import GroundMetric, cross_ground_matrix, ground_stack
+
+#: Padded cells one stacked block may hold.  Bounds the stack and the
+#: ground-matrix temporaries built for it (a few MB at this size), so a
+#: long pair list costs time, not peak memory.
+STACK_BLOCK_CELLS = 1 << 18
 
 
 def _check_matrix(dmat: np.ndarray) -> np.ndarray:
     dmat = np.asarray(dmat, dtype=np.float64)
     if dmat.ndim != 2 or dmat.shape[0] == 0 or dmat.shape[1] == 0:
         raise TrajectoryError(f"distance matrix must be 2-D and non-empty; got {dmat.shape}")
+    if not np.isfinite(dmat).all():
+        raise TrajectoryError("distance matrix contains NaN or infinite entries")
     return dmat
 
 
-def dfd_matrix(dmat: np.ndarray) -> float:
-    """DFD of the full matrix via the standard O(nm) dynamic program."""
+def _check_stack(stack: np.ndarray, lengths) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a padded stack; returns it with each pair's ``n_p``, ``m_p``.
+
+    Only the cells inside a pair's own block must be finite: the
+    padding around it (``+inf`` from :func:`ground_stack`) is never read
+    into that pair's result.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    count, rows, cols = stack.shape
+    if lengths is None:
+        lengths = np.tile([rows, cols], (count, 1))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (
+        lengths.shape != (count, 2)
+        or (lengths < 1).any()
+        or (lengths > [rows, cols]).any()
+    ):
+        raise TrajectoryError(
+            f"lengths must be {count} (n, m) pairs within {(rows, cols)}"
+        )
+    n, m = lengths[:, 0], lengths[:, 1]
+    outside = (np.arange(rows)[:, None] >= n[:, None, None]) | (
+        np.arange(cols) >= m[:, None, None]
+    )
+    if not (np.isfinite(stack) | outside).all():
+        raise TrajectoryError("distance matrix contains NaN or infinite entries")
+    return stack, n, m
+
+
+def _dfd_stack(stack: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Anti-diagonal DP sweep over a padded stack; pair ``p`` reads its
+    own ``(n_p - 1, m_p - 1)`` cell.
+
+    Every cell of diagonal ``d = i + j`` depends only on diagonals
+    ``d - 1`` and ``d - 2``, so one diagonal of all ``P`` pairs is a
+    handful of numpy calls.  A diagonal is held by row, shifted by one
+    (``diag[:, i + 1]`` is cell ``(i, d - i)``) so that column 0 is a
+    permanent ``+inf`` border.  A cell depends only on its own prefix,
+    so a pair's end cell never reads the padding around its block.
+    """
+    count, rows, cols = stack.shape
+    out = np.empty(count)
+    if not count:
+        return out
+    flat = stack.reshape(count, rows * cols)
+    end = n + m - 2
+    row_ids = np.arange(rows)
+    prev2 = np.full((count, rows + 1), np.inf)
+    prev1 = np.full((count, rows + 1), np.inf)
+    cur = np.full((count, rows + 1), np.inf)
+    for d in range(int(end.max()) + 1):
+        lo, hi = max(0, d - cols + 1), min(d, rows - 1)
+        i = row_ids[lo:hi + 1]
+        vals = flat[:, i * cols + (d - i)]
+        cur.fill(np.inf)
+        if d == 0:
+            cur[:, 1] = vals[:, 0]
+        else:
+            # Predecessors of (i, j): (i-1, j) and (i, j-1) on diagonal
+            # d-1, (i-1, j-1) on diagonal d-2.
+            best = np.minimum(
+                np.minimum(prev1[:, lo:hi + 1], prev1[:, lo + 1:hi + 2]),
+                prev2[:, lo:hi + 1],
+            )
+            cur[:, lo + 1:hi + 2] = np.maximum(vals, best)
+        done = np.flatnonzero(end == d)
+        if done.size:
+            out[done] = cur[done, n[done]]
+        prev2, prev1, cur = prev1, cur, prev2
+    return out
+
+
+def dfd_matrix(dmat: np.ndarray, lengths=None):
+    """DFD of a ground matrix, or of every matrix in a padded stack.
+
+    A 2-D ``(n, m)`` matrix returns a float from the row-scan DP.  A
+    3-D ``(P, N, M)`` stack returns a ``(P,)`` array: pair ``p``'s matrix
+    is the top-left ``lengths[p] = (n_p, m_p)`` block (default: the
+    whole ``N x M``), and values equal the 2-D DP's bit for bit (the DP
+    only selects among matrix entries).  Non-finite cells raise
+    :class:`~repro.errors.TrajectoryError`.
+    """
+    if np.ndim(dmat) == 3:
+        return _dfd_stack(*_check_stack(dmat, lengths))
     dmat = _check_matrix(dmat)
     n, m = dmat.shape
     prev = np.maximum.accumulate(dmat[0])
@@ -55,16 +149,6 @@ def dfd_matrix(dmat: np.ndarray) -> float:
             cur[j] = row[j] if row[j] > best_prev else best_prev
         prev = cur
     return float(prev[-1])
-
-
-def dfd_matrix_linear_space(dmat: np.ndarray) -> float:
-    """Alias of :func:`dfd_matrix`; kept to document the O(m)-space claim.
-
-    The row-scan DP above already retains only the previous and current
-    rows, which is exactly idea (ii) of GTM* ("implement DFD computation
-    with O(n) space").  The alias exists so call sites can state intent.
-    """
-    return dfd_matrix(dmat)
 
 
 def dfd_matrix_recursive(dmat: np.ndarray) -> float:
@@ -99,14 +183,19 @@ def dfd_matrix_recursive(dmat: np.ndarray) -> float:
     return memo[(n - 1, m - 1)]
 
 
-def dfd_decision(dmat: np.ndarray, eps: float) -> bool:
+def dfd_decision(dmat: np.ndarray, eps: float, lengths=None):
     """Vectorised decision: is ``DFD(dmat) <= eps``?
 
-    Runs a boolean reachability sweep over rows.  Within one row the
-    recurrence ``reach[j] = free[j] and (from_above[j] or reach[j-1])``
-    is resolved without a Python inner loop using a cumulative-count
-    trick over maximal runs of free cells.
+    A 2-D matrix runs a boolean reachability sweep over rows.  Within
+    one row the recurrence ``reach[j] = free[j] and (from_above[j] or
+    reach[j-1])`` is resolved without a Python inner loop using a
+    cumulative-count trick over maximal runs of free cells.  A padded
+    ``(P, N, M)`` stack (with ``lengths`` as in :func:`dfd_matrix`)
+    returns a ``(P,)`` boolean array from the stacked value sweep: the
+    DFD is exact, so comparing it with ``eps`` is the decision.
     """
+    if np.ndim(dmat) == 3:
+        return dfd_matrix(dmat, lengths) <= eps
     dmat = _check_matrix(dmat)
     n, m = dmat.shape
     free = dmat <= eps
@@ -157,6 +246,67 @@ def dfd_matrix_by_search(dmat: np.ndarray) -> float:
         else:
             lo = mid + 1
     return float(values[lo])
+
+
+def stack_blocks(
+    n_rows: Sequence[int], n_cols: Sequence[int], max_cells: int = STACK_BLOCK_CELLS
+) -> Iterator[np.ndarray]:
+    """Positions of a pair list grouped into stackable blocks.
+
+    Pairs are bucketed by the power-of-two class of each length, so no
+    pair is padded to twice its own size on either axis, and each
+    bucket is cut into blocks of at most ``max_cells`` padded cells (at
+    least one pair per block).
+    """
+    n_rows = np.asarray(n_rows, dtype=np.int64)
+    n_cols = np.asarray(n_cols, dtype=np.int64)
+    if not len(n_rows):
+        return
+    # frexp's exponent of (n - 1) is ceil(log2(n)) for every n >= 1.
+    keys = np.frexp(n_rows - 1)[1] * 64 + np.frexp(n_cols - 1)[1]
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    for bucket in np.split(order, cuts):
+        cells = int(n_rows[bucket].max()) * int(n_cols[bucket].max())
+        step = max(1, max_cells // cells)
+        for k in range(0, len(bucket), step):
+            yield bucket[k:k + step]
+
+
+def ground_stacks(
+    lefts: Sequence[np.ndarray],
+    rights: Sequence[np.ndarray],
+    metric: Union[str, GroundMetric] = "euclidean",
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(positions, stack, lengths)`` blocks covering every aligned pair.
+
+    ``stack[k]`` is the ``+inf``-padded ground matrix of pair
+    ``(lefts[positions[k]], rights[positions[k]])``
+    (:func:`~repro.distances.ground.ground_stack`); blocks follow
+    :func:`stack_blocks`.
+    """
+    for pos in stack_blocks([len(p) for p in lefts], [len(q) for q in rights]):
+        stack, lengths = ground_stack(
+            [lefts[k] for k in pos], [rights[k] for k in pos], metric
+        )
+        yield pos, stack, lengths
+
+
+def dfd_pairs(
+    lefts: Sequence[np.ndarray],
+    rights: Sequence[np.ndarray],
+    metric: Union[str, GroundMetric] = "euclidean",
+) -> np.ndarray:
+    """Exact DFD of every aligned pair ``(lefts[k], rights[k])``.
+
+    One stacked :func:`dfd_matrix` call per block of
+    :func:`ground_stacks`; entry ``k`` equals
+    ``dfd_matrix(metric.pairwise(lefts[k], rights[k]))`` exactly.
+    """
+    out = np.empty(len(lefts))
+    for pos, stack, lengths in ground_stacks(lefts, rights, metric):
+        out[pos] = dfd_matrix(stack, lengths)
+    return out
 
 
 def discrete_frechet(

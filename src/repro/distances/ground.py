@@ -10,12 +10,16 @@ algorithms in :mod:`repro.core` consume ground distances through either
 * a :class:`LazyGroundMatrix` that computes rows on demand with a small
   cache -- the "compute ground distances on-the-fly" idea (i) of the
   space-efficient GTM* (Section 5.5).
+
+Corpus paths that compare many trajectory pairs build all their cross
+matrices at once as one padded stack (:func:`ground_stack`, through
+:meth:`GroundMetric.pairwise_stack`) for the pair-batched DFD kernels.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +54,16 @@ class GroundMetric:
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """All-pairs distances: ``(n, d) x (m, d) -> (n, m)``."""
         raise NotImplementedError
+
+    def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Stacked all-pairs distances: ``(P, N, d) x (P, M, d) -> (P, N, M)``.
+
+        Slice ``p`` must equal ``pairwise(a[p], b[p])`` bit for bit, so
+        pair-batched kernels answer exactly like per-pair ones.  The
+        built-in metrics evaluate their ``pairwise`` formula once over
+        the whole stack; this default loops.
+        """
+        return np.stack([self.pairwise(x, y) for x, y in zip(a, b)])
 
     def rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Aligned distances: ``(n, d) x (n, d) -> (n,)``."""
@@ -106,6 +120,10 @@ class EuclideanMetric(GroundMetric):
         diff = a[:, None, :] - b[None, :, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
+    def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        diff = a[:, :, None, :] - b[:, None, :, :]
+        return np.sqrt(np.einsum("pijk,pijk->pij", diff, diff))
+
     def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -136,6 +154,23 @@ class HaversineMetric(GroundMetric):
             + np.cos(lat_a)[:, None] * np.cos(lat_b)[None, :] * np.sin(dlmb / 2.0) ** 2
         )
         return 2.0 * self.radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+
+    def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # The pairwise() formula, operation for operation, evaluated in
+        # place: stacks are large and the temporaries cost a third.
+        lat_a, lon_a = np.radians(a[..., 0]), np.radians(a[..., 1])
+        lat_b, lon_b = np.radians(b[..., 0]), np.radians(b[..., 1])
+        h = lat_b[:, None, :] - lat_a[:, :, None]
+        h /= 2.0
+        np.square(np.sin(h, out=h), out=h)
+        term = lon_b[:, None, :] - lon_a[:, :, None]
+        term /= 2.0
+        np.square(np.sin(term, out=term), out=term)
+        term *= np.cos(lat_a)[:, :, None] * np.cos(lat_b)[:, None, :]
+        h += term
+        np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0, out=h), out=h), out=h)
+        h *= 2.0 * self.radius
+        return h
 
     def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lat_a, lon_a = self._rad(a)
@@ -184,6 +219,9 @@ class ChebyshevMetric(GroundMetric):
         b = np.asarray(b, dtype=np.float64)
         return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
 
+    def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.abs(a[:, :, None, :] - b[:, None, :, :]).max(axis=3)
+
     def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b)).max(axis=1)
 
@@ -231,6 +269,45 @@ def cross_ground_matrix(
     """All-pairs ground distances between two different trajectories."""
     m = get_metric(metric)
     return m.pairwise(a, b)
+
+
+def _padded_points(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Ragged ``(n_p, d)`` arrays as one ``(P, max n_p, d)`` array.
+
+    Short arrays repeat their last point, so the padding is finite
+    wherever the points are.  Returns the padded array and the lengths.
+    """
+    lengths = np.array([len(x) for x in arrays], dtype=np.int64)
+    if not len(arrays) or lengths.min() < 1:
+        raise TrajectoryError("stacked ground matrices need non-empty point arrays")
+    flat = np.concatenate([np.asarray(x, dtype=np.float64) for x in arrays])
+    first = np.cumsum(lengths) - lengths
+    rows = first[:, None] + np.minimum(
+        np.arange(lengths.max()), lengths[:, None] - 1
+    )
+    return flat[rows], lengths
+
+
+def ground_stack(
+    lefts: Sequence[np.ndarray],
+    rights: Sequence[np.ndarray],
+    metric: Union[str, GroundMetric] = "euclidean",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Ground matrices of aligned pairs as one padded ``(P, N, M)`` stack.
+
+    Cell ``[p, i, j]`` is ``d(lefts[p][i], rights[p][j])`` inside pair
+    ``p``'s own ``(n_p, m_p)`` block and ``+inf`` outside it; the second
+    return value is the ``(P, 2)`` array of those block shapes -- the
+    ``lengths`` argument of the stacked DFD kernels.
+    """
+    a, n = _padded_points(lefts)
+    b, m = _padded_points(rights)
+    stack = get_metric(metric).pairwise_stack(a, b)
+    outside = (np.arange(a.shape[1])[:, None] >= n[:, None, None]) | (
+        np.arange(b.shape[1]) >= m[:, None, None]
+    )
+    stack[outside] = np.inf
+    return stack, np.stack([n, m], axis=1)
 
 
 class LazyGroundMatrix:

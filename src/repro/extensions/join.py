@@ -47,9 +47,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..distances.frechet import dfd_decision, dfd_matrix
+from ..distances.frechet import dfd_decision, dfd_matrix, ground_stacks
 from ..distances.ground import GroundMetric, get_metric
 from ..distances.hausdorff import directed_hausdorff_matrix
+from ..errors import TrajectoryError
 from ..trajectory import Trajectory
 
 #: One top-k closest-pair entry: ``(distance, (left index, right index))``.
@@ -99,10 +100,17 @@ def merge_join_stats(parts: Sequence[JoinStats]) -> JoinStats:
 
 
 def _points_getter(items: Sequence) -> Callable[[int], np.ndarray]:
-    """Adapt a trajectory sequence into an index -> points callable."""
+    """Adapt a trajectory sequence into an index -> points callable.
+
+    Raises :class:`~repro.errors.TrajectoryError` on a NaN or infinite
+    coordinate anywhere in the collection, whichever pairs a filter
+    would later prune.
+    """
     arrays = [
         np.asarray(getattr(t, "points", t), dtype=np.float64) for t in items
     ]
+    if arrays and not np.isfinite(np.concatenate(arrays, axis=None)).all():
+        raise TrajectoryError("points contain NaN or infinite coordinates")
     return lambda i: arrays[i]
 
 
@@ -124,53 +132,26 @@ def similarity_join(
     :class:`~repro.index.CorpusIndex` generates the candidate pairs
     first; the matches are identical (the index bounds are admissible)
     and the pairs it removed are accounted in ``stats.pruned_index``.
+    Without it, :func:`join_pairs` runs the cascade over the full
+    left-major pair grid.
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
     if index:
         return _indexed_join(left, right, theta, metric, offsets)
-    off_a, off_b = (int(offsets[0]), int(offsets[1]))
-    m = get_metric(metric)
-    lpts = [np.asarray(getattr(t, "points", t), dtype=np.float64) for t in left]
-    rpts = [np.asarray(getattr(t, "points", t), dtype=np.float64) for t in right]
-    lboxes = [_bbox(p) for p in lpts]
-    rboxes = [_bbox(p) for p in rpts]
-    stats = JoinStats(pairs_total=len(lpts) * len(rpts))
-    matches: List[Tuple[int, int]] = []
-    for a, p in enumerate(lpts):
-        for b, q in enumerate(rpts):
-            if _pair_cascade(p, q, lboxes[a], rboxes[b], theta, m, stats):
-                matches.append((a + off_a, b + off_b))
-    return matches, stats
-
-
-def _pair_cascade(p, q, box_p, box_q, theta, m, stats) -> bool:
-    """Filters 1-4 on one pair; updates ``stats``, True on a match."""
-    # Filter 1: endpoints.
-    if m.distance(p[0], q[0]) > theta or m.distance(p[-1], q[-1]) > theta:
-        stats.pruned_endpoint += 1
-        return False
-    # Filter 2: bounding boxes.  The closest-point construction is
-    # exact for every coordinate-monotone ground metric (Euclidean,
-    # Chebyshev); other metrics skip the filter.
-    if m.coordinate_monotone and _boxes_apart(box_p, box_q, theta, m):
-        stats.pruned_bbox += 1
-        return False
-    # Filter 3: symmetric Hausdorff from the shared matrix.
-    dmat = m.pairwise(p, q)
-    h = max(
-        directed_hausdorff_matrix(dmat),
-        directed_hausdorff_matrix(dmat.T),
+    a_idx, b_idx = np.divmod(
+        np.arange(len(left) * len(right), dtype=np.int64), max(1, len(right))
     )
-    if h > theta:
-        stats.pruned_hausdorff += 1
-        return False
-    # Filter 4: exact decision.
-    stats.decisions += 1
-    if dfd_decision(dmat, theta):
-        stats.matches += 1
-        return True
-    return False
+    return join_pairs(
+        _points_getter(left), _points_getter(right),
+        np.stack([a_idx, b_idx], axis=1), theta, metric, offsets,
+    )
+
+
+#: Pairs one cascade pass filters at once: bounds the per-pair filter
+#: arrays of a large pair grid (the stacked DP blocks are bounded
+#: separately, by :data:`repro.distances.frechet.STACK_BLOCK_CELLS`).
+PAIR_CHUNK = 1 << 14
 
 
 def join_pairs(
@@ -183,36 +164,113 @@ def join_pairs(
 ) -> Tuple[List[Tuple[int, int]], JoinStats]:
     """The filter cascade over an explicit candidate-pair list.
 
-    The core the indexed join paths share: the serial
-    ``similarity_join(index=True)`` and the engine's sharded pair
-    chunks both call it, so their cascade statistics are additive and
-    identical for identical candidate sets.  ``get_left`` /
-    ``get_right`` map collection indices to point arrays (inline lists
-    or shared-memory transport slabs); ``pairs`` is an ``(m, 2)``
-    iterable of collection index pairs.  ``stats.pairs_total`` counts
-    only the candidates scanned here -- callers fold the index's own
-    accounting on top.
+    The core every threshold join shares: the serial
+    :func:`similarity_join` (over its full pair grid or the index's
+    candidates) and the engine's sharded pair chunks all call it, so
+    their cascade statistics are additive and identical for identical
+    candidate sets.  ``get_left`` / ``get_right`` map collection
+    indices to point arrays (inline lists or shared-memory transport
+    slabs); ``pairs`` is an ``(m, 2)`` array of collection index pairs.
+    ``stats.pairs_total`` counts only the candidates scanned here --
+    callers fold the index's own accounting on top.
+
+    Each filter runs vectorised over all pairs still alive: endpoint
+    and bounding-box distances as one stacked ground-metric call, then
+    the Hausdorff filter and the exact decision on the stacked ground
+    matrices of :func:`~repro.distances.frechet.ground_stacks`.  Matches
+    come back in ``pairs`` order.  A trajectory with a NaN or infinite
+    coordinate raises :class:`~repro.errors.TrajectoryError`.
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    off_a, off_b = (int(offsets[0]), int(offsets[1]))
     m = get_metric(metric)
-    boxes_l: dict = {}
-    boxes_r: dict = {}
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     stats = JoinStats(pairs_total=len(pairs))
-    matches: List[Tuple[int, int]] = []
-    for a, b in pairs:
-        a, b = int(a), int(b)
-        p, q = get_left(a), get_right(b)
-        box_p = boxes_l.get(a)
-        if box_p is None:
-            box_p = boxes_l[a] = _bbox(p)
-        box_q = boxes_r.get(b)
-        if box_q is None:
-            box_q = boxes_r[b] = _bbox(q)
-        if _pair_cascade(p, q, box_p, box_q, theta, m, stats):
-            matches.append((a + off_a, b + off_b))
-    return matches, stats
+    matched: List[np.ndarray] = []
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        chunk = pairs[start:start + PAIR_CHUNK]
+        hit = _cascade(get_left, get_right, chunk, theta, m, stats)
+        matched.append(chunk[hit])
+    off_a, off_b = (int(offsets[0]), int(offsets[1]))
+    return [
+        (int(a) + off_a, int(b) + off_b) for chunk in matched for a, b in chunk
+    ], stats
+
+
+def _cascade(get_left, get_right, pairs, theta, m, stats) -> np.ndarray:
+    """Filters 1-4 over one chunk of pairs; updates ``stats``.
+
+    Returns the boolean match mask over ``pairs``.
+    """
+    left = _Side(get_left, pairs[:, 0])
+    right = _Side(get_right, pairs[:, 1])
+    # Filter 1: endpoints.
+    alive = ~(
+        (_point_distances(m, left.starts, right.starts) > theta)
+        | (_point_distances(m, left.ends, right.ends) > theta)
+    )
+    stats.pruned_endpoint += int(np.sum(~alive))
+    # Filter 2: bounding boxes.  The closest-point construction is
+    # exact for every coordinate-monotone ground metric (Euclidean,
+    # Chebyshev); other metrics skip the filter.
+    if m.coordinate_monotone:
+        apart = alive & _boxes_apart(
+            (left.lo, left.hi), (right.lo, right.hi), theta, m
+        )
+        stats.pruned_bbox += int(np.sum(apart))
+        alive &= ~apart
+    hit = np.zeros(len(pairs), dtype=bool)
+    live = np.flatnonzero(alive)
+    lefts = [left.points(k) for k in live]
+    rights = [right.points(k) for k in live]
+    for pos, stack, lengths in ground_stacks(lefts, rights, m):
+        # Filter 3: symmetric Hausdorff from the shared matrices; a
+        # pair's padded rows / columns (all +inf) drop out of the max.
+        real_rows = np.arange(stack.shape[1]) < lengths[:, :1]
+        real_cols = np.arange(stack.shape[2]) < lengths[:, 1:]
+        h = np.maximum(
+            np.where(real_rows, stack.min(axis=2), -np.inf).max(axis=1),
+            np.where(real_cols, stack.min(axis=1), -np.inf).max(axis=1),
+        )
+        near = ~(h > theta)
+        stats.pruned_hausdorff += int(np.sum(~near))
+        # Filter 4: exact decision.
+        stats.decisions += int(np.sum(near))
+        ok = dfd_decision(stack[near], theta, lengths[near])
+        stats.matches += int(np.sum(ok))
+        hit[live[pos[near][ok]]] = True
+    return hit
+
+
+class _Side:
+    """One side of a pair chunk: every trajectory fetched and checked once."""
+
+    def __init__(self, get: Callable[[int], np.ndarray], ids: np.ndarray) -> None:
+        uniq, self._inv = np.unique(ids, return_inverse=True)
+        self._arrays = [np.asarray(get(int(i)), dtype=np.float64) for i in uniq]
+        lengths = np.array([len(p) for p in self._arrays])
+        flat = np.concatenate(self._arrays)
+        if not np.isfinite(flat).all():
+            raise TrajectoryError("points contain NaN or infinite coordinates")
+        first = np.cumsum(lengths) - lengths
+        self.starts = flat[first][self._inv]
+        self.ends = flat[first + lengths - 1][self._inv]
+        self.lo = np.minimum.reduceat(flat, first)[self._inv]
+        self.hi = np.maximum.reduceat(flat, first)[self._inv]
+
+    def points(self, k: int) -> np.ndarray:
+        """Point array of the chunk's ``k``-th pair on this side."""
+        return self._arrays[self._inv[k]]
+
+
+def _point_distances(m: GroundMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``d(a[k], b[k])`` per row, as the ``(1, 1)`` ground matrix of each pair.
+
+    Going through :meth:`GroundMetric.pairwise_stack` makes an endpoint
+    distance the very value of the ground-matrix corner cell, so a filter
+    never disagrees with the exact decision at ``theta``.
+    """
+    return m.pairwise_stack(a[:, None, :], b[:, None, :])[:, 0, 0]
 
 
 def _indexed_join(left, right, theta, metric, offsets):
@@ -348,18 +406,20 @@ def _bbox(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return points.min(axis=0), points.max(axis=0)
 
 
-def _boxes_apart(box_a, box_b, theta: float, metric: GroundMetric) -> bool:
-    """True when the minimum box-to-box distance exceeds theta.
+def _boxes_apart(box_a, box_b, theta: float, metric: GroundMetric) -> np.ndarray:
+    """True where the minimum box-to-box distance exceeds theta.
 
     Per axis, the closest pair of points of two intervals is either the
     facing endpoints (disjoint intervals) or any shared coordinate
     (overlapping intervals); assembling those coordinates minimises
     every per-axis difference simultaneously, which attains the minimum
     box-to-box distance for every coordinate-monotone metric
-    (Euclidean, Chebyshev, ...).
+    (Euclidean, Chebyshev, ...).  A box is a ``(lo, hi)`` pair of
+    ``(d,)`` corners, or of ``(P, d)`` corner rows for ``P`` box pairs
+    at once; the answer has one entry per box pair.
     """
     lo_a, hi_a = box_a
     lo_b, hi_b = box_b
     near_a = np.where(hi_a < lo_b, hi_a, np.where(hi_b < lo_a, lo_a, np.maximum(lo_a, lo_b)))
     near_b = np.where(hi_a < lo_b, lo_b, np.where(hi_b < lo_a, hi_b, np.maximum(lo_a, lo_b)))
-    return metric.distance(near_a, near_b) > theta
+    return _point_distances(metric, np.atleast_2d(near_a), np.atleast_2d(near_b)) > theta

@@ -56,9 +56,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..distances.frechet import dfd_matrix
+from ..distances.frechet import dfd_matrix, dfd_pairs
 from ..distances.ground import GroundMetric, get_metric
-from ..errors import ReproError
+from ..errors import ReproError, TrajectoryError
 from ..trajectory import Trajectory
 from ..trajectory.ops import douglas_peucker
 from .tree import (
@@ -136,6 +136,8 @@ def _as_points(obj) -> np.ndarray:
     pts = np.asarray(getattr(obj, "points", obj), dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ReproError("index trajectories must be non-empty (n, d) arrays")
+    if not np.isfinite(pts).all():
+        raise TrajectoryError("points contain NaN or infinite coordinates")
     return pts
 
 
@@ -334,17 +336,17 @@ class CorpusIndex:
     # ------------------------------------------------------------------
     # Simplification summaries
     # ------------------------------------------------------------------
-    def _summary_for(
+    def _simplify(
         self, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """One trajectory's Douglas-Peucker summary and exact DFD error.
+    ) -> np.ndarray:
+        """One trajectory's Douglas-Peucker summary.
 
         The tolerance starts at ``simplify_frac`` of the bounding-box
         diagonal and doubles until the summary fits
         ``max_simplification_points`` -- noisy curves keep too many
         points at the geometric tolerance, and summary cost is
-        quadratic in summary size at query time.  The returned error is
-        the *exact* discrete Frechet error of the kept simplification,
+        quadratic in summary size at query time.  The summary's error
+        radius is the *exact* discrete Frechet error ``DFD(pts, simp)``,
         not the geometric epsilon: one small (n x k) DP makes the
         triangle-inequality bound admissible by construction.
         """
@@ -357,21 +359,21 @@ class CorpusIndex:
         while simp.shape[0] > self.max_simplification_points:
             eps *= 2.0
             simp = douglas_peucker(traj, eps).points
-        err = float(dfd_matrix(self.metric.pairwise(pts, simp)))
-        return simp, err
+        return simp
 
     def ensure_summaries(self) -> None:
-        """Build the Douglas-Peucker summaries (idempotent)."""
+        """Build the Douglas-Peucker summaries (idempotent).
+
+        The error radii of all summaries are one batched DP call.
+        """
         if self._simplified is not None:
             return
-        simplified: List[np.ndarray] = []
-        errors = np.zeros(self.n)
-        for i, pts in enumerate(self._points):
-            simp, err = self._summary_for(pts, self.box_lo[i], self.box_hi[i])
-            simplified.append(simp)
-            errors[i] = err
+        simplified = [
+            self._simplify(pts, self.box_lo[i], self.box_hi[i])
+            for i, pts in enumerate(self._points)
+        ]
+        self._simp_errors = dfd_pairs(self._points, simplified, self.metric)
         self._simplified = simplified
-        self._simp_errors = errors
         self.summary_builds += self.n
 
     def summarize_query(self, trajectory) -> QuerySummary:
@@ -388,7 +390,8 @@ class CorpusIndex:
             )
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
-        simp, err = self._summary_for(pts, lo, hi)
+        simp = self._simplify(pts, lo, hi)
+        err = float(dfd_matrix(self.metric.pairwise(pts, simp)))
         return QuerySummary(
             points=pts,
             start=pts[0],
@@ -441,35 +444,48 @@ class CorpusIndex:
 
         ``a_idx`` / ``b_idx`` are parallel integer arrays; the result is
         an admissible DFD lower bound per pair (no simplification term
-        -- that one needs a small DP per pair, see :meth:`lower_bound`).
+        -- that one needs a small DP per pair, see
+        :meth:`simplification_bounds`).
         """
+        return self._split_bounds(other, a_idx, b_idx)[1]
+
+    def _split_bounds(
+        self, other: Optional["CorpusIndex"], a_idx, b_idx
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(endpoint bound, endpoint + box bound)`` per index pair."""
         other = self if other is None else other
         a_idx = np.asarray(a_idx, dtype=np.int64)
         b_idx = np.asarray(b_idx, dtype=np.int64)
         m = self.metric
-        lb = np.maximum(
+        lb_end = np.maximum(
             m.rowwise(self.starts[a_idx], other.starts[b_idx]),
             m.rowwise(self.ends[a_idx], other.ends[b_idx]),
         )
+        lb = lb_end
         if m.coordinate_monotone:
             gaps = self._box_gaps(other, a_idx, b_idx)
             lb = np.maximum(lb, m.rowwise(np.zeros_like(gaps), gaps))
-        return lb
+        return lb_end, lb
 
-    def simplification_bound(
-        self, i: int, other: Optional["CorpusIndex"], j: int
-    ) -> float:
-        """Triangle-inequality bound ``DFD(A^, B^) - err(A) - err(B)``."""
+    def simplification_bounds(
+        self, other: Optional["CorpusIndex"], a_idx, b_idx
+    ) -> np.ndarray:
+        """Triangle-inequality bounds ``DFD(A^, B^) - err(A) - err(B)``.
+
+        One per pair of the parallel index arrays ``a_idx`` / ``b_idx``;
+        the summary DPs run as one batched call.
+        """
         other = self if other is None else other
-        self.ensure_summaries()
-        other.ensure_summaries()
-        simp_a = self.simplifications[int(i)]
-        simp_b = other.simplifications[int(j)]
-        core = dfd_matrix(self.metric.pairwise(simp_a, simp_b))
-        return float(
+        simp_a, simp_b = self.simplifications, other.simplifications
+        core = dfd_pairs(
+            [simp_a[int(i)] for i in a_idx],
+            [simp_b[int(j)] for j in b_idx],
+            self.metric,
+        )
+        return (
             core
-            - self.simplification_errors[int(i)]
-            - other.simplification_errors[int(j)]
+            - self.simplification_errors[a_idx]
+            - other.simplification_errors[b_idx]
         )
 
     def lower_bound(
@@ -482,7 +498,8 @@ class CorpusIndex:
         the max does not either.
         """
         lb = float(self.pair_bounds(other, [int(i)], [int(j)])[0])
-        return max(lb, self.simplification_bound(i, other, j))
+        simp = float(self.simplification_bounds(other, [int(i)], [int(j)])[0])
+        return max(lb, simp)
 
     # ------------------------------------------------------------------
     # Candidate generation
@@ -591,25 +608,15 @@ class CorpusIndex:
                     np.arange(self.n * peer.n, dtype=np.int64), peer.n
                 )
         if len(a_idx):
-            lbs = self.pair_bounds(other, a_idx, b_idx)
-            keep = lbs <= theta
             # Endpoint/box are folded into one vectorised pass; split
             # the accounting so reports show which bound class fired.
-            m = self.metric
-            lb_end = np.maximum(
-                m.rowwise(self.starts[a_idx], peer.starts[b_idx]),
-                m.rowwise(self.ends[a_idx], peer.ends[b_idx]),
-            )
+            lb_end, lbs = self._split_bounds(other, a_idx, b_idx)
+            keep = lbs <= theta
             stats.pruned_endpoint = int(np.sum(lb_end > theta))
             stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
             a_idx, b_idx = a_idx[keep], b_idx[keep]
         if len(a_idx):
-            self.ensure_summaries()
-            peer.ensure_summaries()
-            keep_mask = np.ones(len(a_idx), dtype=bool)
-            for pos, (i, j) in enumerate(zip(a_idx, b_idx)):
-                if self.simplification_bound(int(i), other, int(j)) > theta:
-                    keep_mask[pos] = False
+            keep_mask = ~(self.simplification_bounds(other, a_idx, b_idx) > theta)
             stats.pruned_simplification = int(np.sum(~keep_mask))
             a_idx, b_idx = a_idx[keep_mask], b_idx[keep_mask]
         out = np.stack([a_idx, b_idx], axis=1) if len(a_idx) else (
@@ -716,23 +723,24 @@ class CorpusIndex:
             stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
             cand = cand[keep]
         if len(cand):
-            self.ensure_summaries()
-            errs = self.simplification_errors
-            keep_mask = np.ones(len(cand), dtype=bool)
-            for pos, i in enumerate(cand):
-                core = float(dfd_matrix(m.pairwise(
-                    q.simplification, self.simplifications[int(i)]
-                )))
-                if core - q.error - float(errs[int(i)]) > radius:
-                    keep_mask[pos] = False
+            simp = self.simplifications
+            core = dfd_pairs(
+                [q.simplification] * len(cand), [simp[i] for i in cand], m
+            )
+            keep_mask = ~(
+                core - q.error - self.simplification_errors[cand] > radius
+            )
             stats.pruned_simplification = int(np.sum(~keep_mask))
             cand = cand[keep_mask]
         stats.summary_builds = self.summary_builds - built_before
         stats.candidates = len(cand)
-        for i in cand:
-            dist = float(dfd_matrix(m.pairwise(q.points, self._points[int(i)])))
-            if dist <= radius:
-                matches.append((int(i), dist))
+        dists = dfd_pairs(
+            [q.points] * len(cand), [self._points[i] for i in cand], m
+        )
+        matches.extend(
+            (int(i), float(dist))
+            for i, dist in zip(cand, dists) if dist <= radius
+        )
         return matches, stats
 
     def knn_scan(

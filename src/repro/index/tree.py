@@ -54,7 +54,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..distances.frechet import dfd_matrix
+from ..distances.frechet import dfd_matrix, dfd_pairs
 from ..errors import ReproError
 
 #: Node fan-out and leaf capacity of the STR packing.  Eight keeps the
@@ -243,16 +243,11 @@ class TrajectoryTree:
             leaf.start_radius[g] = float(m.rowwise(tile, starts).max())
             tile = np.repeat(ends[:1], len(members), axis=0)
             leaf.end_radius[g] = float(m.rowwise(tile, ends).max())
-            rep = simp[int(members[0])]
-            err = 0.0
-            for t in members:
-                t = int(t)
-                core = 0.0 if t == int(members[0]) else float(
-                    dfd_matrix(m.pairwise(rep, simp[t]))
-                )
-                err = max(err, core + float(errs[t]))
-            leaf.rep.append(rep)
-            leaf.rep_err[g] = err
+            leaf.rep.append(simp[int(members[0])])
+        leaf.rep_err[:] = cls._rep_radii(
+            m, leaf.rep, [[simp[int(t)] for t in g] for g in groups],
+            [errs[g] for g in groups],
+        )
 
         levels = [leaf]
         while len(levels[-1]) > 1:
@@ -293,16 +288,31 @@ class TrajectoryTree:
                 m.rowwise(tile, child.end_center[c0:c1])
                 + child.end_radius[c0:c1]
             ).max())
-            rep = child.rep[c0]
-            # The first child shares the representative, so its cross
-            # term DFD(rep, rep) is zero by definition -- skip the DP.
-            err = float(child.rep_err[c0])
-            for c in range(c0 + 1, c1):
-                core = float(dfd_matrix(m.pairwise(rep, child.rep[c])))
-                err = max(err, core + float(child.rep_err[c]))
-            lvl.rep.append(rep)
-            lvl.rep_err[g] = err
+            lvl.rep.append(child.rep[c0])
+        spans = [range(c0, min(c0 + fanout, n_children))
+                 for c0 in range(0, n_children, fanout)]
+        lvl.rep_err[:] = TrajectoryTree._rep_radii(
+            m, lvl.rep, [[child.rep[c] for c in span] for span in spans],
+            [child.rep_err[span.start:span.stop] for span in spans],
+        )
         return lvl
+
+    @staticmethod
+    def _rep_radii(m, reps, members, member_errs) -> np.ndarray:
+        """``max_k (DFD(reps[g], members[g][k]) + member_errs[g][k])`` per group.
+
+        ``members[g][0]`` shares the representative ``reps[g]``, so its
+        cross term ``DFD(rep, rep)`` is zero by definition and skips the
+        DP; every other cross term of every group is one batched call.
+        """
+        group = np.repeat(np.arange(len(reps)), [len(g) - 1 for g in members])
+        core = dfd_pairs(
+            [reps[g] for g in group], [r for g in members for r in g[1:]], m
+        )
+        radii = np.array([float(errs[0]) for errs in member_errs])
+        rest = np.concatenate([errs[1:] for errs in member_errs])
+        np.maximum.at(radii, group, core + rest)
+        return radii
 
     @classmethod
     def _flatten(
@@ -413,9 +423,8 @@ class TrajectoryTree:
         ``result[i] <= DFD(A, B)``.  Combines the endpoint-ball terms
         (any triangle-inequality metric) with the union-box and
         endpoint-hull gaps (coordinate-monotone metrics only), clamped
-        at zero.  The per-pair representative DP is *not* folded in --
-        that one is a Python-level call (:meth:`rep_pair_bound`)
-        reserved for surviving leaf pairs.
+        at zero.  The representative DP is *not* folded in -- that one
+        (:meth:`rep_pair_bounds`) is reserved for surviving leaf pairs.
         """
         na = np.asarray(na, dtype=np.int64)
         nb = np.asarray(nb, dtype=np.int64)
@@ -451,6 +460,13 @@ class TrajectoryTree:
             self.rep(int(a)), other.rep(int(b))
         )))
         return core - float(self.rep_err[a]) - float(other.rep_err[b])
+
+    def rep_pair_bounds(self, other: "TrajectoryTree", na, nb) -> np.ndarray:
+        """:meth:`rep_pair_bound` for parallel node arrays, one batched DP call."""
+        core = dfd_pairs(
+            [self.rep(a) for a in na], [other.rep(b) for b in nb], self.metric
+        )
+        return core - self.rep_err[na] - other.rep_err[nb]
 
     def query_lower_bounds(self, query: QuerySummary, nodes) -> np.ndarray:
         """Vectorised admissible lower bound of ``DFD(query, T)`` over
@@ -500,10 +516,11 @@ class TrajectoryTree:
         pass, pairs proved apart (``bound > theta``, strict -- ties
         survive) are dropped with their entire item-pair blocks, and
         surviving leaf-leaf pairs emit their item cross products after
-        one representative DP each.  Returns parallel ``(a, b)`` item
-        index arrays; ``stats`` (an :class:`IndexStats`) picks up
-        ``nodes_visited`` / ``nodes_pruned`` / ``leaves_scanned`` and
-        the pruned item-pair count lands in ``pruned_grid``.
+        their representative DPs (one batched call per level).  Returns
+        parallel ``(a, b)`` item index arrays; ``stats`` (an
+        :class:`IndexStats`) picks up ``nodes_visited`` /
+        ``nodes_pruned`` / ``leaves_scanned`` and the pruned item-pair
+        count lands in ``pruned_grid``.
         """
         na = np.zeros(1, dtype=np.int64)
         nb = np.zeros(1, dtype=np.int64)
@@ -525,49 +542,29 @@ class TrajectoryTree:
             leaf_a = self.child_hi[na] == self.child_lo[na]
             leaf_b = other.child_hi[nb] == other.child_lo[nb]
             both = leaf_a & leaf_b
-            for pa, pb in zip(na[both], nb[both]):
-                pa, pb = int(pa), int(pb)
-                block = int(
-                    (self.item_hi[pa] - self.item_lo[pa])
-                    * (other.item_hi[pb] - other.item_lo[pb])
-                )
-                if self.rep_pair_bound(other, pa, pb) > theta:
-                    stats.nodes_pruned += 1
-                    stats.pruned_grid += block
-                    continue
-                stats.leaves_scanned += 1
-                items_a = self.node_items(pa)
-                items_b = other.node_items(pb)
-                out_a.append(np.repeat(items_a, len(items_b)))
-                out_b.append(np.tile(items_b, len(items_a)))
-            next_a: List[np.ndarray] = []
-            next_b: List[np.ndarray] = []
-            mixed = ~both
-            for pa, pb, la, lb_leaf in zip(
-                na[mixed], nb[mixed], leaf_a[mixed], leaf_b[mixed]
-            ):
-                ca = (
-                    np.array([pa], dtype=np.int64) if la
-                    else np.arange(
-                        self.child_lo[pa], self.child_hi[pa], dtype=np.int64
-                    )
-                )
-                cb = (
-                    np.array([pb], dtype=np.int64) if lb_leaf
-                    else np.arange(
-                        other.child_lo[pb], other.child_hi[pb],
-                        dtype=np.int64,
-                    )
-                )
-                next_a.append(np.repeat(ca, len(cb)))
-                next_b.append(np.tile(cb, len(ca)))
-            na = (
-                np.concatenate(next_a) if next_a
-                else np.empty(0, dtype=np.int64)
+            # One batched representative DP for the level's leaf pairs.
+            pa, pb = na[both], nb[both]
+            far = self.rep_pair_bounds(other, pa, pb) > theta
+            stats.nodes_pruned += int(np.sum(far))
+            stats.pruned_grid += int(np.sum(
+                self.item_counts(pa[far]) * other.item_counts(pb[far])
+            ))
+            stats.leaves_scanned += int(np.sum(~far))
+            pa, pb = pa[~far], pb[~far]
+            pos_a, pos_b = _cross_ranges(
+                self.item_lo[pa], self.item_counts(pa),
+                other.item_lo[pb], other.item_counts(pb),
             )
-            nb = (
-                np.concatenate(next_b) if next_b
-                else np.empty(0, dtype=np.int64)
+            out_a.append(self.item_order[pos_a])
+            out_b.append(other.item_order[pos_b])
+            # A leaf side stays itself; an internal side opens its children.
+            ma, mb = na[~both], nb[~both]
+            leaf_a, leaf_b = leaf_a[~both], leaf_b[~both]
+            na, nb = _cross_ranges(
+                np.where(leaf_a, ma, self.child_lo[ma]),
+                np.where(leaf_a, 1, self.child_hi[ma] - self.child_lo[ma]),
+                np.where(leaf_b, mb, other.child_lo[mb]),
+                np.where(leaf_b, 1, other.child_hi[mb] - other.child_lo[mb]),
             )
         if out_a:
             return np.concatenate(out_a), np.concatenate(out_b)
@@ -619,6 +616,20 @@ class TrajectoryTree:
         if survivors:
             return np.sort(np.concatenate(survivors))
         return np.empty(0, dtype=np.int64)
+
+
+def _cross_ranges(lo_a, count_a, lo_b, count_b) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair's id-range cross product, concatenated in pair order.
+
+    Pair ``k`` contributes ``[lo_a[k], lo_a[k] + count_a[k]) x [lo_b[k],
+    lo_b[k] + count_b[k])`` row-major (``np.repeat`` / ``np.tile``
+    order), all pairs in one vectorised pass.
+    """
+    sizes = count_a * count_b
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    rank = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = count_b[owner]
+    return lo_a[owner] + rank // width, lo_b[owner] + rank % width
 
 
 _NODE_PAIR = 0

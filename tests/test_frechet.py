@@ -12,7 +12,6 @@ from repro.distances import (
     dfd_decision,
     dfd_matrix,
     dfd_matrix_by_search,
-    dfd_matrix_linear_space,
     dfd_matrix_recursive,
     discrete_frechet,
     frechet_path,
@@ -69,7 +68,6 @@ class TestImplementationAgreement:
         reference = dfd_matrix(d)
         assert dfd_matrix_recursive(d) == pytest.approx(reference)
         assert dfd_matrix_by_search(d) == pytest.approx(reference)
-        assert dfd_matrix_linear_space(d) == pytest.approx(reference)
 
     @given(matrices)
     @settings(max_examples=60, deadline=None)
