@@ -132,19 +132,25 @@ def similarity_join(
     :class:`~repro.index.CorpusIndex` generates the candidate pairs
     first; the matches are identical (the index bounds are admissible)
     and the pairs it removed are accounted in ``stats.pruned_index``.
-    Without it, :func:`join_pairs` runs the cascade over the full
-    left-major pair grid.
+    Without it, the cascade of :func:`join_pairs` runs over the full
+    left-major pair grid, built :data:`PAIR_CHUNK` pairs at a time.
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
     if index:
         return _indexed_join(left, right, theta, metric, offsets)
-    a_idx, b_idx = np.divmod(
-        np.arange(len(left) * len(right), dtype=np.int64), max(1, len(right))
+    total = len(left) * len(right)
+    # The grid is built one chunk at a time, never whole.
+    chunks = (
+        np.stack(np.divmod(
+            np.arange(start, min(start + PAIR_CHUNK, total), dtype=np.int64),
+            len(right),
+        ), axis=1)
+        for start in range(0, total, PAIR_CHUNK)
     )
-    return join_pairs(
-        _points_getter(left), _points_getter(right),
-        np.stack([a_idx, b_idx], axis=1), theta, metric, offsets,
+    return _join_chunks(
+        _points_getter(left), _points_getter(right), chunks, total, theta,
+        get_metric(metric), offsets,
     )
 
 
@@ -166,7 +172,7 @@ def join_pairs(
 
     The core every threshold join shares: the serial
     :func:`similarity_join` (over its full pair grid or the index's
-    candidates) and the engine's sharded pair chunks all call it, so
+    candidates) and the engine's sharded pair chunks all run it, so
     their cascade statistics are additive and identical for identical
     candidate sets.  ``get_left`` / ``get_right`` map collection
     indices to point arrays (inline lists or shared-memory transport
@@ -183,12 +189,22 @@ def join_pairs(
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    m = get_metric(metric)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    stats = JoinStats(pairs_total=len(pairs))
+    chunks = (
+        pairs[start:start + PAIR_CHUNK]
+        for start in range(0, len(pairs), PAIR_CHUNK)
+    )
+    return _join_chunks(
+        get_left, get_right, chunks, len(pairs), theta, get_metric(metric),
+        offsets,
+    )
+
+
+def _join_chunks(get_left, get_right, chunks, total, theta, m, offsets):
+    """Run :func:`_cascade` over ``total`` pairs arriving in ``chunks``."""
+    stats = JoinStats(pairs_total=total)
     matched: List[np.ndarray] = []
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        chunk = pairs[start:start + PAIR_CHUNK]
+    for chunk in chunks:
         hit = _cascade(get_left, get_right, chunk, theta, m, stats)
         matched.append(chunk[hit])
     off_a, off_b = (int(offsets[0]), int(offsets[1]))
