@@ -46,7 +46,9 @@ from .ground import GroundMetric, cross_ground_matrix, ground_stack
 STACK_BLOCK_CELLS = 1 << 16
 
 
-def _check_matrix(dmat: np.ndarray) -> np.ndarray:
+def _check_matrix(dmat: np.ndarray, lengths=None) -> np.ndarray:
+    if lengths is not None:
+        raise TrajectoryError("lengths apply to a (P, N, M) stack, not a 2-D matrix")
     dmat = np.asarray(dmat, dtype=np.float64)
     if dmat.ndim != 2 or dmat.shape[0] == 0 or dmat.shape[1] == 0:
         raise TrajectoryError(f"distance matrix must be 2-D and non-empty; got {dmat.shape}")
@@ -65,7 +67,7 @@ def _check_stack(stack: np.ndarray, lengths) -> Tuple[np.ndarray, np.ndarray, np
     stack = np.asarray(stack, dtype=np.float64)
     count, rows, cols = stack.shape
     if lengths is None:
-        lengths = np.tile([rows, cols], (count, 1))
+        raise TrajectoryError("a stacked DFD needs each pair's (n, m) lengths")
     lengths = np.asarray(lengths, dtype=np.int64)
     if (
         lengths.shape != (count, 2)
@@ -130,16 +132,17 @@ def _dfd_stack(stack: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
 def dfd_matrix(dmat: np.ndarray, lengths=None):
     """DFD of a ground matrix, or of every matrix in a padded stack.
 
-    A 2-D ``(n, m)`` matrix returns a float from the row-scan DP.  A
-    3-D ``(P, N, M)`` stack returns a ``(P,)`` array: pair ``p``'s matrix
-    is the top-left ``lengths[p] = (n_p, m_p)`` block (default: the
-    whole ``N x M``), and values equal the 2-D DP's bit for bit (the DP
-    only selects among matrix entries).  Non-finite cells raise
+    A 2-D ``(n, m)`` matrix returns a float from the row-scan DP and
+    takes no ``lengths``.  A 3-D ``(P, N, M)`` stack needs them and
+    returns a ``(P,)`` array: pair ``p``'s matrix is the top-left
+    ``lengths[p] = (n_p, m_p)`` block, and values equal the 2-D DP's bit
+    for bit (the DP only selects among matrix entries).  Non-finite
+    cells and a missing or misplaced ``lengths`` raise
     :class:`~repro.errors.TrajectoryError`.
     """
     if np.ndim(dmat) == 3:
         return _dfd_stack(*_check_stack(dmat, lengths))
-    dmat = _check_matrix(dmat)
+    dmat = _check_matrix(dmat, lengths)
     n, m = dmat.shape
     prev = np.maximum.accumulate(dmat[0])
     for i in range(1, n):
@@ -198,7 +201,7 @@ def dfd_decision(dmat: np.ndarray, eps: float, lengths=None):
     """
     if np.ndim(dmat) == 3:
         return dfd_matrix(dmat, lengths) <= eps
-    dmat = _check_matrix(dmat)
+    dmat = _check_matrix(dmat, lengths)
     n, m = dmat.shape
     free = dmat <= eps
     if not free[0, 0] or not free[n - 1, m - 1]:
@@ -250,15 +253,13 @@ def dfd_matrix_by_search(dmat: np.ndarray) -> float:
     return float(values[lo])
 
 
-def stack_blocks(
-    n_rows: Sequence[int], n_cols: Sequence[int], max_cells: int = STACK_BLOCK_CELLS
-) -> Iterator[np.ndarray]:
+def stack_blocks(n_rows: Sequence[int], n_cols: Sequence[int]) -> Iterator[np.ndarray]:
     """Positions of a pair list grouped into stackable blocks.
 
     Pairs are bucketed by the power-of-two class of each length, so no
     pair is padded to twice its own size on either axis, and each
-    bucket is cut into blocks of at most ``max_cells`` padded cells (at
-    least one pair per block).
+    bucket is cut into blocks of at most :data:`STACK_BLOCK_CELLS`
+    padded cells (at least one pair per block).
     """
     n_rows = np.asarray(n_rows, dtype=np.int64)
     n_cols = np.asarray(n_cols, dtype=np.int64)
@@ -270,7 +271,7 @@ def stack_blocks(
     cuts = np.flatnonzero(np.diff(keys[order])) + 1
     for bucket in np.split(order, cuts):
         cells = int(n_rows[bucket].max()) * int(n_cols[bucket].max())
-        step = max(1, max_cells // cells)
+        step = max(1, STACK_BLOCK_CELLS // cells)
         for k in range(0, len(bucket), step):
             yield bucket[k:k + step]
 

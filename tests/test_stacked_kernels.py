@@ -26,9 +26,10 @@ from repro.distances import (
     get_metric,
     ground_stack,
 )
-from repro.distances.frechet import stack_blocks
+from repro.distances import frechet
 from repro.engine import MotifEngine
 from repro.errors import TrajectoryError
+from repro.extensions import join as join_mod
 from repro.extensions.join import join_top_k, similarity_join
 from repro.index import CorpusIndex
 
@@ -96,13 +97,26 @@ class TestStackedKernels:
         assert dfd_decision(stack, 3.0, lengths).all()
         assert not dfd_decision(stack, np.nextafter(3.0, 0.0), lengths).any()
 
-    def test_full_stack_without_lengths(self):
+    def test_full_size_lengths(self):
         rng = np.random.default_rng(3)
         stack = rng.random((5, 6, 4))
-        assert dfd_matrix(stack).tolist() == [dfd_matrix(d) for d in stack]
+        lengths = np.tile(stack.shape[1:], (5, 1))
+        assert dfd_matrix(stack, lengths).tolist() == [
+            dfd_matrix(d) for d in stack
+        ]
+
+    def test_lengths_required_for_stacks_only(self):
+        with pytest.raises(TrajectoryError):
+            dfd_matrix(np.ones((2, 3, 3)))
+        with pytest.raises(TrajectoryError):
+            dfd_decision(np.ones((2, 3, 3)), 1.0)
+        with pytest.raises(TrajectoryError):
+            dfd_matrix(np.ones((3, 3)), [[3, 3]])
+        with pytest.raises(TrajectoryError):
+            dfd_decision(np.ones((3, 3)), 1.0, [[3, 3]])
 
     def test_empty_stack(self):
-        assert dfd_matrix(np.empty((0, 3, 3))).shape == (0,)
+        assert dfd_matrix(np.empty((0, 3, 3)), np.empty((0, 2))).shape == (0,)
 
     def test_non_finite_inside_a_pair_rejected(self):
         stack, lengths = _stack([np.ones((2, 2)), np.ones((3, 3))])
@@ -124,12 +138,13 @@ class TestStackedKernels:
 
 
 class TestStackBlocks:
-    def test_blocks_partition_and_bound(self):
+    def test_blocks_partition_and_bound(self, monkeypatch):
+        monkeypatch.setattr(frechet, "STACK_BLOCK_CELLS", 4096)
         rng = np.random.default_rng(0)
         n = rng.integers(1, 70, size=500)
         m = rng.integers(1, 70, size=500)
         seen = []
-        for block in stack_blocks(n, m, max_cells=4096):
+        for block in frechet.stack_blocks(n, m):
             seen.extend(block.tolist())
             rows, cols = int(n[block].max()), int(m[block].max())
             assert len(block) == 1 or len(block) * rows * cols <= 4096
@@ -238,6 +253,24 @@ class TestCascadeCounters:
             )
             got = tuple(index_stats.as_dict()[k] for k in keys)
             assert got[:len(want)] == want
+
+    def test_unindexed_grid_built_one_chunk_at_a_time(self, monkeypatch):
+        left, right = _clustered(7, 0.0), _clustered(8, 0.2)
+        want = similarity_join(left, right, 1.4)
+        sizes = []
+        cascade = join_mod._cascade
+
+        def spy(get_left, get_right, pairs, *args):
+            sizes.append(len(pairs))
+            return cascade(get_left, get_right, pairs, *args)
+
+        monkeypatch.setattr(join_mod, "PAIR_CHUNK", 100)
+        monkeypatch.setattr(join_mod, "_cascade", spy)
+        matches, stats = similarity_join(left, right, 1.4)
+        assert sizes == [100] * 12 + [96]
+        assert matches == want[0]
+        assert _counters(stats) == _counters(want[1])
+        assert stats.pairs_total == 1296
 
     def test_top_k_unchanged(self):
         left, right = _loops(5), _loops(6)
