@@ -11,6 +11,8 @@ Non-finite input gets one typed error on every join path.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,23 +256,32 @@ class TestCascadeCounters:
             got = tuple(index_stats.as_dict()[k] for k in keys)
             assert got[:len(want)] == want
 
-    def test_unindexed_grid_built_one_chunk_at_a_time(self, monkeypatch):
+    def test_unindexed_chunks_cross_grid_rows(self, monkeypatch):
         left, right = _clustered(7, 0.0), _clustered(8, 0.2)
         want = similarity_join(left, right, 1.4)
-        sizes = []
-        cascade = join_mod._cascade
-
-        def spy(get_left, get_right, pairs, *args):
-            sizes.append(len(pairs))
-            return cascade(get_left, get_right, pairs, *args)
-
+        # 100-pair chunks of a 36 x 36 grid start mid-row.
         monkeypatch.setattr(join_mod, "PAIR_CHUNK", 100)
-        monkeypatch.setattr(join_mod, "_cascade", spy)
         matches, stats = similarity_join(left, right, 1.4)
-        assert sizes == [100] * 12 + [96]
         assert matches == want[0]
         assert _counters(stats) == _counters(want[1])
         assert stats.pairs_total == 1296
+
+    def test_unindexed_grid_memory_bounded(self, monkeypatch):
+        # Far-apart walks: the endpoint filter prunes every pair, so the
+        # join's peak memory is the pair grid it holds at one time.
+        rng = np.random.default_rng(2)
+        left = list(rng.normal(size=(600, 2, 2)))
+        right = list(rng.normal(size=(600, 2, 2)) + 1e4)
+        monkeypatch.setattr(join_mod, "PAIR_CHUNK", 1000)
+        tracemalloc.start()
+        try:
+            matches, stats = similarity_join(left, right, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matches == [] and stats.pruned_endpoint == 360_000
+        # The whole 360k-pair index grid alone would take over 8 MB.
+        assert peak < 2_000_000
 
     def test_top_k_unchanged(self):
         left, right = _loops(5), _loops(6)
