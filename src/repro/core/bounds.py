@@ -48,6 +48,13 @@ from .problem import SELF_MODE, SearchSpace
 
 _INF = np.inf
 
+#: Cell budget of one row block in :meth:`BoundTables.build`.
+ROW_BLOCK_CELLS = 1 << 14
+
+#: Peak bytes of the table build's row stream: the block plus, in self
+#: mode, its masked copy and running column minima.
+ROW_BLOCK_BYTES = 3 * 8 * ROW_BLOCK_CELLS
+
 
 # ----------------------------------------------------------------------
 # Relaxed bound tables (Section 4.3)
@@ -78,33 +85,40 @@ class BoundTables:
 
     @classmethod
     def build(cls, space: SearchSpace, oracle) -> "BoundTables":
-        """Stream the ground matrix row by row and fill all tables.
+        """Stream the ground matrix in row blocks and fill all tables.
 
-        Works identically for dense and lazy (O(n)-space) oracles: only
-        one matrix row plus O(n) running vectors live at a time.
+        Works identically for dense and lazy oracles: one block of at
+        most :data:`ROW_BLOCK_CELLS` cells (one metric call for a lazy
+        oracle, a view for a dense one) plus O(n) running vectors live
+        at a time.  Every table entry is a minimum over matrix entries,
+        so the blocked sweep is bit-identical to a row-by-row one.
         """
         n, m = space.n_rows, space.n_cols
         rmin = np.full(m, _INF)
         cmin = np.full(n, _INF)
-        if space.mode == SELF_MODE:
-            colmin = np.full(m, _INF)
-            for r in range(n):
-                row = oracle.row(r)
-                # Cmin[i] with i = r - 1: min of dG[r, r+1 .. n-1].
-                if r >= 1 and r + 1 <= m - 1:
-                    cmin[r - 1] = row[r + 1 :].min()
-                np.minimum(colmin, row, out=colmin)
-                # Rmin[j] with j = r + 1: min of dG[0..r, j+1] = colmin[j+1].
-                j = r + 1
-                if j + 1 <= m - 1:
-                    rmin[j] = colmin[j + 1]
-        else:
-            colmin = np.full(m, _INF)
-            for r in range(n):
-                row = oracle.row(r)
-                if r >= 1:
-                    cmin[r - 1] = row.min()
-                np.minimum(colmin, row, out=colmin)
+        colmin = np.full(m, _INF)
+        step = max(1, ROW_BLOCK_CELLS // m)
+        cols = np.arange(m)
+        for r0 in range(0, n, step):
+            r1 = min(n, r0 + step)
+            block = oracle.rows(r0, r1)
+            rs = np.arange(r0, r1)
+            first = 1 if r0 == 0 else 0  # row 0 has no Cmin[-1]
+            if space.mode == SELF_MODE:
+                # Cmin[r-1] = min dG[r, r+1 .. m-1] for rows r >= 1.
+                upper = np.where(cols > rs[:, None], block, _INF).min(axis=1)
+                cmin[rs[first:] - 1] = upper[first:]
+                # Rmin[r+1] = min dG[0..r, r+2]: the running column
+                # minimum after row r, read at column r + 2.
+                prefix = np.minimum.accumulate(block, axis=0)
+                np.minimum(prefix, colmin, out=prefix)
+                inner = rs[rs <= m - 3]
+                rmin[inner + 1] = prefix[inner - r0, inner + 2]
+                colmin = prefix[-1]
+            else:
+                cmin[rs[first:] - 1] = block[first:].min(axis=1)
+                np.minimum(colmin, block.min(axis=0), out=colmin)
+        if space.mode != SELF_MODE:
             rmin[: m - 1] = colmin[1:]
         rband_row = _sliding_max(rmin, space.xi)
         rband_col = _sliding_max(cmin, space.xi)
@@ -287,39 +301,26 @@ def relaxed_subset_bounds(
     use_cross: bool = True,
     use_band: bool = True,
 ) -> SubsetBounds:
-    """Assemble relaxed bounds for every feasible subset, vectorised per row.
+    """Assemble relaxed bounds for every feasible subset, in ``(i, j)`` order.
 
     The ``use_*`` switches support the Figure 15/16 bound-ablation
     experiments; a disabled class contributes ``-inf`` to ``combined``
     but its array is still populated for reporting.
     """
-    i_list, j_list = [], []
-    cell_list, cross_list, band_list = [], [], []
-    for i in range(space.i_max + 1):
-        j_lo, j_hi = space.j_range(i)
-        if j_hi < j_lo:
-            continue
-        js = np.arange(j_lo, j_hi + 1)
-        row = oracle.row(i)
-        cell = row[js]
-        cross = np.maximum(tables.cmin[i], tables.rmin[js])
-        band = np.maximum(tables.rband_col[i], tables.rband_row[js])
-        i_list.append(np.full(js.shape[0], i, dtype=np.int64))
-        j_list.append(js.astype(np.int64))
-        cell_list.append(cell)
-        cross_list.append(cross)
-        band_list.append(band)
-    if not i_list:
-        empty_f = np.empty(0)
-        empty_i = np.empty(0, dtype=np.int64)
-        return SubsetBounds(empty_i, empty_i, empty_f, empty_f, empty_f, empty_f)
-    i_idx = np.concatenate(i_list)
-    j_idx = np.concatenate(j_list)
-    lb_cell = np.concatenate(cell_list)
-    lb_cross = np.concatenate(cross_list)
-    lb_band = np.concatenate(band_list)
-    combined = _combine(lb_cell, lb_cross, lb_band, use_cell, use_cross, use_band)
-    return SubsetBounds(i_idx, j_idx, lb_cell, lb_cross, lb_band, combined)
+    i_all = np.arange(space.i_max + 1, dtype=np.int64)
+    if space.mode == SELF_MODE:
+        j_lo = i_all + space.xi + 2
+    else:
+        j_lo = np.zeros_like(i_all)
+    counts = np.maximum(space.n_cols - space.xi - 1 - j_lo, 0)
+    i_idx = np.repeat(i_all, counts)
+    # j runs j_lo[i], j_lo[i] + 1, ... within each i's run.
+    run_start = np.repeat(np.cumsum(counts) - counts, counts)
+    j_idx = np.repeat(j_lo, counts) + np.arange(i_idx.shape[0]) - run_start
+    return relaxed_subset_bounds_for_pairs(
+        space, oracle, tables, i_idx, j_idx,
+        use_cell=use_cell, use_cross=use_cross, use_band=use_band,
+    )
 
 
 def relaxed_subset_bounds_for_pairs(
@@ -334,22 +335,14 @@ def relaxed_subset_bounds_for_pairs(
 ) -> SubsetBounds:
     """Relaxed bounds for an explicit subset list (GTM/GTM* phase 2).
 
-    Row accesses are batched per distinct ``i`` so a lazy ground oracle
-    computes each needed row exactly once.
+    ``LB_cell`` is one elementwise oracle read
+    (:meth:`~repro.distances.ground.LazyGroundMatrix.values`): a gather
+    from a dense matrix, and for a lazy oracle just the asked cells, not
+    the rows they sit in.
     """
     i_idx = np.asarray(i_idx, dtype=np.int64)
     j_idx = np.asarray(j_idx, dtype=np.int64)
-    lb_cell = np.empty(i_idx.shape[0])
-    order = np.argsort(i_idx, kind="stable")
-    pos = 0
-    while pos < order.shape[0]:
-        i = int(i_idx[order[pos]])
-        end = pos
-        while end < order.shape[0] and i_idx[order[end]] == i:
-            end += 1
-        sel = order[pos:end]
-        lb_cell[sel] = oracle.row(i)[j_idx[sel]]
-        pos = end
+    lb_cell = oracle.values(i_idx, j_idx)
     lb_cross = np.maximum(tables.cmin[i_idx], tables.rmin[j_idx])
     lb_band = np.maximum(tables.rband_col[i_idx], tables.rband_row[j_idx])
     combined = _combine(lb_cell, lb_cross, lb_band, use_cell, use_cross, use_band)

@@ -6,12 +6,15 @@ The search has three phases:
    band windows) in O(n^2) total -- amortised O(1) per subset;
 2. assemble a per-subset combined lower bound and sort all candidate
    subsets ascending (best-first order);
-3. expand subsets in that order with the shared DP kernel, maintaining
-   the best-so-far ``bsf``; stop at the first subset whose bound proves
-   it (and every later subset) cannot beat ``bsf``.
+3. expand subsets in that order, maintaining the best-so-far ``bsf``;
+   stop at the first subset whose bound proves it (and every later
+   subset) cannot beat ``bsf``.
 
 The module also exposes :func:`run_best_first`, the sorted-processing
-loop reused by GTM and GTM* for their final point-level phase.
+loop reused by GTM and GTM* for their final point-level phase.  It
+expands the admitted subsets in stacks (:class:`repro.core.dp.StackedSweep`)
+and replays the serial loop over their results, so the answer and the
+subset counters are those of expanding one subset at a time.
 
 Witness rule
 ------------
@@ -38,7 +41,7 @@ from .bounds import (
     tight_subset_bounds,
 )
 from .brute import MotifTimeout
-from .dp import Best, expand_subset
+from .dp import Best, StackedSweep
 from .problem import SearchSpace
 from .stats import PhaseTimer, SearchStats
 
@@ -88,6 +91,18 @@ def run_best_first(
     restores the single up-front stable argsort (the pre-lazy code
     path, kept for the perf-trajectory benchmark and as a debugging
     reference -- the expansion order is identical either way).
+
+    Expansion runs a stack at a time (:class:`repro.core.dp.StackedSweep`):
+    when the loop reaches a subset no stack holds, it sweeps the
+    subsets the current cut admits from there under the current
+    threshold, then keeps replaying the serial rules -- break test,
+    ``bsf_sync`` cadence, the nudged threshold, acceptance of a result
+    only below it -- over the per-subset results.  Each accepted result
+    is the one the per-subset kernel reports under the same threshold,
+    so the answer, ``subsets_expanded`` and the pruning attribution are
+    unchanged; ``cells_*``, ``candidates_checked`` and ``bsf_updates``
+    count the stacked sweeps' work, including subsets a stack computed
+    that the loop did not consume.
     """
     if approx_factor < 1.0:
         raise ValueError("approx_factor must be >= 1")
@@ -108,6 +123,8 @@ def run_best_first(
     n_scope = len(bounds) if positions is None else len(positions)
     expanded = np.zeros(len(bounds), dtype=bool)
     witnessed = best is not None
+    sweep = StackedSweep(oracle, space, bounds, cmin, rmin, stats,
+                         chained=True)
     dp_started = time.perf_counter()
     count = 0
     exhausted = False
@@ -117,31 +134,36 @@ def run_best_first(
         stats.time_sort += time.perf_counter() - sort_started
         if block is None:
             break
-        for k in block:
+        lbs = bounds.combined[block] * approx_factor
+        for pos in range(block.shape[0]):
             if bsf_sync is not None and count % bsf_sync_every == 0:
                 shared = bsf_sync(bsf)
                 if shared < bsf:
                     bsf = shared
                     best = None
                     witnessed = False
-            lb = bounds.combined[k] * approx_factor
+            lb = lbs[pos]
             if lb > bsf or (witnessed and lb >= bsf):
                 exhausted = True
                 break
-            i = int(bounds.i_idx[k])
-            j = int(bounds.j_idx[k])
             # An unwitnessed bsf (a group upper bound) may *equal* the
             # true motif distance; nudge the threshold so an equally-
             # good candidate is still recorded as the witness pair.
             threshold = bsf if witnessed else np.nextafter(bsf, np.inf)
-            new_bsf, new_best = expand_subset(
-                oracle, space, i, j, threshold, best, cmin=cmin, rmin=rmin,
-                prune=True, stats=stats,
-            )
-            if new_best is not best:
+            if not sweep.holds(block, pos):
+                # Everything the current cut admits may join the stack;
+                # an infinite threshold is made finite by one subset.
+                if threshold == math.inf:
+                    stop = pos + 1
+                else:
+                    side = "left" if witnessed else "right"
+                    stop = int(np.searchsorted(lbs, bsf, side=side))
+                sweep.expand(block, pos, stop, threshold)
+            dist, cand = sweep.result(pos)
+            if dist < threshold:
                 witnessed = True
-                bsf, best = new_bsf, new_best
-            expanded[k] = True
+                bsf, best = dist, cand
+            expanded[block[pos]] = True
             if deadline is not None and count % 64 == 0:
                 if time.perf_counter() > deadline:
                     raise MotifTimeout(f"search exceeded {timeout:.1f}s")

@@ -253,40 +253,25 @@ def expand_pairs_to_subsets(
 ):
     """Enumerate the feasible point-level subsets inside group pairs.
 
-    Vectorised over the pair list: one pass per ``(a, b)`` offset inside
-    the ``tau x tau`` block, which keeps the finest-level expansion (the
-    common case, ``tau = 2``) at four NumPy passes total.
+    One broadcast ``(P, tau, tau)`` feasibility mask over every pair's
+    block, then one sort of the surviving ``(i, j)`` keys: ascending
+    ``i``, then ``j`` (the pairs' blocks are disjoint, so keys are
+    unique and the order is total).
     """
     if not pairs:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    us = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    vs = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-    row_start = level.row_starts[us]
-    row_end = np.minimum(level.row_ends[us], space.i_max)
-    col_start = level.col_starts[vs]
-    col_end = np.minimum(level.col_ends[vs], space.n_cols - space.xi - 2)
-    i_list: List[np.ndarray] = []
-    j_list: List[np.ndarray] = []
-    for a in range(level.tau):
-        i = row_start + a
-        i_ok = i <= row_end
-        if not i_ok.any():
-            break
-        if space.mode == SELF_MODE:
-            j_min = np.maximum(col_start, i + space.xi + 2)
-        else:
-            j_min = col_start
-        for b in range(level.tau):
-            j = col_start + b
-            ok = i_ok & (j <= col_end) & (j >= j_min)
-            if ok.any():
-                i_list.append(i[ok])
-                j_list.append(j[ok])
-    if not i_list:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    i_idx = np.concatenate(i_list)
-    j_idx = np.concatenate(j_list)
-    order = np.lexsort((j_idx, i_idx))
-    return i_idx[order], j_idx[order]
+    uv = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    offsets = np.arange(level.tau)
+    i = (level.row_starts[uv[:, 0]][:, None] + offsets)[:, :, None]
+    j = (level.col_starts[uv[:, 1]][:, None] + offsets)[:, None, :]
+    row_end = np.minimum(level.row_ends[uv[:, 0]], space.i_max)
+    col_end = np.minimum(level.col_ends[uv[:, 1]],
+                         space.n_cols - space.xi - 2)
+    ok = (i <= row_end[:, None, None]) & (j <= col_end[:, None, None])
+    if space.mode == SELF_MODE:
+        ok &= j >= i + space.xi + 2
+    keys = np.broadcast_to(i, ok.shape)[ok] * space.n_cols
+    keys += np.broadcast_to(j, ok.shape)[ok]
+    keys.sort()
+    return keys // space.n_cols, keys % space.n_cols

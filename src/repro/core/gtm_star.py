@@ -25,10 +25,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..distances.ground import LazyGroundMatrix
-from .bounds import BoundTables, relaxed_subset_bounds_for_pairs
+from .bounds import ROW_BLOCK_BYTES, BoundTables, relaxed_subset_bounds_for_pairs
 from .btm import run_best_first
 from .brute import MotifTimeout
-from .dp import Best
+from .dp import STACK_SWEEP_BYTES, Best
 from .grouping import (
     GroupBoundTables,
     GroupLevel,
@@ -153,7 +153,9 @@ class GTMStar:
             2 * 8 * g                              # gmin / gmax
             + 8 * 4 * space.n_cols                 # point-level tables
             + 8 * 6 * len(bounds)                  # surviving subset bounds
-            + 8 * cache_rows * space.n_cols,       # lazy row cache
+            + 8 * cache_rows * space.n_cols        # lazy row cache
+            + ROW_BLOCK_BYTES                      # table build row block
+            + STACK_SWEEP_BYTES,                   # stacked DP sweep
         )
         return bsf, best
 

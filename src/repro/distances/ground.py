@@ -51,6 +51,14 @@ class GroundMetric:
     #: qualify; haversine does not (degrees in, metres out).
     coordinate_monotone: bool = False
 
+    #: True when :meth:`rowwise` agrees bit for bit with the rows of
+    #: :meth:`bind` (``rowwise(a[r], b[c])[k] == bind(b)(a)[r[k], c[k]]``).
+    #: Lazy oracles then evaluate single cells elementwise
+    #: (:meth:`LazyGroundMatrix.values`); otherwise they gather them from
+    #: whole computed rows.  The built-in metrics are checked on every
+    #: host by ``tests/test_batched_best_first.py``.
+    exact_rowwise: bool = False
+
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """All-pairs distances: ``(n, d) x (m, d) -> (n, m)``."""
         raise NotImplementedError
@@ -113,6 +121,7 @@ class EuclideanMetric(GroundMetric):
 
     name = "euclidean"
     coordinate_monotone = True
+    exact_rowwise = True
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
@@ -138,6 +147,7 @@ class HaversineMetric(GroundMetric):
     """
 
     name = "haversine"
+    exact_rowwise = True
 
     def __init__(self, radius: float = EARTH_RADIUS_M) -> None:
         if radius <= 0:
@@ -158,6 +168,8 @@ class HaversineMetric(GroundMetric):
     def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # The pairwise() formula, operation for operation, evaluated in
         # place: stacks are large and the temporaries cost a third.
+        _check_latlon(a[..., 0], a[..., 1])
+        _check_latlon(b[..., 0], b[..., 1])
         lat_a, lon_a = np.radians(a[..., 0]), np.radians(a[..., 1])
         lat_b, lon_b = np.radians(b[..., 0]), np.radians(b[..., 1])
         h = lat_b[:, None, :] - lat_a[:, :, None]
@@ -173,8 +185,10 @@ class HaversineMetric(GroundMetric):
         return h
 
     def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lat_a, lon_a = self._rad(a)
-        lat_b, lon_b = self._rad(b)
+        # Unchecked: the aligned form serves per-step evaluations over
+        # points an entry point below has already seen.
+        lat_a, lon_a = self._rad(a, check=False)
+        lat_b, lon_b = self._rad(b, check=False)
         h = (
             np.sin((lat_b - lat_a) / 2.0) ** 2
             + np.cos(lat_a) * np.cos(lat_b) * np.sin((lon_b - lon_a) / 2.0) ** 2
@@ -199,13 +213,34 @@ class HaversineMetric(GroundMetric):
         return kernel
 
     @staticmethod
-    def _rad(pts: np.ndarray):
+    def _rad(pts: np.ndarray, check: bool = True):
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] < 2:
             raise TrajectoryError(
                 f"haversine needs (n, >=2) lat/lon arrays; got shape {pts.shape}"
             )
+        if check:
+            _check_latlon(pts[:, 0], pts[:, 1])
         return np.radians(pts[:, 0]), np.radians(pts[:, 1])
+
+
+def _check_latlon(lat: np.ndarray, lon: np.ndarray) -> None:
+    """Reject points outside the haversine domain with ``TrajectoryError``.
+
+    The entry points that first see a point set -- ``pairwise`` (dense
+    ground matrices, single distances), ``pairwise_stack`` (corpus
+    index builds and join verification) and ``bind`` with its row
+    kernel (lazy oracles) -- check it, so an out-of-range latitude or a
+    NaN/inf coordinate fails the same way on every path instead of
+    yielding a distance.  The aligned ``rowwise`` form, which the index
+    traversals and lazy-oracle cell reads call per step on points
+    already seen, does not.
+    """
+    if not (np.abs(lat) <= 90.0).all() or not np.isfinite(lon).all():
+        raise TrajectoryError(
+            "haversine needs finite (lat, lon) degrees with latitude "
+            "in [-90, 90]"
+        )
 
 
 class ChebyshevMetric(GroundMetric):
@@ -213,6 +248,7 @@ class ChebyshevMetric(GroundMetric):
 
     name = "chebyshev"
     coordinate_monotone = True
+    exact_rowwise = True
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
@@ -380,6 +416,43 @@ class LazyGroundMatrix:
             self._cache.popitem(last=False)
         return row
 
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows ``dG[r0:r1, :]`` in one row-kernel call (not cached).
+
+        Bit-identical to stacking :meth:`row` calls: the row kernel is
+        elementwise over its input rows.
+        """
+        self.rows_computed += r1 - r0
+        return self._row_kernel(self._a[r0:r1])
+
+    def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries ``dG[rows[k], cols[k]]`` for equal-shape index arrays.
+
+        With an :attr:`GroundMetric.exact_rowwise` metric only the asked
+        cells are evaluated; otherwise each distinct row is computed
+        once through :meth:`row` and gathered.  Either way the values
+        equal the corresponding :meth:`row` entries bit for bit.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if self._metric.exact_rowwise:
+            flat = self._metric._rowwise(
+                np.take(self._a, rows.ravel(), axis=0),
+                np.take(self._b, cols.ravel(), axis=0),
+            )
+            return flat.reshape(rows.shape)
+        flat_rows, flat_cols = rows.ravel(), cols.ravel()
+        order = np.argsort(flat_rows, kind="stable")
+        sorted_rows = flat_rows[order]
+        edges = np.flatnonzero(np.diff(sorted_rows)) + 1
+        out = np.empty(flat_rows.shape[0])
+        if not out.shape[0]:
+            return out.reshape(rows.shape)
+        for lo, hi in zip(np.r_[0, edges], np.r_[edges, order.shape[0]]):
+            sel = order[lo:hi]
+            out[sel] = self.row(int(sorted_rows[lo]))[flat_cols[sel]]
+        return out.reshape(rows.shape)
+
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Dense block ``dG[r0:r1, c0:c1]`` computed directly (not cached)."""
         return self._metric.pairwise(self._a[r0:r1], self._b[c0:c1])
@@ -425,6 +498,14 @@ class DenseGroundMatrix:
 
     def row(self, i: int) -> np.ndarray:
         return self._m[i]
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows ``dG[r0:r1, :]`` (a view)."""
+        return self._m[r0:r1]
+
+    def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries ``dG[rows[k], cols[k]]`` for equal-shape index arrays."""
+        return self._m[rows, cols]
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         return self._m[r0:r1, c0:c1]

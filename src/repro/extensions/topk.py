@@ -36,7 +36,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.bounds import BoundTables, SubsetBounds, relaxed_subset_bounds
-from ..core.dp import expand_subset
+from ..core.dp import StackedSweep
 from ..core.motif import _as_trajectory, _build_oracle  # shared plumbing
 from ..core.problem import SearchSpace, cross_space, self_space
 from ..core.stats import PhaseTimer, SearchStats
@@ -106,6 +106,7 @@ def scan_topk_entries(
     count = 0
     exhausted = False
     block_iter = bounds.order_blocks(within=positions)
+    sweep = StackedSweep(oracle, space, bounds, cmin, rmin, stats)
     while not exhausted:
         # Pull the next block only while still consuming -- once the
         # cut is exhausted, generating another (doubled-size) block
@@ -113,22 +114,26 @@ def scan_topk_entries(
         block = next(block_iter, None)
         if block is None:
             break
-        for idx in block:
+        lbs = bounds.combined[block]
+        for pos in range(block.shape[0]):
             if sync is not None and count % sync_every == 0:
                 external = min(external, sync(kth_dist()))
             cut = min(kth_dist(), external)
-            lb = float(bounds.combined[idx])
-            if lb > cut:
+            if lbs[pos] > cut:
                 exhausted = True
                 break
-            i = int(bounds.i_idx[idx])
-            j = int(bounds.j_idx[idx])
-            dist, cand = expand_subset(
-                oracle, space, i, j, float(np.nextafter(cut, np.inf)), None,
-                cmin=cmin, rmin=rmin, prune=True, stats=stats,
-            )
+            threshold = float(np.nextafter(cut, np.inf))
+            if not sweep.holds(block, pos):
+                # Stack what the cut admits; while the heap is short of
+                # k entries only the subsets that can fill it.
+                if cut == math.inf:
+                    stop = pos + k - len(heap)
+                else:
+                    stop = int(np.searchsorted(lbs, cut, side="right"))
+                sweep.expand(block, pos, stop, threshold)
+            dist, cand = sweep.result(pos)
             count += 1
-            if cand is None:
+            if not dist < threshold:
                 continue
             heapq.heappush(heap, (-float(dist), tuple(-v for v in cand)))
             if len(heap) > k:

@@ -91,6 +91,81 @@ class TestHaversine:
             HaversineMetric(radius=0.0)
 
 
+class TestHaversineDomain:
+    """Latitude outside [-90, 90] or a non-finite coordinate is the same
+    typed error on every path, not a distance."""
+
+    @staticmethod
+    def track(bad_lat=200.0):
+        pts = np.column_stack([40 + np.arange(12) * 1e-3,
+                               116 + np.sin(np.arange(12)) * 1e-3])
+        pts[5, 0] = bad_lat
+        return pts
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[200.0, 0.0]]), np.array([[-90.5, 0.0]]),
+        np.array([[np.nan, 0.0]]), np.array([[0.0, np.inf]]),
+    ])
+    def test_every_entry_point_rejects(self, bad):
+        m = HaversineMetric()
+        ok = np.array([[10.0, 20.0]])
+        for call in (
+            lambda: m.pairwise(bad, ok),
+            lambda: m.pairwise(ok, bad),
+            lambda: m.bind(bad),
+            lambda: m.bind(ok)(bad),
+            lambda: m.pairwise_stack(bad[None], ok[None]),
+        ):
+            with pytest.raises(TrajectoryError, match="latitude"):
+                call()
+
+    def test_poles_accepted(self):
+        m = HaversineMetric()
+        d = m.distance([90.0, 0.0], [-90.0, 0.0])
+        assert d == pytest.approx(np.pi * EARTH_RADIUS_M, rel=1e-6)
+
+    @pytest.mark.parametrize("algorithm", ["gtm_star", "gtm", "btm", "brute"])
+    def test_serial_discover(self, algorithm):
+        from repro.core import discover_motif
+
+        with pytest.raises(TrajectoryError, match="latitude"):
+            discover_motif(self.track(), min_length=2, algorithm=algorithm,
+                           metric="haversine")
+        ok = self.track(bad_lat=40.0)
+        for a, b in ((self.track(), ok), (ok, self.track())):
+            with pytest.raises(TrajectoryError, match="latitude"):
+                discover_motif(a, b, min_length=2, algorithm=algorithm,
+                               metric="haversine")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_discover_and_top_k(self, workers):
+        from repro.engine import MotifEngine
+
+        with MotifEngine(workers=workers, executor="inline") as engine:
+            with pytest.raises(TrajectoryError, match="latitude"):
+                engine.discover(self.track(), min_length=2,
+                                metric="haversine")
+            with pytest.raises(TrajectoryError, match="latitude"):
+                engine.top_k(self.track(), min_length=2, k=2,
+                             metric="haversine")
+
+    def test_service_submit_is_a_400(self):
+        from repro.service import BadRequestError, MotifService
+
+        service = MotifService()
+        service.start()
+        try:
+            for op, extra in (("discover", {}), ("top_k", {"k": 2})):
+                with pytest.raises(BadRequestError, match="latitude") as err:
+                    service.submit(op, {
+                        "trajectory": self.track().tolist(), "min_length": 2,
+                        "metric": "haversine", **extra,
+                    })
+                assert err.value.status == 400
+        finally:
+            service.stop()
+
+
 class TestChebyshev:
     def test_known(self):
         assert ChebyshevMetric().distance([0, 0], [3, -7]) == 7.0

@@ -1,5 +1,6 @@
 """Tests for the performance fast paths added on top of the baseline
-kernels: bound metric kernels, the lazy wavefront, and the GTM guards.
+kernels: bound metric kernels, the stacked sweep over a lazy oracle,
+and the GTM guards.
 
 These paths exist purely for CPython speed; every test here pins them
 to the semantics of the plain implementations.
@@ -15,7 +16,7 @@ from repro.core.bounds import BoundTables
 from repro.core.dp import (
     expand_subset_scalar,
     expand_subset_wavefront,
-    expand_subset_wavefront_lazy,
+    expand_subsets_stacked,
 )
 from repro.distances.ground import (
     DenseGroundMatrix,
@@ -51,6 +52,9 @@ class TestBoundMetricKernels:
 
 
 class TestLazyWavefront:
+    """The stacked sweep over a lazy oracle (cells evaluated on the fly)
+    answers like the per-subset dense wavefront, subset by subset."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_wavefront(self, seed):
         n, xi = 30, 3
@@ -59,16 +63,21 @@ class TestLazyWavefront:
         space = self_space(n, xi)
         lazy = LazyGroundMatrix(pts, metric="euclidean", cache_rows=8)
         tables = BoundTables.build(space, DenseGroundMatrix(dmat))
-        for i, j in list(space.start_pairs())[::5]:
-            for bsf0 in (np.inf, 1.0):
+        starts = list(space.start_pairs())[::5]
+        i_idx = np.array([p[0] for p in starts])
+        j_idx = np.array([p[1] for p in starts])
+        for bsf0 in (np.inf, 1.0):
+            dist, ie, je = expand_subsets_stacked(
+                lazy, space, i_idx, j_idx, bsf0,
+                cmin=tables.cmin, rmin=tables.rmin,
+            )
+            for s, (i, j) in enumerate(starts):
                 a, arg_a = expand_subset_wavefront(
                     dmat, space, i, j, bsf0, None,
                     cmin=tables.cmin, rmin=tables.rmin,
                 )
-                b, arg_b = expand_subset_wavefront_lazy(
-                    lazy, space, i, j, bsf0, None,
-                    cmin=tables.cmin, rmin=tables.rmin,
-                )
+                arg_b = None if ie[s] < 0 else (i, int(ie[s]), j, int(je[s]))
+                b = bsf0 if arg_b is None else dist[s]
                 assert a == pytest.approx(b)
                 assert arg_a == arg_b
 
@@ -80,9 +89,8 @@ class TestLazyWavefront:
         dense = DenseGroundMatrix(ground_matrix(pts))
         i, j = next(iter(space.start_pairs()))
         a, _ = expand_subset_scalar(dense, space, i, j, np.inf, None, prune=False)
-        b, _ = expand_subset_wavefront_lazy(lazy, space, i, j, np.inf, None,
-                                            prune=False)
-        assert a == pytest.approx(b)
+        dist, _, _ = expand_subsets_stacked(lazy, space, [i], [j], np.inf)
+        assert a == pytest.approx(dist[0])
 
 
 class TestGtmGuards:
@@ -113,7 +121,8 @@ class TestGtmGuards:
 
 class TestDispatcherRouting:
     def test_lazy_oracle_uses_lazy_wavefront(self):
-        """The dispatcher must not require `.array` on lazy oracles."""
+        """The dispatcher must not require `.array` on lazy oracles (it
+        runs the row-reading scalar kernel on them)."""
         from repro.core.dp import expand_subset
 
         pts = random_walk_points(80, 13)
