@@ -85,6 +85,28 @@ def test_pair_batched_decision(benchmark, form):
     assert list(answers) == [dfd_matrix(d) <= PAIR_EPS for d in PAIR_STACK]
 
 
+# One pair, two forms: the 2-D row scan against a stack of one.  The
+# best-first paths (knn refinement, the tree cursor's representative
+# bounds, the closest-pair scan) check one pair at a time and call the
+# 2-D form; these rows record where it still wins.
+SINGLE_PAIRS = {
+    side: ground_stack(*RNG.normal(size=(2, 1, side, 2)).cumsum(axis=2))
+    for side in (8, 40)
+}
+
+
+@pytest.mark.parametrize("side", [8, 40])
+@pytest.mark.parametrize("form", ["row_scan_2d", "stack_of_one"])
+def test_single_pair(benchmark, form, side):
+    benchmark.group = f"substrate: DFD of one {side}x{side} pair"
+    stack, lengths = SINGLE_PAIRS[side]
+    if form == "stack_of_one":
+        value = benchmark(dfd_matrix, stack, lengths)[0]
+    else:
+        value = benchmark(dfd_matrix, stack[0])
+    assert value == dfd_matrix_recursive(stack[0])
+
+
 def test_continuous_frechet(benchmark):
     """Continuous vs discrete: the continuous value never exceeds the
     discrete one, and densifying a curve only matters discretely."""

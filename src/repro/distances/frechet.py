@@ -78,10 +78,10 @@ def _check_stack(stack: np.ndarray, lengths) -> Tuple[np.ndarray, np.ndarray, np
             f"lengths must be {count} (n, m) pairs within {(rows, cols)}"
         )
     n, m = lengths[:, 0], lengths[:, 1]
-    outside = (np.arange(rows)[:, None] >= n[:, None, None]) | (
-        np.arange(cols) >= m[:, None, None]
-    )
-    if not (np.isfinite(stack) | outside).all():
+    ok = np.isfinite(stack)
+    ok |= (np.arange(rows) >= n[:, None])[:, :, None]
+    ok |= (np.arange(cols) >= m[:, None])[:, None, :]
+    if not ok.all():
         raise TrajectoryError("distance matrix contains NaN or infinite entries")
     return stack, n, m
 
@@ -91,40 +91,52 @@ def _dfd_stack(stack: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     own ``(n_p - 1, m_p - 1)`` cell.
 
     Every cell of diagonal ``d = i + j`` depends only on diagonals
-    ``d - 1`` and ``d - 2``, so one diagonal of all ``P`` pairs is a
-    handful of numpy calls.  A diagonal is held by row, shifted by one
-    (``diag[:, i + 1]`` is cell ``(i, d - i)``) so that column 0 is a
-    permanent ``+inf`` border.  A cell depends only on its own prefix,
-    so a pair's end cell never reads the padding around its block.
+    ``d - 1`` and ``d - 2``, so one diagonal of all ``P`` pairs is three
+    numpy calls.  One fancy index gathers the stack cell-major in
+    anti-diagonal order, so a diagonal's values are a contiguous run of
+    rows.  A diagonal is held by row, shifted by one (``diag[i + 1]`` is
+    cell ``(i, d - i)`` of every pair) so that row 0 is a permanent
+    ``+inf`` border.  The three rolling buffers need no reset: a
+    diagonal's row range only moves forward, so the rows the next two
+    diagonals read beyond it were never written and still hold the
+    initial ``+inf``.  A cell depends only on its own prefix, so a
+    pair's end cell never reads the padding around its block.
     """
     count, rows, cols = stack.shape
     out = np.empty(count)
     if not count:
         return out
-    flat = stack.reshape(count, rows * cols)
+    order = np.argsort(
+        np.add.outer(np.arange(rows), np.arange(cols)), axis=None, kind="stable"
+    )
+    cells = stack.reshape(count, rows * cols).T[order]
     end = n + m - 2
-    row_ids = np.arange(rows)
-    prev2 = np.full((count, rows + 1), np.inf)
-    prev1 = np.full((count, rows + 1), np.inf)
-    cur = np.full((count, rows + 1), np.inf)
+    stops = iter(np.unique(end).tolist())
+    stop = next(stops)
+    prev2 = np.full((rows + 1, count), np.inf)
+    prev1 = np.full((rows + 1, count), np.inf)
+    cur = np.full((rows + 1, count), np.inf)
+    best = np.empty((min(rows, cols), count))
+    start = 0
     for d in range(int(end.max()) + 1):
         lo, hi = max(0, d - cols + 1), min(d, rows - 1)
-        i = row_ids[lo:hi + 1]
-        vals = flat[:, i * cols + (d - i)]
-        cur.fill(np.inf)
+        width = hi - lo + 1
+        vals = cells[start:start + width]
+        start += width
         if d == 0:
-            cur[:, 1] = vals[:, 0]
+            cur[1] = vals[0]
         else:
             # Predecessors of (i, j): (i-1, j) and (i, j-1) on diagonal
             # d-1, (i-1, j-1) on diagonal d-2.
-            best = np.minimum(
-                np.minimum(prev1[:, lo:hi + 1], prev1[:, lo + 1:hi + 2]),
-                prev2[:, lo:hi + 1],
-            )
-            cur[:, lo + 1:hi + 2] = np.maximum(vals, best)
-        done = np.flatnonzero(end == d)
-        if done.size:
-            out[done] = cur[done, n[done]]
+            tmp = best[:width]
+            np.minimum(prev1[lo:hi + 1], prev1[lo + 1:hi + 2], out=tmp)
+            np.minimum(tmp, prev2[lo:hi + 1], out=tmp)
+            np.maximum(vals, tmp, out=cur[lo + 1:hi + 2])
+        if d == stop:
+            # Only the distinct end diagonals hold results.
+            done = np.flatnonzero(end == d)
+            out[done] = cur[n[done], done]
+            stop = next(stops, None)
         prev2, prev1, cur = prev1, cur, prev2
     return out
 
@@ -143,17 +155,28 @@ def dfd_matrix(dmat: np.ndarray, lengths=None):
     if np.ndim(dmat) == 3:
         return _dfd_stack(*_check_stack(dmat, lengths))
     dmat = _check_matrix(dmat, lengths)
-    n, m = dmat.shape
-    prev = np.maximum.accumulate(dmat[0])
-    for i in range(1, n):
-        row = dmat[i]
-        cur = np.empty(m)
-        cur[0] = max(row[0], prev[0])
-        for j in range(1, m):
-            best_prev = min(prev[j - 1], prev[j], cur[j - 1])
-            cur[j] = row[j] if row[j] > best_prev else best_prev
+    # Python floats over list rows: indexing numpy scalars per cell
+    # costs several times the compares.  The tie order is part of the
+    # result (0.0 and -0.0 tie): a first-column cell keeps its own value
+    # against the cell above, as ``max(row[0], prev[0])`` does; inside a
+    # row the predecessors tie in the order of ``min(prev[j - 1],
+    # prev[j], cur[j - 1])``, and the cell's value replaces them only
+    # when strictly larger.
+    rows = dmat.tolist()
+    prev = np.maximum.accumulate(dmat[0]).tolist()
+    for row in rows[1:]:
+        x = row[0]
+        p = prev[0]
+        left = p if p > x else x
+        cur = [left]
+        for pd, p, x in zip(prev, prev[1:], row[1:]):
+            best = p if p < pd else pd
+            if left < best:
+                best = left
+            left = x if x > best else best
+            cur.append(left)
         prev = cur
-    return float(prev[-1])
+    return prev[-1]
 
 
 def dfd_matrix_recursive(dmat: np.ndarray) -> float:
@@ -268,8 +291,10 @@ def stack_blocks(n_rows: Sequence[int], n_cols: Sequence[int]) -> Iterator[np.nd
     # frexp's exponent of (n - 1) is ceil(log2(n)) for every n >= 1.
     keys = np.frexp(n_rows - 1)[1] * 64 + np.frexp(n_cols - 1)[1]
     order = np.argsort(keys, kind="stable")
-    cuts = np.flatnonzero(np.diff(keys[order])) + 1
-    for bucket in np.split(order, cuts):
+    keys = keys[order]
+    edges = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    for lo, hi in zip(edges, edges[1:]):
+        bucket = order[lo:hi]
         cells = int(n_rows[bucket].max()) * int(n_cols[bucket].max())
         step = max(1, STACK_BLOCK_CELLS // cells)
         for k in range(0, len(bucket), step):
@@ -343,24 +368,25 @@ def frechet_path(dmat: np.ndarray):
     """
     dmat = _check_matrix(dmat)
     n, m = dmat.shape
-    table = np.empty_like(dmat)
-    table[0] = np.maximum.accumulate(dmat[0])
-    for i in range(1, n):
-        table[i, 0] = max(dmat[i, 0], table[i - 1, 0])
+    table = [np.maximum.accumulate(dmat[0]).tolist()]
+    for row in dmat.tolist()[1:]:
+        above = table[-1]
+        cur = [max(row[0], above[0])]
         for j in range(1, m):
-            best_prev = min(table[i - 1, j - 1], table[i - 1, j], table[i, j - 1])
-            table[i, j] = max(dmat[i, j], best_prev)
+            best_prev = min(above[j - 1], above[j], cur[j - 1])
+            cur.append(max(row[j], best_prev))
+        table.append(cur)
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while (i, j) != (0, 0):
         options = []
         if i > 0 and j > 0:
-            options.append((table[i - 1, j - 1], (i - 1, j - 1)))
+            options.append((table[i - 1][j - 1], (i - 1, j - 1)))
         if i > 0:
-            options.append((table[i - 1, j], (i - 1, j)))
+            options.append((table[i - 1][j], (i - 1, j)))
         if j > 0:
-            options.append((table[i, j - 1], (i, j - 1)))
+            options.append((table[i][j - 1], (i, j - 1)))
         _, (i, j) = min(options, key=lambda t: t[0])
         path.append((i, j))
     path.reverse()
-    return float(table[n - 1, m - 1]), path
+    return table[n - 1][m - 1], path

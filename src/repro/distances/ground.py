@@ -29,6 +29,20 @@ from ..errors import TrajectoryError
 EARTH_RADIUS_M = 6371000.0
 
 
+def _stack_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[:, :, None, :] - b[:, None, :, :]``, one coordinate at a time.
+
+    The same values in the same C-contiguous ``(P, N, M, d)`` layout, so
+    a reduction over them matches the per-pair ``pairwise`` bit for bit;
+    broadcasting over the short last axis instead runs numpy's inner
+    loop ``d`` elements at a time, about three times slower.
+    """
+    diff = np.empty(a.shape[:2] + b.shape[1:])
+    for k in range(a.shape[2]):
+        np.subtract(a[:, :, None, k], b[:, None, :, k], out=diff[..., k])
+    return diff
+
+
 class GroundMetric:
     """Base class for point-to-point metrics.
 
@@ -130,7 +144,7 @@ class EuclideanMetric(GroundMetric):
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
     def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = a[:, :, None, :] - b[:, None, :, :]
+        diff = _stack_diff(a, b)
         return np.sqrt(np.einsum("pijk,pijk->pij", diff, diff))
 
     def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,7 +270,7 @@ class ChebyshevMetric(GroundMetric):
         return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
 
     def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.abs(a[:, :, None, :] - b[:, None, :, :]).max(axis=3)
+        return np.abs(_stack_diff(a, b)).max(axis=3)
 
     def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b)).max(axis=1)
@@ -339,10 +353,9 @@ def ground_stack(
     a, n = _padded_points(lefts)
     b, m = _padded_points(rights)
     stack = get_metric(metric).pairwise_stack(a, b)
-    outside = (np.arange(a.shape[1])[:, None] >= n[:, None, None]) | (
-        np.arange(b.shape[1]) >= m[:, None, None]
-    )
-    stack[outside] = np.inf
+    # Padded rows, then padded columns, of each pair's block.
+    stack[np.arange(a.shape[1]) >= n[:, None]] = np.inf
+    stack.transpose(0, 2, 1)[np.arange(b.shape[1]) >= m[:, None]] = np.inf
     return stack, np.stack([n, m], axis=1)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .. import obs
 from ..core.motif import _as_trajectory
 from ..distances.ground import get_metric
-from ..errors import QueryParameterError, ReproError
+from ..errors import ReproError
 from ..extensions.join import (
     JoinStats,
     _points_getter,
@@ -133,30 +133,6 @@ def shard_handles(left_shards, right_shards):
     if right_shards is left_shards:
         return lefts, lefts
     return lefts, [Corpus.of(shard) for shard in right_shards]
-
-
-def check_threshold(name: str, value) -> float:
-    """A join ``theta`` / range ``radius``: finite and non-negative."""
-    try:
-        valid = math.isfinite(value) and value >= 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise QueryParameterError(
-            f"{name} must be a finite non-negative number, got {value!r}"
-        )
-    return float(value)
-
-
-def check_k(k) -> int:
-    """A knn / closest-pair ``k``: a positive integer."""
-    try:
-        valid = int(k) == k and k >= 1
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise QueryParameterError(f"k must be a positive integer, got {k!r}")
-    return int(k)
 
 
 def corpus_index_for(engine, corpus: Corpus, metric) -> CorpusIndex:

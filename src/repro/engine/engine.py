@@ -49,7 +49,7 @@ from ..core.gtm import GTM
 from ..core.motif import MotifResult, _as_trajectory, _make_algorithm
 from ..core.stats import PhaseTimer, SearchStats
 from ..distances.ground import GroundMetric, get_metric
-from ..errors import ReproError
+from ..errors import ReproError, check_k, check_threshold
 from ..trajectory import Trajectory
 from . import corpus as _corpus
 from . import planner
@@ -501,7 +501,7 @@ class MotifEngine:
         here.  ``theta`` must be finite and non-negative
         (:class:`~repro.errors.QueryParameterError`).
         """
-        theta = _corpus.check_threshold("theta", theta)
+        theta = check_threshold("theta", theta)
         workers = self.workers if workers is None else max(1, int(workers))
         use_index = (
             self.index if index is None
@@ -533,7 +533,7 @@ class MotifEngine:
         every worker count, indexed or not.  ``k`` must be a positive
         integer; corpora are taken as in :meth:`join`.
         """
-        k = _corpus.check_k(k)
+        k = check_k(k)
         workers = self.workers if workers is None else max(1, int(workers))
         use_index = (
             self.index if index is None
@@ -567,7 +567,7 @@ class MotifEngine:
         statistics fold additively with the index accounting summed
         key-wise.  Shards may be :class:`~repro.engine.Corpus` handles.
         """
-        theta = _corpus.check_threshold("theta", theta)
+        theta = check_threshold("theta", theta)
         workers = self.workers if workers is None else max(1, int(workers))
         use_index = (
             self.index if index is None
@@ -596,7 +596,7 @@ class MotifEngine:
         reducer the chunked scan uses -- so the ranking equals the
         unsharded :meth:`join_top_k` exactly, ties included.
         """
-        k = _corpus.check_k(k)
+        k = check_k(k)
         workers = self.workers if workers is None else max(1, int(workers))
         use_index = (
             self.index if index is None
@@ -630,7 +630,7 @@ class MotifEngine:
         ``radius`` must be finite and non-negative; ``corpus`` may be a
         :class:`~repro.engine.Corpus` handle.
         """
-        radius = _corpus.check_threshold("radius", radius)
+        radius = check_threshold("radius", radius)
         use_index = (
             self.index if index is None
             else planner.normalize_index_mode(index)
@@ -656,7 +656,7 @@ class MotifEngine:
         cheapest remaining bound strictly exceeds it.  ``k`` must be a
         positive integer; ``corpus`` may be a handle.
         """
-        k = _corpus.check_k(k)
+        k = check_k(k)
         use_index = (
             self.index if index is None
             else planner.normalize_index_mode(index)

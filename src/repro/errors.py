@@ -7,6 +7,8 @@ without matching on message strings.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -38,11 +40,41 @@ class QueryParameterError(ReproError, ValueError):
     """Raised when a corpus-query parameter is outside its domain.
 
     A join ``theta`` or range ``radius`` that is NaN, infinite or
-    negative, or a ``k`` that is not a positive integer.  Checked once,
-    where the engine's corpus verbs take their arguments; a
-    ``ValueError`` too, so callers that caught the bare ``ValueError``
-    these checks used to raise keep working.
+    negative, or a ``k`` that is not a positive integer.  Checked by
+    :func:`check_threshold` and :func:`check_k` in every corpus verb --
+    serial, engine and service alike; a ``ValueError`` too, so callers
+    that caught the bare ``ValueError`` these checks used to raise keep
+    working.
     """
+
+
+def check_threshold(name: str, value) -> float:
+    """A join ``theta`` / range ``radius``: finite and non-negative."""
+    try:
+        valid = math.isfinite(value) and value >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise QueryParameterError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
+    return float(value)
+
+
+def check_k(k) -> int:
+    """A knn / closest-pair ``k``: a positive integer, not a ``bool``."""
+    # ``dtype == bool`` catches numpy's bool scalars without importing
+    # numpy here.
+    try:
+        valid = (
+            not isinstance(k, bool) and getattr(k, "dtype", None) != bool
+            and int(k) == k and k >= 1
+        )
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise QueryParameterError(f"k must be a positive integer, got {k!r}")
+    return int(k)
 
 
 class WorkerCrashError(ReproError, RuntimeError):

@@ -32,7 +32,7 @@ import numpy as np
 from ..distances.frechet import dfd_decision
 from ..distances.ground import GroundMetric, get_metric
 from ..distances.hausdorff import directed_hausdorff_matrix
-from ..errors import ReproError
+from ..errors import ReproError, check_threshold
 from ..trajectory import Trajectory
 
 
@@ -71,8 +71,7 @@ def window_starts(
         raise ReproError("window_length must be at least 2")
     if stride < 1:
         raise ReproError("stride must be at least 1")
-    if theta < 0:
-        raise ReproError("theta must be non-negative")
+    check_threshold("theta", theta)
     return list(range(0, n - window_length + 1, stride))
 
 

@@ -50,7 +50,7 @@ import numpy as np
 from ..distances.frechet import dfd_decision, dfd_matrix, ground_stacks
 from ..distances.ground import GroundMetric, get_metric
 from ..distances.hausdorff import directed_hausdorff_matrix
-from ..errors import TrajectoryError
+from ..errors import TrajectoryError, check_k, check_threshold
 from ..trajectory import Trajectory
 
 #: One top-k closest-pair entry: ``(distance, (left index, right index))``.
@@ -135,8 +135,7 @@ def similarity_join(
     Without it, the cascade of :func:`join_pairs` runs over the full
     left-major pair grid, built :data:`PAIR_CHUNK` pairs at a time.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    theta = check_threshold("theta", theta)
     if index:
         return _indexed_join(left, right, theta, metric, offsets)
     total = len(left) * len(right)
@@ -187,8 +186,7 @@ def join_pairs(
     come back in ``pairs`` order.  A trajectory with a NaN or infinite
     coordinate raises :class:`~repro.errors.TrajectoryError`.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    theta = check_threshold("theta", theta)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     chunks = (
         pairs[start:start + PAIR_CHUNK]
@@ -339,8 +337,7 @@ def scan_join_topk(
     the local k-th best with sibling chunks (the engine's shared
     threshold), mirroring :func:`repro.extensions.topk.scan_topk_entries`.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = check_k(k)
     m = get_metric(metric)
     heap: List[Tuple[float, Tuple[int, int]]] = []  # negated max-heap
 
@@ -407,8 +404,7 @@ def join_top_k(
     ``(distance, (a, b))`` ranking -- identical for the indexed,
     sharded and serial paths.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = check_k(k)
     n_left, n_right = len(left), len(right)
     pair_iter = (
         (a, b) for a in range(n_left) for b in range(n_right)

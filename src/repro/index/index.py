@@ -58,7 +58,7 @@ import numpy as np
 
 from ..distances.frechet import dfd_matrix, dfd_pairs
 from ..distances.ground import GroundMetric, get_metric
-from ..errors import ReproError, TrajectoryError
+from ..errors import ReproError, TrajectoryError, check_k, check_threshold
 from ..trajectory import Trajectory
 from ..trajectory.ops import douglas_peucker
 from .tree import (
@@ -562,8 +562,7 @@ class CorpusIndex:
         filter tail, so surviving pairs (and therefore join answers)
         are identical.
         """
-        if theta < 0:
-            raise ReproError("theta must be non-negative")
+        theta = check_threshold("theta", theta)
         if mode not in ("grid", "tree"):
             raise ReproError("candidate mode must be 'grid' or 'tree'")
         peer = self if other is None else other
@@ -685,8 +684,7 @@ class CorpusIndex:
         the property suite holds the tree path byte-identical to --
         every pruned subtree provably lies beyond ``radius``.
         """
-        if radius < 0:
-            raise ReproError("radius must be non-negative")
+        radius = check_threshold("radius", radius)
         m = self.metric
         stats = IndexStats()
         stats.pairs_total = self.n
@@ -756,8 +754,7 @@ class CorpusIndex:
         stream passes the evolving k-th best distance, *everything*
         still enqueued is provably further and the traversal stops.
         """
-        if k <= 0:
-            raise ReproError("k must be positive")
+        k = check_k(k)
         m = self.metric
         stats = IndexStats()
         stats.pairs_total = self.n

@@ -56,7 +56,13 @@ from ..distances.ground import get_metric
 from ..engine import Corpus, MotifEngine
 from ..engine import planner
 from ..engine.cache import fingerprint_points, metric_key
-from ..errors import ReproError, WorkerCrashError
+from ..errors import (
+    QueryParameterError,
+    ReproError,
+    WorkerCrashError,
+    check_k,
+    check_threshold,
+)
 from ..faults import fail_at
 from ..store import (
     SnapshotError,
@@ -966,6 +972,8 @@ class MotifService:
             return getattr(self, f"_prepare_{op}")(params)
         except KeyError as exc:
             raise BadRequestError(f"missing required param: {exc}") from exc
+        except QueryParameterError as exc:
+            raise BadRequestError(str(exc)) from exc
 
     def _prepare_discover(self, params: dict):
         traj = self._trajectory_from_spec(params["trajectory"])
@@ -1076,7 +1084,7 @@ class MotifService:
         right, right_shards = self._corpus_and_shards_from_spec(
             params["right"]
         )
-        theta = float(params["theta"])
+        theta = check_threshold("theta", params["theta"])
         metric = params.get("metric") or "euclidean"
         use_index = self._index_mode(params.get("index", True))
         resolved = get_metric(metric)
@@ -1117,7 +1125,7 @@ class MotifService:
         right, right_shards = self._corpus_and_shards_from_spec(
             params["right"]
         )
-        k = int(params.get("k", 5))
+        k = check_k(params.get("k", 5))
         metric = params.get("metric") or "euclidean"
         use_index = self._index_mode(params.get("index", True))
         resolved = get_metric(metric)
@@ -1183,7 +1191,7 @@ class MotifService:
     def _prepare_range(self, params: dict):
         query = self._trajectory_from_spec(params["query"])
         corpus, shards = self._corpus_and_shards_from_spec(params["corpus"])
-        radius = float(params["radius"])
+        radius = check_threshold("radius", params["radius"])
         metric = params.get("metric") or "euclidean"
         use_index = self._index_mode(params.get("index", "tree"))
         resolved = get_metric(metric)
@@ -1214,7 +1222,7 @@ class MotifService:
     def _prepare_knn(self, params: dict):
         query = self._trajectory_from_spec(params["query"])
         corpus, shards = self._corpus_and_shards_from_spec(params["corpus"])
-        k = int(params.get("k", 5))
+        k = check_k(params.get("k", 5))
         metric = params.get("metric") or "euclidean"
         use_index = self._index_mode(params.get("index", "tree"))
         resolved = get_metric(metric)

@@ -10,8 +10,9 @@ that rest on it.
   cached before it.
 * ``planner.corpus_fingerprint`` runs zero times for a snapshot-backed
   request and once per inline corpus per request.
-* Out-of-domain ``theta`` / ``radius`` / ``k`` raise one typed error at
-  the engine and answer 400 through the service.
+* Out-of-domain ``theta`` / ``radius`` / ``k`` raise one typed error in
+  the serial corpus verbs and at the engine, and answer 400 through the
+  service.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ import pytest
 
 from repro.engine import Corpus, MotifEngine, planner
 from repro.errors import QueryParameterError, ReproError
+from repro.extensions.join import (
+    join_pairs,
+    join_top_k,
+    scan_join_topk,
+    similarity_join,
+)
 from repro.index import CorpusIndex
 from repro.service import BadRequestError, MotifService
 from repro.store import load_snapshot, load_snapshot_shards, save_snapshot
@@ -268,6 +275,9 @@ BAD_CALLS = {
         lambda e, c: e.range(c[0], [], -1.0),
     "knn k zero": lambda e, c: e.knn(c[0], c, 0),
     "knn k fractional": lambda e, c: e.knn(c[0], c, 2.5),
+    "knn k True": lambda e, c: e.knn(c[0], c, True),
+    "join_top_k k fractional": lambda e, c: e.join_top_k(c, c, 2.5),
+    "join_top_k k True": lambda e, c: e.join_top_k(c, c, True),
 }
 
 
@@ -287,6 +297,12 @@ def test_engine_rejects_bad_parameters_with_one_typed_error(name):
     ("join_top_k", {"k": 0}),
     ("range", {"radius": math.nan}),
     ("knn", {"k": 0}),
+    ("join", {"theta": math.inf}),
+    ("join_top_k", {"k": 2.5}),
+    ("join_top_k", {"k": True}),
+    ("range", {"radius": -1.0}),
+    ("knn", {"k": 2.5}),
+    ("knn", {"k": True}),
 ])
 def test_service_answers_bad_parameters_with_400(corpora, op, bad):
     params = dict(params_for(op, {"snapshot": "plain"}, corpora["query"]),
@@ -295,3 +311,49 @@ def test_service_answers_bad_parameters_with_400(corpora, op, bad):
         with pytest.raises(BadRequestError) as excinfo:
             service.submit(op, params)
     assert excinfo.value.status == 400
+
+
+# The serial corpus verbs apply the same rule: no silent empty answer
+# for a NaN threshold, no truncated or boolean k.
+def _getter(corpus):
+    return lambda i: corpus[i].points
+
+
+SERIAL_BAD_CALLS = {
+    "range_scan radius nan":
+        lambda c: CorpusIndex(c).range_scan(c[0], math.nan),
+    "range_scan radius nan, brute force":
+        lambda c: CorpusIndex(c).range_scan(c[0], math.nan, use_tree=False),
+    "knn_scan k fractional": lambda c: CorpusIndex(c).knn_scan(c[0], 2.5),
+    "knn_scan k True": lambda c: CorpusIndex(c).knn_scan(c[0], True),
+    "candidate_pairs theta nan, grid":
+        lambda c: CorpusIndex(c).candidate_pairs(None, math.nan),
+    "candidate_pairs theta nan, tree":
+        lambda c: CorpusIndex(c).candidate_pairs(None, math.nan, mode="tree"),
+    "similarity_join theta nan": lambda c: similarity_join(c, c, math.nan),
+    "similarity_join theta nan, indexed":
+        lambda c: similarity_join(c, c, math.nan, index=True),
+    "join_pairs theta inf": lambda c: join_pairs(
+        _getter(c), _getter(c), [(0, 1)], math.inf),
+    "join_top_k k fractional": lambda c: join_top_k(c, c, 2.5),
+    "join_top_k k True": lambda c: join_top_k(c, c, True),
+    "scan_join_topk k True": lambda c: scan_join_topk(
+        _getter(c), _getter(c), [(0, 1)], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_BAD_CALLS))
+def test_serial_corpus_verbs_raise_the_engine_error(name):
+    corpus = lattice(SEED_BASE + 30, 5)
+    with pytest.raises(QueryParameterError):
+        SERIAL_BAD_CALLS[name](corpus)
+
+
+def test_integral_k_of_any_type_is_accepted():
+    corpus = lattice(SEED_BASE + 30, 5)
+    index = CorpusIndex(corpus)
+    want = index.knn_scan(corpus[0], 2)[0]
+    assert index.knn_scan(corpus[0], 2.0)[0] == want
+    assert index.knn_scan(corpus[0], np.int64(2))[0] == want
+    assert join_top_k(corpus, corpus, np.int32(3)) == join_top_k(corpus,
+                                                                  corpus, 3)

@@ -7,15 +7,23 @@ its own matrix.  The stacked ground matrices must be bit-identical to
 per-pair ``pairwise``, and the vectorised join cascade must keep the
 ``JoinStats`` / ``IndexStats`` counters it had as a per-pair loop.
 Non-finite input gets one typed error on every join path.
+
+The 2-D row scan runs over ``tolist()`` rows; it must keep the
+selection order of the numpy-scalar scan it replaced (kept below as
+``_numpy_scalar_scan``), so every value is bit-equal, signed zeros
+included.  Hypothesis examples derive from ``REPRO_TEST_SEED``
+(default 0), like the other seeded property suites.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,6 +33,7 @@ from repro.distances import (
     dfd_matrix_recursive,
     dfd_pairs,
     discrete_frechet,
+    frechet_path,
     get_metric,
     ground_stack,
 )
@@ -34,6 +43,8 @@ from repro.errors import TrajectoryError
 from repro.extensions import join as join_mod
 from repro.extensions.join import join_top_k, similarity_join
 from repro.index import CorpusIndex
+
+SEED = int(os.environ.get("REPRO_TEST_SEED", "0"))
 
 
 def _stack(mats):
@@ -67,6 +78,7 @@ thin = st.lists(
 
 
 class TestStackedKernels:
+    @seed(SEED)
     @given(ragged)
     @settings(max_examples=120, deadline=None)
     def test_value_equals_row_scan_and_recurrence(self, mats):
@@ -75,6 +87,7 @@ class TestStackedKernels:
         assert got.tolist() == [dfd_matrix(d) for d in mats]
         assert got.tolist() == [dfd_matrix_recursive(d) for d in mats]
 
+    @seed(SEED)
     @given(thin)
     @settings(max_examples=60, deadline=None)
     def test_one_row_and_one_column_shapes(self, mats):
@@ -83,6 +96,7 @@ class TestStackedKernels:
             dfd_matrix_recursive(d) for d in mats
         ]
 
+    @seed(SEED)
     @given(ragged)
     @settings(max_examples=80, deadline=None)
     def test_decision_at_every_cell_value(self, mats):
@@ -137,6 +151,175 @@ class TestStackedKernels:
     def test_lengths_outside_the_stack_rejected(self):
         with pytest.raises(TrajectoryError):
             dfd_matrix(np.ones((2, 3, 3)), [[3, 3], [4, 1]])
+
+
+# ----------------------------------------------------------------------
+# The list-based row scan keeps the numpy-scalar scan's bits
+# ----------------------------------------------------------------------
+def _numpy_scalar_scan(dmat):
+    """The 2-D ``dfd_matrix`` before its rows became lists (reference)."""
+    n, m = dmat.shape
+    prev = np.maximum.accumulate(dmat[0])
+    for i in range(1, n):
+        row = dmat[i]
+        cur = np.empty(m)
+        cur[0] = max(row[0], prev[0])
+        for j in range(1, m):
+            best_prev = min(prev[j - 1], prev[j], cur[j - 1])
+            cur[j] = row[j] if row[j] > best_prev else best_prev
+        prev = cur
+    return float(prev[-1])
+
+
+def _numpy_table_path(dmat):
+    """``frechet_path`` before its table became lists (reference)."""
+    n, m = dmat.shape
+    table = np.empty_like(dmat)
+    table[0] = np.maximum.accumulate(dmat[0])
+    for i in range(1, n):
+        table[i, 0] = max(dmat[i, 0], table[i - 1, 0])
+        for j in range(1, m):
+            best_prev = min(table[i - 1, j - 1], table[i - 1, j], table[i, j - 1])
+            table[i, j] = max(dmat[i, j], best_prev)
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while (i, j) != (0, 0):
+        options = []
+        if i > 0 and j > 0:
+            options.append((table[i - 1, j - 1], (i - 1, j - 1)))
+        if i > 0:
+            options.append((table[i - 1, j], (i - 1, j)))
+        if j > 0:
+            options.append((table[i, j - 1], (i, j - 1)))
+        _, (i, j) = min(options, key=lambda t: t[0])
+        path.append((i, j))
+    path.reverse()
+    return float(table[n - 1, m - 1]), path
+
+
+def _bits(values):
+    """IEEE bit patterns: equal only if the sign of a zero matches too."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _grid(elements):
+    # Sides from 1: 1 x k and k x 1 matrices are drawn too.
+    shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
+    return shapes.flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=elements)
+    )
+
+
+# Few distinct values: ties on every step of the scan.
+ints = _grid(st.integers(0, 4).map(float))
+# Signed zeros: 0.0 and -0.0 compare equal, so only the tie order of
+# each min / max decides which one a cell keeps.
+signed_zeros = _grid(st.sampled_from([0.0, -0.0, 1.0, 2.0]))
+magnitudes = _grid(st.sampled_from([
+    5e-324, 1e-310, 2.5e-308, 1e-300, 1.0, 3.0, 1e300, 1.7976931348623157e308,
+]))
+
+
+class TestRowScanParity:
+    @seed(SEED)
+    @given(st.one_of(ints, magnitudes))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_numpy_scalar_scan_and_recurrence(self, dmat):
+        got = dfd_matrix(dmat)
+        assert type(got) is float
+        assert _bits(got) == _bits(_numpy_scalar_scan(dmat))
+        assert _bits(got) == _bits(dfd_matrix_recursive(dmat))
+
+    @seed(SEED)
+    @given(signed_zeros)
+    @settings(max_examples=300, deadline=None)
+    def test_signed_zero_cells_keep_their_sign(self, dmat):
+        got = dfd_matrix(dmat)
+        want = _numpy_scalar_scan(dmat)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        # The recurrence breaks ties in another order: equal value only.
+        assert got == dfd_matrix_recursive(dmat)
+
+    def test_negative_zero_cell_stays_negative(self):
+        dmat = np.array([[-0.0, -0.0], [-0.0, -0.0]])
+        assert math.copysign(1.0, dfd_matrix(dmat)) == -1.0
+        dmat = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        assert _bits(dfd_matrix(dmat)) == _bits(_numpy_scalar_scan(dmat))
+
+    @seed(SEED)
+    @given(st.one_of(ints, signed_zeros, signed_zeros))
+    @settings(max_examples=300, deadline=None)
+    def test_frechet_path_unchanged(self, dmat):
+        value, path = frechet_path(dmat)
+        want_value, want_path = _numpy_table_path(dmat)
+        assert _bits(value) == _bits(want_value)
+        assert path == want_path
+
+    def test_frechet_path_signed_zero_tie(self):
+        # max(cell, best) keeps the cell on a tie: here +0.0, where
+        # keeping the predecessor would give -0.0.
+        dmat = np.array([[-0.0, -0.0, -0.0], [1.0, 0.0, 1.0],
+                         [1.0, 0.0, -0.0], [1.0, -0.0, 0.0]])
+        value, path = frechet_path(dmat)
+        assert _bits(value) == _bits(0.0)
+        assert (value, path) == _numpy_table_path(dmat)
+
+
+# ----------------------------------------------------------------------
+# The stacked sweep equals the 2-D scan, pair by pair
+# ----------------------------------------------------------------------
+@st.composite
+def mixed_blocks(draw):
+    """P in {1, 2, 7} pairs of one N x M block, N != M, ragged lengths."""
+    rows, cols = draw(
+        st.tuples(st.integers(1, 10), st.integers(1, 10))
+        .filter(lambda nm: nm[0] != nm[1])
+    )
+    count = draw(st.sampled_from([1, 2, 7]))
+    mats = []
+    for _ in range(count):
+        n = draw(st.integers(1, rows))
+        m = draw(st.integers(1, cols))
+        mats.append(draw(hnp.arrays(
+            np.float64, (n, m), elements=st.integers(0, 6).map(float)
+        )))
+    stack = np.full((count, rows, cols), np.inf)
+    for p, d in enumerate(mats):
+        stack[p, :d.shape[0], :d.shape[1]] = d
+    return stack, np.array([d.shape for d in mats]), mats
+
+
+class TestStackedSweepParity:
+    @seed(SEED)
+    @given(mixed_blocks())
+    @settings(max_examples=250, deadline=None)
+    def test_bit_equal_to_row_scan(self, block):
+        stack, lengths, mats = block
+        got = dfd_matrix(stack, lengths)
+        assert _bits(got) == _bits([dfd_matrix(d) for d in mats])
+
+    def test_shared_and_distinct_end_diagonals(self):
+        # Ends on diagonals 6, 6, 6, 2, 9, 0 and 6 of one 7 x 5 block.
+        shapes = [(4, 4), (5, 3), (3, 5), (2, 2), (7, 4), (1, 1), (7, 1)]
+        rng = np.random.default_rng(SEED)
+        mats = [rng.integers(0, 5, size=s).astype(float) for s in shapes]
+        stack = np.full((len(mats), 7, 5), np.inf)
+        for p, d in enumerate(mats):
+            stack[p, :d.shape[0], :d.shape[1]] = d
+        got = dfd_matrix(stack, np.array(shapes))
+        assert _bits(got) == _bits([dfd_matrix(d) for d in mats])
+        assert _bits(got) == _bits([_numpy_scalar_scan(d) for d in mats])
+
+    def test_padding_values_never_read(self):
+        # Finite junk in the padding must not reach any pair's result.
+        rng = np.random.default_rng(SEED)
+        mats = [rng.random((n, m)) + 1.0 for n, m in ((3, 6), (6, 2), (1, 4))]
+        stack = np.zeros((3, 6, 6))
+        for p, d in enumerate(mats):
+            stack[p, :d.shape[0], :d.shape[1]] = d
+        got = dfd_matrix(stack, np.array([d.shape for d in mats]))
+        assert _bits(got) == _bits([dfd_matrix(d) for d in mats])
 
 
 class TestStackBlocks:
