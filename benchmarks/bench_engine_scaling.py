@@ -357,6 +357,74 @@ def test_hierarchical_index_speedup(benchmark):
     )
 
 
+def test_hierarchical_topk(benchmark):
+    """Closest-pair join on the hierarchical-index corpus: the tree's
+    seeded bound and one thresholded tree join against the grid's
+    ascending-bound scan.  Both answers must be identical; seconds and
+    the tree's candidate count are recorded (no speed floor) in
+    ``BENCH_engine_scaling.json``."""
+    from repro import obs
+
+    benchmark.group = "engine: hierarchical top-k join"
+    clusters, per_cluster, n = TREE_JOIN_SHAPE.get(
+        bench_scale(), TREE_JOIN_SHAPE["smoke"]
+    )
+    corpus = _tree_join_corpus(clusters, per_cluster, n, seed=0)
+    shifted = [Trajectory(t.points + 0.0005) for t in corpus]
+    k = 12
+    repeats = 3
+    workers = max(WORKERS)
+
+    def measure(mode):
+        with MotifEngine(workers=workers, result_cache_size=0) as eng:
+            eng.join_top_k(corpus, shifted, k=k, metric="haversine",
+                           index=mode)  # warm-up: indexes and trees
+            times = []
+            for _ in range(repeats):
+                started = time.perf_counter()
+                entries = eng.join_top_k(corpus, shifted, k=k,
+                                         metric="haversine", index=mode)
+                times.append(time.perf_counter() - started)
+            return min(times), entries
+
+    def run():
+        return measure("grid"), measure("tree")
+
+    (t_grid, e_grid), (t_tree, e_tree) = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    assert e_tree == e_grid
+
+    # One traced, untimed run reads the tree's candidate count and bound.
+    prior = obs.trace_enabled()
+    obs.configure(tracing=True)
+    try:
+        trace_id = obs.start_trace()
+        with MotifEngine(workers=workers, result_cache_size=0) as eng:
+            eng.join_top_k(corpus, shifted, k=k, metric="haversine",
+                           index="tree")
+        obs.clear_trace()
+        (attrs,) = [r["attrs"] for r in obs.recent_records(trace_id)
+                    if r["kind"] == "span" and r["name"] == "engine.index"]
+    finally:
+        obs.configure(tracing=prior)
+    _update_bench_json("hierarchical_topk", {
+        "clusters": clusters,
+        "per_cluster": per_cluster,
+        "n": n,
+        "k": k,
+        "metric": "haversine",
+        "workers": workers,
+        "repeats": repeats,
+        "pairs_total": len(corpus) * len(shifted),
+        "tree_candidates": attrs["candidates"],
+        "tree_bound": attrs["bound"],
+        "kth_distance": e_tree[-1][0],
+        "grid_seconds": t_grid,
+        "tree_seconds": t_tree,
+    })
+
+
 #: Service-throughput stream shape per scale: (unique queries,
 #: duplicates per query, trajectory length).  Duplicate-heavy on
 #: purpose -- the coalescing win under test is in-flight sharing.

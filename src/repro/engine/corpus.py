@@ -34,6 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..core.motif import _as_trajectory
+from ..distances.frechet import dfd_pairs
 from ..distances.ground import get_metric
 from ..errors import ReproError
 from ..extensions.join import (
@@ -507,8 +508,9 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     """The ``k`` closest (left, right) pairs by exact DFD, ascending.
 
     The answer is canonical under ``(distance, (a, b))``, so the
-    result cache is shared by every path.  Indexed scans consume the
-    pair grid in ascending index-lower-bound order and stop at the
+    result cache is shared by every path.  Tree mode is one thresholded
+    tree join (:func:`_tree_join_topk`).  Grid-indexed scans consume
+    the pair grid in ascending index-lower-bound order and stop at the
     first bound beyond the evolving k-th best; sharded scans exchange
     the k-th best through the engine's shared threshold and merge
     per-chunk heaps exactly.
@@ -520,9 +522,7 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
         return list(cached)
     mode = planner.normalize_index_mode(use_index)
     if mode == "tree" and len(left) and len(right):
-        entries = _tree_join_topk(
-            engine, left, right, k, metric, resolved, workers
-        )
+        entries = _tree_join_topk(engine, left, right, k, resolved)
         engine._oracles.put_result(key, entries)
         return list(entries)
     exec_ = engine._exec
@@ -557,48 +557,73 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     return list(entries)
 
 
-def _tree_join_topk(engine, left, right, k, metric, resolved, workers):
-    """Top-k closest pairs via best-first dual-tree enumeration.
+def _tree_join_topk(engine, left, right, k, resolved):
+    """Top-k closest pairs as one thresholded dual-tree join.
 
-    A head draw from the :class:`TreePairCursor` (a few multiples of
-    ``k``, cheapest lower bounds first) seeds a provisional k-th best
-    ``kth0``; the cursor then drains only the pairs whose monotone
-    bound does not strictly exceed it.  Any pair the cursor withholds
-    has ``lb > kth0 >= final k-th distance``, so it cannot appear in
-    the answer (ties at the k-th distance carry ``lb <= kth0`` and
-    survive) -- the merged heap is byte-identical to the flat scan's.
-    The n x n pair grid is never materialised.
+    1. *Seed*: value the ``2k`` pairs of ``take(2k)``; ``u`` is the
+       k-th smallest value (any k distinct pairs bound the k-th
+       distance from above).  A grid of at most ``2k`` pairs is done.
+    2. *Walk*: ``take_within(u)``.  When more than ``2k`` candidates
+       are unvalued, value the ``2k`` with the smallest bounds, lower
+       ``u`` to the k-th smallest value so far and keep only
+       candidates with bound ``<= u``.
+    3. *Verify*: the pair cascade at ``u`` -- inline, it checks tens of
+       pairs -- keeps the unvalued candidates with ``DFD <= u``; one
+       more stack values them.  Valued pairs within ``u`` sort under
+       ``(distance, (a, b))`` and the first ``k`` are the answer.
+
+    Every top-k pair has ``DFD <= k-th distance <= u``, bounds are
+    admissible and only a strict excess prunes, so ties at the k-th
+    distance survive: the answer is byte-identical to serial
+    :func:`join_top_k` (DESIGN.md section 14).
     """
-    exec_ = engine._exec
+    get_left, get_right = _points_getter(left), _points_getter(right)
     index_left = corpus_index_for(engine, left, resolved)
     index_right = corpus_index_for(engine, right, resolved)
-    cursor = index_left.pair_cursor(index_right)
-    head_pairs, head_lbs = cursor.take(max(4 * k, 64))
-    head_entries = scan_join_topk(
-        _points_getter(left), _points_getter(right),
-        head_pairs, k, resolved, bounds=head_lbs, ordered=True,
+    n_right = len(right)
+    valued = {}  # a * n_right + b -> exact distance
+
+    def value(pairs) -> None:
+        dists = dfd_pairs([get_left(a) for a in pairs[:, 0]],
+                          [get_right(b) for b in pairs[:, 1]], resolved)
+        valued.update(zip((pairs[:, 0] * n_right + pairs[:, 1]).tolist(),
+                          dists.tolist()))
+
+    def kth_valued() -> float:
+        # Any k distinct valued pairs bound the k-th distance from above.
+        dists = sorted(valued.values())
+        return dists[min(k, len(dists)) - 1]
+
+    with obs.span("engine.index", mode="tree") as _sp:
+        cursor = index_left.pair_cursor(index_right)
+        seeds, _ = cursor.take(2 * k)
+        value(seeds)
+        pairs = np.empty((0, 2), dtype=np.int64)
+        if len(seeds) < len(left) * n_right:  # else the seeds are the grid
+            pairs, lbs = cursor.take_within(kth_valued())
+            fresh = ~np.isin(pairs[:, 0] * n_right + pairs[:, 1], list(valued))
+            pairs, lbs = pairs[fresh], lbs[fresh]
+            if len(pairs) > 2 * k:
+                head = np.zeros(len(pairs), dtype=bool)
+                head[np.argpartition(lbs, 2 * k - 1)[:2 * k]] = True
+                value(pairs[head])
+                pairs = pairs[~head & (lbs <= kth_valued())]
+        bound = kth_valued()
+        if _sp is not None:
+            _sp.attrs["candidates"] = int(len(pairs))
+            _sp.attrs["bound"] = bound
+    if len(pairs):
+        matches, _ = join_pairs(get_left, get_right, pairs, bound, resolved)
+        value(np.asarray(matches, dtype=np.int64).reshape(-1, 2))
+    entries = sorted(
+        (dist, divmod(key, n_right)) for key, dist in valued.items()
+        if dist <= bound
     )
-    kth0 = head_entries[k - 1][0] if len(head_entries) >= k else math.inf
-    rest_pairs, rest_lbs = cursor.take_within(kth0)
-    if not len(rest_pairs):
-        return list(head_entries)
-    n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
-    if not exec_.can_shard(workers) or len(rest_pairs) < 2 or n_chunks < 2:
-        rest_entries = scan_join_topk(
-            _points_getter(left), _points_getter(right),
-            rest_pairs, k, resolved, bounds=rest_lbs, ordered=True,
-            kth0=kth0,
-        )
-    else:
-        rest_entries = _sharded_join_topk(
-            engine, left, right, rest_pairs, rest_lbs, k, metric, resolved,
-            workers, kth0=kth0, mode=("tree", int(k)),
-        )
-    return merge_join_topk([list(head_entries), list(rest_entries)], k)
+    return entries[:k]
 
 
 def _sharded_join_topk(engine, left, right, pairs, lbs, k, metric, resolved,
-                       workers, *, kth0=math.inf, mode="grid"):
+                       workers):
     """Deal the (ordered) pair list into chunks sharing the k-th best."""
     exec_ = engine._exec
     index_left = corpus_index_for(engine, left, resolved)
@@ -617,7 +642,7 @@ def _sharded_join_topk(engine, left, right, pairs, lbs, k, metric, resolved,
                 slabs["lbs"] = lbs
             pairs_ref = exec_.share_index(
                 planner.topk_pairs_slab_key(
-                    left.key, right.key, resolved, lbs is not None, mode
+                    left.key, right.key, resolved, lbs is not None
                 ),
                 slabs,
             )
@@ -629,7 +654,6 @@ def _sharded_join_topk(engine, left, right, pairs, lbs, k, metric, resolved,
                 _worker.JoinTopKChunkTask(
                     k=int(k),
                     metric=metric,
-                    seed_kth=float(kth0),
                     pairs=None if pairs_ref is not None
                     else pairs[start::stride],
                     pairs_ref=pairs_ref,

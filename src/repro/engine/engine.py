@@ -444,8 +444,7 @@ class MotifEngine:
         from ..extensions.topk import entries_to_ranked, scan_topk_entries
         from ..core.bounds import relaxed_subset_bounds
 
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = check_k(k)
         traj_a = _as_trajectory(trajectory)
         traj_b = None if second is None else _as_trajectory(second)
         resolved = get_metric(metric, crs=traj_a.crs)

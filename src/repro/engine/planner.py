@@ -266,12 +266,12 @@ def pairs_slab_key(
 
 
 def topk_pairs_slab_key(
-    left_key: str, right_key: str, metric, with_bounds: bool, mode="grid"
+    left_key: str, right_key: str, metric, with_bounds: bool
 ) -> tuple:
     """Shared-segment key of one top-k join's ordered-pair slab."""
     return (
         "topk_pairs", left_key, right_key, metric_key(metric),
-        bool(with_bounds), str(mode),
+        bool(with_bounds),
     )
 
 

@@ -41,6 +41,7 @@ from ..core.motif import _as_trajectory, _build_oracle  # shared plumbing
 from ..core.problem import SearchSpace, cross_space, self_space
 from ..core.stats import PhaseTimer, SearchStats
 from ..distances.ground import GroundMetric, get_metric
+from ..errors import check_k
 from ..trajectory import Subtrajectory, Trajectory
 
 #: One answer entry before trajectory views are built.
@@ -204,8 +205,7 @@ def discover_top_k_motifs(
     :meth:`repro.engine.MotifEngine.top_k`, which caches the ground
     oracle across calls and can partition the scan over workers.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = check_k(k)
     traj_a = _as_trajectory(trajectory)
     traj_b = None if second is None else _as_trajectory(second)
     space = (

@@ -562,6 +562,14 @@ class CorpusIndex:
         filter tail, so surviving pairs (and therefore join answers)
         are identical.
         """
+        out, _, stats = self._candidates(other, theta, pairs, mode)
+        return out, stats
+
+    def _candidates(
+        self, other, theta, pairs, mode
+    ) -> Tuple[np.ndarray, np.ndarray, IndexStats]:
+        """:meth:`candidate_pairs` plus each survivor's bound
+        ``max(endpoint + box, simplification)``, in pair order."""
         theta = check_threshold("theta", theta)
         if mode not in ("grid", "tree"):
             raise ReproError("candidate mode must be 'grid' or 'tree'")
@@ -606,6 +614,7 @@ class CorpusIndex:
                 a_idx, b_idx = np.divmod(
                     np.arange(self.n * peer.n, dtype=np.int64), peer.n
                 )
+        lbs = np.empty(0)
         if len(a_idx):
             # Endpoint/box are folded into one vectorised pass; split
             # the accounting so reports show which bound class fired.
@@ -613,23 +622,28 @@ class CorpusIndex:
             keep = lbs <= theta
             stats.pruned_endpoint = int(np.sum(lb_end > theta))
             stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
-            a_idx, b_idx = a_idx[keep], b_idx[keep]
+            a_idx, b_idx, lbs = a_idx[keep], b_idx[keep], lbs[keep]
         if len(a_idx):
-            keep_mask = ~(self.simplification_bounds(other, a_idx, b_idx) > theta)
+            lbs = np.maximum(
+                lbs, self.simplification_bounds(other, a_idx, b_idx)
+            )
+            keep_mask = ~(lbs > theta)
             stats.pruned_simplification = int(np.sum(~keep_mask))
             a_idx, b_idx = a_idx[keep_mask], b_idx[keep_mask]
+            lbs = lbs[keep_mask]
         out = np.stack([a_idx, b_idx], axis=1) if len(a_idx) else (
             np.empty((0, 2), dtype=np.int64)
         )
         order = np.lexsort((out[:, 1], out[:, 0]))
         out = np.ascontiguousarray(out[order])
+        lbs = lbs[order]
         stats.summary_builds = (
             self.summary_builds
             + (0 if peer is self else peer.summary_builds)
             - built_before
         )
         stats.candidates = len(out)
-        return out, stats
+        return out, lbs, stats
 
     def ordered_pairs(
         self, other: Optional["CorpusIndex"] = None
@@ -655,18 +669,14 @@ class CorpusIndex:
     def pair_cursor(
         self, other: Optional["CorpusIndex"] = None
     ) -> TreePairCursor:
-        """Lazy tree-backed replacement for :meth:`ordered_pairs`.
+        """The tree walks of a top-k closest-pair join against ``other``.
 
-        Returns a :class:`~repro.index.tree.TreePairCursor` streaming
-        item pairs in ascending admissible-bound order without ever
-        materialising (or sorting) the ``|L| x |R|`` grid -- the top-k
-        join pulls a head, fixes a cut-off and drains only what can
-        still matter.
+        Returns a :class:`~repro.index.tree.TreePairCursor`: ``take``
+        seeds an upper bound on the k-th closest distance from a beam
+        descent, ``take_within`` is the thresholded dual-tree join at
+        that bound.  Neither materialises the ``|L| x |R|`` grid.
         """
-        peer = self if other is None else other
-        stats = IndexStats()
-        stats.pairs_total = self.n * peer.n
-        return TreePairCursor(self, peer, stats)
+        return TreePairCursor(self, self if other is None else other)
 
     # ------------------------------------------------------------------
     # Single-query traversals

@@ -47,7 +47,6 @@ property-tested in ``tests/test_tree.py``.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -539,11 +538,8 @@ class TrajectoryTree:
                 na, nb = na[keep], nb[keep]
             if not len(na):
                 break
-            leaf_a = self.child_hi[na] == self.child_lo[na]
-            leaf_b = other.child_hi[nb] == other.child_lo[nb]
-            both = leaf_a & leaf_b
+            pa, pb, na, nb = self.open_pairs(other, na, nb)
             # One batched representative DP for the level's leaf pairs.
-            pa, pb = na[both], nb[both]
             far = self.rep_pair_bounds(other, pa, pb) > theta
             stats.nodes_pruned += int(np.sum(far))
             stats.pruned_grid += int(np.sum(
@@ -557,18 +553,33 @@ class TrajectoryTree:
             )
             out_a.append(self.item_order[pos_a])
             out_b.append(other.item_order[pos_b])
-            # A leaf side stays itself; an internal side opens its children.
-            ma, mb = na[~both], nb[~both]
-            leaf_a, leaf_b = leaf_a[~both], leaf_b[~both]
-            na, nb = _cross_ranges(
-                np.where(leaf_a, ma, self.child_lo[ma]),
-                np.where(leaf_a, 1, self.child_hi[ma] - self.child_lo[ma]),
-                np.where(leaf_b, mb, other.child_lo[mb]),
-                np.where(leaf_b, 1, other.child_hi[mb] - other.child_lo[mb]),
-            )
         if out_a:
             return np.concatenate(out_a), np.concatenate(out_b)
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+    def open_pairs(
+        self, other: "TrajectoryTree", na: np.ndarray, nb: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Split a frontier of node pairs into leaf pairs and the next level.
+
+        Returns ``(leaf_a, leaf_b, next_a, next_b)``: the pairs whose
+        nodes are both leaves, and the children of the rest -- a leaf
+        side stays itself, an internal side opens its children.  The
+        next level partitions the same item pairs the opened pairs
+        covered.
+        """
+        leaf_a = self.child_hi[na] == self.child_lo[na]
+        leaf_b = other.child_hi[nb] == other.child_lo[nb]
+        both = leaf_a & leaf_b
+        ma, mb = na[~both], nb[~both]
+        leaf_a, leaf_b = leaf_a[~both], leaf_b[~both]
+        next_a, next_b = _cross_ranges(
+            np.where(leaf_a, ma, self.child_lo[ma]),
+            np.where(leaf_a, 1, self.child_hi[ma] - self.child_lo[ma]),
+            np.where(leaf_b, mb, other.child_lo[mb]),
+            np.where(leaf_b, 1, other.child_hi[mb] - other.child_lo[mb]),
+        )
+        return na[both], nb[both], next_a, next_b
 
     def range_candidates(
         self, query: QuerySummary, radius: float, stats
@@ -632,116 +643,63 @@ def _cross_ranges(lo_a, count_a, lo_b, count_b) -> Tuple[np.ndarray, np.ndarray]
     return lo_a[owner] + rank // width, lo_b[owner] + rank % width
 
 
-_NODE_PAIR = 0
-_ITEM_PAIR = 1
-
-
 class TreePairCursor:
-    """Lazy ascending-lower-bound stream of item pairs from two trees.
+    """The two tree walks of a top-k closest-pair join.
 
-    The flat top-k path materialises and sorts the full pair grid up
-    front (:meth:`CorpusIndex.ordered_pairs`); this cursor replaces it
-    with a best-first heap over node pairs that only refines what the
-    consumer actually pulls.  Heap keys are *monotone*: a child's key
-    is ``max(parent key, child's own bound)``, so keys never decrease
-    along a root-to-item path and the stream is globally ascending.
-    Every key is admissible (``key <= DFD`` of the pair), so a consumer
-    that stops at a cut-off ``c`` and later drains :meth:`take_within`
-    at ``c`` has seen *every* pair whose true distance can be ``<= c``.
-    Surviving leaf pairs fold in their representative DP, tightening
-    all item keys beneath them at one DP per leaf pair.
+    :meth:`take` picks pairs whose exact distances seed an upper bound
+    on the k-th distance; :meth:`take_within` is the thresholded
+    dual-tree join at that bound.  Both are level-synchronous and
+    vectorised; neither materialises the ``|L| x |R|`` grid.
     """
 
-    def __init__(self, left, right, stats) -> None:
+    def __init__(self, left, right) -> None:
         self._left = left
         self._right = right
-        self._lt = left.ensure_tree()
-        self._rt = right.ensure_tree()
-        self.stats = stats
-        root_lb = float(
-            self._lt.pair_lower_bounds(self._rt, [0], [0])[0]
-        )
-        self._heap: List[Tuple[float, int, int, int]] = [
-            (root_lb, _NODE_PAIR, 0, 0)
-        ]
-
-    @property
-    def exhausted(self) -> bool:
-        return not self._heap
-
-    def _expand(self, key: float, pa: int, pb: int) -> None:
-        """Replace a popped node pair by its children / item pairs."""
-        lt, rt = self._lt, self._rt
-        self.stats.nodes_visited += 1
-        leaf_a = lt.is_leaf(pa)
-        leaf_b = rt.is_leaf(pb)
-        if leaf_a and leaf_b:
-            self.stats.leaves_scanned += 1
-            key = max(key, lt.rep_pair_bound(rt, pa, pb))
-            items_a = lt.node_items(pa)
-            items_b = rt.node_items(pb)
-            a_idx = np.repeat(items_a, len(items_b))
-            b_idx = np.tile(items_b, len(items_a))
-            lbs = self._left.pair_bounds(self._right, a_idx, b_idx)
-            for a, b, lb in zip(a_idx, b_idx, lbs):
-                heapq.heappush(
-                    self._heap,
-                    (max(key, float(lb)), _ITEM_PAIR, int(a), int(b)),
-                )
-            return
-        ca = (
-            np.array([pa], dtype=np.int64) if leaf_a
-            else np.arange(lt.child_lo[pa], lt.child_hi[pa], dtype=np.int64)
-        )
-        cb = (
-            np.array([pb], dtype=np.int64) if leaf_b
-            else np.arange(rt.child_lo[pb], rt.child_hi[pb], dtype=np.int64)
-        )
-        na = np.repeat(ca, len(cb))
-        nb = np.tile(cb, len(ca))
-        lbs = lt.pair_lower_bounds(rt, na, nb)
-        for a, b, lb in zip(na, nb, lbs):
-            heapq.heappush(
-                self._heap,
-                (max(key, float(lb)), _NODE_PAIR, int(a), int(b)),
-            )
 
     def take(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Pop the next ``count`` item pairs (fewer when exhausted)."""
-        pairs: List[Tuple[int, int]] = []
-        lbs: List[float] = []
-        while self._heap and len(pairs) < count:
-            key, kind, a, b = heapq.heappop(self._heap)
-            if kind == _ITEM_PAIR:
-                pairs.append((a, b))
-                lbs.append(key)
-            else:
-                self._expand(key, a, b)
-        return (
-            np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-            np.asarray(lbs, dtype=np.float64),
-        )
+        """``count`` distinct item pairs (fewer only when the grid holds
+        fewer) and their :meth:`CorpusIndex.pair_bounds`, ascending.
+
+        A beam descent: each level keeps the ``2 * count`` node pairs
+        with the smallest :meth:`TrajectoryTree.pair_lower_bounds`, so
+        the cost is O(depth x beam) whatever the corpus sizes.  Kept
+        node pairs are disjoint blocks covering at least ``2 * count``
+        item pairs; the leaf pairs' cross products yield them, and the
+        ``count`` with the smallest bounds come back.  Nothing is
+        pruned -- any distinct pairs bound the k-th distance.
+        """
+        lt, rt = self._left.ensure_tree(), self._right.ensure_tree()
+        beam = 2 * int(count)
+        na = nb = np.zeros(1, dtype=np.int64)
+        out_a: List[np.ndarray] = []
+        out_b: List[np.ndarray] = []
+        while len(na):
+            if len(na) > beam:
+                lbs = lt.pair_lower_bounds(rt, na, nb)
+                keep = np.argpartition(lbs, beam - 1)[:beam]
+                na, nb = na[keep], nb[keep]
+            pa, pb, na, nb = lt.open_pairs(rt, na, nb)
+            pos_a, pos_b = _cross_ranges(
+                lt.item_lo[pa], lt.item_counts(pa),
+                rt.item_lo[pb], rt.item_counts(pb),
+            )
+            out_a.append(lt.item_order[pos_a])
+            out_b.append(rt.item_order[pos_b])
+        a_idx = np.concatenate(out_a)
+        b_idx = np.concatenate(out_b)
+        lbs = self._left.pair_bounds(self._right, a_idx, b_idx)
+        order = np.lexsort((b_idx, a_idx, lbs))[:count]
+        return np.stack([a_idx[order], b_idx[order]], axis=1), lbs[order]
 
     def take_within(self, cut: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Drain every remaining item pair whose key is ``<= cut``.
+        """Every item pair the trees cannot prove ``> cut``, with its bound.
 
-        Node pairs with key beyond the cut stay unexpanded -- their
-        entire item blocks provably exceed ``cut`` (strictly), which is
-        what makes a cursor-fed top-k scan exact under ties.
+        The pairs of :meth:`CorpusIndex.candidate_pairs` at ``cut`` in
+        tree mode, each with the tightest bound the filter tail proved
+        for it.  Only a strict excess prunes: ties at ``cut`` survive.
         """
-        pairs: List[Tuple[int, int]] = []
-        lbs: List[float] = []
-        while self._heap and self._heap[0][0] <= cut:
-            key, kind, a, b = heapq.heappop(self._heap)
-            if kind == _ITEM_PAIR:
-                pairs.append((a, b))
-                lbs.append(key)
-            else:
-                self._expand(key, a, b)
-        return (
-            np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-            np.asarray(lbs, dtype=np.float64),
-        )
+        pairs, lbs, _ = self._left._candidates(self._right, cut, None, "tree")
+        return pairs, lbs
 
 
 #: Snapshot-persisted node arrays, in manifest order.

@@ -78,6 +78,15 @@ def _corpus_spec(obj) -> object:
     return [_spec(item) for item in obj]
 
 
+def _plain(value) -> object:
+    """A ``k`` / ``theta`` / ``radius`` as given, numpy scalars unwrapped.
+
+    No cast: the server validates the value itself, so ``k=2.5`` or
+    ``k=True`` is a 400 over the wire exactly as it is in-process.
+    """
+    return value.item() if isinstance(value, np.generic) else value
+
+
 class ServiceClient:
     """Blocking JSON client of one ``repro serve`` daemon.
 
@@ -370,7 +379,7 @@ class ServiceClient:
         params = {
             "trajectory": _spec(trajectory),
             "min_length": int(min_length),
-            "k": int(k),
+            "k": _plain(k),
         }
         if second is not None:
             params["second"] = _spec(second)
@@ -391,7 +400,7 @@ class ServiceClient:
         params = {
             "left": _corpus_spec(left),
             "right": _corpus_spec(right),
-            "theta": float(theta),
+            "theta": _plain(theta),
             "index": index if isinstance(index, str) else bool(index),
         }
         if metric is not None:
@@ -411,7 +420,7 @@ class ServiceClient:
         params = {
             "left": _corpus_spec(left),
             "right": _corpus_spec(right),
-            "k": int(k),
+            "k": _plain(k),
             "index": index if isinstance(index, str) else bool(index),
         }
         if metric is not None:
@@ -433,7 +442,7 @@ class ServiceClient:
         params = {
             "trajectory": _spec(trajectory),
             "window_length": int(window_length),
-            "theta": float(theta),
+            "theta": _plain(theta),
             "stride": int(stride),
             "min_cluster_size": int(min_cluster_size),
             "index": index if isinstance(index, str) else bool(index),
@@ -460,7 +469,7 @@ class ServiceClient:
         params = {
             "query": _spec(query),
             "corpus": _corpus_spec(corpus),
-            "radius": float(radius),
+            "radius": _plain(radius),
             "index": index if isinstance(index, str) else bool(index),
         }
         if metric is not None:
@@ -486,7 +495,7 @@ class ServiceClient:
         params = {
             "query": _spec(query),
             "corpus": _corpus_spec(corpus),
-            "k": int(k),
+            "k": _plain(k),
             "index": index if isinstance(index, str) else bool(index),
         }
         if metric is not None:

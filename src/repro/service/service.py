@@ -1055,7 +1055,7 @@ class MotifService:
             else None
         )
         min_length = int(params["min_length"])
-        k = int(params.get("k", 5))
+        k = check_k(params.get("k", 5))
         metric = params.get("metric")
         resolved = get_metric(metric, crs=traj.crs)
         key = (
@@ -1159,7 +1159,7 @@ class MotifService:
     def _prepare_cluster(self, params: dict):
         traj = self._trajectory_from_spec(params["trajectory"])
         window_length = int(params["window_length"])
-        theta = float(params["theta"])
+        theta = check_threshold("theta", params["theta"])
         stride = int(params.get("stride", 1))
         min_cluster_size = int(params.get("min_cluster_size", 2))
         metric = params.get("metric")
