@@ -36,7 +36,7 @@ from repro.bench.experiments import engine_scaling
 
 from repro.engine import MotifEngine, shared_memory_available
 from repro.bench import default_tau, default_xi, trajectory_for
-from repro.trajectory import Trajectory
+from repro.trajectory import Trajectory, douglas_peucker
 
 WORKERS = (1, 2)
 
@@ -807,3 +807,86 @@ def test_observability_overhead(benchmark):
         f"observability overhead {ratio:.3f}x "
         f"(off {t_off:.3f}s, on {t_on:.3f}s)"
     )
+
+
+def _reference_summary(pts, lo, hi, frac, cap):
+    """One summary as the index built it before the batched pass:
+    Douglas-Peucker at the starting tolerance, doubled and rerun until
+    the summary fits the cap."""
+    diag = float(np.linalg.norm(hi - lo))
+    eps = frac * diag
+    if eps == 0.0:
+        eps = 1e-9 * max(1.0, diag)
+    traj = Trajectory(pts)
+    simp = douglas_peucker(traj, eps).points
+    while simp.shape[0] > cap:
+        eps *= 2.0
+        simp = douglas_peucker(traj, eps).points
+    return simp
+
+
+def test_index_summaries(benchmark):
+    """Corpus summary build on the ``corpus_query`` shape (3000 random
+    walks of 40 points): the one-pass batched Douglas-Peucker against
+    the per-trajectory doubling loop, both followed by the batched
+    error-radius DP, with identical summaries asserted; plus the mean
+    cost of one ``summarize_query`` (a batch of one) over 200 queries.
+    Recorded in ``BENCH_engine_scaling.json``; no floor."""
+    from repro.distances.frechet import dfd_matrix, dfd_pairs
+    from repro.index import CorpusIndex
+
+    benchmark.group = "index: summary build"
+    count, n, queries = 3000, 40, 200
+    rng = np.random.default_rng(7)
+    corpus = [rng.normal(size=(n, 2)).cumsum(axis=0) for _ in range(count)]
+    stream = [rng.normal(size=(n, 2)).cumsum(axis=0) for _ in range(queries)]
+
+    def run():
+        batched = []
+        for _ in range(3):
+            index = CorpusIndex(corpus)
+            started = time.perf_counter()
+            index.ensure_summaries()
+            batched.append(time.perf_counter() - started)
+        frac, cap = index.simplify_frac, index.max_simplification_points
+        started = time.perf_counter()
+        ref = [
+            _reference_summary(p, lo, hi, frac, cap)
+            for p, lo, hi in zip(corpus, index.box_lo, index.box_hi)
+        ]
+        ref_errors = dfd_pairs(corpus, ref, index.metric)
+        reference_s = time.perf_counter() - started
+        started = time.perf_counter()
+        summaries = [index.summarize_query(q) for q in stream]
+        query_s = time.perf_counter() - started
+        started = time.perf_counter()
+        for q in stream:
+            simp = _reference_summary(q, q.min(axis=0), q.max(axis=0), frac, cap)
+            float(dfd_matrix(index.metric.pairwise(q, simp)))
+        reference_query_s = time.perf_counter() - started
+        return index, ref, ref_errors, summaries, (
+            min(batched), reference_s, query_s, reference_query_s)
+
+    index, ref, ref_errors, summaries, times = benchmark.pedantic(
+        run, rounds=1, iterations=1)
+    batched_s, reference_s, query_s, reference_query_s = times
+    assert len(index.simplifications) == len(ref)
+    for got, want in zip(index.simplifications, ref):
+        assert np.array_equal(got, want)
+    assert np.array_equal(index.simplification_errors, ref_errors)
+    for q, summary in zip(stream, summaries):
+        want = _reference_summary(
+            q, q.min(axis=0), q.max(axis=0),
+            index.simplify_frac, index.max_simplification_points,
+        )
+        assert np.array_equal(summary.simplification, want)
+    _update_bench_json("index_summaries", {
+        "trajectories": count,
+        "n": n,
+        "batched_seconds": batched_s,
+        "reference_seconds": reference_s,
+        "speedup": reference_s / max(batched_s, 1e-9),
+        "queries": queries,
+        "query_ms": 1e3 * query_s / queries,
+        "reference_query_ms": 1e3 * reference_query_s / queries,
+    })

@@ -51,16 +51,18 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import obs
 from ..distances.frechet import dfd_matrix, dfd_pairs
 from ..distances.ground import GroundMetric, get_metric
 from ..errors import ReproError, TrajectoryError, check_k, check_threshold
 from ..trajectory import Trajectory
-from ..trajectory.ops import douglas_peucker
+from ..trajectory.ops import douglas_peucker_batch
 from .tree import (
     DEFAULT_FANOUT,
     QuerySummary,
@@ -182,10 +184,24 @@ class CorpusIndex:
         simplify_frac: float = 0.05,
         max_simplification_points: int = 8,
     ) -> None:
-        if simplify_frac < 0:
-            raise ReproError("simplify_frac must be non-negative")
-        if max_simplification_points < 2:
-            raise ReproError("max_simplification_points must be at least 2")
+        # Both feed ``content_key``: refuse values it would record as if
+        # meaningful (NaN, inf, a cap of 2.7 truncated to 2, bools).
+        if isinstance(simplify_frac, bool) or not (
+            isinstance(simplify_frac, numbers.Real)
+            and math.isfinite(simplify_frac) and simplify_frac >= 0
+        ):
+            raise ReproError(
+                "simplify_frac must be a finite non-negative number, "
+                f"got {simplify_frac!r}"
+            )
+        if isinstance(max_simplification_points, bool) or not (
+            isinstance(max_simplification_points, numbers.Integral)
+            and max_simplification_points >= 2
+        ):
+            raise ReproError(
+                "max_simplification_points must be an integer of at least 2, "
+                f"got {max_simplification_points!r}"
+            )
         self.metric = get_metric(metric)
         self.simplify_frac = float(simplify_frac)
         self.max_simplification_points = int(max_simplification_points)
@@ -336,43 +352,45 @@ class CorpusIndex:
     # ------------------------------------------------------------------
     # Simplification summaries
     # ------------------------------------------------------------------
-    def _simplify(
-        self, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> np.ndarray:
-        """One trajectory's Douglas-Peucker summary.
+    def _summaries(
+        self, points: Sequence[np.ndarray], box_lo, box_hi
+    ) -> List[np.ndarray]:
+        """Douglas-Peucker summaries of a batch of trajectories.
 
-        The tolerance starts at ``simplify_frac`` of the bounding-box
+        Each tolerance starts at ``simplify_frac`` of the bounding-box
         diagonal and doubles until the summary fits
         ``max_simplification_points`` -- noisy curves keep too many
         points at the geometric tolerance, and summary cost is
-        quadratic in summary size at query time.  The summary's error
-        radius is the *exact* discrete Frechet error ``DFD(pts, simp)``,
-        not the geometric epsilon: one small (n x k) DP makes the
-        triangle-inequality bound admissible by construction.
+        quadratic in summary size at query time.
+        :func:`~repro.trajectory.ops.douglas_peucker_batch` predicts
+        the capped tolerance, so the whole batch is one pass.  The
+        summary's error radius is the *exact* discrete Frechet error
+        ``DFD(pts, simp)``, not the geometric epsilon: one small
+        (n x k) DP makes the triangle-inequality bound admissible by
+        construction.
         """
-        diag = float(np.linalg.norm(hi - lo))
-        eps = self.simplify_frac * diag
-        if eps == 0.0:
-            eps = 1e-9 * max(1.0, diag)
-        traj = Trajectory(pts)
-        simp = douglas_peucker(traj, eps).points
-        while simp.shape[0] > self.max_simplification_points:
-            eps *= 2.0
-            simp = douglas_peucker(traj, eps).points
-        return simp
+        epsilons = []
+        for lo, hi in zip(box_lo, box_hi):
+            diag = float(np.linalg.norm(hi - lo))
+            eps = self.simplify_frac * diag
+            # ``not eps > 0`` also catches 0 * inf: an extent too large
+            # to square leaves only the endpoints either way.
+            epsilons.append(eps if eps > 0.0 else 1e-9 * max(1.0, diag))
+        return douglas_peucker_batch(
+            points, epsilons, self.max_simplification_points
+        )
 
     def ensure_summaries(self) -> None:
         """Build the Douglas-Peucker summaries (idempotent).
 
-        The error radii of all summaries are one batched DP call.
+        The summaries are one batched Douglas-Peucker pass and their
+        error radii one batched DP call.
         """
         if self._simplified is not None:
             return
-        simplified = [
-            self._simplify(pts, self.box_lo[i], self.box_hi[i])
-            for i, pts in enumerate(self._points)
-        ]
-        self._simp_errors = dfd_pairs(self._points, simplified, self.metric)
+        with obs.span("index.summaries", n=self.n):
+            simplified = self._summaries(self._points, self.box_lo, self.box_hi)
+            self._simp_errors = dfd_pairs(self._points, simplified, self.metric)
         self._simplified = simplified
         self.summary_builds += self.n
 
@@ -390,7 +408,7 @@ class CorpusIndex:
             )
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
-        simp = self._simplify(pts, lo, hi)
+        simp = self._summaries([pts], [lo], [hi])[0]
         err = float(dfd_matrix(self.metric.pairwise(pts, simp)))
         return QuerySummary(
             points=pts,

@@ -5,6 +5,7 @@ from .ops import (
     add_gaussian_noise,
     concatenate,
     douglas_peucker,
+    douglas_peucker_batch,
     drop_samples,
     path_length,
     resample_uniform,
@@ -30,6 +31,7 @@ __all__ = [
     "add_gaussian_noise",
     "concatenate",
     "douglas_peucker",
+    "douglas_peucker_batch",
     "drop_samples",
     "load_directory",
     "path_length",

@@ -186,8 +186,8 @@ def douglas_peucker(traj: Trajectory, epsilon: float) -> Trajectory:
     For lat/lon trajectories the deviation is computed on raw degree
     coordinates, which is adequate for the small extents used here.
     """
-    if epsilon < 0:
-        raise TrajectoryError("epsilon must be non-negative")
+    if not epsilon >= 0:
+        raise TrajectoryError(f"epsilon must be non-negative, got {epsilon!r}")
     pts = traj.points[:, :2]
     n = traj.n
     keep = np.zeros(n, dtype=bool)
@@ -219,3 +219,161 @@ def douglas_peucker(traj: Trajectory, epsilon: float) -> Trajectory:
         crs=traj.crs,
         trajectory_id=traj.trajectory_id,
     )
+
+
+def douglas_peucker_batch(
+    points: Sequence[np.ndarray],
+    epsilons: Sequence[float],
+    max_points: int,
+) -> List[np.ndarray]:
+    """Size-capped Douglas-Peucker over a batch of point arrays, in one pass.
+
+    For point array ``i`` this returns the rows :func:`douglas_peucker`
+    keeps at the first tolerance of ``epsilons[i], 2 * epsilons[i],
+    4 * epsilons[i], ...`` whose simplification has at most
+    ``max_points`` points -- the same rows, in order, all ``d`` columns.
+
+    Where a segment splits (the first point of maximal deviation) does
+    not depend on the tolerance; only *whether* it splits does.  So the
+    split tree is built once, at the starting tolerance, evaluating
+    every open segment of the batch in one numpy step per depth (the
+    batch is swept in groups of about ``_SWEEP_POINTS`` points).
+    Each split point carries its *path minimum*: the smallest deviation
+    on its path from the root, its own included (a child can deviate
+    more than its parent).  At any tolerance ``eps >= epsilons[i]`` the
+    simplification is the endpoints plus the split points whose path
+    minimum exceeds ``eps``, so the cap picks ``eps`` from the doubling
+    sequence by counting, with no rerun.  Deviations that overflow to
+    NaN never split, as in :func:`douglas_peucker`.
+
+    Raises :class:`TrajectoryError` for an empty array, one with fewer
+    than 2 columns or non-finite values in the 2 it measures, a
+    tolerance that is not positive (zero never doubles) and
+    ``max_points < 2``.
+    """
+    arrays = [np.asarray(p, dtype=np.float64) for p in points]
+    for arr in arrays:
+        if arr.ndim != 2 or arr.shape[0] == 0:
+            raise TrajectoryError(
+                f"points must be non-empty (n, d) arrays; got shape {arr.shape}"
+            )
+        if arr.shape[1] < 2:
+            raise TrajectoryError(
+                f"points need at least 2 coordinates per row; got {arr.shape[1]}"
+            )
+    eps0 = np.asarray(epsilons, dtype=np.float64)
+    if eps0.shape != (len(arrays),):
+        raise TrajectoryError("need one starting epsilon per point array")
+    if not (eps0 > 0).all():
+        # Zero would double to itself: the cap could never be met.
+        raise TrajectoryError("epsilons must be positive")
+    if (isinstance(max_points, bool)
+            or not isinstance(max_points, (int, np.integer)) or max_points < 2):
+        raise TrajectoryError(
+            f"max_points must be an integer of at least 2, got {max_points!r}"
+        )
+    if not arrays:
+        return []
+    counts = np.array([arr.shape[0] for arr in arrays], dtype=np.int64)
+    # Sweep about _SWEEP_POINTS points at a time, whole arrays only.
+    cuts = (np.flatnonzero(np.diff(np.cumsum(counts) // _SWEEP_POINTS)) + 1).tolist()
+    out: List[np.ndarray] = []
+    for a, b in zip([0, *cuts], [*cuts, len(arrays)]):
+        out.extend(_capped(arrays[a:b], counts[a:b], eps0[a:b], max_points))
+    return out
+
+
+#: Points per sweep of :func:`douglas_peucker_batch`.  Each temporary
+#: array then stays at 64 KiB, small enough for the allocator to reuse
+#: between sweeps; sweeping a 120k-point corpus at once left ~5 MB of
+#: freed heap resident, which every process forked afterwards inherits.
+_SWEEP_POINTS = 8192
+
+
+def _capped(arrays, counts, eps0, max_points) -> List[np.ndarray]:
+    """:func:`douglas_peucker_batch` on validated arrays, in one sweep."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    xy = np.concatenate([arr[:, :2] for arr in arrays])
+    if not np.isfinite(xy).all():
+        raise TrajectoryError("points contain NaN or infinite coordinates")
+    at, who, m = _split_tree(
+        np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]),
+        starts, counts, eps0,
+    )
+    # The cap: eps doubles until at most ``budget`` path minima exceed
+    # it, i.e. until it reaches the (budget + 1)-th largest of them.
+    budget = max_points - np.minimum(counts, 2)
+    n_split = np.bincount(who, minlength=counts.size)
+    grow = np.flatnonzero(n_split > budget)
+    by_size = m[np.lexsort((-m, who))]
+    need = by_size[np.cumsum(n_split)[grow] - n_split[grow] + budget[grow]]
+    eps = eps0.copy()
+    with np.errstate(over="ignore"):  # eps may overflow to inf, as a float does
+        while grow.size:
+            short = eps[grow] < need
+            grow, need = grow[short], need[short]
+            eps[grow] *= 2.0
+    keep = np.zeros(xy.shape[0], dtype=bool)
+    keep[starts] = True
+    keep[ends - 1] = True
+    keep[at[m > eps[who]]] = True
+    return [
+        arr[keep[s:e]]
+        for arr, s, e in zip(arrays, starts.tolist(), ends.tolist())
+    ]
+
+
+def _split_tree(xs, ys, starts, counts, eps0):
+    """Every split Douglas-Peucker makes at ``eps0``, for a whole batch.
+
+    Returns ``(at, owner, path_min)`` per split point: its index into
+    ``xs``/``ys``, the array it belongs to, and the smallest deviation on
+    its path from the root, its own included.
+    """
+    # Open segments [lo, hi] of the whole batch, with their owner and
+    # the smallest deviation on the path of splits that opened them.
+    owner = np.flatnonzero(counts >= 3)
+    lo = starts[owner]
+    hi = lo + counts[owner] - 1
+    path_min = np.full(owner.size, np.inf)
+    found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while owner.size:
+            size = hi - lo + 1
+            first = np.cumsum(size) - size
+            seg = np.repeat(np.arange(owner.size), size)
+            at = np.arange(seg.size) + np.repeat(lo - first, size)
+            # douglas_peucker's formula and operation order, endpoints
+            # included (they deviate 0, or NaN on overflow).
+            ax, ay = xs[lo], ys[lo]
+            abx, aby = xs[hi] - ax, ys[hi] - ay
+            denom = np.hypot(abx, aby)[seg]
+            rx, ry = xs[at] - ax[seg], ys[at] - ay[seg]
+            dev = np.abs(abx[seg] * ry - aby[seg] * rx) / denom
+            flat = denom == 0.0
+            if flat.any():
+                dev[flat] = np.hypot(rx[flat], ry[flat])
+            # A NaN anywhere makes the peak NaN, which never splits --
+            # np.argmax would pick that NaN.
+            peak = np.maximum.reduceat(dev, first)
+            splitting = peak > eps0[owner]
+            splits = np.flatnonzero(splitting)
+            if not splits.size:
+                break
+            # The first position attaining each splitting segment's peak
+            # (np.argmax's tie rule).
+            hit = np.flatnonzero((dev == peak[seg]) & splitting[seg])
+            hit_seg = seg[hit]
+            k = at[hit[np.r_[True, hit_seg[1:] != hit_seg[:-1]]]]
+            m = np.minimum(path_min[splits], peak[splits])
+            who = owner[splits]
+            found.append((k, who, m))
+            lo = np.concatenate([lo[splits], k])
+            hi = np.concatenate([k, hi[splits]])
+            owner = np.concatenate([who, who])
+            path_min = np.concatenate([m, m])
+            wide = hi - lo >= 2
+            lo, hi, owner, path_min = lo[wide], hi[wide], owner[wide], path_min[wide]
+    at, owner, path_min = (np.concatenate(col) for col in zip(*found))
+    return at, owner, path_min
