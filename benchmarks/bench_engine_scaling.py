@@ -890,3 +890,84 @@ def test_index_summaries(benchmark):
         "query_ms": 1e3 * query_s / queries,
         "reference_query_ms": 1e3 * reference_query_s / queries,
     })
+
+
+def test_gtm_star_phases(benchmark):
+    """GTM*'s per-discover phase split on the ``motif_discover`` shape:
+    500-point truck and GeoLife-like inputs as raw planar points (the
+    service's wire form, so Euclidean), searched serially with a lazy
+    oracle -- what ``MotifEngine(workers=1).discover`` runs.  Records
+    grouping (level-plus-tables scan and group pruning), bounds and dp
+    in ms (per input the fastest of three searches, then the median
+    over inputs), ``_sweep_stack`` calls per discover and the ground
+    cells the metric evaluated, in total and in the level-plus-tables
+    scan (one pass: ``n * n``).  Recorded in
+    ``BENCH_engine_scaling.json``; no floor."""
+    import repro.core.dp as dp
+    from repro.core import GTMStar, SearchStats, self_space
+    from repro.distances.ground import EuclideanMetric, LazyGroundMatrix
+
+    class Counting(EuclideanMetric):
+        name = "euclidean-counting"
+        cells = 0
+
+        def _cells(self, a, b):
+            out = super()._cells(a, b)
+            self.cells += out.size
+            return out
+
+    benchmark.group = "core: GTM* phases"
+    n, per_dataset = 500, 6
+    inputs = [
+        (name, np.asarray(trajectory_for(name, n, seed).points, dtype=float))
+        for name in ("truck", "geolife") for seed in range(per_dataset)
+    ]
+    xi = default_xi(n)
+    space = self_space(n, xi)
+    sweep = dp._sweep_stack
+
+    def run():
+        rows = {}
+        sweeps = [0]
+
+        def counting(*args):
+            sweeps[0] += 1
+            return sweep(*args)
+
+        dp._sweep_stack = counting
+        try:
+            for name, points in inputs:
+                metric = Counting()
+                oracle = LazyGroundMatrix(points, metric=metric, cache_rows=256)
+                GTMStar._build_level(oracle, space, GTMStar().tau)
+                scan_cells = metric.cells
+                runs = []
+                for _ in range(3):
+                    metric.cells = sweeps[0] = 0
+                    stats = SearchStats()
+                    GTMStar().search(oracle, space, stats)
+                    runs.append((
+                        1e3 * stats.time_grouping, 1e3 * stats.time_bounds,
+                        1e3 * stats.time_dp, sweeps[0], metric.cells,
+                        scan_cells,
+                    ))
+                rows.setdefault(name, []).append(min(runs, key=lambda r: sum(r[:3])))
+        finally:
+            dp._sweep_stack = sweep
+        return rows
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    payload = {"n": n, "xi": xi, "inputs_per_dataset": per_dataset}
+    for name, runs in rows.items():
+        cols = np.array(runs, dtype=float)
+        med = np.median(cols, axis=0)
+        payload[name] = {
+            "grouping_ms": med[0],
+            "bounds_ms": med[1],
+            "dp_ms": med[2],
+            "sweeps_per_discover": float(cols[:, 3].mean()),
+            "ground_cells": float(cols[:, 4].mean()),
+            "scan_cells": float(cols[:, 5].mean()),
+        }
+        assert (cols[:, 5] == n * n).all()
+    _update_bench_json("gtm_star_phases", payload)

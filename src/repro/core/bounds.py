@@ -48,12 +48,32 @@ from .problem import SELF_MODE, SearchSpace
 
 _INF = np.inf
 
-#: Cell budget of one row block in :meth:`BoundTables.build`.
+#: Cell budget of one row block in :meth:`BoundTables.build` (and, at
+#: least one whole group tall, in GTM*'s level-plus-tables scan).
 ROW_BLOCK_CELLS = 1 << 14
 
-#: Peak bytes of the table build's row stream: the block plus, in self
-#: mode, its masked copy and running column minima.
-ROW_BLOCK_BYTES = 3 * 8 * ROW_BLOCK_CELLS
+
+def mask_lower(block: np.ndarray, r0: int, fill: float) -> None:
+    """Set the cells on or below the diagonal to ``fill``, in place.
+
+    ``block`` holds matrix rows ``r0 ..``; cell ``(r, c)`` is on or
+    below the diagonal when ``c <= r``.  Self-mode candidates only read
+    cells strictly above it.
+    """
+    rows = block.shape[0]
+    block[:, : r0 + 1] = fill
+    tri = block[:, r0 + 1 : r0 + rows]
+    tri[np.tri(rows, tri.shape[1], -1, dtype=bool)] = fill
+
+
+def upper_cells(block: np.ndarray, r0: int, mode: str) -> np.ndarray:
+    """The cells a candidate can read: in self mode a copy of ``block``
+    with the cells on or below the diagonal at ``+inf``."""
+    if mode != SELF_MODE:
+        return block
+    upper = block.copy()
+    mask_lower(upper, r0, _INF)
+    return upper
 
 
 # ----------------------------------------------------------------------
@@ -90,39 +110,14 @@ class BoundTables:
         Works identically for dense and lazy oracles: one block of at
         most :data:`ROW_BLOCK_CELLS` cells (one metric call for a lazy
         oracle, a view for a dense one) plus O(n) running vectors live
-        at a time.  Every table entry is a minimum over matrix entries,
-        so the blocked sweep is bit-identical to a row-by-row one.
+        at a time.
         """
         n, m = space.n_rows, space.n_cols
-        rmin = np.full(m, _INF)
-        cmin = np.full(n, _INF)
-        colmin = np.full(m, _INF)
+        scan = TableScan(space)
         step = max(1, ROW_BLOCK_CELLS // m)
-        cols = np.arange(m)
         for r0 in range(0, n, step):
-            r1 = min(n, r0 + step)
-            block = oracle.rows(r0, r1)
-            rs = np.arange(r0, r1)
-            first = 1 if r0 == 0 else 0  # row 0 has no Cmin[-1]
-            if space.mode == SELF_MODE:
-                # Cmin[r-1] = min dG[r, r+1 .. m-1] for rows r >= 1.
-                upper = np.where(cols > rs[:, None], block, _INF).min(axis=1)
-                cmin[rs[first:] - 1] = upper[first:]
-                # Rmin[r+1] = min dG[0..r, r+2]: the running column
-                # minimum after row r, read at column r + 2.
-                prefix = np.minimum.accumulate(block, axis=0)
-                np.minimum(prefix, colmin, out=prefix)
-                inner = rs[rs <= m - 3]
-                rmin[inner + 1] = prefix[inner - r0, inner + 2]
-                colmin = prefix[-1]
-            else:
-                cmin[rs[first:] - 1] = block[first:].min(axis=1)
-                np.minimum(colmin, block.min(axis=0), out=colmin)
-        if space.mode != SELF_MODE:
-            rmin[: m - 1] = colmin[1:]
-        rband_row = _sliding_max(rmin, space.xi)
-        rband_col = _sliding_max(cmin, space.xi)
-        return cls(space, rmin, cmin, rband_row, rband_col)
+            scan.add(r0, oracle.rows(r0, min(n, r0 + step)))
+        return scan.tables()
 
     # ------------------------------------------------------------------
     def start_cross(self, i: int, j: int) -> float:
@@ -153,6 +148,52 @@ def _sliding_max(values: np.ndarray, window: int) -> np.ndarray:
         view = np.lib.stride_tricks.sliding_window_view(values, window)
         out[: n - window + 1] = view.max(axis=1)
     return out
+
+
+class TableScan:
+    """The running state of a row stream that fills :class:`BoundTables`.
+
+    Feed the ground matrix's rows in order, in blocks of any size
+    (:meth:`add`), then read the tables (:meth:`tables`).  Every entry
+    is a minimum over matrix entries, so any split of the rows into
+    blocks gives the same bits as a row-by-row stream.
+    """
+
+    def __init__(self, space: SearchSpace) -> None:
+        self.space = space
+        self.rmin = np.full(space.n_cols, _INF)
+        self.cmin = np.full(space.n_rows, _INF)
+        self.colmin = np.full(space.n_cols, _INF)
+
+    def add(self, r0: int, block: np.ndarray) -> None:
+        """Fold rows ``r0 ..`` of ``dG`` in."""
+        rows = block.shape[0]
+        first = 1 if r0 == 0 else 0  # row 0 has no Cmin[-1]
+        # Cmin[r-1] = min dG[r, r+1 .. m-1] (self) or min dG[r, :].
+        upper = upper_cells(block[first:], r0 + first, self.space.mode)
+        self.cmin[r0 + first - 1 : r0 + rows - 1] = upper.min(axis=1)
+        if self.space.mode == SELF_MODE:
+            # Rmin[r+1] = min dG[0..r, r+2]: the column minimum before
+            # the block, and down to row r within it, at column r + 2.
+            diag = block[:, r0 + 2 : r0 + 2 + rows]
+            width = diag.shape[1]
+            below = np.tri(rows, width, -1, dtype=bool)  # rows past r
+            np.minimum(
+                np.where(below, _INF, diag).min(axis=0),
+                self.colmin[r0 + 2 : r0 + 2 + width],
+                out=self.rmin[r0 + 1 : r0 + 1 + width],
+            )
+        np.minimum(self.colmin, block.min(axis=0), out=self.colmin)
+
+    def tables(self) -> BoundTables:
+        space = self.space
+        rmin, cmin = self.rmin, self.cmin
+        if space.mode != SELF_MODE:
+            rmin[: space.n_cols - 1] = self.colmin[1:]
+        return BoundTables(
+            space, rmin, cmin,
+            _sliding_max(rmin, space.xi), _sliding_max(cmin, space.xi),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -351,8 +351,10 @@ def expand_subsets_stacked(
     only once two consecutive frontier diagonals are -- so the minimum
     and its first position are found whenever they lie below it.
 
-    Each subset stops on its own and leaves the stack; stacks wider
-    than :data:`STACK_BLOCK_CELLS` are swept in several parts.
+    Each subset stops on its own and leaves the stack.  A stack holds
+    only the diagonal columns its sweep has reached, within
+    :data:`STACK_BLOCK_CELLS`; subsets it cannot hold are swept by
+    follow-on parts.
     """
     i_idx = np.asarray(i_idx, dtype=np.int64)
     j_idx = np.asarray(j_idx, dtype=np.int64)
@@ -366,29 +368,35 @@ def expand_subsets_stacked(
         heights = space.n_rows - i_idx
     widths = space.n_cols - j_idx
     totals = np.zeros(4, dtype=np.int64)
-    start = 0
-    while start < count:
-        cells = np.arange(1, count - start + 1) * (
-            np.maximum.accumulate(heights[start:]) + 2
-        )
-        stop = start + max(1, int(np.searchsorted(cells, STACK_BLOCK_CELLS,
-                                                  side="right")))
-        part = slice(start, stop)
-        floor = threshold
-        if chained and start:
-            floor = min(threshold, float(dist[:start].min()))
-        _sweep_stack(
+    pending = np.arange(count)
+    while pending.size:
+        # A sweep starts three columns wide.
+        part = pending[: max(1, STACK_BLOCK_CELLS // 3)]
+        # Chained: every subset before the part has its result.
+        floor = None
+        if chained:
+            floor = min(threshold, float(dist[: part[0]].min(initial=inf)))
+        handed = _sweep_stack(
             oracle, space, i_idx[part], j_idx[part], heights[part],
-            widths[part], threshold, floor if chained else None, cmin, rmin,
-            dist[part], ie[part], je[part], totals,
+            widths[part], part, threshold, floor, cmin, rmin,
+            dist, ie, je, totals,
         )
-        start = stop
+        pending = np.concatenate([handed, pending[part.shape[0]:]])
     if stats is not None:
         stats.cells_expanded += int(totals[0])
         stats.cells_killed += int(totals[1])
         stats.candidates_checked += int(totals[2])
         stats.bsf_updates += int(totals[3])
     return dist, ie, je
+
+
+def _buffers(rows: int, cols: int, old=()) -> np.ndarray:
+    """Three ``+inf`` rolling diagonal buffers of ``rows x cols`` cells,
+    holding the columns of the ``old`` ones."""
+    bufs = np.full((3, rows, cols), inf)
+    for buf, held in zip(bufs, old):
+        buf[:, : held.shape[1]] = held
+    return bufs
 
 
 def _sweep_stack(
@@ -398,6 +406,7 @@ def _sweep_stack(
     j: np.ndarray,
     heights: np.ndarray,
     widths: np.ndarray,
+    slot: np.ndarray,
     threshold: float,
     floor: Optional[float],
     cmin: Optional[np.ndarray],
@@ -406,8 +415,8 @@ def _sweep_stack(
     out_ie: np.ndarray,
     out_je: np.ndarray,
     totals: np.ndarray,
-) -> None:
-    """One budgeted stack of :func:`expand_subsets_stacked`.
+) -> np.ndarray:
+    """One stack of :func:`expand_subsets_stacked`.
 
     Row ``s`` of each rolling buffer holds subset ``s``'s current
     diagonal, rectangle row ``r`` at column ``r + 1``; column 0 and
@@ -415,24 +424,29 @@ def _sweep_stack(
     three neighbour diagonals are plain column slices.  A diagonal's
     rows always start at 0 (cells outside a rectangle read ``+inf``
     ground values), so the occupied columns only grow and no stale
-    sentinel needs resetting.  ``floor`` (chained sweeps only) is the
-    best candidate of the subsets swept before this stack.
+    sentinel needs resetting.
+
+    The buffers hold just the columns reached so far and widen on
+    demand.  When rows times columns would pass
+    :data:`STACK_BLOCK_CELLS`, the latest subsets leave unfinished:
+    their positions (``slot`` holds each row's position in the output
+    arrays) are returned, ascending, for a follow-on part.  ``floor``
+    (chained sweeps only) is the best candidate of the subsets before
+    this stack.
     """
     xi = space.xi
     n_rows, n_cols = space.n_rows, space.n_cols
-    width = int(heights.max()) + 2
     rowmajor = np.zeros(i.shape[0], dtype=bool)
     if hasattr(oracle, "array"):
         # Ties resolve in the scan order expand_subset would use.
         rowmajor = heights * widths <= SCALAR_AREA_LIMIT
     any_rowmajor = bool(rowmajor.any())
     narrowest = int(widths.min())
+    tallest = int(heights.max())
     last = heights + widths - 2
-    slot = np.arange(i.shape[0])
-    ramp = np.arange(width)
-    prev2 = np.full((i.shape[0], width), inf)
-    prev1 = np.full((i.shape[0], width), inf)
-    cur = np.full((i.shape[0], width), inf)
+    ramp = np.arange(tallest)
+    held = min(2, tallest) + 1  # the columns of diagonal 1
+    prev2, prev1, cur = _buffers(i.shape[0], held)
     prev1[:, 1] = oracle.values(i, j)
     prev_min = prev1[:, 1].copy()
     best = np.full(i.shape[0], threshold)
@@ -441,10 +455,15 @@ def _sweep_stack(
     # Chained: the best candidate of the subsets that left the stack
     # before each remaining one (earlier in stack order).
     carry = None if floor is None else np.full(i.shape[0], floor)
+    handed = [slot[:0]]
     d = 0
     while True:
         d += 1
-        span = min(d + 1, width - 2)
+        span = min(d + 1, tallest)
+        if span + 1 > held:
+            wider = min(2 * held, STACK_BLOCK_CELLS // i.shape[0])
+            held = min(tallest + 1, max(span + 1, wider))
+            prev2, prev1, cur = _buffers(i.shape[0], held, (prev2, prev1, cur))
         r = ramp[:span]
         rows = i[:, None] + r
         cols = (j + d)[:, None] - r
@@ -490,6 +509,14 @@ def _sweep_stack(
             totals[1] += np.count_nonzero(kill)
         seg_min = seg.min(axis=1)
         done = ((seg_min >= limit) & (prev_min >= limit)) | (d >= last)
+        need = min(d + 2, tallest) + 1  # the columns of diagonal d + 1
+        if need > held:
+            # Rows the budget cannot widen for leave unfinished, the
+            # latest first, for a follow-on part.
+            late = np.flatnonzero(~done)[max(1, STACK_BLOCK_CELLS // need):]
+            handed.append(slot[late])
+            done[late] = True
+            best_row[late] = -1
         prev_min = seg_min
         prev2, prev1, cur = prev1, cur, prev2
         if not done.any():
@@ -503,7 +530,7 @@ def _sweep_stack(
         )
         keep = ~done
         if not keep.any():
-            return
+            return np.sort(np.concatenate(handed))
         if carry is not None:
             # A leaving subset's best lowers the limit of every later one.
             left = np.where(done, best, inf)

@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..distances.ground import GroundMetric, get_metric
+from .bounds import mask_lower, upper_cells
 from .problem import SELF_MODE, SearchSpace
 
 _INF = np.inf
@@ -74,23 +74,12 @@ class GroupLevel:
     def n_col_groups(self) -> int:
         return self.col_starts.shape[0]
 
-    def row_group_of(self, index: int) -> int:
-        """Group containing point ``index`` on the first-trajectory axis."""
-        return index // self.tau
-
-    def col_group_of(self, index: int) -> int:
-        return index // self.tau
-
     @classmethod
     def from_matrix(cls, dmat: np.ndarray, tau: int, mode: str) -> "GroupLevel":
         """Build a level by block-reducing a dense ground matrix."""
         dmat = np.asarray(dmat, dtype=np.float64)
         n, m = dmat.shape
-        g_rows = math.ceil(n / tau)
-        gmin, gmax = reduce_group_rows(dmat, tau, mode, 0, g_rows)
-        row_starts, row_ends = _extents(n, tau)
-        col_starts, col_ends = _extents(m, tau)
-        return cls(tau, mode, row_starts, row_ends, col_starts, col_ends, gmin, gmax)
+        return cls.from_bands([block_minmax(dmat, 0, tau, mode)], n, m, tau, mode)
 
     @classmethod
     def from_bands(
@@ -101,7 +90,7 @@ class GroupLevel:
         tau: int,
         mode: str,
     ) -> "GroupLevel":
-        """Stitch :func:`reduce_group_rows` bands into a full level.
+        """Stitch :func:`block_minmax` bands into a full level.
 
         The engine's parallel grouping phase shards the block
         reductions across workers and reassembles here; the result is
@@ -113,74 +102,29 @@ class GroupLevel:
         col_starts, col_ends = _extents(m, tau)
         return cls(tau, mode, row_starts, row_ends, col_starts, col_ends, gmin, gmax)
 
-    @classmethod
-    def from_points(
-        cls,
-        points_a: np.ndarray,
-        points_b: Optional[np.ndarray],
-        metric: GroundMetric,
-        tau: int,
-        mode: str,
-    ) -> "GroupLevel":
-        """Build a level directly from coordinates, one block-row at a time.
 
-        Never materialises the full ground matrix: peak extra memory is
-        ``O(tau * m)``, which is what lets GTM* keep sub-quadratic space
-        (Section 5.5, idea (i)).
-        """
-        metric = get_metric(metric)
-        a = np.asarray(points_a, dtype=np.float64)
-        b = a if points_b is None else np.asarray(points_b, dtype=np.float64)
-        n, m = a.shape[0], b.shape[0]
-        row_starts, row_ends = _extents(n, tau)
-        col_starts, col_ends = _extents(m, tau)
-        g_rows, g_cols = row_starts.shape[0], col_starts.shape[0]
-        gmin = np.full((g_rows, g_cols), _INF)
-        gmax = np.full((g_rows, g_cols), -_INF)
-        for u in range(g_rows):
-            r0, r1 = row_starts[u], row_ends[u] + 1
-            block = metric.pairwise(a[r0:r1], b)
-            if mode == SELF_MODE:
-                rows = np.arange(r0, r1)[:, None]
-                cols = np.arange(m)[None, :]
-                upper = rows < cols
-                lo = np.where(upper, block, _INF)
-                hi = np.where(upper, block, -_INF)
-            else:
-                lo = block
-                hi = block
-            gmin[u] = np.fmin.reduceat(lo, col_starts, axis=1).min(axis=0)
-            gmax[u] = np.fmax.reduceat(hi, col_starts, axis=1).max(axis=0)
-        return cls(tau, mode, row_starts, row_ends, col_starts, col_ends, gmin, gmax)
-
-
-def reduce_group_rows(
-    dmat: np.ndarray, tau: int, mode: str, u_start: int, u_end: int
+def block_minmax(
+    block: np.ndarray, r0: int, tau: int, mode: str
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Block min/max matrices for group rows ``[u_start, u_end)``.
+    """``(gmin, gmax)`` rows of the groups in matrix rows ``r0 ..``.
 
-    The shardable core of :meth:`GroupLevel.from_matrix`: it touches
-    only the matrix rows backing the requested group-row band, with the
-    self-mode strictly-upper mask applied at *global* row indices, so a
-    band decomposition reassembles to exactly the full reduction.
+    ``r0`` is a group start; the last group may be partial.  Self mode
+    reduces only the cells strictly above the diagonal, at global
+    indices, so a band decomposition (the engine's parallel grouping
+    phase) reassembles to exactly the full reduction.
     """
-    dmat = np.asarray(dmat, dtype=np.float64)
-    n, m = dmat.shape
-    r0 = u_start * tau
-    r1 = min(u_end * tau, n)
-    band = dmat[r0:r1]
+    upper = upper_cells(block, r0, mode)
+    gmin = _reduce_groups(upper, tau, np.fmin)
     if mode == SELF_MODE:
-        rows = np.arange(r0, r1)[:, None]
-        cols = np.arange(m)[None, :]
-        upper = rows < cols
-        lo_src = np.where(upper, band, _INF)
-        hi_src = np.where(upper, band, -_INF)
-    else:
-        lo_src = band
-        hi_src = band
-    gmin = _block_reduce(lo_src, tau, np.fmin, _INF)
-    gmax = _block_reduce(hi_src, tau, np.fmax, -_INF)
-    return gmin, gmax
+        mask_lower(upper, r0, -_INF)
+    return gmin, _reduce_groups(upper, tau, np.fmax)
+
+
+def _reduce_groups(block: np.ndarray, tau: int, op) -> np.ndarray:
+    """``op`` over the ``tau x tau`` blocks (ragged at the ends)."""
+    heads = range(0, block.shape[0], tau)
+    rows = np.stack([op.reduce(block[h : h + tau], axis=0) for h in heads])
+    return op.reduceat(rows, np.arange(0, block.shape[1], tau), axis=1)
 
 
 def _extents(n: int, tau: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -189,17 +133,6 @@ def _extents(n: int, tau: int) -> Tuple[np.ndarray, np.ndarray]:
     starts = np.arange(n_groups, dtype=np.int64) * tau
     ends = np.minimum(starts + tau - 1, n - 1)
     return starts, ends
-
-
-def _block_reduce(src: np.ndarray, tau: int, op, fill: float) -> np.ndarray:
-    """Reduce a matrix over ``tau x tau`` blocks with padding."""
-    n, m = src.shape
-    g_rows = math.ceil(n / tau)
-    g_cols = math.ceil(m / tau)
-    padded = np.full((g_rows * tau, g_cols * tau), fill)
-    padded[:n, :m] = src
-    view = padded.reshape(g_rows, tau, g_cols, tau)
-    return op.reduce(op.reduce(view, axis=3), axis=1)
 
 
 # ----------------------------------------------------------------------

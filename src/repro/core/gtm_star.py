@@ -24,8 +24,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..distances.ground import LazyGroundMatrix
-from .bounds import ROW_BLOCK_BYTES, BoundTables, relaxed_subset_bounds_for_pairs
+from .bounds import (
+    ROW_BLOCK_CELLS,
+    BoundTables,
+    TableScan,
+    relaxed_subset_bounds_for_pairs,
+)
 from .btm import run_best_first
 from .brute import MotifTimeout
 from .dp import STACK_SWEEP_BYTES, Best
@@ -35,6 +39,7 @@ from .grouping import (
     feasible_group_pairs,
     group_dfd_bounds,
     pattern_bounds_for_pairs,
+    block_minmax,
 )
 from .gtm import expand_pairs_to_subsets
 from .problem import SearchSpace
@@ -103,7 +108,7 @@ class GTMStar:
         tau = min(self.tau, max(2, space.n_rows // 2))
 
         with PhaseTimer(stats, "time_grouping"):
-            level = self._build_level(oracle, space, tau)
+            level, point_tables = self._build_level(oracle, space, tau)
             pairs = feasible_group_pairs(level, space)
             tables_g = GroupBoundTables.build(level, space.xi)
             lbs = pattern_bounds_for_pairs(level, tables_g, pairs)
@@ -138,7 +143,6 @@ class GTMStar:
         expand = self.subset_expander or expand_pairs_to_subsets
         i_idx, j_idx = expand(level, space, survivors)
         with PhaseTimer(stats, "time_bounds"):
-            point_tables = BoundTables.build(space, oracle)
             bounds = relaxed_subset_bounds_for_pairs(
                 space, oracle, point_tables, i_idx, j_idx
             )
@@ -148,24 +152,53 @@ class GTMStar:
         )
         g = level.n_row_groups * level.n_col_groups
         cache_rows = min(getattr(oracle, "cache_rows", 0), space.n_rows)
+        scan_rows = min(_scan_rows(tau, space.n_cols), space.n_rows)
         stats.space_bytes = max(
             stats.space_bytes,
             2 * 8 * g                              # gmin / gmax
             + 8 * 4 * space.n_cols                 # point-level tables
             + 8 * 6 * len(bounds)                  # surviving subset bounds
             + 8 * cache_rows * space.n_cols        # lazy row cache
-            + ROW_BLOCK_BYTES                      # table build row block
+            + 3 * 8 * scan_rows * space.n_cols     # level-plus-tables scan
             + STACK_SWEEP_BYTES,                   # stacked DP sweep
         )
         return bsf, best
 
     @staticmethod
-    def _build_level(oracle, space: SearchSpace, tau: int) -> GroupLevel:
-        if isinstance(oracle, LazyGroundMatrix):
-            points_b = (
-                None if oracle.points_a is oracle.points_b else oracle.points_b
-            )
-            return GroupLevel.from_points(
-                oracle.points_a, points_b, oracle.metric, tau, space.mode
-            )
-        return GroupLevel.from_matrix(oracle.array, tau, space.mode)
+    def _build_level(
+        oracle, space: SearchSpace, tau: int
+    ) -> Tuple[GroupLevel, BoundTables]:
+        """The group level and the point-level bound tables, in one scan.
+
+        Reads the ground matrix once, in blocks of whole ``tau``-row
+        groups (a metric call per block on a lazy oracle, a view on a
+        dense one), and feeds each block to both the ``tau x tau``
+        min/max reductions and the ``Cmin``/``Rmin`` stream: the
+        paper's one-row-scan idea (ii) applied to the bound phase.
+        Both results equal :meth:`GroupLevel.from_matrix` and
+        :meth:`BoundTables.build` bit for bit.
+        """
+        n, m = space.n_rows, space.n_cols
+        scan = TableScan(space)
+        step = _scan_rows(tau, m)
+        bands = [
+            _fold_rows(oracle, scan, r0, min(n, r0 + step), tau, space.mode)
+            for r0 in range(0, n, step)
+        ]
+        level = GroupLevel.from_bands(bands, n, m, tau, space.mode)
+        return level, scan.tables()
+
+
+def _scan_rows(tau: int, m: int) -> int:
+    """Rows per block of :meth:`GTMStar._build_level`: whole groups of
+    about ``ROW_BLOCK_CELLS`` cells, one group at least."""
+    return tau * max(1, ROW_BLOCK_CELLS // (tau * m))
+
+
+def _fold_rows(oracle, scan: TableScan, r0: int, r1: int, tau: int, mode: str):
+    """Read ``dG[r0:r1]`` once: fold it into ``scan`` and return its
+    group rows.  The block dies on return, so the scan's peak is one
+    block, one masked copy of it and the metric's temporaries."""
+    block = oracle.rows(r0, r1)
+    scan.add(r0, block)
+    return block_minmax(block, r0, tau, mode)

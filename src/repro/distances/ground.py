@@ -29,20 +29,6 @@ from ..errors import TrajectoryError
 EARTH_RADIUS_M = 6371000.0
 
 
-def _stack_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[:, :, None, :] - b[:, None, :, :]``, one coordinate at a time.
-
-    The same values in the same C-contiguous ``(P, N, M, d)`` layout, so
-    a reduction over them matches the per-pair ``pairwise`` bit for bit;
-    broadcasting over the short last axis instead runs numpy's inner
-    loop ``d`` elements at a time, about three times slower.
-    """
-    diff = np.empty(a.shape[:2] + b.shape[1:])
-    for k in range(a.shape[2]):
-        np.subtract(a[:, :, None, k], b[:, None, :, k], out=diff[..., k])
-    return diff
-
-
 class GroundMetric:
     """Base class for point-to-point metrics.
 
@@ -75,17 +61,20 @@ class GroundMetric:
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """All-pairs distances: ``(n, d) x (m, d) -> (n, m)``."""
-        raise NotImplementedError
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        return self._cells(a.T[:, :, None], b.T[:, None, :])
 
     def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Stacked all-pairs distances: ``(P, N, d) x (P, M, d) -> (P, N, M)``.
 
         Slice ``p`` must equal ``pairwise(a[p], b[p])`` bit for bit, so
-        pair-batched kernels answer exactly like per-pair ones.  The
-        built-in metrics evaluate their ``pairwise`` formula once over
-        the whole stack; this default loops.
+        pair-batched kernels answer exactly like per-pair ones: both
+        broadcast the same elementwise :meth:`_cells`.
         """
-        return np.stack([self.pairwise(x, y) for x, y in zip(a, b)])
+        a = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+        b = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+        return self._cells(a[..., None], b[:, :, None, :])
 
     def rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Aligned distances: ``(n, d) x (n, d) -> (n,)``."""
@@ -95,9 +84,14 @@ class GroundMetric:
             raise TrajectoryError(
                 f"rowwise() needs equal shapes; got {a.shape} and {b.shape}"
             )
-        return self._rowwise(a, b)
+        return self._cells(a.T, b.T)
 
-    def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _cells(self, a, b) -> np.ndarray:
+        """Distances between points given coordinate by coordinate:
+        ``a[k]`` and ``b[k]`` are arrays of ``k``-th coordinates that
+        broadcast together, and the result has their broadcast shape.
+        Every other form (:meth:`pairwise`, :meth:`rowwise`, lazy cell
+        reads) broadcasts this one, so they agree bit for bit."""
         raise NotImplementedError
 
     def distance(self, p, q) -> float:
@@ -107,12 +101,8 @@ class GroundMetric:
         return float(self.pairwise(a, b)[0, 0])
 
     def bind(self, b: np.ndarray):
-        """Return ``f(a) -> (len(a), len(b))`` with ``b`` preprocessed.
-
-        Row-on-demand oracles call the metric once per row; binding the
-        fixed point set avoids re-deriving its trigonometric terms on
-        every call.  The default binding just closes over ``b``.
-        """
+        """Return ``f(a) -> (len(a), len(b))``, the row kernel of lazy
+        oracles: ``pairwise`` against a fixed ``b``."""
         b = np.asarray(b, dtype=np.float64)
 
         def kernel(a: np.ndarray) -> np.ndarray:
@@ -124,7 +114,7 @@ class GroundMetric:
         """Distances between consecutive rows of ``pts`` (length n-1)."""
         if pts.shape[0] < 2:
             return np.zeros(0)
-        return self._rowwise(pts[:-1], pts[1:])
+        return self._cells(pts[:-1].T, pts[1:].T)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -137,19 +127,24 @@ class EuclideanMetric(GroundMetric):
     coordinate_monotone = True
     exact_rowwise = True
 
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = _stack_diff(a, b)
-        return np.sqrt(np.einsum("pijk,pijk->pij", diff, diff))
-
-    def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    def _cells(self, a, b) -> np.ndarray:
+        # Up to two coordinates, sqrt(dx*dx + dy*dy) is what einsum's
+        # sum of products computes, bit for bit, at a fraction of its
+        # cost.  From three on einsum adds the squares in its own order
+        # ((p0 + p2) + p1 for three), so the (..., d) difference array
+        # keeps going through it.  np.hypot rounds differently.
+        if len(a) <= 2:
+            out = None
+            for x, y in zip(a, b):
+                diff = x - y
+                diff *= diff
+                if out is None:
+                    out = diff
+                else:
+                    out += diff
+            return np.sqrt(out, out)
+        diff = np.stack([np.subtract(x, y) for x, y in zip(a, b)], axis=-1)
+        return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
 class HaversineMetric(GroundMetric):
@@ -169,15 +164,7 @@ class HaversineMetric(GroundMetric):
         self.radius = float(radius)
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lat_a, lon_a = self._rad(a)
-        lat_b, lon_b = self._rad(b)
-        dphi = lat_b[None, :] - lat_a[:, None]
-        dlmb = lon_b[None, :] - lon_a[:, None]
-        h = (
-            np.sin(dphi / 2.0) ** 2
-            + np.cos(lat_a)[:, None] * np.cos(lat_b)[None, :] * np.sin(dlmb / 2.0) ** 2
-        )
-        return 2.0 * self.radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+        return super().pairwise(self._checked(a), self._checked(b))
 
     def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # The pairwise() formula, operation for operation, evaluated in
@@ -198,11 +185,13 @@ class HaversineMetric(GroundMetric):
         h *= 2.0 * self.radius
         return h
 
-    def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _cells(self, a, b) -> np.ndarray:
         # Unchecked: the aligned form serves per-step evaluations over
         # points an entry point below has already seen.
-        lat_a, lon_a = self._rad(a, check=False)
-        lat_b, lon_b = self._rad(b, check=False)
+        if len(a) < 2 or len(b) < 2:
+            raise TrajectoryError("haversine needs (lat, lon) coordinates")
+        lat_a, lon_a = np.radians(a[0]), np.radians(a[1])
+        lat_b, lon_b = np.radians(b[0]), np.radians(b[1])
         h = (
             np.sin((lat_b - lat_a) / 2.0) ** 2
             + np.cos(lat_a) * np.cos(lat_b) * np.sin((lon_b - lon_a) / 2.0) ** 2
@@ -210,32 +199,17 @@ class HaversineMetric(GroundMetric):
         return 2.0 * self.radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
     def bind(self, b: np.ndarray):
-        lat_b, lon_b = self._rad(np.asarray(b, dtype=np.float64))
-        cos_b = np.cos(lat_b)
-        radius = self.radius
-
-        def kernel(a: np.ndarray) -> np.ndarray:
-            lat_a, lon_a = self._rad(a)
-            dphi = lat_b[None, :] - lat_a[:, None]
-            dlmb = lon_b[None, :] - lon_a[:, None]
-            h = (
-                np.sin(dphi / 2.0) ** 2
-                + np.cos(lat_a)[:, None] * cos_b[None, :] * np.sin(dlmb / 2.0) ** 2
-            )
-            return 2.0 * radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-
-        return kernel
+        return super().bind(self._checked(b))
 
     @staticmethod
-    def _rad(pts: np.ndarray, check: bool = True):
+    def _checked(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] < 2:
             raise TrajectoryError(
                 f"haversine needs (n, >=2) lat/lon arrays; got shape {pts.shape}"
             )
-        if check:
-            _check_latlon(pts[:, 0], pts[:, 1])
-        return np.radians(pts[:, 0]), np.radians(pts[:, 1])
+        _check_latlon(pts[:, 0], pts[:, 1])
+        return pts
 
 
 def _check_latlon(lat: np.ndarray, lon: np.ndarray) -> None:
@@ -264,16 +238,12 @@ class ChebyshevMetric(GroundMetric):
     coordinate_monotone = True
     exact_rowwise = True
 
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
-
-    def pairwise_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.abs(_stack_diff(a, b)).max(axis=3)
-
-    def _rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b)).max(axis=1)
+    def _cells(self, a, b) -> np.ndarray:
+        out = None
+        for x, y in zip(a, b):
+            diff = np.abs(x - y)
+            out = diff if out is None else np.maximum(out, diff, out=out)
+        return out
 
 
 _REGISTRY: Dict[str, GroundMetric] = {}
@@ -380,6 +350,15 @@ class LazyGroundMatrix:
             raise TrajectoryError("cache_rows must be at least 1")
         self._a = np.asarray(a, dtype=np.float64)
         self._b = self._a if b is None else np.asarray(b, dtype=np.float64)
+        if not (np.isfinite(self._a).all() and np.isfinite(self._b).all()):
+            # As DenseGroundMatrix refuses NaN/inf entries: they would
+            # poison the pruning bounds and still yield a motif.
+            raise TrajectoryError("ground points contain NaN or inf coordinates")
+        # One contiguous array per coordinate, for elementwise gathers.
+        self._a_coords = np.ascontiguousarray(self._a.T)
+        self._b_coords = (
+            self._a_coords if b is None else np.ascontiguousarray(self._b.T)
+        )
         self._metric = get_metric(metric)
         self._row_kernel = self._metric.bind(self._b)
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
@@ -389,21 +368,6 @@ class LazyGroundMatrix:
     @property
     def shape(self):
         return (self._a.shape[0], self._b.shape[0])
-
-    @property
-    def points_a(self) -> np.ndarray:
-        """First point set (rows axis)."""
-        return self._a
-
-    @property
-    def points_b(self) -> np.ndarray:
-        """Second point set (columns axis); is ``points_a`` in self mode."""
-        return self._b
-
-    @property
-    def metric(self) -> GroundMetric:
-        """The ground metric used for on-the-fly rows."""
-        return self._metric
 
     @property
     def cache_rows(self) -> int:
@@ -449,11 +413,10 @@ class LazyGroundMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if self._metric.exact_rowwise:
-            flat = self._metric._rowwise(
-                np.take(self._a, rows.ravel(), axis=0),
-                np.take(self._b, cols.ravel(), axis=0),
+            return self._metric._cells(
+                [x[rows] for x in self._a_coords],
+                [y[cols] for y in self._b_coords],
             )
-            return flat.reshape(rows.shape)
         flat_rows, flat_cols = rows.ravel(), cols.ravel()
         order = np.argsort(flat_rows, kind="stable")
         sorted_rows = flat_rows[order]

@@ -54,7 +54,7 @@ from ..core.bounds import SubsetBounds
 from ..core.brute import MotifTimeout
 from ..core.btm import run_best_first
 from ..core.dp import Best
-from ..core.grouping import GroupLevel, group_dfd_bounds, reduce_group_rows
+from ..core.grouping import GroupLevel, block_minmax, group_dfd_bounds
 from ..core.motif import MotifResult, discover_motif
 from ..core.problem import SearchSpace
 from ..core.stats import SearchStats
@@ -630,7 +630,9 @@ def group_reduce(task: GroupReduceTask):
     """Block min/max matrices for one band of group rows."""
     fail_at("worker.task")
     dmat = _resolve_matrix(task.matrix, task.matrix_ref)
-    return reduce_group_rows(dmat, task.tau, task.mode, task.u_start, task.u_end)
+    r0 = task.u_start * task.tau
+    band = dmat[r0 : task.u_end * task.tau]
+    return block_minmax(band, r0, task.tau, task.mode)
 
 
 @dataclass(frozen=True)

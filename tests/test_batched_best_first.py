@@ -378,30 +378,41 @@ def test_stacked_kernel_matches_per_subset_kernel(drawn, cells, level, kills,
 
 
 def test_stack_budget_splits_sweeps():
-    """A stack wider than the cell budget is swept in several parts."""
+    """A stack whose reached width outgrows the cell budget hands its
+    latest subsets to follow-on parts; no sweep holds more live buffer
+    cells than the budget, and the answers do not change."""
     case = Case(np.random.default_rng(SEED), cross=False, lazy=True,
                 metric="euclidean", grid=50, xi=2)
     pairs = list(case.space.start_pairs())
     i_idx = np.array([p[0] for p in pairs])
     j_idx = np.array([p[1] for p in pairs])
-    calls = []
-    original = dp._sweep_stack
+    want = dp.expand_subsets_stacked(case.oracle, case.space, i_idx, j_idx,
+                                     math.inf)
+    calls, shapes = [], []
+    sweep, buffers = dp._sweep_stack, dp._buffers
 
     def counting(*args):
-        heights = args[4]
-        calls.append((len(heights), int(heights.max()) + 2))
-        return original(*args)
+        calls.append(len(args[2]))
+        return sweep(*args)
+
+    def recording(rows, cols, old=()):
+        shapes.append((rows, cols))
+        return buffers(rows, cols, old)
 
     budget = 4 * (case.space.n_rows + 2)
-    dp._sweep_stack, saved = counting, dp.STACK_BLOCK_CELLS
+    saved = dp.STACK_BLOCK_CELLS
+    dp._sweep_stack, dp._buffers = counting, recording
     dp.STACK_BLOCK_CELLS = budget
     try:
-        dp.expand_subsets_stacked(case.oracle, case.space, i_idx, j_idx,
-                                  math.inf)
+        got = dp.expand_subsets_stacked(case.oracle, case.space, i_idx,
+                                        j_idx, math.inf)
     finally:
-        dp._sweep_stack, dp.STACK_BLOCK_CELLS = original, saved
-    assert len(calls) > 1 and sum(c for c, _ in calls) == len(pairs)
-    assert all(count * width <= budget for count, width in calls)
+        dp._sweep_stack, dp._buffers = sweep, buffers
+        dp.STACK_BLOCK_CELLS = saved
+    assert len(calls) > 1 and sum(calls) >= len(pairs)
+    assert all(rows * cols <= budget for rows, cols in shapes)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -431,15 +442,14 @@ def test_values_gather_rows_for_inexact_metrics():
         name = "rows-only"
         exact_rowwise = False
 
-        def _rowwise(self, a, b):  # pragma: no cover - must not be used
-            raise AssertionError("elementwise form used")
-
     rng = np.random.default_rng(SEED)
     pts = rng.normal(size=(20, 2))
     lazy = LazyGroundMatrix(pts, metric=RowsOnly())
     ri, ci = rng.integers(0, 20, (4, 6)), rng.integers(0, 20, (4, 6))
     dense = EuclideanMetric().pairwise(pts, pts)
     assert np.array_equal(lazy.values(ri, ci), dense[ri, ci])
+    # Each distinct row computed once, not the cells elementwise.
+    assert lazy.rows_computed == np.unique(ri).shape[0]
     empty = np.empty((0, 3), dtype=np.int64)
     assert lazy.values(empty, empty).shape == (0, 3)
 

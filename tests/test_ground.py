@@ -18,6 +18,7 @@ from repro.distances.ground import (
     register_metric,
 )
 from repro.errors import TrajectoryError
+from repro.testing import random_walk_points
 
 
 class TestEuclidean:
@@ -266,6 +267,18 @@ class TestLazyOracle:
     def test_cache_rows_validation(self):
         with pytest.raises(TrajectoryError):
             LazyGroundMatrix(np.zeros((3, 2)), cache_rows=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_rejects_non_finite_points(self, bad, cross):
+        """Regression: a lazy oracle over a NaN or inf coordinate used to
+        let GTM* return a motif; like the dense oracle it now refuses."""
+        pts = random_walk_points(60, 8)
+        other = random_walk_points(40, 9) if cross else None
+        target = pts if other is None else other
+        target[33, 1] = bad
+        with pytest.raises(TrajectoryError):
+            LazyGroundMatrix(pts, other, metric="euclidean")
 
     def test_eviction_is_lru_not_fifo(self):
         """Regression: the row cache was documented as LRU but evicted

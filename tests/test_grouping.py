@@ -14,9 +14,10 @@ from repro.core.grouping import (
     pattern_bounds_for_pairs,
     self_group_start_range,
 )
+from repro.core.gtm_star import GTMStar
 from repro.core.problem import cross_space, self_space
 from repro.distances import dfd_matrix
-from repro.distances.ground import EuclideanMetric, cross_ground_matrix, ground_matrix
+from repro.distances.ground import LazyGroundMatrix, cross_ground_matrix, ground_matrix
 
 from repro.testing import random_walk_points, walk_matrix
 
@@ -49,12 +50,13 @@ class TestGroupLevel:
                 assert level.gmin[u, v] == pytest.approx(lo)
                 assert level.gmax[u, v] == pytest.approx(hi)
 
+    # A level built from the points: GTM*'s row scan over a lazy oracle.
     @pytest.mark.parametrize("tau", [2, 4, 5])
     def test_from_points_matches_from_matrix_self(self, tau):
         pts = random_walk_points(17, 2)
         dmat = ground_matrix(pts)
         a = GroupLevel.from_matrix(dmat, tau, "self")
-        b = GroupLevel.from_points(pts, None, EuclideanMetric(), tau, "self")
+        b, _ = GTMStar._build_level(LazyGroundMatrix(pts), self_space(17, 2), tau)
         assert np.allclose(a.gmin, b.gmin)
         assert np.allclose(a.gmax, b.gmax)
 
@@ -63,7 +65,9 @@ class TestGroupLevel:
         b_pts = random_walk_points(19, 4)
         dmat = cross_ground_matrix(a_pts, b_pts)
         a = GroupLevel.from_matrix(dmat, 4, "cross")
-        b = GroupLevel.from_points(a_pts, b_pts, EuclideanMetric(), 4, "cross")
+        b, _ = GTMStar._build_level(
+            LazyGroundMatrix(a_pts, b_pts), cross_space(14, 19, 2), 4
+        )
         assert np.allclose(a.gmin, b.gmin)
         assert np.allclose(a.gmax, b.gmax)
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import BTM, GTM, GTMStar, BruteDP, MotifTimeout, SearchStats, self_space
+from repro.core.dp import STACK_SWEEP_BYTES
 from repro.distances.ground import DenseGroundMatrix, LazyGroundMatrix, ground_matrix
 
 from repro.testing import random_walk_points
@@ -120,6 +124,32 @@ class TestGtmStarBehaviour:
         stats_btm = SearchStats()
         BTM().search(dense, space, stats_btm)
         assert stats_star.space_bytes < stats_btm.space_bytes
+
+    def test_space_accounting_charges_the_scan_block(self):
+        """Past ``tau * m > ROW_BLOCK_CELLS`` the level-plus-tables scan
+        reads one whole group a block: three ``tau x m`` float arrays
+        (block, masked copy, reduction scratch), which the model charges
+        and which bound the scan's traced peak."""
+        n, tau = 700, 32
+        pts = random_walk_points(n, 33)
+        space = self_space(n, 6)
+        lazy = LazyGroundMatrix(pts, metric="euclidean", cache_rows=1)
+        stats = SearchStats()
+        GTMStar(tau=tau, cache_rows=1).search(lazy, space, stats)
+        g = math.ceil(n / tau) ** 2
+        block = 3 * 8 * tau * n
+        assert stats.space_bytes == (
+            2 * 8 * g + 8 * 4 * n + 8 * 6 * stats.subsets_total + 8 * n
+            + block + STACK_SWEEP_BYTES
+        )
+        tracemalloc.start()
+        try:
+            GTMStar._build_level(lazy, space, tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The level and the tables it returns are charged separately.
+        assert peak <= block + 2 * 8 * g + 8 * 6 * n
 
 
 class TestHigherDimensions:
