@@ -23,6 +23,7 @@ against (CI uploads it as an artifact).
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
@@ -252,10 +253,25 @@ def test_indexed_join_speedup(benchmark):
         f"(unindexed {t_plain:.3f}s, indexed {t_index:.3f}s)"
     )
     if shared_memory_available():
-        # Candidate pairs and corpus points rode shared segments.
-        assert info_index["index_bytes_pickled"] == 0, info_index
-        assert info_index["shm_index_segments"] >= 1, info_index
-        assert info_index["shm_index_refs"] > 0, info_index
+        # Candidate pairs and corpus points ride shared segments.  This
+        # join's open pairs sit below planner.POOL_FLOOR_CELLS, so the
+        # timed runs verify inline; the transfer gate runs on the same
+        # join with the floor at 0, which sends them to the pool.
+        from repro.engine import planner
+
+        saved = planner.POOL_FLOOR_CELLS
+        planner.POOL_FLOOR_CELLS = 0
+        try:
+            with MotifEngine(workers=workers, result_cache_size=0) as eng:
+                pooled, _ = eng.join(corpus, shifted, theta, index=True)
+                info_pool = eng.transfer_info()
+        finally:
+            planner.POOL_FLOOR_CELLS = saved
+        assert pooled == m_index
+        assert info_pool["pool_tasks"] > 0, info_pool
+        assert info_pool["index_bytes_pickled"] == 0, info_pool
+        assert info_pool["shm_index_segments"] >= 1, info_pool
+        assert info_pool["shm_index_refs"] > 0, info_pool
 
 
 #: Hierarchical-index corpus shape per scale: many well-separated
@@ -422,6 +438,107 @@ def test_hierarchical_topk(benchmark):
         "kth_distance": e_tree[-1][0],
         "grid_seconds": t_grid,
         "tree_seconds": t_tree,
+    })
+
+
+#: Open-pair counts of the join_dispatch sweep, per scale (30 x 30
+#: pairs, so 900 ground cells each).
+JOIN_DISPATCH_PAIRS = {
+    "smoke": (50, 100, 200, 400, 800, 1600),
+    "quick": (50, 100, 200, 400, 800, 1600),
+    "full": (50, 100, 200, 400, 800, 1600, 3200),
+}
+
+
+def _open_pairs_corpus(count: int, metric: str, n: int = 30):
+    """``count`` far-apart walks and a time-warped copy of each.
+
+    A right walk re-samples its left walk at an uneven speed: the DFD
+    stays small, but the equal-speed coupling strays, so at a theta
+    between the two the pair is a match the coupling bound cannot
+    settle -- every candidate reaches the ground matrices.
+    """
+    rng = np.random.default_rng(count)
+    scale, step = (0.002, 1.0) if metric == "haversine" else (1.0, 2000.0)
+    cols = max(1, round(count ** 0.5))
+    even = np.linspace(0, 4 * n - 1, n).round().astype(int)
+    warp = ((np.linspace(0, 1, n) ** 2) * (4 * n - 1)).round().astype(int)
+    left, right = [], []
+    for c in range(count):
+        walk = rng.normal(size=(4 * n, 2)).cumsum(axis=0) * scale
+        walk += [(c % cols) * step, (c // cols) * step]
+        if metric == "haversine":
+            walk += [10.0, 0.0]
+        left.append(walk[even])
+        right.append(walk[warp])
+    return left, right
+
+
+def test_join_dispatch_crossover(benchmark):
+    """Inline verification against the pool (workers=2) by open ground
+    cells, for haversine and Euclidean 30 x 30 pairs: the measurement
+    behind ``planner.POOL_FLOOR_CELLS``.  One engine per case runs the
+    two paths in alternation, the floor patched to force each; answers
+    and cascade counters must agree.  Recorded (min and median of the
+    repeats) in ``BENCH_engine_scaling.json``; no floor."""
+    from repro.distances import dfd_pairs
+    from repro.engine import planner
+
+    benchmark.group = "engine: join dispatch crossover"
+    counts = JOIN_DISPATCH_PAIRS.get(bench_scale(), JOIN_DISPATCH_PAIRS["smoke"])
+    repeats = 7
+    workers = max(WORKERS)
+    floors = {"inline": math.inf, "pool": 0}
+
+    def measure(left, right, theta, metric):
+        times = {side: [] for side in floors}
+        answers = {}
+        saved = planner.POOL_FLOOR_CELLS
+        try:
+            with MotifEngine(workers=workers, result_cache_size=0) as eng:
+                for rep in range(repeats + 1):  # round 0 warms both paths
+                    for side, floor in floors.items():
+                        planner.POOL_FLOOR_CELLS = floor
+                        tasks = eng.transfer_info()["pool_tasks"]
+                        started = time.perf_counter()
+                        answers[side] = eng.join(left, right, theta,
+                                                 metric=metric, index="tree")
+                        if rep:
+                            times[side].append(time.perf_counter() - started)
+                        dispatched = eng.transfer_info()["pool_tasks"] > tasks
+                        assert dispatched == (side == "pool")
+        finally:
+            planner.POOL_FLOOR_CELLS = saved
+        (m_inline, s_inline), (m_pool, s_pool) = answers.values()
+        assert m_pool == m_inline
+        assert vars(s_pool) == vars(s_inline)
+        return times, s_inline
+
+    def run():
+        rows = []
+        for metric in ("haversine", "euclidean"):
+            for count in counts:
+                left, right = _open_pairs_corpus(count, metric)
+                theta = float(dfd_pairs(left, right, metric).max())
+                times, stats = measure(left, right, theta, metric)
+                open_pairs = (stats.pruned_hausdorff + stats.decisions
+                              - stats.settled)
+                row = {"metric": metric, "pairs": count,
+                       "open_pairs": open_pairs,
+                       "open_cells": open_pairs * 30 * 30}
+                for side, ts in times.items():
+                    row[f"{side}_ms"] = 1000 * min(ts)
+                    row[f"{side}_median_ms"] = 1000 * float(np.median(ts))
+                rows.append(row)
+        return rows
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    _update_bench_json("join_dispatch", {
+        "n": 30,
+        "workers": workers,
+        "repeats": repeats,
+        "pool_floor_cells": planner.POOL_FLOOR_CELLS,
+        "rows": rows,
     })
 
 

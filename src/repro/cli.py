@@ -175,7 +175,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
     if args.stats:
         print(f"pruned: index={stats.pruned_index} "
               f"endpoint={stats.pruned_endpoint} bbox={stats.pruned_bbox} "
-              f"hausdorff={stats.pruned_hausdorff}; exact decisions={stats.decisions}")
+              f"hausdorff={stats.pruned_hausdorff}; exact decisions={stats.decisions} "
+              f"(settled by coupling={stats.settled})")
         _print_index_stats(stats.details.get("index"))
     return 0
 

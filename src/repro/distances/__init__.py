@@ -21,6 +21,7 @@ from .ground import (
     register_metric,
 )
 from .frechet import (
+    coupling_upper_bounds,
     dfd_decision,
     dfd_matrix,
     dfd_matrix_by_search,
@@ -52,6 +53,7 @@ __all__ = [
     "LazyGroundMatrix",
     "continuous_frechet",
     "continuous_frechet_decision",
+    "coupling_upper_bounds",
     "cross_ground_matrix",
     "dfd_decision",
     "dfd_matrix",

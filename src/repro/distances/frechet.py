@@ -24,9 +24,11 @@ implementations here work on that matrix:
 
 Corpus paths hold lists of trajectory pairs; :func:`ground_stacks`
 buckets such a list by length into bounded stacked blocks and
-:func:`dfd_pairs` returns every pair's DFD from them.
-:func:`discrete_frechet` is the public convenience entry point taking
-raw point arrays.
+:func:`dfd_pairs` returns every pair's DFD from them;
+:func:`coupling_upper_bounds` bounds every pair's DFD from above from
+one coupling's cells, which settles a threshold decision without the
+matrix.  :func:`discrete_frechet` is the public convenience entry point
+taking raw point arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterator, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import TrajectoryError
-from .ground import GroundMetric, cross_ground_matrix, ground_stack
+from .ground import GroundMetric, cross_ground_matrix, get_metric, ground_stack
 
 #: Padded cells one stacked block may hold.  Bounds the stack and the
 #: ground-matrix temporaries built for it (about 1 MB each at this
@@ -335,6 +337,64 @@ def dfd_pairs(
     for pos, stack, lengths in ground_stacks(lefts, rights, metric):
         out[pos] = dfd_matrix(stack, lengths)
     return out
+
+
+def coupling_upper_bounds(
+    lefts: Sequence[np.ndarray],
+    rights: Sequence[np.ndarray],
+    metric: Union[str, GroundMetric] = "euclidean",
+) -> np.ndarray:
+    """An upper bound on the DFD of every aligned pair, from one coupling.
+
+    Pair ``k`` (lengths ``n``, ``m``; ``L = max(n, m) - 1``) is walked
+    along the equal-speed monotone coupling ``t -> (round(t (n-1) / L),
+    round(t (m-1) / L))``, ``t = 0 .. L`` (halves round up); entry ``k``
+    is the largest ground distance on that walk, ``max(n, m)`` cells
+    instead of ``n m``.  All pairs' cells are one gather and one
+    :meth:`~repro.distances.ground.GroundMetric._cells` call.
+
+    For an :attr:`~repro.distances.ground.GroundMetric.exact_rowwise`
+    metric those cells equal :func:`ground_stack`'s bit for bit, and
+    the DP's value is a min over couplings of the same cells, so
+    ``bound >= dfd_pairs(...)`` holds exactly in floats: ``bound <=
+    theta`` decides ``DFD <= theta`` as :func:`dfd_decision` would.
+    Other metrics get ``+inf`` (no claim).  Points outside the metric's
+    domain raise :class:`~repro.errors.TrajectoryError`, as
+    :func:`ground_stack` would, whichever cells the walk visits.
+    """
+    m = get_metric(metric)
+    count = len(lefts)
+    if len(rights) != count:
+        raise TrajectoryError(
+            f"{count} left and {len(rights)} right point arrays do not align"
+        )
+    if not count or not m.exact_rowwise:
+        return np.full(count, np.inf)
+    a, first_a, n = _flat_points(lefts)
+    b, first_b, mm = _flat_points(rights)
+    m._check_domain(a)
+    m._check_domain(b)
+    steps = np.maximum(n, mm)
+    starts = np.cumsum(steps) - steps
+    pair = np.repeat(np.arange(count), steps)
+    t = np.arange(int(steps.sum())) - starts[pair]
+    span = np.maximum(steps - 1, 1)[pair]
+    i = (2 * t * (n[pair] - 1) + span) // (2 * span)
+    j = (2 * t * (mm[pair] - 1) + span) // (2 * span)
+    cells = m._cells(
+        list(a[first_a[pair] + i].T), list(b[first_b[pair] + j].T)
+    )
+    return np.maximum.reduceat(cells, starts)
+
+
+def _flat_points(arrays: Sequence[np.ndarray]):
+    """Ragged ``(n_k, d)`` arrays as one ``(sum n_k, d)`` array, each
+    array's first row in it, and the lengths."""
+    lengths = np.array([len(x) for x in arrays], dtype=np.int64)
+    if lengths.min() < 1:
+        raise TrajectoryError("coupling bounds need non-empty point arrays")
+    flat = np.concatenate([np.asarray(x, dtype=np.float64) for x in arrays])
+    return flat, np.cumsum(lengths) - lengths, lengths
 
 
 def discrete_frechet(

@@ -94,6 +94,13 @@ class GroundMetric:
         reads) broadcasts this one, so they agree bit for bit."""
         raise NotImplementedError
 
+    def _check_domain(self, pts: np.ndarray) -> None:
+        """Refuse an ``(n, d)`` point array :meth:`pairwise_stack` would
+        refuse or turn into non-finite cells; for callers that evaluate
+        only some cells through the unchecked :meth:`_cells`."""
+        if not np.isfinite(pts).all():
+            raise TrajectoryError("points contain NaN or infinite coordinates")
+
     def distance(self, p, q) -> float:
         """Distance between two single points."""
         a = np.atleast_2d(np.asarray(p, dtype=np.float64))
@@ -200,6 +207,10 @@ class HaversineMetric(GroundMetric):
 
     def bind(self, b: np.ndarray):
         return super().bind(self._checked(b))
+
+    def _check_domain(self, pts: np.ndarray) -> None:
+        super()._check_domain(pts)
+        self._checked(pts)
 
     @staticmethod
     def _checked(pts: np.ndarray) -> np.ndarray:

@@ -9,10 +9,14 @@ collection-level workloads here.  Each workload follows one shape:
 2. the **corpus index** (:class:`repro.index.CorpusIndex`) generates
    the candidate pairs the bounds cannot prove apart (indexed paths),
    or the full tile grid stands in (unindexed paths);
-3. the **executor** publishes the index's transport arrays once and
-   maps candidate-pair chunks across the pool -- every task carries
-   refs plus a ``(start, stride)`` share, so nothing corpus-sized is
-   pickled (``transfer_info()``'s ``index_bytes_pickled`` stays 0);
+3. threshold joins screen their candidates in the parent (endpoint
+   and box filters, the coupling settle); the **executor** gets the
+   pairs left open only when their ground cells exceed
+   ``planner.POOL_FLOOR_CELLS`` -- it then publishes the index's
+   transport arrays once and maps pair chunks across the pool, every
+   task carrying refs plus a ``(start, stride)`` share, so nothing
+   corpus-sized is pickled (``transfer_info()``'s
+   ``index_bytes_pickled`` stays 0);
 4. the per-chunk answers merge into the canonical serial result
    (matches re-sort to left-major order, cascade statistics fold
    additively, top-k heaps merge under the ``(distance, (a, b))``
@@ -45,7 +49,9 @@ from ..extensions.join import (
     merge_join_stats,
     merge_join_topk,
     scan_join_topk,
+    screen_pairs,
     similarity_join,
+    verify_pairs,
 )
 from ..index import CorpusIndex, IndexStats
 from ..store.snapshot import snapshot_trajectories
@@ -179,6 +185,64 @@ def _corpus_payloads(left_ref, right_ref, left_pts, right_pts, self_join):
                 right_points=None if self_join else right_pts)
 
 
+def _decide_pairs(engine, get_left, get_right, pairs, theta, resolved,
+                  workers, publish):
+    """Decide candidate pairs at ``theta``: ``(sorted matches, stats)``.
+
+    The parent screens every pair (:func:`screen_pairs`: endpoints,
+    boxes, the coupling settle).  The pairs left open are verified
+    inline, or -- when :func:`planner.verify_on_pool` says their
+    ground cells pay for it -- dealt across the pool.  ``publish()``
+    then returns ``(corpus_fields, pairs_key)``: the task fields that
+    carry both corpora, and the slab key the open pairs publish under.
+    Statistics equal :func:`join_pairs`'s over ``pairs`` either way.
+    """
+    exec_ = engine._exec
+    settled, rest, stats = screen_pairs(
+        get_left, get_right, pairs, theta, resolved
+    )
+    cells = sum(
+        len(get_left(a)) * len(get_right(b)) for a, b in rest.tolist()
+    )
+    if not planner.verify_on_pool(cells, len(rest), workers,
+                                  exec_.chunks_per_worker,
+                                  exec_.can_shard(workers)):
+        matches, rest_stats = verify_pairs(
+            get_left, get_right, rest, theta, resolved
+        )
+    else:
+        with exec_.scan_lock:
+            try:
+                exec_.shm.begin_batch()
+                corpus_fields, pairs_key = publish()
+                pairs_ref = exec_.share_index(pairs_key, {"pairs": rest})
+                tasks = [
+                    _worker.PairsJoinTask(
+                        theta=theta,
+                        metric=resolved,
+                        pairs=None if pairs_ref is not None
+                        else rest[start::stride],
+                        pairs_ref=pairs_ref,
+                        pair_start=start if pairs_ref is not None else 0,
+                        pair_stride=stride if pairs_ref is not None else 1,
+                        **corpus_fields,
+                    )
+                    for start, stride in planner.plan_pair_strides(
+                        len(rest), workers, exec_.chunks_per_worker
+                    )
+                ]
+                with obs.span("engine.dispatch", tasks=len(tasks)):
+                    parts = exec_.map_tasks(tasks, workers,
+                                            _worker.pairs_join_tile)
+            finally:
+                exec_.shm.trim()
+        matches = [pair for part, _ in parts for pair in part]
+        rest_stats = merge_join_stats([part for _, part in parts])
+    matches.extend(map(tuple, settled.tolist()))
+    matches.sort()  # serial order: left-major, then right
+    return matches, merge_join_stats([stats, rest_stats])
+
+
 # ----------------------------------------------------------------------
 # Similarity join
 # ----------------------------------------------------------------------
@@ -207,8 +271,8 @@ def run_join(engine, left, right, theta, metric, workers, use_index):
     if cached is not None:
         return as_answer(cached)
     if mode and len(left) and len(right):
-        out = _indexed_join(engine, left, right, theta, metric, resolved,
-                            workers, "tree" if mode == "tree" else "grid")
+        out = _indexed_join(engine, left, right, theta, resolved, workers,
+                            "tree" if mode == "tree" else "grid")
     else:
         out = _tiled_join(engine, left, right, theta, metric, workers)
     engine._oracles.put_result(key, out)
@@ -249,17 +313,15 @@ def _tiled_join(engine, left, right, theta, metric, workers):
     return matches, merge_join_stats(tile_stats)
 
 
-def _indexed_join(engine, left, right, theta, metric, resolved, workers,
-                  mode="grid"):
-    """The indexed path: candidate pairs -> sharded pair cascade.
+def _indexed_join(engine, left, right, theta, resolved, workers, mode="grid"):
+    """The indexed path: candidate pairs -> :func:`_decide_pairs`.
 
     ``mode`` picks the candidate generator (flat endpoint grid or the
     hierarchical dual-tree walk); everything downstream of the
-    candidate list -- stride dealing, the pair cascade, the merge --
-    is mode-independent, which is why tree-mode matches are
+    candidate list -- the screen, the verification, the merge -- is
+    mode-independent, which is why tree-mode matches are
     byte-identical to grid-mode matches.
     """
-    exec_ = engine._exec
     index_left = corpus_index_for(engine, left, resolved)
     index_right = corpus_index_for(engine, right, resolved)
     self_join = left.key == right.key
@@ -274,57 +336,22 @@ def _indexed_join(engine, left, right, theta, metric, resolved, workers,
         )
         if _sp is not None:
             _sp.attrs["candidates"] = int(len(pairs))
-    n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
-    if not exec_.can_shard(workers) or len(pairs) < 2 or n_chunks < 2:
-        matches, stats = join_pairs(
-            _points_getter(left), _points_getter(right),
-            pairs, theta, resolved,
+
+    def publish():
+        left_ref = _share_corpus(engine, index_left, left.key)
+        right_ref = (
+            left_ref if self_join
+            else _share_corpus(engine, index_right, right.key)
         )
-    else:
-        with exec_.scan_lock:
-            try:
-                exec_.shm.begin_batch()
-                left_ref = _share_corpus(engine, index_left, left.key)
-                right_ref = (
-                    left_ref if self_join
-                    else _share_corpus(engine, index_right, right.key)
-                )
-                pairs_ref = exec_.share_index(
-                    planner.pairs_slab_key(left.key, right.key, resolved,
-                                           theta, mode),
-                    {"pairs": pairs},
-                )
-                corpus_payload = _corpus_payloads(
-                    left_ref, right_ref,
-                    _points_list(left), _points_list(right), self_join,
-                )
-                tasks = [
-                    _worker.PairsJoinTask(
-                        theta=theta,
-                        metric=metric,
-                        pairs=None if pairs_ref is not None
-                        else pairs[start::stride],
-                        pairs_ref=pairs_ref,
-                        pair_start=start if pairs_ref is not None else 0,
-                        pair_stride=stride if pairs_ref is not None else 1,
-                        **corpus_payload,
-                    )
-                    for start, stride in planner.plan_pair_strides(
-                        len(pairs), workers, exec_.chunks_per_worker
-                    )
-                ]
-                with obs.span("engine.dispatch", tasks=len(tasks)):
-                    parts = exec_.map_tasks(tasks, workers,
-                                            _worker.pairs_join_tile)
-            finally:
-                exec_.shm.trim()
-        matches = []
-        tile_stats = []
-        for part_matches, part_stats in parts:
-            matches.extend(part_matches)
-            tile_stats.append(part_stats)
-        matches.sort()
-        stats = merge_join_stats(tile_stats)
+        return _corpus_payloads(
+            left_ref, right_ref, _points_list(left), _points_list(right),
+            self_join,
+        ), planner.pairs_slab_key(left.key, right.key, resolved, theta, mode)
+
+    matches, stats = _decide_pairs(
+        engine, _points_getter(left), _points_getter(right), pairs, theta,
+        resolved, workers, publish,
+    )
     stats.pairs_total = len(left) * len(right)
     stats.pruned_index = stats.pairs_total - len(pairs)
     stats.details["index"] = index_stats.as_dict()
@@ -752,14 +779,16 @@ def run_knn(engine, query, corpus, k, metric, use_index):
 def run_cluster(engine, trajectory, *, window_length, theta, stride,
                 min_cluster_size, metric, workers, use_index,
                 with_stats=False):
-    """Window clustering through the engine's tiled candidate path.
+    """Window clustering through the engine's candidate-pair path.
 
-    The serial extension enumerates all O(W^2) non-overlapping window
-    pairs in Python; here the same pair list is (optionally) pruned by
-    a window-level :class:`CorpusIndex` and cascaded across the pool in
-    candidate-pair chunks, with the one trajectory's windows riding a
-    single published transport segment.  The surviving edge set is
-    identical (the bounds are admissible and the cascade exact), and
+    The serial extension runs the join cascade over all O(W^2)
+    non-overlapping window pairs; here the same pair list is
+    (optionally) pruned by a window-level :class:`CorpusIndex` and
+    decided by :func:`_decide_pairs` -- the pairs the screen leaves
+    open go to the pool only when their cells pay for it, the one
+    trajectory's windows riding a single published transport segment.
+    The surviving edge set is identical (the bounds are admissible and
+    the cascade exact), and
     edges union in sorted order -- the exact union-find evolution of
     the serial loop -- so the clusters are too.  ``with_stats`` returns
     ``(clusters, info)`` where ``info`` carries the window counts, the
@@ -768,7 +797,6 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
     """
     from ..extensions.clustering import (
         clusters_from_edges,
-        cluster_subtrajectories,
         window_pair_grid,
         window_starts,
     )
@@ -776,11 +804,6 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
     traj = _as_trajectory(trajectory)
     resolved = get_metric(metric, crs=traj.crs)
     exec_ = engine._exec
-    if workers < 2 and not use_index and not with_stats:
-        return cluster_subtrajectories(
-            traj, window_length=window_length, theta=theta, stride=stride,
-            min_cluster_size=min_cluster_size, metric=resolved,
-        )
     starts = window_starts(traj.n, window_length, stride, theta)
     windows = [traj.points[s:s + window_length] for s in starts]
     pair_grid = window_pair_grid(starts, window_length)
@@ -803,6 +826,7 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
                 "pruned_hausdorff": cascade_stats.pruned_hausdorff,
                 "decisions": cascade_stats.decisions,
                 "matches": cascade_stats.matches,
+                "settled": cascade_stats.settled,
             }
         return clusters, info
 
@@ -814,6 +838,7 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
             [],
         )
     mode = planner.normalize_index_mode(use_index)
+    windex = None
     if mode:
         fp = (
             "cwindex", fingerprint_points(traj), int(window_length),
@@ -827,58 +852,28 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
             mode="tree" if mode == "tree" else "grid",
         )
     else:
-        windex = CorpusIndex(windows, resolved)
         candidates = pair_grid
-    n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
-    if not exec_.can_shard(workers) or len(candidates) < 2 or n_chunks < 2:
-        edges, cascade_stats = join_pairs(
-            _points_getter(windows), _points_getter(windows),
-            candidates, theta, resolved,
-        )
-    else:
+    def publish():
         windows_key = (f"windows:{fingerprint_points(traj)}:"
                        f"{int(window_length)}:{int(stride)}")
-        with exec_.scan_lock:
-            try:
-                exec_.shm.begin_batch()
-                corpus_ref = exec_.share_index(
-                    planner.corpus_slab_key(windows_key),
-                    windex.transport_slabs(),
-                )
-                pairs_ref = exec_.share_index(
-                    planner.pairs_slab_key(windows_key, windows_key,
-                                           resolved, theta, mode),
-                    {"pairs": candidates},
-                )
-                tasks = [
-                    _worker.PairsJoinTask(
-                        theta=theta,
-                        metric=resolved,
-                        pairs=None if pairs_ref is not None
-                        else candidates[start::stride_],
-                        pairs_ref=pairs_ref,
-                        pair_start=start if pairs_ref is not None else 0,
-                        pair_stride=stride_ if pairs_ref is not None else 1,
-                        left_points=None if corpus_ref is not None
-                        else windows,
-                        left_ref=corpus_ref,
-                    )
-                    for start, stride_ in planner.plan_pair_strides(
-                        len(candidates), workers, exec_.chunks_per_worker
-                    )
-                ]
-                with obs.span("engine.dispatch", tasks=len(tasks)):
-                    parts = exec_.map_tasks(tasks, workers,
-                                            _worker.pairs_join_tile)
-            finally:
-                exec_.shm.trim()
-        edges = []
-        tile_stats = []
-        for part_matches, part_stats in parts:
-            edges.extend(part_matches)
-            tile_stats.append(part_stats)
-        cascade_stats = merge_join_stats(tile_stats)
-    edges.sort()  # serial discovery order -> identical union-find state
+        slabs = (windex or CorpusIndex(windows, resolved)).transport_slabs()
+        corpus_ref = exec_.share_index(
+            planner.corpus_slab_key(windows_key), slabs
+        )
+        return (
+            dict(left_ref=corpus_ref,
+                 left_points=None if corpus_ref is not None else windows),
+            planner.pairs_slab_key(windows_key, windows_key, resolved, theta,
+                                   mode),
+        )
+
+    get_windows = _points_getter(windows)
+    edges, cascade_stats = _decide_pairs(
+        engine, get_windows, get_windows, candidates, theta, resolved,
+        workers, publish,
+    )
+    # Edges come back sorted: the serial discovery order, hence the
+    # identical union-find state.
     return answer(
         clusters_from_edges(starts, edges, window_length, min_cluster_size),
         candidates,

@@ -377,6 +377,30 @@ def plan_join(
     return JoinPlan(tiles=tiles)
 
 
+#: Ground cells (sum of ``n_p * m_p``) the open pairs of one join must
+#: exceed before their verification goes to the pool; below it the
+#: parent verifies them inline, cheaper than publishing, dispatching and
+#: collecting.  From the ``join_dispatch`` row of
+#: ``benchmarks/bench_engine_scaling.py`` (``BENCH_engine_scaling.json``;
+#: 2-vCPU host, 30 x 30 pairs, both paths alternated, three recordings):
+#: workers=2 beat inline from 180k cells for haversine but only at 1.4M
+#: for Euclidean, whose cells cost about half as much.  One floor
+#: between the two keeps the loss from the wrong choice near 10-15% for
+#: either metric, and a smaller join never forks the pool.
+POOL_FLOOR_CELLS = 500_000
+
+
+def verify_on_pool(cells: int, n_pairs: int, workers: int,
+                   chunks_per_worker: int, can_shard: bool) -> bool:
+    """Whether a join's open pairs go to the pool (else verify inline)."""
+    return (
+        can_shard
+        and n_pairs >= 2
+        and n_chunks_for(workers, chunks_per_worker) >= 2
+        and cells > POOL_FLOOR_CELLS
+    )
+
+
 def plan_pair_strides(n_pairs: int, workers: int, chunks_per_worker: int):
     """Round-robin ``(start, stride)`` shares of a candidate-pair list.
 

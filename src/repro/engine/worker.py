@@ -495,11 +495,11 @@ def _resolve_pairs(task):
 
 @dataclass(frozen=True)
 class PairsJoinTask:
-    """One chunk of an indexed join's candidate-pair list.
+    """One chunk of the pairs a join's screen left open.
 
     The corpus points travel by reference into the published index
     transport slabs (``left_ref`` / ``right_ref``; ``right_ref`` may
-    equal ``left_ref`` for self-joins) and the candidate pairs by a
+    equal ``left_ref`` for self-joins) and the open pairs by a
     ``(start, stride)`` share of the published pair slab -- a zero-copy
     task is three refs plus two ints.  Inline fallbacks
     (``left_points`` / ``right_points`` / ``pairs``) serve the inline
@@ -520,16 +520,21 @@ class PairsJoinTask:
 
 
 def pairs_join_tile(task: PairsJoinTask):
-    """Cascade one candidate-pair chunk; absolute-index matches."""
+    """Verify one share of the open pairs; absolute-index matches.
+
+    The parent screened the candidates
+    (:func:`~repro.extensions.join.screen_pairs`), so the share gets
+    only the matrix steps of the cascade.
+    """
     fail_at("worker.task")
-    from ..extensions.join import join_pairs
+    from ..extensions.join import verify_pairs
 
     get_left = _resolve_corpus(task.left_points, task.left_ref)
     if task.right_points is None and task.right_ref is None:
         get_right = get_left  # self-join: one transport segment
     else:
         get_right = _resolve_corpus(task.right_points, task.right_ref)
-    return join_pairs(
+    return verify_pairs(
         get_left, get_right, _resolve_pairs(task), task.theta, task.metric
     )
 

@@ -3,9 +3,10 @@
 The second future-work direction of the paper's conclusion.  Fixed-
 length sliding windows of a trajectory are clustered by DFD: two
 windows are neighbours when their DFD is at most ``theta`` (decided
-with the same filter cascade as the similarity join), and clusters are
-the connected components of the neighbour graph, optionally restricted
-to components with a minimum population (a lightweight DBSCAN flavour).
+by the similarity join's cascade,
+:func:`~repro.extensions.join.join_pairs`), and clusters are the
+connected components of the neighbour graph, optionally restricted to
+components with a minimum population (a lightweight DBSCAN flavour).
 
 Overlapping windows are trivially similar, so windows whose index
 ranges overlap are never considered neighbours -- the same non-overlap
@@ -16,10 +17,10 @@ The module is split so the engine can parallelise it:
 candidate space, the cascade decides the edges, and
 :func:`clusters_from_edges` folds any edge set into clusters.
 :meth:`repro.engine.MotifEngine.cluster` routes the edge decisions
-through the engine's candidate-pair chunks (optionally pruned by a
-window-level :class:`~repro.index.CorpusIndex`) and reuses
-:func:`clusters_from_edges`, so its answer is identical to this serial
-loop's.
+through the same cascade (optionally pruned by a window-level
+:class:`~repro.index.CorpusIndex`, the open pairs optionally on the
+pool) and reuses :func:`clusters_from_edges`, so its answer is
+identical to this serial function's.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..distances.frechet import dfd_decision
 from ..distances.ground import GroundMetric, get_metric
-from ..distances.hausdorff import directed_hausdorff_matrix
 from ..errors import ReproError, check_threshold
 from ..trajectory import Trajectory
+from .join import join_pairs
 
 
 @dataclass(frozen=True)
@@ -140,18 +140,9 @@ def cluster_subtrajectories(
     m = get_metric(metric, crs=traj.crs)
     starts = window_starts(traj.n, window_length, stride, theta)
     windows = [traj.points[s : s + window_length] for s in starts]
-    edges: List[Tuple[int, int]] = []
-    for a, b in window_pair_grid(starts, window_length):
-        p, q = windows[a], windows[b]
-        if m.distance(p[0], q[0]) > theta or m.distance(p[-1], q[-1]) > theta:
-            continue
-        dmat = m.pairwise(p, q)
-        h = max(
-            directed_hausdorff_matrix(dmat),
-            directed_hausdorff_matrix(dmat.T),
-        )
-        if h > theta:
-            continue
-        if dfd_decision(dmat, theta):
-            edges.append((int(a), int(b)))
+    get_window = windows.__getitem__
+    edges, _ = join_pairs(
+        get_window, get_window, window_pair_grid(starts, window_length),
+        theta, m,
+    )
     return clusters_from_edges(starts, edges, window_length, min_cluster_size)

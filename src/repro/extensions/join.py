@@ -12,15 +12,24 @@ lower-bound filters before the exact decision:
 2. **bounding-box filter** -- every coupled pair is one point from
    each trajectory, so the minimum box-to-box distance lower-bounds
    the DFD;
-3. **Hausdorff filter** -- every point of each trajectory appears in
+3. **coupling settle** -- the other way round: one concrete coupling
+   (:func:`~repro.distances.frechet.coupling_upper_bounds`, the
+   equal-speed walk) bounds the DFD from *above*; a pair whose bound is
+   ``<= theta`` is a match, decided from ``max(n, m)`` ground cells;
+4. **Hausdorff filter** -- every point of each trajectory appears in
    some coupled pair, hence both directed Hausdorff distances (and so
    their max) lower-bound the DFD;
-4. **exact decision** -- the vectorised reachability test
+5. **exact decision** -- the vectorised reachability test
    :func:`repro.distances.frechet.dfd_decision` at ``theta``.
 
-Filters 1-2 are O(1)-ish, filter 3 needs the O(nm) ground matrix that
-step 4 reuses.  The bounding-box filter applies to every
-*coordinate-monotone* ground metric
+Filters 1-2 are O(1)-ish and step 3 is linear; only the pairs left
+open get the O(nm) ground matrix that steps 4 and 5 share.
+:func:`screen_pairs` and :func:`verify_pairs` run steps 1-3 and 4-5
+apart, so the engine can settle in the parent and ship only the open
+pairs.
+
+The bounding-box filter applies to every *coordinate-monotone* ground
+metric
 (:attr:`~repro.distances.ground.GroundMetric.coordinate_monotone`,
 e.g. Euclidean and Chebyshev): the axis-wise closest-point
 construction minimises every per-axis difference simultaneously, hence
@@ -47,7 +56,12 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..distances.frechet import dfd_decision, dfd_matrix, ground_stacks
+from ..distances.frechet import (
+    coupling_upper_bounds,
+    dfd_decision,
+    dfd_matrix,
+    ground_stacks,
+)
 from ..distances.ground import GroundMetric, get_metric
 from ..distances.hausdorff import directed_hausdorff_matrix
 from ..errors import TrajectoryError, check_k, check_threshold
@@ -68,6 +82,9 @@ class JoinStats:
     pruned_hausdorff: int = 0
     decisions: int = 0
     matches: int = 0
+    #: Pairs the coupling upper bound decided (all matches), a subset
+    #: of both ``decisions`` and ``matches``.
+    settled: int = 0
     details: dict = field(default_factory=dict)
 
     @property
@@ -95,6 +112,7 @@ def merge_join_stats(parts: Sequence[JoinStats]) -> JoinStats:
         total.pruned_hausdorff += part.pruned_hausdorff
         total.decisions += part.decisions
         total.matches += part.matches
+        total.settled += part.settled
         total.details.update(part.details)
     return total
 
@@ -179,10 +197,11 @@ def join_pairs(
     ``stats.pairs_total`` counts only the candidates scanned here --
     callers fold the index's own accounting on top.
 
-    Each filter runs vectorised over all pairs still alive: endpoint
-    and bounding-box distances as one stacked ground-metric call, then
-    the Hausdorff filter and the exact decision on the stacked ground
-    matrices of :func:`~repro.distances.frechet.ground_stacks`.  Matches
+    Each step runs vectorised over all pairs still alive: endpoint
+    and bounding-box distances as one stacked ground-metric call, the
+    coupling settle as one gather, then the Hausdorff filter and the
+    exact decision on the stacked ground matrices of
+    :func:`~repro.distances.frechet.ground_stacks`.  Matches
     come back in ``pairs`` order.  A trajectory with a NaN or infinite
     coordinate raises :class:`~repro.errors.TrajectoryError`.
     """
@@ -196,6 +215,63 @@ def join_pairs(
         get_left, get_right, chunks, len(pairs), theta, get_metric(metric),
         offsets,
     )
+
+
+def screen_pairs(
+    get_left: Callable[[int], np.ndarray],
+    get_right: Callable[[int], np.ndarray],
+    pairs,
+    theta: float,
+    metric: Union[str, GroundMetric] = "euclidean",
+) -> Tuple[np.ndarray, np.ndarray, JoinStats]:
+    """The matrix-free head of the cascade: ``(settled, rest, stats)``.
+
+    Runs the endpoint and box filters and the coupling settle over
+    ``pairs`` (an ``(m, 2)`` array, as in :func:`join_pairs`), in
+    :data:`PAIR_CHUNK` slices.  ``settled`` holds the pairs the
+    coupling bound proved within ``theta`` (matches), ``rest`` the
+    pairs only the ground matrices can decide -- hand those to
+    :func:`verify_pairs`.  Both keep ``pairs`` order.  ``stats``
+    accounts every pair given; with the stats of ``verify_pairs(rest)``
+    folded in (:func:`merge_join_stats`) they equal ``join_pairs``'s.
+    """
+    theta = check_threshold("theta", theta)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    m = get_metric(metric)
+    stats = JoinStats(pairs_total=len(pairs))
+    settled, rest = [pairs[:0]], [pairs[:0]]
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        chunk = pairs[start:start + PAIR_CHUNK]
+        hit, live, _, _ = _screen(get_left, get_right, chunk, theta, m, stats)
+        settled.append(chunk[hit])
+        rest.append(chunk[live])
+    return np.concatenate(settled), np.concatenate(rest), stats
+
+
+def verify_pairs(
+    get_left: Callable[[int], np.ndarray],
+    get_right: Callable[[int], np.ndarray],
+    pairs,
+    theta: float,
+    metric: Union[str, GroundMetric] = "euclidean",
+) -> Tuple[List[Tuple[int, int]], JoinStats]:
+    """The matrix tail of the cascade: Hausdorff filter, exact decision.
+
+    For the ``rest`` of :func:`screen_pairs` (the engine's pool tasks
+    run it on their share): the pairs already passed the endpoint and
+    box filters and the coupling bound did not settle them.  Returns
+    the matches in ``pairs`` order and the stats of these two steps
+    (``pairs_total`` 0: the screen counted the pairs).
+    """
+    theta = check_threshold("theta", theta)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    stats = JoinStats()
+    ok = _verify(
+        [get_left(int(a)) for a in pairs[:, 0]],
+        [get_right(int(b)) for b in pairs[:, 1]],
+        theta, get_metric(metric), stats,
+    )
+    return [(int(a), int(b)) for a, b in pairs[ok]], stats
 
 
 def _join_chunks(get_left, get_right, chunks, total, theta, m, offsets):
@@ -212,9 +288,24 @@ def _join_chunks(get_left, get_right, chunks, total, theta, m, offsets):
 
 
 def _cascade(get_left, get_right, pairs, theta, m, stats) -> np.ndarray:
-    """Filters 1-4 over one chunk of pairs; updates ``stats``.
+    """The whole cascade over one chunk of pairs; updates ``stats``.
 
     Returns the boolean match mask over ``pairs``.
+    """
+    hit, live, lefts, rights = _screen(
+        get_left, get_right, pairs, theta, m, stats
+    )
+    hit[live[_verify(lefts, rights, theta, m, stats)]] = True
+    return hit
+
+
+def _screen(get_left, get_right, pairs, theta, m, stats):
+    """Steps 1-3 (endpoint and box filters, the coupling settle) over
+    one chunk of pairs.
+
+    Returns ``(hit, live, lefts, rights)``: the settled-match mask over
+    ``pairs``, the positions of the pairs still open, and their point
+    arrays.  Updates ``stats``.
     """
     left = _Side(get_left, pairs[:, 0])
     right = _Side(get_right, pairs[:, 1])
@@ -233,10 +324,28 @@ def _cascade(get_left, get_right, pairs, theta, m, stats) -> np.ndarray:
         )
         stats.pruned_bbox += int(np.sum(apart))
         alive &= ~apart
-    hit = np.zeros(len(pairs), dtype=bool)
     live = np.flatnonzero(alive)
     lefts = [left.points(k) for k in live]
     rights = [right.points(k) for k in live]
+    # Settle: one coupling within theta decides DFD <= theta exactly.
+    # Its cells are ground-matrix cells, so the Hausdorff value
+    # (<= DFD) would have passed too: the pair counts as a decision.
+    near = coupling_upper_bounds(lefts, rights, m) <= theta
+    done = int(np.sum(near))
+    stats.settled += done
+    stats.decisions += done
+    stats.matches += done
+    hit = np.zeros(len(pairs), dtype=bool)
+    hit[live[near]] = True
+    keep = np.flatnonzero(~near)
+    return (
+        hit, live[keep], [lefts[k] for k in keep], [rights[k] for k in keep]
+    )
+
+
+def _verify(lefts, rights, theta, m, stats) -> np.ndarray:
+    """Steps 4-5 over aligned point-array lists; the match mask."""
+    ok_all = np.zeros(len(lefts), dtype=bool)
     for pos, stack, lengths in ground_stacks(lefts, rights, m):
         # Filter 3: symmetric Hausdorff from the shared matrices; a
         # pair's padded rows / columns (all +inf) drop out of the max.
@@ -252,8 +361,8 @@ def _cascade(get_left, get_right, pairs, theta, m, stats) -> np.ndarray:
         stats.decisions += int(np.sum(near))
         ok = dfd_decision(stack[near], theta, lengths[near])
         stats.matches += int(np.sum(ok))
-        hit[live[pos[near][ok]]] = True
-    return hit
+        ok_all[pos[near][ok]] = True
+    return ok_all
 
 
 class _Side:

@@ -201,6 +201,7 @@ def _encode_join_stats(stats) -> dict:
         "pruned_hausdorff": int(stats.pruned_hausdorff),
         "decisions": int(stats.decisions),
         "matches": int(stats.matches),
+        "settled": int(stats.settled),
         "details": stats.details,
     }
 
