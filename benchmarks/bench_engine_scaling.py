@@ -275,10 +275,9 @@ def test_indexed_join_speedup(benchmark):
 
 
 #: Hierarchical-index corpus shape per scale: many well-separated
-#: clusters of short geographic walks.  Under haversine the flat index
-#: has no monotone grid to lean on, so it pays the full n^2 endpoint
-#: pass; the tree's ball bounds discard whole cluster blocks at the
-#: node level instead.
+#: clusters of short geographic walks.  Under haversine there are no
+#: monotone box bounds to lean on; the tree's ball bounds discard
+#: whole cluster blocks at the node level instead.
 TREE_JOIN_SHAPE = {
     "smoke": (120, 10, 30),   # clusters, per cluster, points
     "quick": (120, 10, 30),
@@ -301,8 +300,9 @@ def _tree_join_corpus(clusters: int, per_cluster: int, n: int, seed: int):
 def test_hierarchical_index_speedup(benchmark):
     """The PR 9 tentpole row: the bulk-loaded trajectory tree must
     answer the same join from node-level bounds, visiting far fewer
-    node pairs than the n^2 pair grid and beating the flat index at 2
-    workers (floor 1.2x).  Recorded in ``BENCH_engine_scaling.json``."""
+    node pairs than the n^2 pair grid and beating the unindexed join
+    at 2 workers (floor 1.2x; the flat index it was first compared
+    with no longer exists).  Recorded in ``BENCH_engine_scaling.json``."""
     benchmark.group = "engine: hierarchical index join"
     clusters, per_cluster, n = TREE_JOIN_SHAPE.get(
         bench_scale(), TREE_JOIN_SHAPE["smoke"]
@@ -332,19 +332,19 @@ def test_hierarchical_index_speedup(benchmark):
             return min(times), matches, stats
 
     def run():
-        t_flat, m_flat, s_flat = measure("grid")
-        t_tree, m_tree, s_tree = measure("tree")
-        return t_flat, m_flat, s_flat, t_tree, m_tree, s_tree
+        t_plain, m_plain, _ = measure(False)
+        t_tree, m_tree, s_tree = measure(True)
+        return t_plain, m_plain, t_tree, m_tree, s_tree
 
-    t_flat, m_flat, s_flat, t_tree, m_tree, s_tree = benchmark.pedantic(
+    t_plain, m_plain, t_tree, m_tree, s_tree = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-    # Identical matches -- both index modes are admissible.
-    assert m_tree == m_flat
+    # Identical matches -- the tree's bounds are admissible.
+    assert m_tree == m_plain
     details = s_tree.details.get("index", {})
     nodes_visited = details.get("nodes_visited", 0)
     pairs_total = s_tree.pairs_total
-    speedup = t_flat / max(t_tree, 1e-9)
+    speedup = t_plain / max(t_tree, 1e-9)
     _update_bench_json("hierarchical_index", {
         "clusters": clusters,
         "per_cluster": per_cluster,
@@ -358,7 +358,7 @@ def test_hierarchical_index_speedup(benchmark):
         "nodes_pruned": details.get("nodes_pruned", 0),
         "leaves_scanned": details.get("leaves_scanned", 0),
         "matches": s_tree.matches,
-        "flat_seconds": t_flat,
+        "unindexed_seconds": t_plain,
         "tree_seconds": t_tree,
         "speedup": speedup,
     })
@@ -368,18 +368,20 @@ def test_hierarchical_index_speedup(benchmark):
         f"{pairs_total}-pair grid"
     )
     assert speedup >= 1.2, (
-        f"tree join {speedup:.2f}x vs flat index "
-        f"(flat {t_flat:.3f}s, tree {t_tree:.3f}s)"
+        f"tree join {speedup:.2f}x vs unindexed "
+        f"(unindexed {t_plain:.3f}s, tree {t_tree:.3f}s)"
     )
 
 
 def test_hierarchical_topk(benchmark):
     """Closest-pair join on the hierarchical-index corpus: the tree's
-    seeded bound and one thresholded tree join against the grid's
-    ascending-bound scan.  Both answers must be identical; seconds and
-    the tree's candidate count are recorded (no speed floor) in
-    ``BENCH_engine_scaling.json``."""
+    seeded bound and one thresholded tree join.  The answer must be the
+    k smallest exact distances among the matches of an unindexed
+    threshold join at the tree's k-th distance (every pair that close
+    is such a match); seconds and the tree's candidate count are
+    recorded (no speed floor) in ``BENCH_engine_scaling.json``."""
     from repro import obs
+    from repro.distances import dfd_pairs
 
     benchmark.group = "engine: hierarchical top-k join"
     clusters, per_cluster, n = TREE_JOIN_SHAPE.get(
@@ -391,25 +393,24 @@ def test_hierarchical_topk(benchmark):
     repeats = 3
     workers = max(WORKERS)
 
-    def measure(mode):
+    def run():
         with MotifEngine(workers=workers, result_cache_size=0) as eng:
             eng.join_top_k(corpus, shifted, k=k, metric="haversine",
-                           index=mode)  # warm-up: indexes and trees
+                           index=True)  # warm-up: indexes and trees
             times = []
             for _ in range(repeats):
                 started = time.perf_counter()
                 entries = eng.join_top_k(corpus, shifted, k=k,
-                                         metric="haversine", index=mode)
+                                         metric="haversine", index=True)
                 times.append(time.perf_counter() - started)
-            return min(times), entries
+            matches, _ = eng.join(corpus, shifted, entries[-1][0],
+                                  metric="haversine", index=False)
+        return min(times), entries, matches
 
-    def run():
-        return measure("grid"), measure("tree")
-
-    (t_grid, e_grid), (t_tree, e_tree) = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    assert e_tree == e_grid
+    t_tree, e_tree, matches = benchmark.pedantic(run, rounds=1, iterations=1)
+    dists = dfd_pairs([corpus[a].points for a, _ in matches],
+                      [shifted[b].points for _, b in matches], "haversine")
+    assert e_tree == sorted(zip(dists.tolist(), matches))[:k]
 
     # One traced, untimed run reads the tree's candidate count and bound.
     prior = obs.trace_enabled()
@@ -418,7 +419,7 @@ def test_hierarchical_topk(benchmark):
         trace_id = obs.start_trace()
         with MotifEngine(workers=workers, result_cache_size=0) as eng:
             eng.join_top_k(corpus, shifted, k=k, metric="haversine",
-                           index="tree")
+                           index=True)
         obs.clear_trace()
         (attrs,) = [r["attrs"] for r in obs.recent_records(trace_id)
                     if r["kind"] == "span" and r["name"] == "engine.index"]
@@ -436,7 +437,7 @@ def test_hierarchical_topk(benchmark):
         "tree_candidates": attrs["candidates"],
         "tree_bound": attrs["bound"],
         "kth_distance": e_tree[-1][0],
-        "grid_seconds": t_grid,
+        "threshold_matches": len(matches),
         "tree_seconds": t_tree,
     })
 

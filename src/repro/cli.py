@@ -513,12 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report the k closest pairs instead of a threshold join")
     p.add_argument("--workers", type=int, default=1,
                    help="shard the candidate pairs across N worker processes")
-    p.add_argument("--index", nargs="?", const="grid", default="off",
-                   choices=["off", "grid", "tree"],
+    p.add_argument("--index", nargs="?", const="tree", default="off",
+                   choices=["off", "tree", "grid"],
                    help="prune candidate pairs with the corpus proximity "
-                        "index before the filter cascade (same matches); "
-                        "'tree' walks the hierarchical dual traversal "
-                        "instead of the flat pair grid")
+                        "tree before the filter cascade (same matches); "
+                        "a bare --index means 'tree', 'grid' is an alias")
     p.add_argument("--stats", action="store_true",
                    help="print filter-cascade statistics")
     _add_trace_flag(p)
@@ -539,9 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int,
                    help="report the k nearest trajectories instead")
     p.add_argument("--index", nargs="?", const="tree", default="tree",
-                   choices=["off", "grid", "tree"],
+                   choices=["off", "tree", "grid"],
                    help="'tree' (default) prunes with the hierarchical "
-                        "index; 'off' scans brute-force (same answer)")
+                        "index ('grid' is an alias); 'off' scans "
+                        "brute-force (same answer)")
     p.add_argument("--stats", action="store_true",
                    help="print the traversal's IndexStats accounting")
     _add_trace_flag(p)
@@ -558,10 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--workers", type=int, default=1,
                    help="shard the window-pair cascade across N worker processes")
-    p.add_argument("--index", nargs="?", const="grid", default="off",
-                   choices=["off", "grid", "tree"],
+    p.add_argument("--index", nargs="?", const="tree", default="off",
+                   choices=["off", "tree", "grid"],
                    help="prune window pairs with the corpus proximity "
-                        "index ('tree' for the hierarchical traversal)")
+                        "tree; a bare --index means 'tree', 'grid' is an "
+                        "alias")
     p.add_argument("--stats", action="store_true",
                    help="print window/candidate counts and index pruning stats")
     _add_trace_flag(p)

@@ -43,7 +43,8 @@ class GroundMetric:
     #: per-axis absolute differences: ``d(p, q) = g(|p_1 - q_1|, ...,
     #: |p_d - q_d|)`` with ``g`` non-decreasing in every argument.  Two
     #: consequences the filters rely on: every per-axis difference
-    #: lower-bounds the distance (endpoint-grid bucketing), and the
+    #: lower-bounds the distance (the endpoint hull-box bounds of
+    #: :class:`repro.index.TrajectoryTree`), and the
     #: axis-wise closest-point construction between two boxes attains
     #: the minimum box-to-box distance exactly (the bbox filter in
     #: :func:`repro.extensions.join.similarity_join` and the box bound

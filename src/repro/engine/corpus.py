@@ -6,9 +6,10 @@ collection-level workloads here.  Each workload follows one shape:
 1. the engine edge turns each collection into a :class:`Corpus`
    handle, keyed once; the **planner** derives the result key from the
    handles' keys, and the candidate layout;
-2. the **corpus index** (:class:`repro.index.CorpusIndex`) generates
-   the candidate pairs the bounds cannot prove apart (indexed paths),
-   or the full tile grid stands in (unindexed paths);
+2. the **corpus index** (:class:`repro.index.CorpusIndex`, one
+   dual-tree walk) generates the candidate pairs the bounds cannot
+   prove apart (indexed paths), or the full tile grid stands in
+   (unindexed paths);
 3. threshold joins screen their candidates in the parent (endpoint
    and box filters, the coupling settle); the **executor** gets the
    pairs left open only when their ground cells exceed
@@ -48,7 +49,6 @@ from ..extensions.join import (
     join_top_k,
     merge_join_stats,
     merge_join_topk,
-    scan_join_topk,
     screen_pairs,
     similarity_join,
     verify_pairs,
@@ -58,6 +58,11 @@ from ..store.snapshot import snapshot_trajectories
 from . import planner
 from . import worker as _worker
 from .cache import fingerprint_points, metric_key
+
+
+def _point_count(items) -> int:
+    """Total points of a collection (its side of the ground-cell count)."""
+    return sum(len(getattr(t, "points", t)) for t in items)
 
 
 def _points_list(items) -> List[np.ndarray]:
@@ -249,17 +254,17 @@ def _decide_pairs(engine, get_left, get_right, pairs, theta, resolved,
 def run_join(engine, left, right, theta, metric, workers, use_index):
     """Exact DFD similarity join; indexed and/or sharded.
 
-    Unindexed: the PR 2 tile grid over both collections.  Indexed: the
-    corpus index generates candidate pairs, the executor deals them
-    round-robin into chunks whose tasks carry only refs, and the
-    per-chunk cascades fold into statistics identical to the serial
+    Unindexed: the tile grid over both collections.  Indexed: the
+    corpus index's tree walk generates candidate pairs, the parent
+    screens them and the open rest is verified inline or on the pool
+    (:func:`_decide_pairs`); statistics are identical to the serial
     ``similarity_join(index=True)`` -- for every worker count.
     ``left`` / ``right`` are :class:`Corpus` handles and ``theta`` was
     validated at the engine edge.
     """
     resolved = get_metric(metric)
-    mode = planner.normalize_index_mode(use_index)
-    key = planner.join_result_key(left, right, resolved, theta, mode)
+    use_index = planner.normalize_index_mode(use_index)
+    key = planner.join_result_key(left, right, resolved, theta, use_index)
 
     def as_answer(out):
         # Copies: a caller mutating the matches list or stats must
@@ -270,9 +275,8 @@ def run_join(engine, left, right, theta, metric, workers, use_index):
     cached = engine._oracles.result(key)
     if cached is not None:
         return as_answer(cached)
-    if mode and len(left) and len(right):
-        out = _indexed_join(engine, left, right, theta, resolved, workers,
-                            "tree" if mode == "tree" else "grid")
+    if use_index and len(left) and len(right):
+        out = _indexed_join(engine, left, right, theta, resolved, workers)
     else:
         out = _tiled_join(engine, left, right, theta, metric, workers)
     engine._oracles.put_result(key, out)
@@ -280,8 +284,18 @@ def run_join(engine, left, right, theta, metric, workers, use_index):
 
 
 def _tiled_join(engine, left, right, theta, metric, workers):
-    """The unindexed path: shard the full pair grid into tiles."""
+    """The unindexed path: shard the full pair grid into tiles.
+
+    Only when the join's ground cells, ``(sum n_left) * (sum m_right)``,
+    pass :func:`planner.verify_on_pool`; a smaller join runs serially
+    in the parent, cheaper than forking tiles to the pool.
+    """
     exec_ = engine._exec
+    cells = _point_count(left) * _point_count(right)
+    if not planner.verify_on_pool(cells, len(left) * len(right), workers,
+                                  exec_.chunks_per_worker,
+                                  exec_.can_shard(workers)):
+        return similarity_join(left, right, theta, metric)
     plan = planner.plan_join(
         len(left), len(right),
         workers=workers,
@@ -313,26 +327,19 @@ def _tiled_join(engine, left, right, theta, metric, workers):
     return matches, merge_join_stats(tile_stats)
 
 
-def _indexed_join(engine, left, right, theta, resolved, workers, mode="grid"):
-    """The indexed path: candidate pairs -> :func:`_decide_pairs`.
-
-    ``mode`` picks the candidate generator (flat endpoint grid or the
-    hierarchical dual-tree walk); everything downstream of the
-    candidate list -- the screen, the verification, the merge -- is
-    mode-independent, which is why tree-mode matches are
-    byte-identical to grid-mode matches.
-    """
+def _indexed_join(engine, left, right, theta, resolved, workers):
+    """The indexed path: tree candidate pairs -> :func:`_decide_pairs`."""
     index_left = corpus_index_for(engine, left, resolved)
     index_right = corpus_index_for(engine, right, resolved)
     self_join = left.key == right.key
-    # Candidate sets are pure functions of (corpora, metric, theta,
-    # generator mode); serving workloads re-join the same collections,
-    # so they ride the tables cache next to the indexes themselves.
-    with obs.span("engine.index", mode=mode) as _sp:
+    # Candidate sets are pure functions of (corpora, metric, theta);
+    # serving workloads re-join the same collections, so they ride the
+    # tables cache next to the indexes themselves.
+    with obs.span("engine.index", mode="tree") as _sp:
         pairs, index_stats = engine._oracles.tables.get_or_build(
             ("cpairs", left.key, right.key, metric_key(resolved),
-             float(theta), mode),
-            lambda: index_left.candidate_pairs(index_right, theta, mode=mode),
+             float(theta)),
+            lambda: index_left.candidate_pairs(index_right, theta),
         )
         if _sp is not None:
             _sp.attrs["candidates"] = int(len(pairs))
@@ -346,7 +353,7 @@ def _indexed_join(engine, left, right, theta, resolved, workers, mode="grid"):
         return _corpus_payloads(
             left_ref, right_ref, _points_list(left), _points_list(right),
             self_join,
-        ), planner.pairs_slab_key(left.key, right.key, resolved, theta, mode)
+        ), planner.pairs_slab_key(left.key, right.key, resolved, theta)
 
     matches, stats = _decide_pairs(
         engine, _points_getter(left), _points_getter(right), pairs, theta,
@@ -436,13 +443,13 @@ def run_sharded_join(engine, left_shards, right_shards, theta, metric,
     key-wise so a snapshot-served scatter still reports
     ``summary_builds == 0``.
 
-    In tree mode, provably-far shard *blocks* are skipped before any
+    Indexed, provably-far shard *blocks* are skipped before any
     scatter: the shard trees' root-pair bound exceeding ``theta``
     (strictly) proves every cross pair exceeds it too, so the block
     contributes no matches and only O(1) work.  Skips are reported in
     ``details["shards"]["blocks_skipped"]``.
     """
-    mode = planner.normalize_index_mode(use_index)
+    use_index = planner.normalize_index_mode(use_index)
     resolved = get_metric(metric)
     left_offsets = _shard_offsets(left_shards)
     right_offsets = _shard_offsets(right_shards)
@@ -451,7 +458,7 @@ def run_sharded_join(engine, left_shards, right_shards, theta, metric,
     blocks_skipped = 0
     for i, left in enumerate(left_shards):
         for j, right in enumerate(right_shards):
-            if mode == "tree" and len(left) and len(right):
+            if use_index and len(left) and len(right):
                 if _shard_block_bound(engine, left, right, resolved) > theta:
                     blocks_skipped += 1
                     stat_parts.append(
@@ -470,7 +477,7 @@ def run_sharded_join(engine, left_shards, right_shards, theta, metric,
     if index_detail is not None:
         stats.details["index"] = index_detail
     shard_info = {"left": len(left_shards), "right": len(right_shards)}
-    if mode == "tree":
+    if use_index:
         shard_info["blocks_skipped"] = blocks_skipped
     stats.details["shards"] = shard_info
     return matches, stats
@@ -486,20 +493,20 @@ def run_sharded_join_top_k(engine, left_shards, right_shards, k, metric,
     :func:`merge_join_topk` reducer the PR 2 chunked scan uses, applied
     one level up.
 
-    In tree mode the blocks are visited in ascending root-pair-bound
+    Indexed, the blocks are visited in ascending root-pair-bound
     order and a block whose bound strictly exceeds the running k-th
     best distance is skipped outright: none of its pairs can displace
     an already-merged entry, and ties at the k-th distance survive
     because only a *strict* excess prunes.
     """
-    mode = planner.normalize_index_mode(use_index)
+    use_index = planner.normalize_index_mode(use_index)
     left_offsets = _shard_offsets(left_shards)
     right_offsets = _shard_offsets(right_shards)
     blocks = [
         (i, j) for i in range(len(left_shards))
         for j in range(len(right_shards))
     ]
-    if mode == "tree":
+    if use_index:
         resolved = get_metric(metric)
         blocks.sort(key=lambda ij: (
             _shard_block_bound(
@@ -512,7 +519,7 @@ def run_sharded_join_top_k(engine, left_shards, right_shards, k, metric,
     merged: List = []
     for i, j in blocks:
         left, right = left_shards[i], right_shards[j]
-        if (mode == "tree" and len(left) and len(right)
+        if (use_index and len(left) and len(right)
                 and len(merged) >= k
                 and _shard_block_bound(engine, left, right, resolved)
                 > merged[-1][0]):
@@ -535,50 +542,26 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     """The ``k`` closest (left, right) pairs by exact DFD, ascending.
 
     The answer is canonical under ``(distance, (a, b))``, so the
-    result cache is shared by every path.  Tree mode is one thresholded
-    tree join (:func:`_tree_join_topk`).  Grid-indexed scans consume
-    the pair grid in ascending index-lower-bound order and stop at the
-    first bound beyond the evolving k-th best; sharded scans exchange
-    the k-th best through the engine's shared threshold and merge
-    per-chunk heaps exactly.
+    result cache is shared by every path.  Indexed, it is one
+    thresholded tree join (:func:`_tree_join_topk`).  Unindexed scans
+    run serially, or sharded: chunks exchange the k-th best through
+    the engine's shared threshold and per-chunk heaps merge exactly.
     """
     resolved = get_metric(metric)
     key = planner.join_topk_result_key(left, right, resolved, k)
     cached = engine._oracles.result(key)
     if cached is not None:
         return list(cached)
-    mode = planner.normalize_index_mode(use_index)
-    if mode == "tree" and len(left) and len(right):
-        entries = _tree_join_topk(engine, left, right, k, resolved)
-        engine._oracles.put_result(key, entries)
-        return list(entries)
     exec_ = engine._exec
-    pairs = lbs = None
-    use_index = bool(mode) and bool(len(left)) and bool(len(right))
-    if use_index:
-        index_left = corpus_index_for(engine, left, resolved)
-        index_right = corpus_index_for(engine, right, resolved)
-        pairs, lbs = index_left.ordered_pairs(index_right)
-    n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
     n_pairs = len(left) * len(right)
-    if not exec_.can_shard(workers) or n_pairs < 2 or n_chunks < 2:
-        if use_index:
-            entries = scan_join_topk(
-                _points_getter(left), _points_getter(right),
-                pairs, k, resolved, bounds=lbs, ordered=True,
-            )
-        else:
-            entries = join_top_k(left, right, k, resolved)
+    if planner.normalize_index_mode(use_index) and n_pairs:
+        entries = _tree_join_topk(engine, left, right, k, resolved)
+    elif (not exec_.can_shard(workers) or n_pairs < 2
+          or planner.n_chunks_for(workers, exec_.chunks_per_worker) < 2):
+        entries = join_top_k(left, right, k, resolved)
     else:
-        if pairs is None:
-            n_right = len(right)
-            a_idx, b_idx = np.divmod(
-                np.arange(n_pairs, dtype=np.int64), n_right
-            )
-            pairs = np.stack([a_idx, b_idx], axis=1)
-        entries = _sharded_join_topk(
-            engine, left, right, pairs, lbs, k, metric, resolved, workers
-        )
+        entries = _sharded_join_topk(engine, left, right, k, metric,
+                                     resolved, workers)
     entries = list(entries)
     engine._oracles.put_result(key, entries)
     return list(entries)
@@ -649,10 +632,12 @@ def _tree_join_topk(engine, left, right, k, resolved):
     return entries[:k]
 
 
-def _sharded_join_topk(engine, left, right, pairs, lbs, k, metric, resolved,
-                       workers):
-    """Deal the (ordered) pair list into chunks sharing the k-th best."""
+def _sharded_join_topk(engine, left, right, k, metric, resolved, workers):
+    """Deal the left-major pair grid into chunks sharing the k-th best."""
     exec_ = engine._exec
+    pairs = np.stack(np.divmod(
+        np.arange(len(left) * len(right), dtype=np.int64), len(right)
+    ), axis=1)
     index_left = corpus_index_for(engine, left, resolved)
     index_right = corpus_index_for(engine, right, resolved)
     self_join = left.key == right.key
@@ -664,14 +649,9 @@ def _sharded_join_topk(engine, left, right, pairs, lbs, k, metric, resolved,
                 left_ref if self_join
                 else _share_corpus(engine, index_right, right.key)
             )
-            slabs = {"pairs": pairs}
-            if lbs is not None:
-                slabs["lbs"] = lbs
             pairs_ref = exec_.share_index(
-                planner.topk_pairs_slab_key(
-                    left.key, right.key, resolved, lbs is not None
-                ),
-                slabs,
+                planner.topk_pairs_slab_key(left.key, right.key, resolved),
+                {"pairs": pairs},
             )
             corpus_payload = _corpus_payloads(
                 left_ref, right_ref, _points_list(left), _points_list(right),
@@ -686,10 +666,6 @@ def _sharded_join_topk(engine, left, right, pairs, lbs, k, metric, resolved,
                     pairs_ref=pairs_ref,
                     pair_start=start if pairs_ref is not None else 0,
                     pair_stride=stride if pairs_ref is not None else 1,
-                    pair_lbs=(
-                        None if pairs_ref is not None or lbs is None
-                        else lbs[start::stride]
-                    ),
                     sync_every=exec_.bsf_sync_every,
                     **corpus_payload,
                 )
@@ -738,7 +714,7 @@ def run_range(engine, query, corpus, radius, metric, use_index):
     if not len(corpus):
         return [], IndexStats()
     resolved = get_metric(metric)
-    use_tree = bool(planner.normalize_index_mode(use_index))
+    use_tree = planner.normalize_index_mode(use_index)
     key = planner.range_result_key(query, corpus, resolved, radius, use_tree)
     cached = engine._oracles.result(key)
     if cached is not None:
@@ -761,7 +737,7 @@ def run_knn(engine, query, corpus, k, metric, use_index):
     if not len(corpus):
         return [], IndexStats()
     resolved = get_metric(metric)
-    use_tree = bool(planner.normalize_index_mode(use_index))
+    use_tree = planner.normalize_index_mode(use_index)
     key = planner.knn_result_key(query, corpus, resolved, k, use_tree)
     cached = engine._oracles.result(key)
     if cached is not None:
@@ -837,9 +813,8 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
             clusters_from_edges(starts, [], window_length, min_cluster_size),
             [],
         )
-    mode = planner.normalize_index_mode(use_index)
     windex = None
-    if mode:
+    if planner.normalize_index_mode(use_index):
         fp = (
             "cwindex", fingerprint_points(traj), int(window_length),
             int(stride), metric_key(resolved),
@@ -848,8 +823,7 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
             fp, lambda: CorpusIndex(windows, resolved)
         )
         candidates, index_stats = windex.candidate_pairs(
-            None, theta, pairs=pair_grid,
-            mode="tree" if mode == "tree" else "grid",
+            None, theta, pairs=pair_grid
         )
     else:
         candidates = pair_grid
@@ -860,11 +834,13 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
         corpus_ref = exec_.share_index(
             planner.corpus_slab_key(windows_key), slabs
         )
+        # The open pairs differ with and without the index's pruning,
+        # so the two candidate lists publish under different keys.
+        pairs_key = windows_key + (":indexed" if windex is not None else "")
         return (
             dict(left_ref=corpus_ref,
                  left_points=None if corpus_ref is not None else windows),
-            planner.pairs_slab_key(windows_key, windows_key, resolved, theta,
-                                   mode),
+            planner.pairs_slab_key(pairs_key, pairs_key, resolved, theta),
         )
 
     get_windows = _points_getter(windows)

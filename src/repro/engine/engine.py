@@ -123,14 +123,13 @@ class MotifEngine:
         loop, so late chunks prune against early discoveries mid-scan.
     index:
         Default for the corpus workloads' ``index=`` knob: ``False``
-        (off), ``True`` / ``"grid"`` (a flat
-        :class:`repro.index.CorpusIndex`: admissible DFD lower bounds
-        + endpoint-grid bucketing) or ``"tree"`` (the bulk-loaded
-        :class:`repro.index.TrajectoryTree`: the same bound family
-        aggregated up an STR-packed hierarchy, so joins walk node
-        pairs instead of the n x n grid).  Answers are identical on
-        every setting; off by default so unindexed filter statistics
-        stay byte-stable.
+        (off) or ``True`` / ``"tree"`` (on; ``"grid"`` is an alias):
+        a :class:`repro.index.CorpusIndex` whose admissible DFD lower
+        bounds are aggregated up the bulk-loaded
+        :class:`repro.index.TrajectoryTree`, so joins walk node pairs
+        instead of the n x n grid.  Answers are identical either way;
+        off by default so unindexed filter statistics stay
+        byte-stable.
     adaptive_chunks:
         Let the planner rebalance ``chunks_per_worker`` from each
         dispatch round's observed chunk runtimes
@@ -488,9 +487,10 @@ class MotifEngine:
         collection parallelises; each tile runs the full filter cascade
         on its pair block.  With ``index=True`` a
         :class:`repro.index.CorpusIndex` prunes the pair grid first
-        (admissible lower bounds + endpoint-grid bucketing) and only
-        the surviving candidate pairs are dealt across the pool, each
-        task carrying refs into the published corpus arrays.  Matches
+        (admissible lower bounds walked down its tree) and only the
+        surviving candidate pairs are screened, the open rest dealt
+        across the pool when their cells pay for it, each task
+        carrying refs into the published corpus arrays.  Matches
         are identical on every path and re-sort to the serial
         (left-major) order; the filter statistics fold additively
         (indexed runs account the index's share in ``pruned_index``).
@@ -524,9 +524,9 @@ class MotifEngine:
 
         The corpus companion of :meth:`top_k`: instead of a threshold
         the scan maintains the evolving k-th best distance, pruning
-        each pair with the cascade's lower bounds (and, with
-        ``index=True``, consuming the pair grid in ascending
-        index-bound order so the tail is never touched).  The answer
+        each pair with the cascade's lower bounds; with ``index=True``
+        it is one thresholded tree join at a seeded bound on the k-th
+        distance, so the pair grid is never enumerated.  The answer
         is canonical under ``(distance, (a, b))`` -- identical for the
         serial reference :func:`repro.extensions.join.join_top_k`,
         every worker count, indexed or not.  ``k`` must be a positive
@@ -621,7 +621,7 @@ class MotifEngine:
         Returns ``(matches, stats)``: matches are ``(index, distance)``
         pairs ascending by corpus index, ``stats`` the
         :class:`~repro.index.IndexStats` accounting of the traversal.
-        With ``index="tree"`` (or any truthy mode) a best-first
+        With the index on (``True`` / ``"tree"``) a best-first
         :class:`~repro.index.TrajectoryTree` descent prunes node
         subtrees whose admissible query bound strictly exceeds the
         radius; ``index=False`` scans brute-force.  Answers are
@@ -650,7 +650,7 @@ class MotifEngine:
         Returns ``(neighbors, stats)``: neighbors as ``(distance,
         index)`` ascending, ties broken by corpus index -- exactly
         ``sorted((dfd(q, T_i), i))[:k]``.  The tree traversal
-        (``index="tree"`` or any truthy mode) expands node pairs
+        (``index=True`` / ``"tree"``) expands node pairs
         best-first against the evolving k-th best and stops when the
         cheapest remaining bound strictly exceeds it.  ``k`` must be a
         positive integer; ``corpus`` may be a handle.

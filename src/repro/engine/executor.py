@@ -85,7 +85,7 @@ def fork_context():
 #: Inline payload fields counted as index-array pickling when a task
 #: could not carry the corresponding by-reference handle.
 _INDEX_REF_FIELDS = ("left_ref", "right_ref", "pairs_ref", "corpus_ref")
-_INDEX_INLINE_FIELDS = ("left_points", "right_points", "pairs", "pair_lbs")
+_INDEX_INLINE_FIELDS = ("left_points", "right_points", "pairs")
 
 
 class EngineExecutor:

@@ -191,32 +191,29 @@ def subset_corpus_key(parent_key: str, picks: Sequence[int]) -> str:
     return SUBSET_PREFIX + digest.hexdigest()
 
 
-def normalize_index_mode(index):
-    """Canonicalise a corpus-query ``index`` knob.
+def normalize_index_mode(index) -> bool:
+    """Canonicalise a corpus-query ``index`` knob to on/off.
 
-    ``False`` disables the corpus index, ``True`` / ``"grid"`` select
-    the flat endpoint-grid candidate generator (the two spellings are
-    one cache identity -- ``"grid"`` maps to ``True`` so keys minted
-    before tree mode existed stay valid), and ``"tree"`` selects the
-    hierarchical dual-traversal.  Anything else is a query error.
+    ``False`` / ``None`` disable the corpus index; ``True``, ``"tree"``
+    and ``"grid"`` (an alias kept for one release, from when a flat
+    endpoint-grid generator existed) enable it, so all three spellings
+    share one cache identity.  Anything else is a query error.
     """
     if index is False or index is None:
         return False
-    if index is True or index == "grid":
+    if index is True or index in ("tree", "grid"):
         return True
-    if index == "tree":
-        return "tree"
     raise ReproError(
-        f"index must be True, False, 'grid' or 'tree' (got {index!r})"
+        f"index must be True, False, 'tree' or 'grid' (got {index!r})"
     )
 
 
 def join_result_key(left, right, metric, theta: float, indexed) -> tuple:
     """Result-cache key of one similarity join of two corpus handles.
 
-    ``indexed`` participates because the indexed, unindexed and
-    tree-walk paths report different (all correct) filter statistics;
-    the *matches* are identical in every mode.
+    ``indexed`` participates because the indexed and unindexed paths
+    report different (all correct) filter statistics; the *matches*
+    are identical either way.
     """
     return (
         "join", left.key, right.key, metric_key(metric), float(theta),
@@ -251,28 +248,15 @@ def corpus_slab_key(corpus_key: str) -> tuple:
 
 
 def pairs_slab_key(
-    left_key: str, right_key: str, metric, theta: float, mode="grid"
+    left_key: str, right_key: str, metric, theta: float
 ) -> tuple:
-    """Shared-segment key of one join's candidate-pair slab.
-
-    ``mode`` (the candidate generator) participates: grid and tree
-    passes survive *different* candidate supersets, so sharing one
-    slab key would let a stale segment answer for the other mode.
-    """
-    return (
-        "pairs", left_key, right_key, metric_key(metric), float(theta),
-        str(mode),
-    )
+    """Shared-segment key of one join's candidate-pair slab."""
+    return ("pairs", left_key, right_key, metric_key(metric), float(theta))
 
 
-def topk_pairs_slab_key(
-    left_key: str, right_key: str, metric, with_bounds: bool
-) -> tuple:
-    """Shared-segment key of one top-k join's ordered-pair slab."""
-    return (
-        "topk_pairs", left_key, right_key, metric_key(metric),
-        bool(with_bounds),
-    )
+def topk_pairs_slab_key(left_key: str, right_key: str, metric) -> tuple:
+    """Shared-segment key of one top-k join's pair slab."""
+    return ("topk_pairs", left_key, right_key, metric_key(metric))
 
 
 def subset_expansion_key(okey, space, tau: int, pairs) -> tuple:

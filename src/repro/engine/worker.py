@@ -541,13 +541,11 @@ def pairs_join_tile(task: PairsJoinTask):
 
 @dataclass(frozen=True)
 class JoinTopKChunkTask:
-    """One chunk of a top-k closest-pair join's ordered pair list.
+    """One chunk of an unindexed top-k closest-pair join's pair list.
 
-    ``pair_lbs`` (or the ``lbs`` slab next to the shared ``pairs``)
-    carries the index lower bound per pair; the chunk's share is
-    ascending, so the scan stops at the first bound beyond the shared
-    k-th-best cut.  The k-th best rides the same shared value as the
-    motif scans (reset per scan by the engine).
+    The k-th best rides the same shared value as the motif scans
+    (reset per scan by the engine), so a chunk prunes against every
+    sibling's progress.
     """
 
     k: int
@@ -556,7 +554,6 @@ class JoinTopKChunkTask:
     pairs_ref: Optional[SharedArrayRef] = None
     pair_start: int = 0
     pair_stride: int = 1
-    pair_lbs: Optional[np.ndarray] = None
     left_points: Optional[Sequence] = None
     left_ref: Optional[SharedArrayRef] = None
     right_points: Optional[Sequence] = None
@@ -567,7 +564,7 @@ class JoinTopKChunkTask:
 
 
 def join_topk_chunk(task: JoinTopKChunkTask):
-    """Scan one ordered pair chunk against the shared k-th best."""
+    """Scan one pair chunk against the shared k-th best."""
     fail_at("worker.task")
     from ..extensions.join import scan_join_topk
 
@@ -576,23 +573,12 @@ def join_topk_chunk(task: JoinTopKChunkTask):
         get_right = get_left
     else:
         get_right = _resolve_corpus(task.right_points, task.right_ref)
-    pairs = _resolve_pairs(task)
-    bounds = task.pair_lbs
-    if bounds is None and task.pairs_ref is not None:
-        slabs = attach_slabs(task.pairs_ref)
-        if "lbs" in slabs:
-            lbs = slabs["lbs"]
-            if task.pair_stride != 1 or task.pair_start != 0:
-                lbs = lbs[task.pair_start::task.pair_stride]
-            bounds = lbs
     return scan_join_topk(
         get_left,
         get_right,
-        pairs,
+        _resolve_pairs(task),
         task.k,
         task.metric,
-        bounds=bounds,
-        ordered=bounds is not None,
         kth0=min(task.seed_kth, read_shared_bsf()),
         sync=sync_bsf,
         sync_every=task.sync_every,

@@ -37,8 +37,9 @@ the metric value too.
 
 ``index=True`` puts a :class:`~repro.index.CorpusIndex` in front of the
 cascade: per-trajectory summaries (endpoints, boxes, Douglas-Peucker
-simplifications with exact DFD error radii) plus endpoint-grid
-bucketing prune most pairs before any of the per-pair filters run.
+simplifications with exact DFD error radii), walked as one
+hierarchical tree, prune most pairs before any of the per-pair filters
+run.
 The pruning is admissible, so the *matches* are identical to the
 unindexed path; the filter statistics account the index's share in
 ``pruned_index``.  :func:`join_pairs` is the candidate-list core the
@@ -147,8 +148,9 @@ def similarity_join(
     (see :meth:`repro.engine.MotifEngine.join`) passes the absolute
     positions of its first left/right trajectory so per-tile matches
     land directly in collection coordinates.  With ``index=True`` a
-    :class:`~repro.index.CorpusIndex` generates the candidate pairs
-    first; the matches are identical (the index bounds are admissible)
+    :class:`~repro.index.CorpusIndex` (built on every call, tree
+    included) generates the candidate pairs first; the matches are
+    identical (the index bounds are admissible)
     and the pairs it removed are accounted in ``stats.pruned_index``.
     Without it, the cascade of :func:`join_pairs` runs over the full
     left-major pair grid, built :data:`PAIR_CHUNK` pairs at a time.
@@ -425,8 +427,6 @@ def scan_join_topk(
     k: int,
     metric: Union[str, GroundMetric] = "euclidean",
     *,
-    bounds=None,
-    ordered: bool = False,
     kth0: float = math.inf,
     sync: Optional[Callable[[float], float]] = None,
     sync_every: int = 64,
@@ -440,9 +440,7 @@ def scan_join_topk(
     proven lower bound strictly exceeds the current cut
     ``min(local k-th best, external)``: its distance then strictly
     exceeds the final k-th best, so it cannot appear in the answer even
-    under distance ties.  ``bounds`` supplies per-pair index lower
-    bounds; with ``ordered=True`` they are ascending and the scan
-    terminates at the first bound beyond the cut.  ``sync`` exchanges
+    under distance ties.  ``sync`` exchanges
     the local k-th best with sibling chunks (the engine's shared
     threshold), mirroring :func:`repro.extensions.topk.scan_topk_entries`.
     """
@@ -461,10 +459,6 @@ def scan_join_topk(
         if sync is not None and count % sync_every == 0:
             external = min(external, sync(kth_dist()))
         cut = min(kth_dist(), external)
-        if bounds is not None and float(bounds[count]) > cut:
-            if ordered:
-                break
-            continue
         p, q = get_left(a), get_right(b)
         if m.distance(p[0], q[0]) > cut or m.distance(p[-1], q[-1]) > cut:
             continue

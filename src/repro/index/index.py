@@ -26,11 +26,12 @@ pairs before any distance matrix is built.
 
   and the right-hand side is computed on the tiny simplified curves.
 
-Candidate generation buckets trajectories by an **endpoint grid** with
-cell size ``theta``: for a coordinate-monotone ground metric, two start
-points more than one cell apart on any axis are strictly further than
-``theta``, so only the 3^d neighbouring buckets can contain join
-partners -- most pairs are never enumerated at all.
+Candidate generation is one dual traversal of the hierarchical
+:class:`~repro.index.tree.TrajectoryTree` bulk-loaded over these
+summaries: node pairs whose aggregate bound exceeds ``theta`` drop
+their whole item-pair blocks, so most pairs are never enumerated at
+all.  The flat summaries are the tree's leaf payload and the filter
+tail every surviving pair runs through.
 
 Every bound is *admissible* (never exceeds the true DFD), which the
 property suite in ``tests/test_index.py`` asserts on random corpora;
@@ -82,6 +83,9 @@ class IndexStats:
     """
 
     pairs_total: int = 0
+    #: Pairs removed in whole tree blocks (node pairs whose aggregate
+    #: bound exceeds the cut).  The name predates the tree and is kept
+    #: for wire compatibility.
     pruned_grid: int = 0
     pruned_endpoint: int = 0
     pruned_box: int = 0
@@ -92,8 +96,8 @@ class IndexStats:
     #: restored from a :mod:`repro.store` snapshot).  This is what makes
     #: snapshot hits observable in serving statistics.
     summary_builds: int = 0
-    #: Hierarchical-tree traversal accounting (zero on flat-grid
-    #: passes): tree nodes whose aggregate bound was evaluated, nodes
+    #: Hierarchical-tree traversal accounting (zero on brute-force
+    #: scans): tree nodes whose aggregate bound was evaluated, nodes
     #: pruned with their whole subtree blocks, and leaf blocks whose
     #: items were actually emitted.  ``nodes_visited`` being o(n^2) on
     #: clustered corpora is the tree's whole point -- the scaling bench
@@ -161,7 +165,7 @@ class CorpusIndex:
         originals alive.
     metric:
         Ground metric (name or instance) the bounds are computed under.
-        Grid bucketing and the box bound engage only for
+        The box bound engages only for
         *coordinate-monotone* metrics (``metric.coordinate_monotone``,
         e.g. Euclidean and Chebyshev); the endpoint and simplification
         bounds are admissible under any ground metric.
@@ -223,8 +227,8 @@ class CorpusIndex:
         # consumers (corpus batches) never pay the per-trajectory DPs.
         self._simplified: Optional[List[np.ndarray]] = None
         self._simp_errors: Optional[np.ndarray] = None
-        #: Hierarchical proximity tree, built lazily (threshold joins
-        #: that never engage tree mode do not pay the bulk load).
+        #: Hierarchical proximity tree, built lazily (transport-only
+        #: and brute-force consumers do not pay the bulk load).
         self._tree: Optional[TrajectoryTree] = None
         #: Per-trajectory summary DPs this index has actually run (a
         #: snapshot-restored index keeps this at 0 -- the serving-cost
@@ -260,7 +264,7 @@ class CorpusIndex:
         The snapshot loader (:mod:`repro.store`) uses this to hand back
         an index whose every derived array is *byte-identical* to the
         one that was saved -- nothing is recomputed, so a restored
-        index answers :meth:`candidate_pairs` / :meth:`ordered_pairs`
+        index answers :meth:`candidate_pairs` / :meth:`pair_cursor`
         bit-for-bit like the original and performs **zero**
         simplification DPs (``summary_builds`` stays 0).  ``slabs`` /
         ``slab_ref`` mark the index as backed by contiguous mapped
@@ -319,7 +323,7 @@ class CorpusIndex:
         order), the ground metric and the simplification parameters --
         the inputs every derived summary is a function of.  Equal keys
         therefore mean byte-identical :meth:`candidate_pairs` /
-        :meth:`ordered_pairs` answers, which is what lets the snapshot
+        :meth:`pair_cursor` answers, which is what lets the snapshot
         store (:mod:`repro.store`) key its manifests by it and lets
         serving layers detect that a snapshot matches a request corpus
         without rebuilding anything.
@@ -522,116 +526,53 @@ class CorpusIndex:
     # ------------------------------------------------------------------
     # Candidate generation
     # ------------------------------------------------------------------
-    def _grid_candidates(
-        self, other: "CorpusIndex", theta: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pairs surviving the endpoint grid (coordinate-monotone only).
-
-        Start points are hashed into cells of side ``theta``; a pair
-        whose start cells differ by two or more on any axis has
-        per-axis start distance strictly greater than ``theta``, hence
-        ``DFD > theta`` -- only the 3^d neighbouring cells are probed.
-        """
-        cells = np.floor(other.starts / theta).astype(np.int64)
-        buckets: Dict[tuple, List[int]] = {}
-        for j, cell in enumerate(map(tuple, cells)):
-            buckets.setdefault(cell, []).append(j)
-        a_out: List[int] = []
-        b_out: List[int] = []
-        own_cells = np.floor(self.starts / theta).astype(np.int64)
-        dims = self.dimensions
-        offsets = np.stack(
-            np.meshgrid(*([np.array([-1, 0, 1])] * dims), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, dims)
-        for i, cell in enumerate(own_cells):
-            for off in offsets:
-                hits = buckets.get(tuple(cell + off))
-                if hits:
-                    a_out.extend([i] * len(hits))
-                    b_out.extend(hits)
-        return (
-            np.asarray(a_out, dtype=np.int64),
-            np.asarray(b_out, dtype=np.int64),
-        )
-
     def candidate_pairs(
         self,
         other: Optional["CorpusIndex"],
         theta: float,
         pairs: Optional[np.ndarray] = None,
-        *,
-        mode: str = "grid",
     ) -> Tuple[np.ndarray, IndexStats]:
         """All pairs the index cannot prove apart at threshold ``theta``.
 
         Returns a lexicographically sorted ``(m, 2)`` int64 array of
         surviving ``(a, b)`` pairs plus the pruning statistics.  Every
-        pruned pair provably has ``DFD > theta``.  ``pairs`` restricts
-        the grid to a caller-supplied pair list (window clustering's
-        non-overlap rule); grid bucketing then does not apply, but the
-        vectorised bound filters do.
-
-        ``mode`` selects the candidate generator: ``"grid"`` is the
-        flat endpoint-grid path, ``"tree"`` runs the dual-tree
-        traversal (:meth:`ensure_tree`) so the ``|L| x |R|`` grid is
-        never materialised -- pruned node pairs drop whole blocks and
-        land in ``pruned_grid``.  Both modes feed the same vectorised
-        filter tail, so surviving pairs (and therefore join answers)
-        are identical.
+        pruned pair provably has ``DFD > theta``.  The dual-tree
+        traversal (:meth:`ensure_tree`) generates the candidates, so
+        the ``|L| x |R|`` grid is never materialised -- pruned node
+        pairs drop whole blocks and land in ``pruned_grid``.  ``pairs``
+        restricts the answer to a caller-supplied pair list (window
+        clustering's non-overlap rule), intersected with the walk.  The
+        vectorised endpoint / box / simplification filters then run on
+        the survivors.
         """
-        out, _, stats = self._candidates(other, theta, pairs, mode)
+        out, _, stats = self._candidates(other, theta, pairs)
         return out, stats
 
     def _candidates(
-        self, other, theta, pairs, mode
+        self, other, theta, pairs
     ) -> Tuple[np.ndarray, np.ndarray, IndexStats]:
         """:meth:`candidate_pairs` plus each survivor's bound
         ``max(endpoint + box, simplification)``, in pair order."""
         theta = check_threshold("theta", theta)
-        if mode not in ("grid", "tree"):
-            raise ReproError("candidate mode must be 'grid' or 'tree'")
         peer = self if other is None else other
         stats = IndexStats()
         built_before = self.summary_builds + (
             0 if peer is self else peer.summary_builds
         )
-        if mode == "tree":
-            walk = IndexStats()
-            tree_a, tree_b = self.ensure_tree().join_candidates(
-                peer.ensure_tree(), theta, walk
-            )
-            stats.nodes_visited = walk.nodes_visited
-            stats.nodes_pruned = walk.nodes_pruned
-            stats.leaves_scanned = walk.leaves_scanned
-            if pairs is not None:
-                pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-                stats.pairs_total = len(pairs)
-                # Intersect the caller's pair list with the pairs the
-                # dual traversal could not prove apart (the traversal's
-                # own block accounting covers the full grid, not the
-                # restricted list).
-                keys = pairs[:, 0] * peer.n + pairs[:, 1]
-                keep = np.isin(keys, tree_a * peer.n + tree_b)
-                a_idx, b_idx = pairs[keep, 0], pairs[keep, 1]
-                stats.pruned_grid = stats.pairs_total - len(a_idx)
-            else:
-                stats.pairs_total = self.n * peer.n
-                a_idx, b_idx = tree_a, tree_b
-                stats.pruned_grid = walk.pruned_grid
-        elif pairs is not None:
+        a_idx, b_idx = self.ensure_tree().join_candidates(
+            peer.ensure_tree(), theta, stats
+        )
+        stats.pairs_total = self.n * peer.n
+        if pairs is not None:
             pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            # Intersect the caller's pair list with the pairs the dual
+            # traversal could not prove apart (the traversal's own block
+            # accounting covers the full grid, not the restricted list).
+            keep = np.isin(pairs[:, 0] * peer.n + pairs[:, 1],
+                           a_idx * peer.n + b_idx)
+            a_idx, b_idx = pairs[keep, 0], pairs[keep, 1]
             stats.pairs_total = len(pairs)
-            a_idx, b_idx = pairs[:, 0], pairs[:, 1]
-        else:
-            stats.pairs_total = self.n * peer.n
-            if theta > 0 and self.metric.coordinate_monotone:
-                a_idx, b_idx = self._grid_candidates(peer, theta)
-                stats.pruned_grid = stats.pairs_total - len(a_idx)
-            else:
-                a_idx, b_idx = np.divmod(
-                    np.arange(self.n * peer.n, dtype=np.int64), peer.n
-                )
+            stats.pruned_grid = stats.pairs_total - len(a_idx)
         lbs = np.empty(0)
         if len(a_idx):
             # Endpoint/box are folded into one vectorised pass; split
@@ -662,27 +603,6 @@ class CorpusIndex:
         )
         stats.candidates = len(out)
         return out, lbs, stats
-
-    def ordered_pairs(
-        self, other: Optional["CorpusIndex"] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The full pair grid, ascending by ``(lower bound, a, b)``.
-
-        Top-k closest-pair joins have no fixed threshold to prune
-        against up front; instead the scan consumes pairs in ascending
-        lower-bound order and stops once the bound exceeds the evolving
-        k-th best distance.  Returns ``(pairs, bounds)`` (endpoint +
-        box bounds; no per-pair simplification DP -- the scan's cascade
-        tightens further).
-        """
-        peer = self if other is None else other
-        a_idx, b_idx = np.divmod(
-            np.arange(self.n * peer.n, dtype=np.int64), peer.n
-        )
-        lbs = self.pair_bounds(other, a_idx, b_idx)
-        order = np.lexsort((b_idx, a_idx, lbs))
-        pairs = np.stack([a_idx[order], b_idx[order]], axis=1)
-        return np.ascontiguousarray(pairs), np.ascontiguousarray(lbs[order])
 
     def pair_cursor(
         self, other: Optional["CorpusIndex"] = None

@@ -1,9 +1,9 @@
 """Hierarchical Frechet proximity tree over per-trajectory summaries.
 
-The flat :class:`~repro.index.CorpusIndex` proves admissible discrete
-Frechet lower bounds per trajectory *pair*, but still enumerates the
-``|L| x |R|`` grid before its vectorised filters run.  This module
-packs the same summaries into a bulk-loaded R-tree (Sort-Tile-Recursive
+The flat summaries of :class:`~repro.index.CorpusIndex` prove
+admissible discrete Frechet lower bounds per trajectory *pair*; checked
+pair by pair they would still enumerate the ``|L| x |R|`` grid.  This
+module packs the same summaries into a bulk-loaded R-tree (Sort-Tile-Recursive
 over bounding-box centers, after Leutenegger et al.; the practical
 Frechet-proximity construction follows Gudmundsson et al.,
 arXiv:2005.13773) so joins, range queries and k-nearest-neighbour
@@ -694,11 +694,11 @@ class TreePairCursor:
     def take_within(self, cut: float) -> Tuple[np.ndarray, np.ndarray]:
         """Every item pair the trees cannot prove ``> cut``, with its bound.
 
-        The pairs of :meth:`CorpusIndex.candidate_pairs` at ``cut`` in
-        tree mode, each with the tightest bound the filter tail proved
-        for it.  Only a strict excess prunes: ties at ``cut`` survive.
+        The pairs of :meth:`CorpusIndex.candidate_pairs` at ``cut``,
+        each with the tightest bound the filter tail proved for it.
+        Only a strict excess prunes: ties at ``cut`` survive.
         """
-        pairs, lbs, _ = self._left._candidates(self._right, cut, None, "tree")
+        pairs, lbs, _ = self._left._candidates(self._right, cut, None)
         return pairs, lbs
 
 

@@ -1199,7 +1199,7 @@ class MotifService:
         key = (
             "svc", "range", len(shards) if shards else 1,
             planner.range_result_key(
-                query, corpus, resolved, radius, bool(use_index)
+                query, corpus, resolved, radius, use_index
             ),
         )
 
@@ -1230,7 +1230,7 @@ class MotifService:
         key = (
             "svc", "knn", len(shards) if shards else 1,
             planner.knn_result_key(
-                query, corpus, resolved, k, bool(use_index)
+                query, corpus, resolved, k, use_index
             ),
         )
 

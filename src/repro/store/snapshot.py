@@ -18,7 +18,7 @@ artifact any number of server processes can map simultaneously:
 * :func:`load_snapshot` maps the files back with :class:`numpy.memmap`
   (read-only, page-cache backed) and rebuilds the index via
   :meth:`CorpusIndex.restore` -- **nothing is recomputed**, so a
-  loaded index answers ``candidate_pairs`` / ``ordered_pairs``
+  loaded index answers ``candidate_pairs`` / ``pair_cursor``
   byte-identically to the saved one and performs zero simplification
   DPs (property-tested in ``tests/test_store.py``);
 * :class:`SnapshotSlabRef` is the picklable by-reference handle pool

@@ -326,10 +326,8 @@ SERIAL_BAD_CALLS = {
         lambda c: CorpusIndex(c).range_scan(c[0], math.nan, use_tree=False),
     "knn_scan k fractional": lambda c: CorpusIndex(c).knn_scan(c[0], 2.5),
     "knn_scan k True": lambda c: CorpusIndex(c).knn_scan(c[0], True),
-    "candidate_pairs theta nan, grid":
-        lambda c: CorpusIndex(c).candidate_pairs(None, math.nan),
     "candidate_pairs theta nan, tree":
-        lambda c: CorpusIndex(c).candidate_pairs(None, math.nan, mode="tree"),
+        lambda c: CorpusIndex(c).candidate_pairs(None, math.nan),
     "similarity_join theta nan": lambda c: similarity_join(c, c, math.nan),
     "similarity_join theta nan, indexed":
         lambda c: similarity_join(c, c, math.nan, index=True),

@@ -310,8 +310,7 @@ def test_join_above_the_floor_dispatches(monkeypatch, index):
     assert matches == sharded[0] == ref_matches
     assert counters(stats) == counters(inline_stats)
     assert counters(sharded[1]) == counters(inline_sharded[1])
-    if index == "grid":
-        assert counters(stats) == counters(ref_stats)
+    assert counters(stats) == counters(ref_stats)
 
 
 @needs_fork

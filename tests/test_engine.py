@@ -17,7 +17,7 @@ from repro.core import BTM, GTM, GTMStar, discover_motif, self_space
 from repro.core.brute import BruteDP
 from repro.core.motif import _make_algorithm
 from repro.distances.ground import DenseGroundMatrix, ground_matrix
-from repro.engine import MotifEngine, deal_indices, plan_chunks
+from repro.engine import MotifEngine, deal_indices, planner, plan_chunks
 from repro.engine.cache import LRUCache, fingerprint_points
 from repro.extensions import StreamingMotif, discover_top_k_motifs
 from repro.extensions.join import merge_join_stats, similarity_join
@@ -334,13 +334,16 @@ class TestJoin:
         assert got_stats.matches == ref_stats.matches
         assert got_stats.pruned_total == ref_stats.pruned_total
 
-    def test_single_left_trajectory_join_is_sharded(self):
+    def test_single_left_trajectory_join_is_sharded(self, monkeypatch):
         """Regression: the old join chunked only the left collection,
         so a single left trajectory got zero parallelism.  The tile
-        grid slices the right side instead -- and stays exact."""
+        grid slices the right side instead -- and stays exact.  The
+        join is far below ``planner.POOL_FLOOR_CELLS``, so the floor is
+        patched to 0 to make it tile."""
         left, right = self._collections()
         single = left[:1]
         ref_matches, ref_stats = similarity_join(single, right, theta=5.0)
+        monkeypatch.setattr(planner, "POOL_FLOOR_CELLS", 0)
         with MotifEngine(workers=3) as eng:
             got_matches, got_stats = eng.join(single, right, theta=5.0)
             pool_tasks = eng.transfer_info()["pool_tasks"]
@@ -348,6 +351,21 @@ class TestJoin:
         assert got_stats.pairs_total == ref_stats.pairs_total
         assert got_stats.matches == ref_stats.matches
         assert pool_tasks >= 2  # the right side actually split
+
+    def test_below_floor_unindexed_join_stays_inline(self):
+        """An unindexed join whose ground cells sit below
+        ``planner.POOL_FLOOR_CELLS`` makes no pool task at workers=2
+        and answers exactly like the serial join."""
+        left, right = self._collections()
+        cells = sum(map(len, left)) * sum(map(len, right))
+        assert cells <= planner.POOL_FLOOR_CELLS
+        ref_matches, ref_stats = similarity_join(left, right, theta=5.0)
+        with MotifEngine(workers=2, result_cache_size=0) as eng:
+            got_matches, got_stats = eng.join(left, right, theta=5.0)
+            pool_tasks = eng.transfer_info()["pool_tasks"]
+        assert pool_tasks == 0
+        assert got_matches == ref_matches
+        assert vars(got_stats) == vars(ref_stats)
 
     def test_merge_join_stats_is_additive(self):
         left, right = self._collections()

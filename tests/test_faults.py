@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.engine import MotifEngine
+from repro.engine import MotifEngine, planner
 from repro.errors import ReproError, WorkerCrashError
 from repro.index import CorpusIndex
 from repro.service import (
@@ -192,7 +192,10 @@ class TestEngineCrashRecovery:
         assert got == ref
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_join_survives_worker_kill(self, workers):
+    def test_join_survives_worker_kill(self, workers, monkeypatch):
+        # The join is far below planner.POOL_FLOOR_CELLS; the floor at
+        # 0 makes it tile across the pool whose worker gets killed.
+        monkeypatch.setattr(planner, "POOL_FLOOR_CELLS", 0)
         left = make_corpus(seed=1)
         right = make_corpus(seed=2)
         with MotifEngine(workers=1) as ref_eng:

@@ -130,19 +130,22 @@ def test_restricted_pair_list_is_respected(seed):
     allowed_set = {tuple(p) for p in allowed}
     assert all(tuple(p) in allowed_set for p in pairs)
     assert stats.pairs_total == len(allowed)
-    assert stats.pruned_grid == 0  # grid bucketing does not apply
+    assert stats.pruned_total + stats.candidates == len(allowed)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
 def test_ordered_pairs_cover_the_grid_ascending(seed):
-    """ordered_pairs: full coverage, admissible bounds, ascending order."""
+    """pair_cursor().take of the whole grid: full coverage, admissible
+    bounds, ascending order."""
     rng = np.random.default_rng(seed + 11)
     metric = get_metric("euclidean")
     left = make_corpus(rng, "clustered", count=4)
     right = make_corpus(rng, "clustered", count=5)
     index_left = CorpusIndex(left, metric)
     index_right = CorpusIndex(right, metric)
-    pairs, lbs = index_left.ordered_pairs(index_right)
+    pairs, lbs = index_left.pair_cursor(index_right).take(
+        len(left) * len(right)
+    )
     assert len(pairs) == len(left) * len(right)
     assert len({tuple(p) for p in pairs}) == len(pairs)
     assert np.all(np.diff(lbs) >= 0)
@@ -163,8 +166,9 @@ def test_simplification_error_is_exact_dfd():
         assert err == pytest.approx(true_dfd(metric, pts, simp))
 
 
-def test_grid_bucketing_only_for_monotone_metrics():
-    """Haversine skips the grid; pruning still only via safe bounds."""
+def test_haversine_index_prunes_only_by_safe_bounds():
+    """Haversine (no box bounds): a theta above every distance keeps
+    every pair."""
     rng = np.random.default_rng(3)
     corpus = [
         np.column_stack([

@@ -61,7 +61,9 @@ class TestRoundtrip:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_candidate_and_ordered_pairs_byte_identical(self, seed, tmp_path):
         """Property: a mmap'd load answers bit-for-bit like the
-        in-memory index it was saved from, for any threshold."""
+        in-memory index it was saved from, for any threshold -- the
+        candidate pairs, and the top-k cursor's bound-ordered pairs
+        (``take``) and thresholded walk (``take_within``)."""
         rng = np.random.default_rng(seed + 13)
         metric = ("euclidean", "chebyshev")[seed % 2]
         corpus = make_corpus(seed, clustered=seed % 3 == 0)
@@ -75,10 +77,17 @@ class TestRoundtrip:
             assert stats_a.as_dict() == {
                 **stats_b.as_dict(), "summary_builds": stats_a.summary_builds,
             }
-        ordered_a, lbs_a = index.ordered_pairs()
-        ordered_b, lbs_b = loaded.ordered_pairs()
-        assert ordered_a.tobytes() == ordered_b.tobytes()
-        assert lbs_a.tobytes() == lbs_b.tobytes()
+        cursor_a, cursor_b = index.pair_cursor(), loaded.pair_cursor()
+        for count in (1, 5, index.n * index.n):
+            ordered_a, lbs_a = cursor_a.take(count)
+            ordered_b, lbs_b = cursor_b.take(count)
+            assert ordered_a.tobytes() == ordered_b.tobytes()
+            assert lbs_a.tobytes() == lbs_b.tobytes()
+        cut = float(lbs_a[len(lbs_a) // 2])
+        within_a, bounds_a = cursor_a.take_within(cut)
+        within_b, bounds_b = cursor_b.take_within(cut)
+        assert within_a.tobytes() == within_b.tobytes()
+        assert bounds_a.tobytes() == bounds_b.tobytes()
 
     def test_zero_simplification_recomputes(self, tmp_path):
         corpus = make_corpus(1)

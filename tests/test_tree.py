@@ -11,8 +11,8 @@ The tentpole contract under test (ISSUE 9 acceptance):
 * ``range`` / ``knn`` answers are byte-identical to the brute-force
   scans, including tie-heavy integer-lattice corpora where many
   distances coincide exactly;
-* tree-mode ``join`` / ``join_top_k`` equal the flat-grid and
-  unindexed answers across workers {1, 2, 4};
+* indexed (tree) ``join`` / ``join_top_k`` equal the unindexed and
+  serial answers across workers {1, 2, 4};
 * a snapshot roundtrip reattaches the persisted node arrays with zero
   bulk loads and zero summary rebuilds;
 * sharded joins skip provably-far shard blocks and record the skips in
@@ -31,6 +31,7 @@ from repro.distances.ground import get_metric
 from repro.engine import MotifEngine
 from repro.engine.planner import normalize_index_mode
 from repro.errors import ReproError
+from repro.extensions.join import join_top_k, similarity_join
 from repro.index import (
     CorpusIndex,
     TREE_ARRAY_FIELDS,
@@ -229,21 +230,23 @@ class TestTreeJoinParity:
     @pytest.mark.parametrize("seed", SEEDS[:4])
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_join_matches_grid_and_unindexed(self, seed, workers):
+        """The tree join equals the unindexed and serial joins."""
         rng = np.random.default_rng(seed)
         corpus = make_corpus(seed, n_items=14)
         left, right = corpus[:7], corpus[7:]
         theta = float(rng.uniform(1.0, 6.0))
         with MotifEngine(workers=workers, executor="inline") as engine:
             plain, _ = engine.join(left, right, theta, index=False)
-            grid, _ = engine.join(left, right, theta, index="grid")
             tree, tstats = engine.join(left, right, theta, index="tree")
-        assert plain == grid == tree
+        serial, _ = similarity_join(left, right, theta)
+        assert plain == tree == serial
         detail = tstats.details["index"]
         assert detail["nodes_visited"] > 0
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_join_top_k_matches_grid_and_unindexed(self, seed, workers):
+        """The tree top-k join equals the unindexed and serial ones."""
         corpus = make_corpus(seed, n_items=14)
         left, right = corpus[:7], corpus[7:]
         for k in (1, 5, 60):
@@ -251,7 +254,7 @@ class TestTreeJoinParity:
                 plain = engine.join_top_k(left, right, k, index=False)
             with MotifEngine(workers=workers, executor="inline") as engine:
                 tree = engine.join_top_k(left, right, k, index="tree")
-            assert plain == tree
+            assert plain == tree == join_top_k(left, right, k)
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_join_top_k_lattice_ties(self, seed):
@@ -278,7 +281,7 @@ class TestTreeJoinParity:
         assert normalize_index_mode(False) is False
         assert normalize_index_mode(True) is True
         assert normalize_index_mode("grid") is True
-        assert normalize_index_mode("tree") == "tree"
+        assert normalize_index_mode("tree") is True
         with pytest.raises(ReproError):
             normalize_index_mode("rtree")
 

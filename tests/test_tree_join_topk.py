@@ -13,7 +13,7 @@ the first ``u`` loose, so the refine step has work to do.
 The cursor's two walks are unit-tested against brute force:
 ``take(c)`` returns ``c`` distinct pairs with their index bounds, and
 ``take_within(u)`` keeps every pair within ``u`` and equals
-``candidate_pairs(mode="tree")``.
+``candidate_pairs``.
 
 Hypothesis examples derive from ``REPRO_TEST_SEED`` (default 0), like
 the other seeded property suites.
@@ -288,7 +288,7 @@ def test_take_within_is_the_tree_candidate_set(case, quantile):
     dists = _brute(left, right, metric)
     cut = float(np.quantile(dists, quantile, method="lower"))
     pairs, lbs = index_left.pair_cursor(index_right).take_within(cut)
-    want, _ = index_left.candidate_pairs(index_right, cut, mode="tree")
+    want, _ = index_left.candidate_pairs(index_right, cut)
     assert np.array_equal(pairs, want)
     got = {(int(a), int(b)) for a, b in pairs}
     assert {(int(a), int(b)) for a, b in np.argwhere(dists <= cut)} <= got
