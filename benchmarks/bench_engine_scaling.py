@@ -1017,10 +1017,10 @@ def test_gtm_star_phases(benchmark):
     oracle -- what ``MotifEngine(workers=1).discover`` runs.  Records
     grouping (level-plus-tables scan and group pruning), bounds and dp
     in ms (per input the fastest of three searches, then the median
-    over inputs), ``_sweep_stack`` calls per discover and the ground
-    cells the metric evaluated, in total and in the level-plus-tables
-    scan (one pass: ``n * n``).  Recorded in
-    ``BENCH_engine_scaling.json``; no floor."""
+    over inputs), the sweep frontier's anti-diagonal rounds and the
+    ``cells_expanded`` per discover, and the ground cells the metric
+    evaluated, in total and in the level-plus-tables scan (one pass:
+    ``n * n``).  Recorded in ``BENCH_engine_scaling.json``; no floor."""
     import repro.core.dp as dp
     from repro.core import GTMStar, SearchStats, self_space
     from repro.distances.ground import EuclideanMetric, LazyGroundMatrix
@@ -1042,17 +1042,17 @@ def test_gtm_star_phases(benchmark):
     ]
     xi = default_xi(n)
     space = self_space(n, xi)
-    sweep = dp._sweep_stack
+    one_round = dp.SweepFrontier._round
 
     def run():
         rows = {}
-        sweeps = [0]
+        rounds = [0]
 
-        def counting(*args):
-            sweeps[0] += 1
-            return sweep(*args)
+        def counting(self, totals):
+            rounds[0] += 1
+            return one_round(self, totals)
 
-        dp._sweep_stack = counting
+        dp.SweepFrontier._round = counting
         try:
             for name, points in inputs:
                 metric = Counting()
@@ -1061,17 +1061,17 @@ def test_gtm_star_phases(benchmark):
                 scan_cells = metric.cells
                 runs = []
                 for _ in range(3):
-                    metric.cells = sweeps[0] = 0
+                    metric.cells = rounds[0] = 0
                     stats = SearchStats()
                     GTMStar().search(oracle, space, stats)
                     runs.append((
                         1e3 * stats.time_grouping, 1e3 * stats.time_bounds,
-                        1e3 * stats.time_dp, sweeps[0], metric.cells,
-                        scan_cells,
+                        1e3 * stats.time_dp, rounds[0], metric.cells,
+                        scan_cells, stats.cells_expanded,
                     ))
                 rows.setdefault(name, []).append(min(runs, key=lambda r: sum(r[:3])))
         finally:
-            dp._sweep_stack = sweep
+            dp.SweepFrontier._round = one_round
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -1083,9 +1083,10 @@ def test_gtm_star_phases(benchmark):
             "grouping_ms": med[0],
             "bounds_ms": med[1],
             "dp_ms": med[2],
-            "sweeps_per_discover": float(cols[:, 3].mean()),
+            "rounds_per_discover": float(cols[:, 3].mean()),
             "ground_cells": float(cols[:, 4].mean()),
             "scan_cells": float(cols[:, 5].mean()),
+            "cells_expanded": float(cols[:, 6].mean()),
         }
         assert (cols[:, 5] == n * n).all()
     _update_bench_json("gtm_star_phases", payload)

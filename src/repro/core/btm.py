@@ -12,9 +12,10 @@ The search has three phases:
 
 The module also exposes :func:`run_best_first`, the sorted-processing
 loop reused by GTM and GTM* for their final point-level phase.  It
-expands the admitted subsets in stacks (:class:`repro.core.dp.StackedSweep`)
-and replays the serial loop over their results, so the answer and the
-subset counters are those of expanding one subset at a time.
+expands the admitted subsets in one sweep frontier
+(:class:`repro.core.dp.SweepFrontier`) and replays the serial loop over
+their results, so the answer and the subset counters are those of
+expanding one subset at a time.
 
 Witness rule
 ------------
@@ -41,7 +42,7 @@ from .bounds import (
     tight_subset_bounds,
 )
 from .brute import MotifTimeout
-from .dp import Best, StackedSweep
+from .dp import Best, SweepFrontier
 from .problem import SearchSpace
 from .stats import PhaseTimer, SearchStats
 
@@ -92,17 +93,20 @@ def run_best_first(
     path, kept for the perf-trajectory benchmark and as a debugging
     reference -- the expansion order is identical either way).
 
-    Expansion runs a stack at a time (:class:`repro.core.dp.StackedSweep`):
-    when the loop reaches a subset no stack holds, it sweeps the
-    subsets the current cut admits from there under the current
-    threshold, then keeps replaying the serial rules -- break test,
-    ``bsf_sync`` cadence, the nudged threshold, acceptance of a result
-    only below it -- over the per-subset results.  Each accepted result
-    is the one the per-subset kernel reports under the same threshold,
-    so the answer, ``subsets_expanded`` and the pruning attribution are
+    Expansion runs in one frontier for the whole loop
+    (:class:`repro.core.dp.SweepFrontier`, chained): when the loop
+    reaches a subset that has not finished, the frontier runs
+    anti-diagonal rounds until it has, admitting the subsets the current
+    cut admits under the current threshold as earlier rows leave.  The
+    loop keeps replaying the serial rules -- break test, ``bsf_sync``
+    cadence, the nudged threshold, acceptance of a result only below it
+    -- over the per-subset results.  Each accepted result is the one
+    the per-subset kernel reports under the same threshold, so the
+    answer, ``subsets_expanded`` and the pruning attribution are
     unchanged; ``cells_*``, ``candidates_checked`` and ``bsf_updates``
-    count the stacked sweeps' work, including subsets a stack computed
-    that the loop did not consume.
+    count the frontier's work, including subsets it swept that the
+    loop did not consume.  The deadline is also checked after every
+    round.
     """
     if approx_factor < 1.0:
         raise ValueError("approx_factor must be >= 1")
@@ -123,11 +127,20 @@ def run_best_first(
     n_scope = len(bounds) if positions is None else len(positions)
     expanded = np.zeros(len(bounds), dtype=bool)
     witnessed = best is not None
-    sweep = StackedSweep(oracle, space, bounds, cmin, rmin, stats,
-                         chained=True)
+    frontier = SweepFrontier(oracle, space, bounds, cmin, rmin, stats,
+                             chained=True)
+    tick = None
+    if deadline is not None:
+        def tick() -> None:
+            if time.perf_counter() > deadline:
+                raise MotifTimeout(f"search exceeded {timeout:.1f}s")
     dp_started = time.perf_counter()
     count = 0
     exhausted = False
+    # An unwitnessed bsf (a group upper bound) may *equal* the true
+    # motif distance; nudge the threshold so an equally-good candidate
+    # is still recorded as the witness pair.
+    threshold = bsf if witnessed else np.nextafter(bsf, np.inf)
     while not exhausted:
         sort_started = time.perf_counter()
         block = next(block_iter, None)
@@ -135,6 +148,7 @@ def run_best_first(
         if block is None:
             break
         lbs = bounds.combined[block] * approx_factor
+        lb_list = lbs.tolist()
         for pos in range(block.shape[0]):
             if bsf_sync is not None and count % bsf_sync_every == 0:
                 shared = bsf_sync(bsf)
@@ -142,32 +156,32 @@ def run_best_first(
                     bsf = shared
                     best = None
                     witnessed = False
-            lb = lbs[pos]
+                    threshold = np.nextafter(bsf, np.inf)
+            lb = lb_list[pos]
             if lb > bsf or (witnessed and lb >= bsf):
                 exhausted = True
                 break
-            # An unwitnessed bsf (a group upper bound) may *equal* the
-            # true motif distance; nudge the threshold so an equally-
-            # good candidate is still recorded as the witness pair.
-            threshold = bsf if witnessed else np.nextafter(bsf, np.inf)
-            if not sweep.holds(block, pos):
-                # Everything the current cut admits may join the stack;
-                # an infinite threshold is made finite by one subset.
+            if not frontier.ready(block, pos):
+                # Everything the current cut admits may join the
+                # frontier; an infinite threshold is made finite by one
+                # subset.
                 if threshold == math.inf:
                     stop = pos + 1
                 else:
                     side = "left" if witnessed else "right"
                     stop = int(np.searchsorted(lbs, bsf, side=side))
-                sweep.expand(block, pos, stop, threshold)
-            dist, cand = sweep.result(pos)
+                frontier.advance(block, pos, stop, threshold, lbs, tick)
+            dist, cand = frontier.result(pos)
             if dist < threshold:
                 witnessed = True
                 bsf, best = dist, cand
-            expanded[block[pos]] = True
-            if deadline is not None and count % 64 == 0:
-                if time.perf_counter() > deadline:
-                    raise MotifTimeout(f"search exceeded {timeout:.1f}s")
+                threshold = bsf
+            if tick is not None and count % 64 == 0:
+                tick()
             count += 1
+        else:
+            pos = block.shape[0]
+        expanded[block[:pos]] = True
     stats.time_dp += time.perf_counter() - dp_started
     stats.subsets_total += n_scope
     stats.subsets_expanded += count

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.bounds import BoundTables, SubsetBounds, relaxed_subset_bounds
-from ..core.dp import StackedSweep
+from ..core.dp import SweepFrontier
 from ..core.motif import _as_trajectory, _build_oracle  # shared plumbing
 from ..core.problem import SearchSpace, cross_space, self_space
 from ..core.stats import PhaseTimer, SearchStats
@@ -93,7 +93,10 @@ def scan_topk_entries(
     restricts the scan to a strided share of the bound arrays (the
     engine's zero-copy chunk tasks); the ascending order is consumed
     lazily via :meth:`SubsetBounds.order_blocks`, so sort cost scales
-    with the subsets actually expanded.
+    with the subsets actually expanded.  The subsets are expanded in
+    one unchained :class:`~repro.core.dp.SweepFrontier`, which admits
+    what the cut admits and lowers each new row to the ``k``-th best of
+    the rows before it; the entries are those of the per-subset loop.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -107,7 +110,7 @@ def scan_topk_entries(
     count = 0
     exhausted = False
     block_iter = bounds.order_blocks(within=positions)
-    sweep = StackedSweep(oracle, space, bounds, cmin, rmin, stats)
+    frontier = SweepFrontier(oracle, space, bounds, cmin, rmin, stats, k=k)
     while not exhausted:
         # Pull the next block only while still consuming -- once the
         # cut is exhausted, generating another (doubled-size) block
@@ -116,29 +119,34 @@ def scan_topk_entries(
         if block is None:
             break
         lbs = bounds.combined[block]
+        lb_list = lbs.tolist()
+        cut = None  # recomputed whenever the heap or the external cut moves
         for pos in range(block.shape[0]):
             if sync is not None and count % sync_every == 0:
                 external = min(external, sync(kth_dist()))
-            cut = min(kth_dist(), external)
-            if lbs[pos] > cut:
+                cut = None
+            if cut is None:
+                cut = min(kth_dist(), external)
+                threshold = float(np.nextafter(cut, np.inf))
+            if lb_list[pos] > cut:
                 exhausted = True
                 break
-            threshold = float(np.nextafter(cut, np.inf))
-            if not sweep.holds(block, pos):
-                # Stack what the cut admits; while the heap is short of
+            if not frontier.ready(block, pos):
+                # Admit what the cut admits; while the heap is short of
                 # k entries only the subsets that can fill it.
                 if cut == math.inf:
                     stop = pos + k - len(heap)
                 else:
                     stop = int(np.searchsorted(lbs, cut, side="right"))
-                sweep.expand(block, pos, stop, threshold)
-            dist, cand = sweep.result(pos)
+                frontier.advance(block, pos, stop, threshold, lbs)
+            dist, cand = frontier.result(pos)
             count += 1
             if not dist < threshold:
                 continue
             heapq.heappush(heap, (-float(dist), tuple(-v for v in cand)))
             if len(heap) > k:
                 heapq.heappop(heap)
+            cut = None
     stats.subsets_total += len(bounds) if positions is None else len(positions)
     stats.subsets_expanded += count
     return sorted(

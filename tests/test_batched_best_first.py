@@ -1,8 +1,8 @@
 """Parity of the stacked best-first loops with a per-subset reference.
 
 ``run_best_first`` and ``scan_topk_entries`` expand their admitted
-subsets in stacks (``repro.core.dp.StackedSweep``) and replay the serial
-loop over the per-subset results.  The reference loops below are the
+subsets in one frontier (``repro.core.dp.SweepFrontier``) and replay the
+serial loop over the per-subset results.  The reference loops below are the
 per-subset form they replaced, kept here verbatim in spirit: one kernel
 call per subset, in bound order, under the running threshold.  Answers
 (ties included), the subset counters, the pruning attribution and the
@@ -378,9 +378,9 @@ def test_stacked_kernel_matches_per_subset_kernel(drawn, cells, level, kills,
 
 
 def test_stack_budget_splits_sweeps():
-    """A stack whose reached width outgrows the cell budget hands its
-    latest subsets to follow-on parts; no sweep holds more live buffer
-    cells than the budget, and the answers do not change."""
+    """A frontier whose reached width outgrows the cell budget makes
+    admissions wait; no buffer holds more live cells than the budget,
+    more than one row is held, and the answers do not change."""
     case = Case(np.random.default_rng(SEED), cross=False, lazy=True,
                 metric="euclidean", grid=50, xi=2)
     pairs = list(case.space.start_pairs())
@@ -388,12 +388,13 @@ def test_stack_budget_splits_sweeps():
     j_idx = np.array([p[1] for p in pairs])
     want = dp.expand_subsets_stacked(case.oracle, case.space, i_idx, j_idx,
                                      math.inf)
-    calls, shapes = [], []
-    sweep, buffers = dp._sweep_stack, dp._buffers
+    waits, shapes = [], []
+    admit, buffers = dp.SweepFrontier._admit, dp._buffers
 
-    def counting(*args):
-        calls.append(len(args[2]))
-        return sweep(*args)
+    def waiting(self, stop, threshold, lbs):
+        before = self._next
+        admit(self, stop, threshold, lbs)
+        waits.append(self._next - before < stop - before)
 
     def recording(rows, cols, old=()):
         shapes.append((rows, cols))
@@ -401,16 +402,17 @@ def test_stack_budget_splits_sweeps():
 
     budget = 4 * (case.space.n_rows + 2)
     saved = dp.STACK_BLOCK_CELLS
-    dp._sweep_stack, dp._buffers = counting, recording
+    dp.SweepFrontier._admit, dp._buffers = waiting, recording
     dp.STACK_BLOCK_CELLS = budget
     try:
         got = dp.expand_subsets_stacked(case.oracle, case.space, i_idx,
                                         j_idx, math.inf)
     finally:
-        dp._sweep_stack, dp._buffers = sweep, buffers
+        dp.SweepFrontier._admit, dp._buffers = admit, buffers
         dp.STACK_BLOCK_CELLS = saved
-    assert len(calls) > 1 and sum(calls) >= len(pairs)
+    assert any(waits)
     assert all(rows * cols <= budget for rows, cols in shapes)
+    assert max(rows for rows, _ in shapes) > 1
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 

@@ -8,8 +8,9 @@
 * GTM*'s level-plus-tables build (``GTMStar._build_level``) reads each
   ground cell once and matches ``GroupLevel.from_matrix`` plus
   ``BoundTables.build`` exactly.
-* Stacked sweeps hold only the diagonal columns they reach, within
-  ``STACK_BLOCK_CELLS``, and still answer like the per-subset kernel.
+* The sweep frontier holds only the diagonal columns its rows reach,
+  within ``STACK_BLOCK_CELLS``, and still answers like the per-subset
+  kernel.
 
 Inputs derive from ``REPRO_TEST_SEED`` (default 0), like the randomized
 parity suite.
@@ -175,13 +176,13 @@ def test_scan_evaluates_each_cell_once(m):
 
 
 # ----------------------------------------------------------------------
-# Width-budgeted stacked sweeps
+# The width-budgeted sweep frontier
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("threshold", ["inf", "loose"])
 def test_budgeted_sweep_of_tall_rectangles(monkeypatch, threshold):
-    """Tall cross-mode rectangles under a small budget: the stack hands
-    subsets on to follow-on parts, never holds more than the budget in
-    live buffer cells, and every subset gets the per-subset answer."""
+    """Tall cross-mode rectangles under a small budget: admissions wait
+    for room, the frontier never holds more than the budget in live
+    buffer cells, and every subset gets the per-subset answer."""
     n, m, xi = 160, 40, 3
     a, b = walk(n, 11), walk(m, 12)
     space = cross_space(n, m, xi)
@@ -198,23 +199,24 @@ def test_budgeted_sweep_of_tall_rectangles(monkeypatch, threshold):
         )
         limit = 1.5 * truth
     budget = 512
-    shapes, parts = [], []
-    buffers, sweep = dp._buffers, dp._sweep_stack
+    shapes, waits = [], []
+    buffers, admit = dp._buffers, dp.SweepFrontier._admit
 
     def recording(rows, cols, old=()):
         shapes.append((rows, cols))
         return buffers(rows, cols, old)
 
-    def counting(*args):
-        parts.append(len(args[2]))
-        return sweep(*args)
+    def waiting(self, stop, threshold, lbs):
+        before = self._next
+        admit(self, stop, threshold, lbs)
+        waits.append(self._next - before < stop - before)
 
     monkeypatch.setattr(dp, "STACK_BLOCK_CELLS", budget)
     monkeypatch.setattr(dp, "_buffers", recording)
-    monkeypatch.setattr(dp, "_sweep_stack", counting)
+    monkeypatch.setattr(dp.SweepFrontier, "_admit", waiting)
     dist, ie, je = dp.expand_subsets_stacked(
         oracle, space, i_idx, j_idx, limit, tables.cmin, tables.rmin)
-    assert len(parts) > 1
+    assert any(waits)
     assert all(rows * cols <= budget for rows, cols in shapes)
     assert max(rows for rows, _ in shapes) > 1
     for s, (i, j) in enumerate(pairs):
