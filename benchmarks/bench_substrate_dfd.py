@@ -86,9 +86,9 @@ def test_pair_batched_decision(benchmark, form):
 
 
 # One pair, two forms: the 2-D row scan against a stack of one.  The
-# best-first paths (knn refinement, the tree cursor's representative
-# bounds, the closest-pair scan) check one pair at a time and call the
-# 2-D form; these rows record where it still wins.
+# paths that check one pair at a time (the range descent's per-leaf
+# representative bound, the closest-pair scan) call the 2-D form; these
+# rows record where it still wins.
 SINGLE_PAIRS = {
     side: ground_stack(*RNG.normal(size=(2, 1, side, 2)).cumsum(axis=2))
     for side in (8, 40)

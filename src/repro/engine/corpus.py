@@ -708,22 +708,10 @@ def run_range(engine, query, corpus, radius, metric, use_index):
     distance)`` pairs ascending by corpus index -- byte-identical to
     the brute-force scan whether the tree traversal prunes or not
     (bounds are admissible; only strict excess prunes, so ties at the
-    radius survive).  Results are content-addressed the same way joins
-    are, so repeated queries replay from the oracle cache.
+    radius survive).
     """
-    if not len(corpus):
-        return [], IndexStats()
-    resolved = get_metric(metric)
-    use_tree = planner.normalize_index_mode(use_index)
-    key = planner.range_result_key(query, corpus, resolved, radius, use_tree)
-    cached = engine._oracles.result(key)
-    if cached is not None:
-        matches, stats = cached
-        return list(matches), copy.deepcopy(stats)
-    index = corpus_index_for(engine, corpus, resolved)
-    matches, stats = index.range_scan(query, radius, use_tree=use_tree)
-    engine._oracles.put_result(key, (list(matches), copy.deepcopy(stats)))
-    return matches, stats
+    return _cached_scan(engine, query, corpus, radius, metric, use_index,
+                        planner.range_result_key, CorpusIndex.range_scan)
 
 
 def run_knn(engine, query, corpus, k, metric, use_index):
@@ -731,22 +719,35 @@ def run_knn(engine, query, corpus, k, metric, use_index):
 
     Returns ``(neighbors, stats)`` with neighbors as ``(distance,
     index)`` ascending -- the canonical order ``sorted()[:k]`` yields,
-    ties broken by corpus index, reproduced exactly by the best-first
-    tree traversal.
+    ties broken by corpus index, reproduced exactly by the tree path's
+    range query at a seeded bound (:meth:`CorpusIndex.knn_scan`).
+    """
+    return _cached_scan(engine, query, corpus, k, metric, use_index,
+                        planner.knn_result_key, CorpusIndex.knn_scan)
+
+
+def _cached_scan(engine, query, corpus, param, metric, use_index,
+                 result_key, scan):
+    """One single-query index scan, content-addressed like joins.
+
+    ``result_key(query, corpus, metric, param, use_tree)`` keys the
+    answer; on a miss ``scan(index, query, param, use_tree=...)`` runs
+    on the corpus's index.  Repeated queries replay from the oracle
+    cache as ``(list(answer), stats)`` copies.
     """
     if not len(corpus):
         return [], IndexStats()
     resolved = get_metric(metric)
     use_tree = planner.normalize_index_mode(use_index)
-    key = planner.knn_result_key(query, corpus, resolved, k, use_tree)
+    key = result_key(query, corpus, resolved, param, use_tree)
     cached = engine._oracles.result(key)
     if cached is not None:
-        neighbors, stats = cached
-        return list(neighbors), copy.deepcopy(stats)
+        answer, stats = cached
+        return list(answer), copy.deepcopy(stats)
     index = corpus_index_for(engine, corpus, resolved)
-    neighbors, stats = index.knn_scan(query, k, use_tree=use_tree)
-    engine._oracles.put_result(key, (list(neighbors), copy.deepcopy(stats)))
-    return neighbors, stats
+    answer, stats = scan(index, query, param, use_tree=use_tree)
+    engine._oracles.put_result(key, (list(answer), copy.deepcopy(stats)))
+    return answer, stats
 
 
 # ----------------------------------------------------------------------

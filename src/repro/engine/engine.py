@@ -621,7 +621,7 @@ class MotifEngine:
         Returns ``(matches, stats)``: matches are ``(index, distance)``
         pairs ascending by corpus index, ``stats`` the
         :class:`~repro.index.IndexStats` accounting of the traversal.
-        With the index on (``True`` / ``"tree"``) a best-first
+        With the index on (``True`` / ``"tree"``) a level-synchronous
         :class:`~repro.index.TrajectoryTree` descent prunes node
         subtrees whose admissible query bound strictly exceeds the
         radius; ``index=False`` scans brute-force.  Answers are
@@ -649,11 +649,11 @@ class MotifEngine:
 
         Returns ``(neighbors, stats)``: neighbors as ``(distance,
         index)`` ascending, ties broken by corpus index -- exactly
-        ``sorted((dfd(q, T_i), i))[:k]``.  The tree traversal
-        (``index=True`` / ``"tree"``) expands node pairs
-        best-first against the evolving k-th best and stops when the
-        cheapest remaining bound strictly exceeds it.  ``k`` must be a
-        positive integer; ``corpus`` may be a handle.
+        ``sorted((dfd(q, T_i), i))[:k]``.  With the index on
+        (``index=True`` / ``"tree"``) a beam descent values ``k`` seed
+        trajectories, and the range query at the largest seed distance
+        finds every other trajectory that could rank (ties included).
+        ``k`` must be a positive integer; ``corpus`` may be a handle.
         """
         k = check_k(k)
         use_index = (

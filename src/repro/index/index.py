@@ -50,7 +50,6 @@ the other way around.
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -625,69 +624,35 @@ class CorpusIndex:
         """All indexed trajectories within DFD ``radius`` of ``query``.
 
         Returns ``([(index, distance), ...], stats)`` ascending by
-        index.  With ``use_tree`` the best-first descent visits only
-        nodes whose aggregate bound survives and resolves surviving
-        leaves through the flat filter cascade; without it the scan is
-        the brute-force reference (one exact DP per trajectory), which
-        the property suite holds the tree path byte-identical to --
-        every pruned subtree provably lies beyond ``radius``.
+        index.  With ``use_tree`` the level-synchronous descent visits
+        only nodes whose aggregate bound survives and resolves surviving
+        leaves through the flat filter cascade (:meth:`_within`);
+        without it the scan is the brute-force reference (one exact DP
+        per trajectory), which the property suite holds the tree path
+        byte-identical to -- every pruned subtree provably lies beyond
+        ``radius``.
         """
         radius = check_threshold("radius", radius)
         m = self.metric
         stats = IndexStats()
         stats.pairs_total = self.n
         q = self.summarize_query(query)
-        matches: List[Tuple[int, float]] = []
         if not use_tree:
             stats.candidates = self.n
+            matches = []
             for i, pts in enumerate(self._points):
                 dist = float(dfd_matrix(m.pairwise(q.points, pts)))
                 if dist <= radius:
                     matches.append((i, dist))
             return matches, stats
         built_before = self.summary_builds
-        cand = self.ensure_tree().range_candidates(q, radius, stats)
-        if len(cand):
-            q_start = np.repeat(q.start[None, :], len(cand), axis=0)
-            q_end = np.repeat(q.end[None, :], len(cand), axis=0)
-            lb_end = np.maximum(
-                m.rowwise(q_start, self.starts[cand]),
-                m.rowwise(q_end, self.ends[cand]),
-            )
-            lb = lb_end
-            if m.coordinate_monotone:
-                gaps = np.maximum(
-                    0.0,
-                    np.maximum(
-                        self.box_lo[cand] - q.box_hi,
-                        q.box_lo - self.box_hi[cand],
-                    ),
-                )
-                lb = np.maximum(lb, m.rowwise(np.zeros_like(gaps), gaps))
-            keep = lb <= radius
-            stats.pruned_endpoint = int(np.sum(lb_end > radius))
-            stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
-            cand = cand[keep]
-        if len(cand):
-            simp = self.simplifications
-            core = dfd_pairs(
-                [q.simplification] * len(cand), [simp[i] for i in cand], m
-            )
-            keep_mask = ~(
-                core - q.error - self.simplification_errors[cand] > radius
-            )
-            stats.pruned_simplification = int(np.sum(~keep_mask))
-            cand = cand[keep_mask]
+        cand = self._within(q, radius, stats)
+        dists = self._exact(q, cand)
         stats.summary_builds = self.summary_builds - built_before
-        stats.candidates = len(cand)
-        dists = dfd_pairs(
-            [q.points] * len(cand), [self._points[i] for i in cand], m
-        )
-        matches.extend(
+        return [
             (int(i), float(dist))
             for i, dist in zip(cand, dists) if dist <= radius
-        )
-        return matches, stats
+        ], stats
 
     def knn_scan(
         self, query, k: int, *, use_tree: bool = True
@@ -697,10 +662,22 @@ class CorpusIndex:
         Returns ``([(distance, index), ...], stats)`` in canonical
         ascending ``(distance, index)`` order -- ties break toward the
         smaller index, exactly like sorting the brute-force scan.  The
-        tree path is best-first over monotone node keys (a child's key
-        is ``max(parent, own bound)``), so the first moment the key
-        stream passes the evolving k-th best distance, *everything*
-        still enqueued is provably further and the traversal stops.
+        tree path is a range query at a seeded bound:
+
+        1. *Seed*: a beam descent (:meth:`TrajectoryTree.beam_items`)
+           reaches at least ``min(n, 2k)`` items; the ``k`` with the
+           smallest endpoint/box bounds (ties to the lower index) are
+           valued in one batched DP call, and ``u`` is the largest of
+           their distances.  Seeds covering the corpus are the answer.
+        2. *Range*: :meth:`_within` at ``u`` -- the range query's own
+           traversal and cascade -- and one more batched call values
+           the survivors the seed step did not.
+
+        Any ``k`` items bound the k-th distance from above, so every
+        answer item lies within ``u``; only a strict excess prunes, so
+        ties at the k-th distance survive and sorting every valued
+        ``(distance, index)`` within ``u`` yields the brute-force
+        answer.  No item's exact DFD is computed twice.
         """
         k = check_k(k)
         m = self.metric
@@ -715,102 +692,85 @@ class CorpusIndex:
             )
             return entries[:k], stats
         built_before = self.summary_builds
-        self.ensure_summaries()
-        errs = self.simplification_errors
-        tree = self.ensure_tree()
-        # Max-heap of the best k so far, keyed (-distance, -index): the
-        # root is the *worst* retained entry under the canonical
-        # (distance, index) order, so pushpop keeps exactly the entries
-        # a sorted brute-force scan would.
-        best: List[Tuple[float, int]] = []
-
-        def kth() -> float:
-            return -best[0][0] if len(best) >= k else math.inf
-
-        root_key = float(tree.query_lower_bounds(q, [0])[0])
-        heap: List[Tuple[float, int]] = [(root_key, 0)]
-        while heap:
-            key, node = heapq.heappop(heap)
-            if len(best) >= k and key > kth():
-                # Keys only ascend from here on: every enqueued subtree
-                # is provably further than the current k-th best.
-                stats.nodes_pruned += 1 + len(heap)
-                stats.pruned_grid += int(
-                    tree.item_hi[node] - tree.item_lo[node]
-                ) + int(sum(
-                    int(tree.item_hi[n] - tree.item_lo[n]) for _, n in heap
-                ))
-                break
-            stats.nodes_visited += 1
-            if tree.is_leaf(node):
-                stats.leaves_scanned += 1
-                items = tree.node_items(node)
-                q_start = np.repeat(q.start[None, :], len(items), axis=0)
-                q_end = np.repeat(q.end[None, :], len(items), axis=0)
-                lb_end = np.maximum(
-                    m.rowwise(q_start, self.starts[items]),
-                    m.rowwise(q_end, self.ends[items]),
-                )
-                lbs = lb_end
-                if m.coordinate_monotone:
-                    gaps = np.maximum(
-                        0.0,
-                        np.maximum(
-                            self.box_lo[items] - q.box_hi,
-                            q.box_lo - self.box_hi[items],
-                        ),
-                    )
-                    lbs = np.maximum(
-                        lbs, m.rowwise(np.zeros_like(gaps), gaps)
-                    )
-                for pos, i in enumerate(items):
-                    i = int(i)
-                    cut = kth()
-                    if len(best) >= k and float(lbs[pos]) > cut:
-                        if float(lb_end[pos]) > cut:
-                            stats.pruned_endpoint += 1
-                        else:
-                            stats.pruned_box += 1
-                        continue
-                    core = float(dfd_matrix(m.pairwise(
-                        q.simplification, self.simplifications[i]
-                    )))
-                    if (
-                        len(best) >= k
-                        and core - q.error - float(errs[i]) > cut
-                    ):
-                        stats.pruned_simplification += 1
-                        continue
-                    stats.candidates += 1
-                    dist = float(dfd_matrix(
-                        m.pairwise(q.points, self._points[i])
-                    ))
-                    entry = (-dist, -i)
-                    if len(best) < k:
-                        heapq.heappush(best, entry)
-                    elif entry > best[0]:
-                        heapq.heappushpop(best, entry)
-            else:
-                children = np.arange(
-                    tree.child_lo[node], tree.child_hi[node], dtype=np.int64
-                )
-                child_lbs = tree.query_lower_bounds(q, children)
-                for pos, child in enumerate(children):
-                    child = int(child)
-                    child_key = max(key, float(child_lbs[pos]))
-                    if child_key <= kth():
-                        child_key = max(
-                            child_key, tree.rep_query_bound(q, child)
-                        )
-                    if len(best) >= k and child_key > kth():
-                        stats.nodes_pruned += 1
-                        stats.pruned_grid += int(
-                            tree.item_hi[child] - tree.item_lo[child]
-                        )
-                        continue
-                    heapq.heappush(heap, (child_key, child))
+        reached = self.ensure_tree().beam_items(q, 2 * k, stats)
+        _, lbs = self._item_bounds(q, reached)
+        seeds = reached[np.lexsort((reached, lbs))[:k]]
+        valued = dict(zip(seeds.tolist(), self._exact(q, seeds).tolist()))
+        bound = max(valued.values())
+        if len(seeds) < self.n:
+            cand = self._within(q, bound, stats)
+            fresh = cand[~np.isin(cand, seeds)]
+            valued.update(zip(fresh.tolist(), self._exact(q, fresh).tolist()))
+        else:
+            stats.candidates = self.n
         stats.summary_builds = self.summary_builds - built_before
-        return sorted((-d, -i) for d, i in best), stats
+        return sorted(
+            (dist, i) for i, dist in valued.items() if dist <= bound
+        )[:k], stats
+
+    def _item_bounds(
+        self, q: QuerySummary, items: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(endpoint bound, endpoint + box bound)`` of ``DFD(query, T)``
+        for every indexed item ``T`` in ``items``."""
+        m = self.metric
+        q_start = np.repeat(q.start[None, :], len(items), axis=0)
+        q_end = np.repeat(q.end[None, :], len(items), axis=0)
+        lb_end = np.maximum(
+            m.rowwise(q_start, self.starts[items]),
+            m.rowwise(q_end, self.ends[items]),
+        )
+        lb = lb_end
+        if m.coordinate_monotone:
+            gaps = np.maximum(
+                0.0,
+                np.maximum(
+                    self.box_lo[items] - q.box_hi,
+                    q.box_lo - self.box_hi[items],
+                ),
+            )
+            lb = np.maximum(lb, m.rowwise(np.zeros_like(gaps), gaps))
+        return lb_end, lb
+
+    def _within(
+        self, q: QuerySummary, radius: float, stats: IndexStats
+    ) -> np.ndarray:
+        """Ascending ids of the items the tree and the filter cascade
+        cannot prove further than ``radius`` from the query.
+
+        The range query's candidate step: the tree descent, then the
+        endpoint/box bounds, then one batched simplification DP.  Only
+        a strict excess prunes.  Every item lands in exactly one of
+        ``stats``' ``pruned_*`` counters or in ``candidates``.
+        """
+        cand = self.ensure_tree().range_candidates(q, radius, stats)
+        if len(cand):
+            lb_end, lb = self._item_bounds(q, cand)
+            keep = lb <= radius
+            stats.pruned_endpoint = int(np.sum(lb_end > radius))
+            stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
+            cand = cand[keep]
+        if len(cand):
+            simp = self.simplifications
+            core = dfd_pairs(
+                [q.simplification] * len(cand), [simp[i] for i in cand],
+                self.metric,
+            )
+            keep_mask = ~(
+                core - q.error - self.simplification_errors[cand] > radius
+            )
+            stats.pruned_simplification = int(np.sum(~keep_mask))
+            cand = cand[keep_mask]
+        stats.candidates = len(cand)
+        return cand
+
+    def _exact(self, q: QuerySummary, items: np.ndarray) -> np.ndarray:
+        """Exact ``DFD(query, T)`` of every item in ``items``, one
+        batched DP call."""
+        return dfd_pairs(
+            [q.points] * len(items), [self._points[i] for i in items],
+            self.metric,
+        )
 
     # ------------------------------------------------------------------
     # Shared-memory transport

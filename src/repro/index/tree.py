@@ -581,6 +581,40 @@ class TrajectoryTree:
         )
         return na[both], nb[both], next_a, next_b
 
+    def beam_items(
+        self, query: QuerySummary, beam: int, stats
+    ) -> np.ndarray:
+        """Items of the leaves a beam descent toward ``query`` reaches.
+
+        The one-tree analogue of :meth:`TreePairCursor.take`: each
+        level keeps the ``beam`` nodes with the smallest
+        :meth:`query_lower_bounds`, so the cost is O(depth x beam).
+        Kept nodes are disjoint subtrees, so at least ``min(n, beam)``
+        distinct items come back.  Nothing is pruned -- any items bound
+        the k-th nearest distance from above.  Nodes whose bounds were
+        evaluated count in ``stats.nodes_visited``.
+        """
+        frontier = np.zeros(1, dtype=np.int64)
+        reached: List[np.ndarray] = []
+        while len(frontier):
+            if len(frontier) > beam:
+                stats.nodes_visited += len(frontier)
+                lbs = self.query_lower_bounds(query, frontier)
+                frontier = frontier[np.argpartition(lbs, beam - 1)[:beam]]
+            is_leaf = self.child_hi[frontier] == self.child_lo[frontier]
+            reached.extend(self.node_items(int(n)) for n in frontier[is_leaf])
+            frontier = self._children(frontier[~is_leaf])
+        return np.concatenate(reached)
+
+    def _children(self, nodes: np.ndarray) -> np.ndarray:
+        """The children of every node in ``nodes``, concatenated."""
+        if not len(nodes):
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([
+            np.arange(self.child_lo[p], self.child_hi[p], dtype=np.int64)
+            for p in nodes
+        ])
+
     def range_candidates(
         self, query: QuerySummary, radius: float, stats
     ) -> np.ndarray:
@@ -615,15 +649,7 @@ class TrajectoryTree:
                     continue
                 stats.leaves_scanned += 1
                 survivors.append(self.node_items(node))
-            internal = frontier[~is_leaf]
-            frontier = (
-                np.concatenate([
-                    np.arange(
-                        self.child_lo[p], self.child_hi[p], dtype=np.int64
-                    )
-                    for p in internal
-                ]) if len(internal) else np.empty(0, dtype=np.int64)
-            )
+            frontier = self._children(frontier[~is_leaf])
         if survivors:
             return np.sort(np.concatenate(survivors))
         return np.empty(0, dtype=np.int64)
