@@ -14,10 +14,13 @@ from .ground import (
     GroundMetric,
     HaversineMetric,
     LazyGroundMatrix,
+    PointStack,
     cross_ground_matrix,
     get_metric,
     ground_matrix,
     ground_stack,
+    ground_stack_at,
+    point_stack,
     register_metric,
 )
 from .frechet import (
@@ -27,6 +30,7 @@ from .frechet import (
     dfd_matrix_by_search,
     dfd_matrix_recursive,
     dfd_pairs,
+    dfd_pairs_at,
     discrete_frechet,
     frechet_path,
     ground_stacks,
@@ -51,6 +55,7 @@ __all__ = [
     "GroundMetric",
     "HaversineMetric",
     "LazyGroundMatrix",
+    "PointStack",
     "continuous_frechet",
     "continuous_frechet_decision",
     "coupling_upper_bounds",
@@ -60,6 +65,7 @@ __all__ = [
     "dfd_matrix_by_search",
     "dfd_matrix_recursive",
     "dfd_pairs",
+    "dfd_pairs_at",
     "directed_hausdorff",
     "directed_hausdorff_matrix",
     "discrete_frechet",
@@ -72,6 +78,7 @@ __all__ = [
     "get_metric",
     "ground_matrix",
     "ground_stack",
+    "ground_stack_at",
     "ground_stacks",
     "hausdorff",
     "hausdorff_matrix",
@@ -80,5 +87,6 @@ __all__ = [
     "lcss_length_matrix",
     "lcss_similarity_matrix",
     "lockstep_distance",
+    "point_stack",
     "register_metric",
 ]

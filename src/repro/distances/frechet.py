@@ -24,7 +24,10 @@ implementations here work on that matrix:
 
 Corpus paths hold lists of trajectory pairs; :func:`ground_stacks`
 buckets such a list by length into bounded stacked blocks and
-:func:`dfd_pairs` returns every pair's DFD from them;
+:func:`dfd_pairs` returns every pair's DFD from them.
+:func:`dfd_pairs_at` is the one kernel under it: it reads pairs by
+index out of two padded point stacks, so an index holding its
+summaries as stacks pays no per-call padding;
 :func:`coupling_upper_bounds` bounds every pair's DFD from above from
 one coupling's cells, which settles a threshold decision without the
 matrix.  :func:`discrete_frechet` is the public convenience entry point
@@ -38,7 +41,15 @@ from typing import Iterator, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import TrajectoryError
-from .ground import GroundMetric, cross_ground_matrix, get_metric, ground_stack
+from .ground import (
+    GroundMetric,
+    PointStack,
+    cross_ground_matrix,
+    get_metric,
+    ground_stack,
+    ground_stack_at,
+    point_stack,
+)
 
 #: Padded cells one stacked block may hold.  Bounds the stack and the
 #: ground-matrix temporaries built for it (about 1 MB each at this
@@ -322,6 +333,37 @@ def ground_stacks(
         yield pos, stack, lengths
 
 
+def dfd_pairs_at(
+    left: PointStack,
+    right: PointStack,
+    ia: np.ndarray,
+    ib: np.ndarray,
+    metric: Union[str, GroundMetric] = "euclidean",
+) -> np.ndarray:
+    """Exact DFD of every pair ``(left[ia[k]], right[ib[k]])`` of two
+    :class:`~repro.distances.ground.PointStack` rows.
+
+    The pairs are grouped by :func:`stack_blocks`; each block is one
+    :func:`~repro.distances.ground.ground_stack_at` stack, cut to the
+    block's own longest arrays, and one stacked :func:`dfd_matrix`
+    call.  Entry ``k`` equals the 2-D DP of that pair's ground matrix
+    exactly.  Indices may repeat; empty index arrays return an empty
+    result.
+    """
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
+    if ia.shape != ib.shape:
+        raise TrajectoryError(
+            f"{len(ia)} left and {len(ib)} right indices do not align"
+        )
+    out = np.empty(len(ia))
+    for pos in stack_blocks(left.lengths[ia], right.lengths[ib]):
+        out[pos] = dfd_matrix(
+            *ground_stack_at(left, right, ia[pos], ib[pos], metric)
+        )
+    return out
+
+
 def dfd_pairs(
     lefts: Sequence[np.ndarray],
     rights: Sequence[np.ndarray],
@@ -329,13 +371,19 @@ def dfd_pairs(
 ) -> np.ndarray:
     """Exact DFD of every aligned pair ``(lefts[k], rights[k])``.
 
-    One stacked :func:`dfd_matrix` call per block of
-    :func:`ground_stacks`; entry ``k`` equals
+    :func:`dfd_pairs_at` over each :func:`stack_blocks` block, padded
+    on its own: a long list of ragged arrays costs time, not a stack
+    padded to its longest array.  Entry ``k`` equals
     ``dfd_matrix(metric.pairwise(lefts[k], rights[k]))`` exactly.
     """
     out = np.empty(len(lefts))
-    for pos, stack, lengths in ground_stacks(lefts, rights, metric):
-        out[pos] = dfd_matrix(stack, lengths)
+    for pos in stack_blocks([len(p) for p in lefts], [len(q) for q in rights]):
+        k = np.arange(len(pos))
+        out[pos] = dfd_pairs_at(
+            point_stack([lefts[i] for i in pos]),
+            point_stack([rights[i] for i in pos]),
+            k, k, metric,
+        )
     return out
 
 

@@ -19,7 +19,7 @@ matrices at once as one padded stack (:func:`ground_stack`, through
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +94,18 @@ class GroundMetric:
         Every other form (:meth:`pairwise`, :meth:`rowwise`, lazy cell
         reads) broadcasts this one, so they agree bit for bit."""
         raise NotImplementedError
+
+    def prepare(self, pts: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Per-point arrays :meth:`prepared_cells` reads, for ``(n, d)``
+        points: here their coordinates.  An index prepares its points
+        once and gathers the prepared arrays per pair."""
+        return tuple(np.ascontiguousarray(np.asarray(pts, dtype=np.float64).T))
+
+    def prepared_cells(self, a, b) -> np.ndarray:
+        """:meth:`_cells` of points given in :meth:`prepare`'s form
+        (each array gathered alike); equal to :meth:`rowwise` bit for
+        bit."""
+        return self._cells(a, b)
 
     def _check_domain(self, pts: np.ndarray) -> None:
         """Refuse an ``(n, d)`` point array :meth:`pairwise_stack` would
@@ -198,11 +210,23 @@ class HaversineMetric(GroundMetric):
         # points an entry point below has already seen.
         if len(a) < 2 or len(b) < 2:
             raise TrajectoryError("haversine needs (lat, lon) coordinates")
-        lat_a, lon_a = np.radians(a[0]), np.radians(a[1])
-        lat_b, lon_b = np.radians(b[0]), np.radians(b[1])
+        return self.prepared_cells(self._prepare(a), self._prepare(b))
+
+    def prepare(self, pts: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``(lat, lon, cos lat)`` of ``(n, >=2)`` degree points, in radians."""
+        return self._prepare(np.asarray(pts, dtype=np.float64).T)
+
+    @staticmethod
+    def _prepare(coords) -> Tuple[np.ndarray, ...]:
+        lat = np.radians(coords[0])
+        return lat, np.radians(coords[1]), np.cos(lat)
+
+    def prepared_cells(self, a, b) -> np.ndarray:
+        lat_a, lon_a, cos_a = a
+        lat_b, lon_b, cos_b = b
         h = (
             np.sin((lat_b - lat_a) / 2.0) ** 2
-            + np.cos(lat_a) * np.cos(lat_b) * np.sin((lon_b - lon_a) / 2.0) ** 2
+            + cos_a * cos_b * np.sin((lon_b - lon_a) / 2.0) ** 2
         )
         return 2.0 * self.radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
@@ -303,21 +327,69 @@ def cross_ground_matrix(
     return m.pairwise(a, b)
 
 
-def _padded_points(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Ragged ``(n_p, d)`` arrays as one ``(P, max n_p, d)`` array.
+class PointStack(NamedTuple):
+    """Ragged ``(n_k, d)`` point arrays as one ``(N, L, d)`` array.
 
-    Short arrays repeat their last point, so the padding is finite
-    wherever the points are.  Returns the padded array and the lengths.
+    Row ``k`` holds array ``k``'s points followed by copies of its last
+    point, so the padding is finite wherever the points are;
+    ``lengths[k]`` is ``n_k``.  The indexed kernels
+    (:func:`ground_stack_at`, :func:`~repro.distances.frechet.dfd_pairs_at`)
+    read pairs of rows out of two such stacks by index.
     """
+
+    points: np.ndarray
+    lengths: np.ndarray
+
+
+def point_stack(arrays: Sequence[np.ndarray]) -> PointStack:
+    """Pad a list of non-empty ``(n_k, d)`` arrays into a :class:`PointStack`."""
     lengths = np.array([len(x) for x in arrays], dtype=np.int64)
     if not len(arrays) or lengths.min() < 1:
         raise TrajectoryError("stacked ground matrices need non-empty point arrays")
-    flat = np.concatenate([np.asarray(x, dtype=np.float64) for x in arrays])
-    first = np.cumsum(lengths) - lengths
+    flat = np.concatenate(arrays).astype(np.float64, copy=False)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return flat_point_stack(flat, offsets)
+
+
+def flat_point_stack(flat: np.ndarray, offsets: np.ndarray) -> PointStack:
+    """A :class:`PointStack` of the runs ``flat[offsets[k]:offsets[k + 1]]``."""
+    first = np.asarray(offsets[:-1], dtype=np.int64)
+    lengths = np.asarray(offsets[1:], dtype=np.int64) - first
     rows = first[:, None] + np.minimum(
         np.arange(lengths.max()), lengths[:, None] - 1
     )
-    return flat[rows], lengths
+    flat = np.asarray(flat, dtype=np.float64)
+    return PointStack(flat.take(rows, axis=0), lengths)
+
+
+def ground_stack_at(
+    left: PointStack,
+    right: PointStack,
+    ia: np.ndarray,
+    ib: np.ndarray,
+    metric: Union[str, GroundMetric] = "euclidean",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Ground matrices of the pairs ``(left[ia[k]], right[ib[k]])`` as one
+    padded ``(P, N, M)`` stack.
+
+    Cell ``[k, i, j]`` is the ground distance of point ``i`` of the
+    left array and point ``j`` of the right one inside pair ``k``'s own
+    ``(n_k, m_k)`` block and ``+inf`` outside it; ``N`` and ``M`` are
+    the largest ``n_k`` and ``m_k``.  The second return value is the
+    ``(P, 2)`` array of block shapes -- the ``lengths`` argument of the
+    stacked DFD kernels.
+    """
+    n, m = left.lengths[ia], right.lengths[ib]
+    if not len(n):
+        raise TrajectoryError("stacked ground matrices need at least one pair")
+    a = left.points[:, :n.max()].take(ia, axis=0)
+    b = right.points[:, :m.max()].take(ib, axis=0)
+    stack = get_metric(metric).pairwise_stack(a, b)
+    # Padded rows, then padded columns, of each pair's block.
+    stack[np.arange(a.shape[1]) >= n[:, None]] = np.inf
+    stack.transpose(0, 2, 1)[np.arange(b.shape[1]) >= m[:, None]] = np.inf
+    return stack, np.stack([n, m], axis=1)
 
 
 def ground_stack(
@@ -325,20 +397,13 @@ def ground_stack(
     rights: Sequence[np.ndarray],
     metric: Union[str, GroundMetric] = "euclidean",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Ground matrices of aligned pairs as one padded ``(P, N, M)`` stack.
-
-    Cell ``[p, i, j]`` is ``d(lefts[p][i], rights[p][j])`` inside pair
-    ``p``'s own ``(n_p, m_p)`` block and ``+inf`` outside it; the second
-    return value is the ``(P, 2)`` array of those block shapes -- the
-    ``lengths`` argument of the stacked DFD kernels.
-    """
-    a, n = _padded_points(lefts)
-    b, m = _padded_points(rights)
-    stack = get_metric(metric).pairwise_stack(a, b)
-    # Padded rows, then padded columns, of each pair's block.
-    stack[np.arange(a.shape[1]) >= n[:, None]] = np.inf
-    stack.transpose(0, 2, 1)[np.arange(b.shape[1]) >= m[:, None]] = np.inf
-    return stack, np.stack([n, m], axis=1)
+    """:func:`ground_stack_at` over the aligned pairs ``(lefts[k], rights[k])``."""
+    if len(lefts) != len(rights):
+        raise TrajectoryError(
+            f"{len(lefts)} left and {len(rights)} right point arrays do not align"
+        )
+    k = np.arange(len(lefts))
+    return ground_stack_at(point_stack(lefts), point_stack(rights), k, k, metric)
 
 
 class LazyGroundMatrix:

@@ -466,7 +466,8 @@ def _resolve_corpus(inline_points, ref):
 
     ``ref`` is either a :class:`SharedArrayRef` (parent-published
     shared-memory segment) or a :class:`~repro.store.SnapshotSlabRef`
-    (on-disk snapshot the worker re-maps via ``numpy.memmap``) -- the
+    (on-disk snapshot the worker re-maps as read-only ndarray views of
+    the mapped files) -- the
     slab layout behind both is identical.
     """
     from ..index import slab_points

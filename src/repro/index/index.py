@@ -58,8 +58,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..distances.frechet import dfd_matrix, dfd_pairs
-from ..distances.ground import GroundMetric, get_metric
+from ..distances.frechet import dfd_matrix, dfd_pairs, dfd_pairs_at
+from ..distances.ground import GroundMetric, PointStack, get_metric, point_stack
 from ..errors import ReproError, TrajectoryError, check_k, check_threshold
 from ..trajectory import Trajectory
 from ..trajectory.ops import douglas_peucker_batch
@@ -226,6 +226,7 @@ class CorpusIndex:
         # consumers (corpus batches) never pay the per-trajectory DPs.
         self._simplified: Optional[List[np.ndarray]] = None
         self._simp_errors: Optional[np.ndarray] = None
+        self._derived_init()
         #: Hierarchical proximity tree, built lazily (transport-only
         #: and brute-force consumers do not pay the bulk load).
         self._tree: Optional[TrajectoryTree] = None
@@ -285,11 +286,20 @@ class CorpusIndex:
         index.box_hi = box_hi
         index._simplified = None if simplified is None else list(simplified)
         index._simp_errors = simplification_errors
+        index._derived_init()
         index._tree = tree
         index.summary_builds = 0
         index._slabs = slabs
         index.slab_ref = slab_ref
         return index
+
+    def _derived_init(self) -> None:
+        """Mark the arrays derived from the summaries as not built yet
+        (each is built on first use)."""
+        #: The simplifications as one padded stack, row = item id.
+        self._simp_stack: Optional[PointStack] = None
+        #: ``metric.prepare`` of the starts and of the ends.
+        self._prepared_ends: Optional[Tuple[tuple, tuple]] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -449,6 +459,27 @@ class CorpusIndex:
         self.ensure_summaries()
         return self._simp_errors  # type: ignore[return-value]
 
+    @property
+    def simplification_stack(self) -> PointStack:
+        """:attr:`simplifications` as one padded stack, row = item id.
+
+        Derived on first use by a gather (no DP, so ``summary_builds``
+        does not move); the batched simplification bounds read it by
+        item index.
+        """
+        if self._simp_stack is None:
+            self._simp_stack = point_stack(self.simplifications)
+        return self._simp_stack
+
+    def _endpoints(self) -> Tuple[tuple, tuple]:
+        """The starts and the ends in :meth:`GroundMetric.prepare` form,
+        prepared on first use."""
+        if self._prepared_ends is None:
+            self._prepared_ends = (
+                self.metric.prepare(self.starts), self.metric.prepare(self.ends)
+            )
+        return self._prepared_ends
+
     # ------------------------------------------------------------------
     # Lower bounds
     # ------------------------------------------------------------------
@@ -478,9 +509,12 @@ class CorpusIndex:
         a_idx = np.asarray(a_idx, dtype=np.int64)
         b_idx = np.asarray(b_idx, dtype=np.int64)
         m = self.metric
+        (starts_a, ends_a), (starts_b, ends_b) = (
+            self._endpoints(), other._endpoints()
+        )
         lb_end = np.maximum(
-            m.rowwise(self.starts[a_idx], other.starts[b_idx]),
-            m.rowwise(self.ends[a_idx], other.ends[b_idx]),
+            m.prepared_cells(_take(starts_a, a_idx), _take(starts_b, b_idx)),
+            m.prepared_cells(_take(ends_a, a_idx), _take(ends_b, b_idx)),
         )
         lb = lb_end
         if m.coordinate_monotone:
@@ -494,14 +528,13 @@ class CorpusIndex:
         """Triangle-inequality bounds ``DFD(A^, B^) - err(A) - err(B)``.
 
         One per pair of the parallel index arrays ``a_idx`` / ``b_idx``;
-        the summary DPs run as one batched call.
+        the summary DPs run as one batched call over the two
+        :attr:`simplification_stack` arrays.
         """
         other = self if other is None else other
-        simp_a, simp_b = self.simplifications, other.simplifications
-        core = dfd_pairs(
-            [simp_a[int(i)] for i in a_idx],
-            [simp_b[int(j)] for j in b_idx],
-            self.metric,
+        core = dfd_pairs_at(
+            self.simplification_stack, other.simplification_stack,
+            a_idx, b_idx, self.metric,
         )
         return (
             core
@@ -751,10 +784,9 @@ class CorpusIndex:
             stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
             cand = cand[keep]
         if len(cand):
-            simp = self.simplifications
-            core = dfd_pairs(
-                [q.simplification] * len(cand), [simp[i] for i in cand],
-                self.metric,
+            core = dfd_pairs_at(
+                point_stack([q.simplification]), self.simplification_stack,
+                np.zeros(len(cand), dtype=np.int64), cand, self.metric,
             )
             keep_mask = ~(
                 core - q.error - self.simplification_errors[cand] > radius
@@ -794,6 +826,11 @@ class CorpusIndex:
             "timestamps": np.concatenate(self._timestamps),
             "offsets": offsets,
         }
+
+
+def _take(prepared: tuple, idx: np.ndarray) -> list:
+    """Rows ``idx`` of every array of a prepared point set."""
+    return [x[idx] for x in prepared]
 
 
 def slab_points(slabs: Dict[str, np.ndarray], i: int) -> np.ndarray:

@@ -49,11 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..distances.frechet import dfd_matrix, dfd_pairs
+from ..distances.frechet import dfd_matrix, dfd_pairs, dfd_pairs_at
+from ..distances.ground import PointStack, flat_point_stack
 from ..errors import ReproError
 
 #: Node fan-out and leaf capacity of the STR packing.  Eight keeps the
@@ -202,6 +203,7 @@ class TrajectoryTree:
         self.rep_points = rep_points
         self.rep_offsets = rep_offsets
         self.rep_err = rep_err
+        self._rep_stack: Optional[PointStack] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -410,6 +412,18 @@ class TrajectoryTree:
         hi = int(self.rep_offsets[node + 1])
         return self.rep_points[lo:hi]
 
+    @property
+    def rep_stack(self) -> PointStack:
+        """Every node's representative as one padded stack, row = node id.
+
+        Derived from ``rep_points`` / ``rep_offsets`` on first use (a
+        gather, no DP), so the batched representative bounds read rows
+        by node id instead of slicing and re-padding per call.
+        """
+        if self._rep_stack is None:
+            self._rep_stack = flat_point_stack(self.rep_points, self.rep_offsets)
+        return self._rep_stack
+
     # ------------------------------------------------------------------
     # Node-aggregate lower bounds
     # ------------------------------------------------------------------
@@ -462,9 +476,7 @@ class TrajectoryTree:
 
     def rep_pair_bounds(self, other: "TrajectoryTree", na, nb) -> np.ndarray:
         """:meth:`rep_pair_bound` for parallel node arrays, one batched DP call."""
-        core = dfd_pairs(
-            [self.rep(a) for a in na], [other.rep(b) for b in nb], self.metric
-        )
+        core = dfd_pairs_at(self.rep_stack, other.rep_stack, na, nb, self.metric)
         return core - self.rep_err[na] - other.rep_err[nb]
 
     def query_lower_bounds(self, query: QuerySummary, nodes) -> np.ndarray:
@@ -621,9 +633,10 @@ class TrajectoryTree:
         """Item ids the tree cannot prove further than ``radius`` away.
 
         Level-synchronous descent from the root, vectorised aggregate
-        bounds per frontier, one representative DP per surviving leaf.
-        Returns ascending item ids; pruned subtree sizes accumulate in
-        ``stats.pruned_grid``.
+        bounds per frontier, one representative DP per surviving leaf:
+        a handful of small 2-D scans costs less than the stacked blocks
+        of one batched call.  Returns ascending item ids; pruned subtree
+        sizes accumulate in ``stats.pruned_grid``.
         """
         frontier = np.zeros(1, dtype=np.int64)
         survivors: List[np.ndarray] = []

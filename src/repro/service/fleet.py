@@ -8,8 +8,9 @@ scales the service across processes the pre-fork way:
   ``accept()`` from the same kernel queue -- the kernel load-balances
   connections, no userspace proxy, no port juggling;
 * every worker maps the **same snapshot files** read-only
-  (:mod:`repro.store` memmaps), so the corpus occupies one host-wide
-  page cache regardless of fleet size;
+  (:mod:`repro.store`: read-only ndarray views of the mapped files),
+  so the corpus occupies one host-wide page cache regardless of fleet
+  size;
 * each worker is a full :class:`~repro.service.MotifService` -- its
   own coalescing, deadlines, admission and (optionally) snapshot
   hot-reload watcher, so a rebuilt snapshot rolls through the fleet

@@ -28,8 +28,8 @@ serving mechanisms live here, independent of the HTTP transport
   the next one is refused immediately with ``overloaded`` (HTTP 429)
   rather than building an unbounded backlog.
 
-Snapshots loaded via :meth:`MotifService.load_snapshot` are mapped
-read-only (``numpy.memmap``) and registered as
+Snapshots loaded via :meth:`MotifService.load_snapshot` are held as
+read-only ndarray views of the mapped files and registered as
 :class:`~repro.engine.Corpus` handles -- keyed by their manifest
 ``content_key``, restored index attached -- so a request against a
 snapshot computes no corpus key and reuses the persisted summaries:

@@ -3,8 +3,8 @@
 A snapshot is a directory of raw little-endian array files behind a
 JSON manifest keyed by the index's content fingerprint:
 :func:`save_snapshot` writes one, :func:`load_snapshot` maps it back
-zero-copy via :class:`numpy.memmap` (byte-identical answers, zero
-simplification recomputes), and :class:`SnapshotSlabRef` /
+zero-copy as read-only ndarray views of the mapped files
+(byte-identical answers, zero simplification recomputes), and :class:`SnapshotSlabRef` /
 :func:`attach_snapshot_slabs` let engine pool workers re-map the same
 files so every server process on a host shares one page cache.
 """

@@ -15,8 +15,8 @@ artifact any number of server processes can map simultaneously:
 * a JSON ``manifest.json`` describes the layout (shape / dtype /
   byte-size / SHA-1 per array) and is keyed by the index's
   :attr:`~repro.index.CorpusIndex.content_key` fingerprint;
-* :func:`load_snapshot` maps the files back with :class:`numpy.memmap`
-  (read-only, page-cache backed) and rebuilds the index via
+* :func:`load_snapshot` maps the files back as read-only ndarray views
+  of the mapped files (page-cache backed) and rebuilds the index via
   :meth:`CorpusIndex.restore` -- **nothing is recomputed**, so a
   loaded index answers ``candidate_pairs`` / ``pair_cursor``
   byte-identically to the saved one and performs zero simplification
@@ -111,7 +111,10 @@ def _open_array(path: Path, shape: Tuple[int, ...], dtype: str, mmap: bool):
     if expected == 0:
         return np.empty(shape, dtype=np.dtype(dtype))
     if mmap:
-        return np.memmap(path, dtype=np.dtype(dtype), mode="r", shape=shape)
+        # A base-class view of the read-only mapping: the same file-backed
+        # pages, without memmap's per-slice Python hooks.
+        mapped = np.memmap(path, dtype=np.dtype(dtype), mode="r", shape=shape)
+        return mapped.view(np.ndarray)
     return np.fromfile(path, dtype=np.dtype(dtype)).reshape(shape)
 
 
@@ -128,8 +131,8 @@ MAP_STATS = {"maps": 0, "reuses": 0}
 def attach_snapshot_slabs(ref: SnapshotSlabRef) -> Dict[str, np.ndarray]:
     """The ``{field: ndarray}`` group behind ``ref``, mapped read-only.
 
-    Arrays are zero-copy :class:`numpy.memmap` views of the snapshot
-    files; repeated calls for the same ref reuse the existing mapping,
+    Arrays are zero-copy, read-only ndarray views of the mapped files;
+    repeated calls for the same ref reuse the existing mapping,
     so a warm worker pays the ``open``/``mmap`` syscalls once per
     snapshot, and the kernel's page cache is shared by every process
     mapping the same files.
@@ -435,8 +438,8 @@ def load_snapshot(
 ) -> CorpusIndex:
     """Restore a :class:`CorpusIndex` from a snapshot directory.
 
-    With ``mmap=True`` (default) every array is a read-only
-    :class:`numpy.memmap` view of the snapshot files -- loading is
+    With ``mmap=True`` (default) every array is one of the read-only
+    ndarray views of the mapped files -- loading is
     O(metadata), the corpus pages in on demand, and concurrent loaders
     in other processes share the same page cache.  ``verify=True``
     additionally checks every array's SHA-1 against the manifest (a
