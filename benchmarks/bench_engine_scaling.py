@@ -6,14 +6,13 @@ answered by a serial loop vs the :class:`MotifEngine`, across four
 workloads -- batched discover, cold unique-corpus discover (isolating
 the partitioned chunk scan), a top-k stream (parallel chunk-merge
 top-k), and a similarity-join stream (sharded tile grid) -- plus a
-large-n single-query discover row comparing the zero-copy lazy bound
-pipeline against the PR 2 transfer shape (eager full argsort plus
-pickled per-chunk bound slices).  Shapes under test: the batched
-engine answers the discover stream >= 1.5x faster and the top-k
-stream >= 1.3x faster than the serial loops at >= 2 workers, the
-zero-copy pipeline beats the PR 2 path >= 1.2x on the single-query
-row, and every pool task carries both ``dG`` *and* its bound arrays
-by reference (zero dense pickling of either).
+large-n single-query discover row timing the partitioned chunk scan
+at 2 workers against the same ``btm`` discover at 1 worker.  Shapes
+under test: the batched engine answers the discover stream >= 1.5x
+faster and the top-k stream >= 1.3x faster than the serial loops at
+>= 2 workers, the 2-worker chunk scan beats 1 worker >= 1.2x on the
+single-query row, and every pool task carries both ``dG`` *and* its
+bound arrays by reference (zero dense pickling of either).
 
 Each test folds its measurements into ``BENCH_engine_scaling.json`` at
 the repo root -- the machine-readable perf trajectory future PRs diff
@@ -93,29 +92,27 @@ def test_engine_scaling(benchmark):
     assert speedups[("topk stream", max(WORKERS))] >= 1.3, table.render()
 
 
-def test_single_query_zero_copy_speedup(benchmark):
-    """The PR 3 tentpole row: one large-n discover, zero-copy lazy
-    bound pipeline vs the PR 2 code path (eager full argsort + pickled
-    per-chunk bound slices), same host, same answers."""
-    benchmark.group = "engine: zero-copy bound pipeline"
+def test_single_query_parallel_speedup(benchmark):
+    """One large-n ``btm`` discover: the partitioned chunk scan at 2
+    workers vs the serial search at 1 worker, same host, same answers,
+    and zero bound-array pickling on the pool path."""
+    benchmark.group = "engine: single-query chunk scan"
     n = SINGLE_QUERY_N.get(bench_scale(), 480)
     traj = trajectory_for("geolife", n, 0)
     xi = default_xi(n)
     repeats = 5
 
-    def measure(legacy: bool):
-        engine_kwargs = dict(shared_bounds=False) if legacy else {}
-        algo_kwargs = dict(eager_order=True) if legacy else {}
-        with MotifEngine(workers=max(WORKERS), **engine_kwargs) as eng:
+    def measure(workers: int):
+        with MotifEngine(workers=workers) as eng:
             # Warm-up also warms the dG/table caches, so the timed
-            # repeats isolate the bound pipeline (serving behaviour).
+            # repeats isolate the search (serving behaviour).
             first = eng.discover(traj, min_length=xi, algorithm="btm",
-                                 cacheable=False, **algo_kwargs)
+                                 cacheable=False)
             times = []
             for _ in range(repeats):
                 started = time.perf_counter()
                 result = eng.discover(traj, min_length=xi, algorithm="btm",
-                                      cacheable=False, **algo_kwargs)
+                                      cacheable=False)
                 times.append(time.perf_counter() - started)
             assert (result.distance, result.indices) == (
                 first.distance, first.indices
@@ -125,37 +122,35 @@ def test_single_query_zero_copy_speedup(benchmark):
             return min(times), result, eng.transfer_info()
 
     def run():
-        t_legacy, r_legacy, info_legacy = measure(legacy=True)
-        t_zero, r_zero, info_zero = measure(legacy=False)
-        return t_legacy, r_legacy, info_legacy, t_zero, r_zero, info_zero
+        t_serial, r_serial, _ = measure(min(WORKERS))
+        t_pool, r_pool, info_pool = measure(max(WORKERS))
+        return t_serial, r_serial, t_pool, r_pool, info_pool
 
-    t_legacy, r_legacy, info_legacy, t_zero, r_zero, info_zero = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
+    t_serial, r_serial, t_pool, r_pool, info_pool = benchmark.pedantic(
+        run, rounds=1, iterations=1
     )
-    # Same answer either way -- the pipeline only moves bytes and sorts.
-    assert (r_zero.distance, r_zero.indices) == (
-        r_legacy.distance, r_legacy.indices
+    # Same answer at every worker count.
+    assert (r_pool.distance, r_pool.indices) == (
+        r_serial.distance, r_serial.indices
     )
-    speedup = t_legacy / max(t_zero, 1e-9)
+    speedup = t_serial / max(t_pool, 1e-9)
     _update_bench_json("single_query_discover", {
         "n": n,
         "xi": xi,
         "workers": max(WORKERS),
         "repeats": repeats,
-        "legacy_seconds": t_legacy,
-        "zero_copy_seconds": t_zero,
+        "serial_seconds": t_serial,
+        "parallel_seconds": t_pool,
         "speedup": speedup,
-        "legacy_transfer": info_legacy,
-        "zero_copy_transfer": info_zero,
+        "parallel_transfer": info_pool,
     })
     if shared_memory_available():
-        # The zero-copy run pickled no bound arrays; the legacy run
-        # shipped O(n^2) of them -- that is the gap under test.
-        assert info_zero["bounds_bytes_pickled"] == 0, info_zero
-        assert info_legacy["bounds_bytes_pickled"] > 0, info_legacy
+        # The pool run pickled no bound arrays.
+        assert info_pool["bounds_bytes_pickled"] == 0, info_pool
         assert speedup >= 1.2, (
-            f"zero-copy pipeline {speedup:.2f}x vs legacy "
-            f"(legacy {t_legacy:.3f}s, zero-copy {t_zero:.3f}s)"
+            f"chunk scan at {max(WORKERS)} workers {speedup:.2f}x vs "
+            f"{min(WORKERS)} (serial {t_serial:.3f}s, "
+            f"parallel {t_pool:.3f}s)"
         )
 
 

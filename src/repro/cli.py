@@ -42,9 +42,10 @@ def _engine_for(args: argparse.Namespace):
     ``--workers N`` builds a dedicated parallel engine that is closed
     (pool shut down, shared-memory segments unlinked) when the command
     finishes; the default shares the process-wide serial engine (and
-    its caches), which is left running.  ``--no-shared-memory`` forces
-    the legacy pickled-payload transfer path (a debugging/ops knob for
-    hosts with a constrained ``/dev/shm``); answers are identical.
+    its caches), which is left running.  ``--no-shared-memory`` pickles
+    ``dG`` and the bound arrays into every pool task instead of
+    publishing them to shared-memory segments (for hosts with a small
+    ``/dev/shm``); answers are identical.
     """
     workers = getattr(args, "workers", 1)
     if workers is None:
@@ -56,7 +57,6 @@ def _engine_for(args: argparse.Namespace):
         return MotifEngine(  # context manager: closes itself
             workers=workers,
             shared_memory=not no_shm,
-            shared_bounds=not no_shm,
         )
     return contextlib.nullcontext(default_engine())
 
@@ -473,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="partition the search across N worker processes")
     p.add_argument("--no-shared-memory", action="store_true",
-                   help="ship dG and bound arrays through the pool pipe "
-                        "instead of shared-memory segments (debug/ops knob)")
+                   help="pickle dG and bound arrays into every pool task "
+                        "instead of shared-memory segments (for hosts with "
+                        "a small /dev/shm)")
     p.add_argument("--stats", action="store_true", help="print search statistics")
     p.add_argument("--plot", action="store_true",
                    help="render the motif as ASCII art")
@@ -491,8 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="partition the top-k scan across N worker processes")
     p.add_argument("--no-shared-memory", action="store_true",
-                   help="ship dG and bound arrays through the pool pipe "
-                        "instead of shared-memory segments (debug/ops knob)")
+                   help="pickle dG and bound arrays into every pool task "
+                        "instead of shared-memory segments (for hosts with "
+                        "a small /dev/shm)")
     _add_trace_flag(p)
     p.set_defaults(func=_cmd_topk)
 

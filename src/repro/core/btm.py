@@ -67,7 +67,6 @@ def run_best_first(
     bsf_sync: Optional[Callable[[float], float]] = None,
     bsf_sync_every: int = 64,
     positions: Optional[np.ndarray] = None,
-    eager_order: bool = False,
 ) -> Tuple[float, Best]:
     """Process candidate subsets in ascending bound order (Alg. 2 L5-13).
 
@@ -88,10 +87,8 @@ def run_best_first(
     (ascending; the engine's chunk scans own a strided share of the
     shared arrays).  The loop consumes the ascending order lazily via
     :meth:`SubsetBounds.order_blocks`, so with strong pruning the sort
-    cost scales with the subsets actually expanded; ``eager_order``
-    restores the single up-front stable argsort (the pre-lazy code
-    path, kept for the perf-trajectory benchmark and as a debugging
-    reference -- the expansion order is identical either way).
+    cost scales with the subsets actually expanded; the expansion order
+    equals a single up-front stable argsort of the scope.
 
     Expansion runs in one frontier for the whole loop
     (:class:`repro.core.dp.SweepFrontier`, chained): when the loop
@@ -114,16 +111,7 @@ def run_best_first(
     deadline = None if timeout is None else start_time + timeout
     cmin = tables.cmin if (tables is not None and use_kills) else None
     rmin = tables.rmin if (tables is not None and use_kills) else None
-    if eager_order:
-        with PhaseTimer(stats, "time_sort"):
-            if positions is None:
-                blocks = [bounds.order()]
-            else:
-                scope = np.asarray(positions, dtype=np.int64)
-                blocks = [scope[np.argsort(bounds.combined[scope], kind="stable")]]
-        block_iter = iter(blocks)
-    else:
-        block_iter = bounds.order_blocks(within=positions)
+    block_iter = bounds.order_blocks(within=positions)
     n_scope = len(bounds) if positions is None else len(positions)
     expanded = np.zeros(len(bounds), dtype=bool)
     witnessed = best is not None
@@ -213,11 +201,6 @@ class BTM:
         ``>= 1``; values above 1 give the (1+eps)-approximate variant.
     timeout:
         Optional wall-clock budget in seconds.
-    eager_order:
-        Sort the full candidate set up front instead of consuming the
-        ascending order lazily (identical expansion order; the lazy
-        scheduler only defers sort cost).  Kept as the perf-trajectory
-        baseline of the pre-lazy code path.
     """
 
     name = "btm"
@@ -231,7 +214,6 @@ class BTM:
         use_end_kill: bool = True,
         approx_factor: float = 1.0,
         timeout: Optional[float] = None,
-        eager_order: bool = False,
     ) -> None:
         if variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
@@ -244,7 +226,6 @@ class BTM:
         self.use_end_kill = use_end_kill
         self.approx_factor = approx_factor
         self.timeout = timeout
-        self.eager_order = eager_order
 
     def search(
         self,
@@ -291,7 +272,6 @@ class BTM:
             use_cell=self.use_cell,
             use_cross=self.use_cross,
             use_band=self.use_band,
-            eager_order=self.eager_order,
         )
         rows, cols = oracle.shape
         dense = hasattr(oracle, "array")

@@ -48,7 +48,6 @@ from .ground import (
     get_metric,
     ground_stack,
     ground_stack_at,
-    point_stack,
 )
 
 #: Padded cells one stacked block may hold.  Bounds the stack and the
@@ -371,19 +370,20 @@ def dfd_pairs(
 ) -> np.ndarray:
     """Exact DFD of every aligned pair ``(lefts[k], rights[k])``.
 
-    :func:`dfd_pairs_at` over each :func:`stack_blocks` block, padded
-    on its own: a long list of ragged arrays costs time, not a stack
-    padded to its longest array.  Entry ``k`` equals
+    One stacked :func:`dfd_matrix` call per :func:`ground_stacks`
+    block, each padded on its own: a long list of ragged arrays costs
+    time, not a stack padded to its longest array.  Entry ``k`` equals
     ``dfd_matrix(metric.pairwise(lefts[k], rights[k]))`` exactly.
+    Lists of different lengths raise
+    :class:`~repro.errors.TrajectoryError`.
     """
-    out = np.empty(len(lefts))
-    for pos in stack_blocks([len(p) for p in lefts], [len(q) for q in rights]):
-        k = np.arange(len(pos))
-        out[pos] = dfd_pairs_at(
-            point_stack([lefts[i] for i in pos]),
-            point_stack([rights[i] for i in pos]),
-            k, k, metric,
+    if len(lefts) != len(rights):
+        raise TrajectoryError(
+            f"{len(lefts)} left and {len(rights)} right point arrays do not align"
         )
+    out = np.empty(len(lefts))
+    for pos, stack, lengths in ground_stacks(lefts, rights, metric):
+        out[pos] = dfd_matrix(stack, lengths)
     return out
 
 

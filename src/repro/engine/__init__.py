@@ -27,20 +27,8 @@ from .corpus import Corpus
 from .engine import MatrixMotifResult, MotifEngine, default_engine
 from .executor import EngineExecutor, fork_context
 from .oracles import OracleManager
-from .partition import (
-    deal_indices,
-    plan_chunks,
-    plan_strides,
-    plan_tiles,
-    slice_bounds,
-)
-from .shm import (
-    SharedArrayRef,
-    SharedArrayStore,
-    SharedMatrixRef,
-    SharedMatrixStore,
-    shared_memory_available,
-)
+from .partition import plan_strides, plan_tiles
+from .shm import SharedArrayRef, SharedArrayStore, shared_memory_available
 
 __all__ = [
     "Corpus",
@@ -51,16 +39,11 @@ __all__ = [
     "OracleManager",
     "SharedArrayRef",
     "SharedArrayStore",
-    "SharedMatrixRef",
-    "SharedMatrixStore",
-    "deal_indices",
     "default_engine",
     "fingerprint_array",
     "fingerprint_points",
     "fork_context",
-    "plan_chunks",
     "plan_strides",
     "plan_tiles",
     "shared_memory_available",
-    "slice_bounds",
 ]

@@ -105,18 +105,14 @@ class MotifEngine:
         deterministically (used by tests and as the automatic fallback
         where fork is unavailable).
     shared_memory:
-        Publish dense ground matrices (and corpus-index transport
-        arrays) to named shared-memory segments so pool tasks carry
-        by-reference handles instead of pickled payloads.
-        Automatically off where unsupported; results are identical
+        Publish dense ground matrices, each query's bound tables and
+        :class:`~repro.core.bounds.SubsetBounds` arrays, GTM group
+        levels and corpus-index transport arrays to named
+        shared-memory segments, so pool tasks carry by-reference
+        handles instead of pickled payloads.  ``False`` (for hosts
+        with a small ``/dev/shm``) pickles them into every task;
+        automatically off where unsupported.  Results are identical
         either way.
-    shared_bounds:
-        Publish each query's bound tables and the six
-        :class:`~repro.core.bounds.SubsetBounds` arrays to one shared
-        segment, so chunk tasks shrink to two refs plus their
-        ``(start, stride)`` share of the arrays (zero bound-array
-        pickling).  ``False`` restores the pre-zero-copy transfer
-        shape; answers are identical either way.
     bsf_sync_every:
         Cadence (in processed subsets) at which a chunk scan re-reads
         and republishes the shared best-so-far *inside* its best-first
@@ -130,14 +126,6 @@ class MotifEngine:
         instead of the n x n grid.  Answers are identical either way;
         off by default so unindexed filter statistics stay
         byte-stable.
-    adaptive_chunks:
-        Let the planner rebalance ``chunks_per_worker`` from each
-        dispatch round's observed chunk runtimes
-        (:func:`repro.engine.planner.adapt_chunks_per_worker`): skewed
-        rounds get finer chunks, overhead-dominated rounds coarser
-        ones.  Chunk layout never affects answers, so this is
-        parity-safe; off by default so recorded transfer shapes stay
-        reproducible.
     """
 
     def __init__(
@@ -151,10 +139,8 @@ class MotifEngine:
         chunks_per_worker: int = 3,
         executor: str = "process",
         shared_memory: bool = True,
-        shared_bounds: bool = True,
         bsf_sync_every: int = 64,
         index: Union[bool, str] = False,
-        adaptive_chunks: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -169,43 +155,10 @@ class MotifEngine:
         self._exec = EngineExecutor(
             executor,
             shared_memory=shared_memory,
-            shared_bounds=shared_bounds,
             shm_capacity=max(4, oracle_cache_size),
             chunks_per_worker=chunks_per_worker,
             bsf_sync_every=bsf_sync_every,
-            adaptive_chunks=adaptive_chunks,
         )
-
-    # ------------------------------------------------------------------
-    # Back-compat views of the layered internals
-    # ------------------------------------------------------------------
-    @property
-    def executor(self) -> str:
-        return self._exec.kind
-
-    @property
-    def shared_memory(self) -> bool:
-        return self._exec.shared_memory
-
-    @property
-    def shared_bounds(self) -> bool:
-        return self._exec.shared_bounds
-
-    @property
-    def chunks_per_worker(self) -> int:
-        return self._exec.chunks_per_worker
-
-    @property
-    def bsf_sync_every(self) -> int:
-        return self._exec.bsf_sync_every
-
-    @property
-    def _pool(self):
-        return self._exec._pool
-
-    @property
-    def _shm(self):
-        return self._exec.shm
 
     # ------------------------------------------------------------------
     # Public API
@@ -360,14 +313,14 @@ class MotifEngine:
 
         run_parallel = (
             workers > 1
-            and self.executor == "process"
+            and self._exec.kind == "process"
             and len(pending) > 1
             and _fork_context() is not None
         )
         if run_parallel:
             with self._exec.scan_lock:  # pool use is engine-wide exclusive
                 try:
-                    self._shm.begin_batch()
+                    self._exec.shm.begin_batch()
                     warm_refs = _corpus.warm_refs_for(
                         self, pending, parsed, metric, algorithm,
                         algorithm_options,
@@ -404,7 +357,7 @@ class MotifEngine:
                         results[idx] = result
                         self._oracles.put_result(keys[idx], result)
                 finally:
-                    self._shm.trim()
+                    self._exec.shm.trim()
         else:
             for idx in pending:
                 traj_a, traj_b = parsed[idx]

@@ -68,7 +68,7 @@ from ..errors import ReproError, WorkerCrashError
 from ..store.snapshot import SnapshotSlabRef
 from . import planner
 from . import worker as _worker
-from .partition import plan_chunks, plan_strides
+from .partition import plan_strides
 from .shm import SharedArrayStore, shared_memory_available
 
 
@@ -96,11 +96,9 @@ class EngineExecutor:
         kind: str = "process",
         *,
         shared_memory: bool = True,
-        shared_bounds: bool = True,
         shm_capacity: int = 16,
         chunks_per_worker: int = 3,
         bsf_sync_every: int = 64,
-        adaptive_chunks: bool = False,
         max_dispatch_attempts: int = 3,
         dispatch_poll_interval: float = 0.05,
     ) -> None:
@@ -118,14 +116,8 @@ class EngineExecutor:
         self.max_dispatch_attempts = int(max_dispatch_attempts)
         self.dispatch_poll_interval = float(dispatch_poll_interval)
         self.shared_memory = bool(shared_memory)
-        self.shared_bounds = bool(shared_bounds)
         self.chunks_per_worker = int(chunks_per_worker)
         self.bsf_sync_every = int(bsf_sync_every)
-        self.adaptive_chunks = bool(adaptive_chunks)
-        #: (rounds observed, granularity changes applied) -- adaptive
-        #: chunk-sizing telemetry, surfaced via transfer_info().
-        self.adapt_rounds = 0
-        self.adapt_changes = 0
         self.shm = SharedArrayStore(capacity=max(4, shm_capacity))
         self.transfer = {
             "pool_tasks": 0,
@@ -215,9 +207,6 @@ class EngineExecutor:
             and fork_context() is not None
         )
 
-    def use_shared_bounds(self) -> bool:
-        return self.shared_bounds and self.use_shared_memory()
-
     def share_dense(self, okey, dense):
         """Publish a dense oracle's matrix; None when shipping inline."""
         if not self.use_shared_memory():
@@ -229,7 +218,7 @@ class EngineExecutor:
         return ref
 
     def share_bounds(self, key, bounds, tables: BoundTables):
-        """Publish one query's bound slabs; ``None`` -> ship cold.
+        """Publish one query's bound slabs; ``None`` -> ship inline.
 
         The segment groups the six :class:`SubsetBounds` arrays with
         the ``cmin`` / ``rmin`` kill tables, so a chunk task resolves
@@ -237,7 +226,7 @@ class EngineExecutor:
         and has opened the batch -- the publish must stay pinned until
         the scan's pool map completes.
         """
-        if not self.use_shared_bounds():
+        if not self.use_shared_memory():
             return None
         ref, created = self.shm.publish(
             key, _worker.bound_slabs(bounds, tables.cmin, tables.rmin)
@@ -248,8 +237,8 @@ class EngineExecutor:
         return ref
 
     def share_level(self, key, level: GroupLevel):
-        """Publish one group level's block matrices; ``None`` -> cold."""
-        if not self.use_shared_bounds():
+        """Publish one group level's block matrices; ``None`` -> inline."""
+        if not self.use_shared_memory():
             return None
         ref, created = self.shm.publish(key, _worker.level_slabs(level))
         if created:
@@ -326,32 +315,7 @@ class EngineExecutor:
         info = dict(self.transfer)
         info["shm_live_segments"] = len(self.shm)
         info["chunks_per_worker"] = self.chunks_per_worker
-        info["adapt_rounds"] = self.adapt_rounds
-        info["adapt_changes"] = self.adapt_changes
         return info
-
-    # ------------------------------------------------------------------
-    # Adaptive chunk granularity
-    # ------------------------------------------------------------------
-    def observe_chunk_times(self, elapsed) -> None:
-        """Feed one dispatch round's chunk runtimes to the planner.
-
-        With ``adaptive_chunks`` the executor's granularity becomes the
-        planner's :func:`~repro.engine.planner.adapt_chunks_per_worker`
-        output for the *next* round -- answers are unaffected (the
-        scans' merges are exact for any partition), only chunk sizes
-        move.  Off by default so recorded transfer shapes stay
-        byte-stable.
-        """
-        if not self.adaptive_chunks:
-            return
-        self.adapt_rounds += 1
-        new = planner.adapt_chunks_per_worker(
-            self.chunks_per_worker, list(elapsed)
-        )
-        if new != self.chunks_per_worker:
-            self.adapt_changes += 1
-            self.chunks_per_worker = new
 
     # ------------------------------------------------------------------
     # Generic dispatch
@@ -545,13 +509,12 @@ class EngineExecutor:
         workers: int,
         seed_bsf: float,
         stats,
-        eager_order: bool = False,
     ) -> float:
         """Scan ``bounds`` across chunks; exact ``min(seed_bsf, best)``.
 
-        The zero-copy transfer shape: the six bound arrays plus
-        ``cmin``/``rmin`` publish once under ``bounds_key`` and every
-        task carries two refs plus its ``(start, stride)`` share.  The
+        The six bound arrays plus ``cmin``/``rmin`` publish once under
+        ``bounds_key`` and every task carries its ``(start, stride)``
+        share of them (see :meth:`bounds_payloads`).  The
         whole publish -> scan -> trim sequence holds the scan lock:
         segments published for this scan must stay attachable until
         its pool map completes, and a concurrent scan on a shared
@@ -575,8 +538,7 @@ class EngineExecutor:
                         **payload,
                     )
                     for payload in self.bounds_payloads(
-                        bounds, bounds_ref, tables, n_chunks,
-                        eager_order=eager_order,
+                        bounds, bounds_ref, tables, n_chunks
                     )
                 ]
                 results = self.run_discover_chunks(tasks, workers)
@@ -589,44 +551,27 @@ class EngineExecutor:
             stats.scan_cells_expanded += res.cells_expanded
         return d_star
 
-    def bounds_payloads(self, bounds, bounds_ref, tables, n_chunks,
-                        legacy_eager: bool = True,
-                        eager_order: bool = False):
-        """Per-task bound payloads: strided refs, or pre-sliced copies.
+    @staticmethod
+    def bounds_payloads(bounds, bounds_ref, tables, n_chunks):
+        """Per-task bound payloads: one ``(start, stride)`` share each.
 
-        With a published segment (or the inline executor, where
-        nothing is pickled) every task references the same full arrays
-        and owns a ``(start, stride)`` share of the positions.  On the
-        cold pool path each task must carry its data through the pipe
-        anyway, so it ships the smaller pre-sorted slice -- the PR 2
-        transfer shape, which (for discover tasks, ``legacy_eager``)
-        also keeps the eager per-chunk argsort so the perf-trajectory
-        benchmark compares like with like.  An explicit
-        ``eager_order`` (a ``BTM(eager_order=True)`` query) forces the
-        up-front sort on every chunk regardless of transfer shape.
+        Every task references the same full arrays: by ``bounds_ref``
+        when a segment was published, inline otherwise (the inline
+        executor pickles nothing; with ``shared_memory=False`` each
+        pool task pickles the whole arrays, as it does ``dG``).
         """
-        if bounds_ref is not None or self.kind == "inline":
-            payloads = [
-                dict(
-                    bounds=None if bounds_ref is not None else bounds,
-                    bounds_ref=bounds_ref,
-                    cmin=None if bounds_ref is not None else tables.cmin,
-                    rmin=None if bounds_ref is not None else tables.rmin,
-                    chunk_start=start,
-                    chunk_stride=stride,
-                )
-                for start, stride in plan_strides(len(bounds), n_chunks)
-            ]
-        else:
-            payloads = [
-                dict(bounds=chunk, cmin=tables.cmin, rmin=tables.rmin)
-                for chunk in plan_chunks(bounds, n_chunks)
-            ]
-            eager_order = eager_order or legacy_eager
-        if eager_order:
-            for payload in payloads:
-                payload["eager_order"] = True
-        return payloads
+        inline = bounds_ref is None
+        return [
+            dict(
+                bounds=bounds if inline else None,
+                bounds_ref=bounds_ref,
+                cmin=tables.cmin if inline else None,
+                rmin=tables.rmin if inline else None,
+                chunk_start=start,
+                chunk_stride=stride,
+            )
+            for start, stride in plan_strides(len(bounds), n_chunks)
+        ]
 
     def run_discover_chunks(self, tasks, workers) -> List[_worker.ChunkResult]:
         """Execute discover chunk tasks (caller holds ``scan_lock``).
@@ -648,11 +593,9 @@ class EngineExecutor:
                 out.append(res)
             return out
 
-        results = self.dispatch_chunks(
+        return self.dispatch_chunks(
             tasks, workers, _worker.scan_chunk, inline
         )
-        self.observe_chunk_times(res.elapsed for res in results)
-        return results
 
     # ------------------------------------------------------------------
     # Partitioned top-k scan
@@ -681,8 +624,7 @@ class EngineExecutor:
                         **payload,
                     )
                     for payload in self.bounds_payloads(
-                        bounds, bounds_ref, tables, n_chunks,
-                        legacy_eager=False
+                        bounds, bounds_ref, tables, n_chunks
                     )
                 ]
 
@@ -705,7 +647,6 @@ class EngineExecutor:
                 results = self.dispatch_chunks(
                     tasks, workers, _worker.topk_chunk, inline
                 )
-                self.observe_chunk_times(res.elapsed for res in results)
             finally:
                 self.shm.trim()
         # Unlike discover there is no serial resolution pass re-counting
@@ -807,7 +748,6 @@ class EngineExecutor:
             planner.bounds_slab_key(okey, space),
             getattr(algo, "timeout", None), started_at, workers,
             math.inf, stats,
-            eager_order=bool(getattr(algo, "eager_order", False)),
         )
 
     def group_level(

@@ -17,12 +17,10 @@ other workers through the shared threshold (see
 :mod:`repro.engine.worker`).  A stride is two integers, so the chunk
 task payload is constant-size: the arrays themselves travel once per
 query through a shared-memory segment, and each worker orders its own
-share lazily (:meth:`SubsetBounds.order_blocks`).
-
-:func:`plan_chunks` is the pre-zero-copy variant (argsort everything,
-deal from the sorted order, materialise per-chunk array copies); it
-remains the fallback when shared memory is unavailable, where each
-task must carry its slice through the pool pipe anyway.
+share lazily (:meth:`SubsetBounds.order_blocks`).  Where no segment
+was published (the inline executor, or ``shared_memory=False``) the
+task carries the whole arrays inline with the same ``(start, stride)``
+share.
 """
 
 from __future__ import annotations
@@ -31,46 +29,6 @@ import math
 from typing import List, Tuple
 
 import numpy as np
-
-from ..core.bounds import SubsetBounds
-
-
-def deal_indices(order: np.ndarray, n_chunks: int) -> List[np.ndarray]:
-    """Deal positions of ``order`` round-robin into ``n_chunks`` hands.
-
-    Every returned array is a strided slice ``order[k::n_chunks]``; the
-    union over chunks is exactly ``order`` (each subset appears in
-    exactly one chunk).
-    """
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be at least 1")
-    n_chunks = min(n_chunks, max(1, len(order)))
-    return [order[k::n_chunks] for k in range(n_chunks)]
-
-
-def slice_bounds(bounds: SubsetBounds, idx: np.ndarray) -> SubsetBounds:
-    """A :class:`SubsetBounds` view restricted to the given positions."""
-    return SubsetBounds(
-        i_idx=bounds.i_idx[idx],
-        j_idx=bounds.j_idx[idx],
-        lb_cell=bounds.lb_cell[idx],
-        lb_cross=bounds.lb_cross[idx],
-        lb_band=bounds.lb_band[idx],
-        combined=bounds.combined[idx],
-    )
-
-
-def plan_chunks(bounds: SubsetBounds, n_chunks: int) -> List[SubsetBounds]:
-    """Split one query's subset bounds into balanced best-first chunks.
-
-    Chunks are dealt from the ascending combined-bound order, so each
-    chunk's internal best-first loop starts with some of the globally
-    most promising subsets.  Materialises one array copy per chunk --
-    used only on the cold path where tasks ship their slice through
-    the pool pipe; the zero-copy path uses :func:`plan_strides`.
-    """
-    order = bounds.order()
-    return [slice_bounds(bounds, idx) for idx in deal_indices(order, n_chunks)]
 
 
 def plan_strides(n_subsets: int, n_chunks: int) -> List[Tuple[int, int]]:
@@ -81,7 +39,7 @@ def plan_strides(n_subsets: int, n_chunks: int) -> List[Tuple[int, int]]:
     two integers.  The union over chunks covers each position exactly
     once.  Striding the *raw* position order samples every region of
     the (i, j) start-pair grid per chunk, which balances the promising
-    candidates about as well as dealing from the sorted order did,
+    candidates about as well as dealing from the sorted order would,
     without anybody paying the full O(N log N) argsort up front.
     """
     if n_chunks < 1:

@@ -17,9 +17,9 @@ The facade flow is::
     oracle = oracles.dense_oracle()  # oracle manager: cached builds
     executor.scan(plan, ...)         # executor: pools, shm, dispatch
 
-:func:`plan_chunks` / :func:`plan_strides` / :func:`plan_tiles` (the
-low-level partition maths) stay in :mod:`repro.engine.partition`; the
-planner composes them.
+:func:`plan_strides` / :func:`plan_tiles` (the low-level partition
+maths) stay in :mod:`repro.engine.partition`; the planner composes
+them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ..core.problem import SearchSpace, cross_space, self_space
 from ..errors import ReproError
 from ..trajectory import Trajectory
 from .cache import fingerprint_points, metric_key
-from .partition import plan_chunks, plan_strides, plan_tiles  # noqa: F401  (re-export)
+from .partition import plan_strides, plan_tiles
 
 
 # ----------------------------------------------------------------------
@@ -280,47 +280,6 @@ def subset_expansion_key(okey, space, tau: int, pairs) -> tuple:
 def n_chunks_for(workers: int, chunks_per_worker: int) -> int:
     """Chunk count of one partitioned scan."""
     return max(1, int(workers)) * max(1, int(chunks_per_worker))
-
-
-def adapt_chunks_per_worker(
-    current: int,
-    runtimes: Sequence[float],
-    *,
-    lo: int = 1,
-    hi: int = 16,
-    min_chunk_seconds: float = 0.005,
-    imbalance_threshold: float = 1.5,
-) -> int:
-    """Next ``chunks_per_worker`` from one round's observed chunk runtimes.
-
-    Pure: a map from the previous dispatch round's per-chunk wall
-    times to the next round's granularity.  Two failure shapes are
-    corrected, one step at a time (hysteresis -- each decision is
-    re-validated against the next round's real measurements):
-
-    * **skew** -- the slowest chunk dominates its round
-      (``max > imbalance_threshold * mean``): more, smaller chunks let
-      the pool rebalance the straggler's work, so granularity rises;
-    * **overhead** -- chunks finish faster than scheduling costs
-      (``mean < min_chunk_seconds``): fewer, larger chunks amortise the
-      dispatch, so granularity drops.
-
-    Chunk layout never affects answers -- the scans' merges are exact
-    for every partition -- so adapting is parity-safe by construction
-    (swept by the randomized parity suite with adaptation enabled).
-    """
-    current = max(lo, min(hi, int(current)))
-    times = [float(t) for t in runtimes if t is not None and float(t) >= 0.0]
-    if not times:
-        return current
-    mean = sum(times) / len(times)
-    if mean <= 0.0:
-        return current
-    if mean < min_chunk_seconds:
-        return max(lo, current - 1)
-    if max(times) > imbalance_threshold * mean:
-        return min(hi, current + 1)
-    return current
 
 
 def should_partition(workers: int, seed, approx_factor: float) -> bool:

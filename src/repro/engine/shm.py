@@ -2,26 +2,20 @@
 
 The partitioned chunk scan and the corpus-parallel batch APIs need the
 same large payloads in every worker: the dense ground matrix ``dG``
-(O(n^2) floats), and -- since the zero-copy bound pipeline -- the
-per-query bound tables and the six :class:`~repro.core.bounds.SubsetBounds`
-arrays (O(n^2) floats in total).  Before this module existed each
-:class:`~repro.engine.worker.ChunkTask` carried those payloads through
-the pool pipe (``workers x chunks_per_worker`` pickled copies per
-query) and ``discover_many`` workers recomputed ``dG`` from the
-trajectory points per process.
+(O(n^2) floats), the per-query bound tables with the six
+:class:`~repro.core.bounds.SubsetBounds` arrays (O(n^2) floats in
+total), GTM's group levels and the corpus-index transport arrays.
 
-:class:`SharedArrayStore` removes both costs generically: the parent
-process publishes a *named group of slabs* (float64 / int64 arrays,
-e.g. ``{"dG": ...}`` or the bound-table fields) once into a single
+:class:`SharedArrayStore` publishes each such payload once: the parent
+process packs a *named group of slabs* (float64 / int64 arrays, e.g.
+``{"matrix": dG}`` or the bound-table fields) into a single
 ``multiprocessing.shared_memory`` segment keyed by the engine's content
 fingerprint, and tasks carry only a tiny :class:`SharedArrayRef`
 (segment name plus per-field offset/shape/dtype).  Workers attach by
 name on first use and keep the mapping in a per-process LRU, so a warm
 worker serves repeated trajectories with zero recomputation and zero
-dense pickling.
-
-:class:`SharedMatrixStore` survives as the single-matrix veneer (one
-``"matrix"`` slab per key) used for dense ``dG`` publication.
+dense pickling.  A bare ndarray publishes as the single ``"matrix"``
+slab that :func:`attach_matrix` reads back.
 
 Lifecycle rules (the subtle part):
 
@@ -92,11 +86,6 @@ class SharedArrayRef(NamedTuple):
             int(np.dtype(dtype).itemsize) * int(np.prod(shape, dtype=np.int64))
             for _, _, shape, dtype in self.fields
         )
-
-
-#: Backward-compatible alias: the dense-``dG`` path publishes a single
-#: ``"matrix"`` slab, so its refs are ordinary :class:`SharedArrayRef`s.
-SharedMatrixRef = SharedArrayRef
 
 
 def _as_slabs(arrays) -> "OrderedDict[str, np.ndarray]":
@@ -243,14 +232,6 @@ class SharedArrayStore:
             self.close()
         except Exception:
             pass
-
-
-class SharedMatrixStore(SharedArrayStore):
-    """The single-matrix veneer over :class:`SharedArrayStore`.
-
-    Kept for the dense-``dG`` call sites and their tests; ``publish``
-    accepts a bare ndarray (stored as the ``"matrix"`` slab).
-    """
 
 
 # ----------------------------------------------------------------------

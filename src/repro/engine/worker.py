@@ -28,16 +28,16 @@ worker processes.  Four task shapes exist:
   ``dG``, and a batch of per-pair ``GLB_DFD``/``GUB_DFD`` group DPs
   over a shared group level.
 
-Dense matrices travel to chunk tasks by :class:`SharedMatrixRef`, and
-the per-query bound tables plus the six
-:class:`~repro.core.bounds.SubsetBounds` arrays by a single
-:class:`SharedArrayRef`, whenever shared memory is available -- so no
-task pickles an O(n^2) payload through the pool pipe: a zero-copy
-chunk task is a handful of ints (its ``(start, stride)`` share of the
-shared arrays) plus two refs.  The chunk scan only establishes the
-exact motif *distance*; the engine's witness-resolution pass (see
-:mod:`repro.engine.engine`) re-derives the serial algorithm's exact
-witness pair from it.
+Every chunk task owns a ``(start, stride)`` share of the whole bound
+arrays.  Whenever shared memory is available the dense matrix and the
+per-query bound tables plus the six
+:class:`~repro.core.bounds.SubsetBounds` arrays travel by
+:class:`SharedArrayRef` -- so no task pickles an O(n^2) payload through
+the pool pipe: a chunk task is a handful of ints plus two refs.
+Without a published segment the same task carries the arrays inline.
+The chunk scan only establishes the exact motif *distance*; the
+engine's witness-resolution pass (see :mod:`repro.engine.engine`)
+re-derives the serial algorithm's exact witness pair from it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from ..core.stats import SearchStats
 from ..distances.ground import DenseGroundMatrix
 from ..errors import ReproError
 from ..faults import fail_at
-from .shm import SharedArrayRef, SharedMatrixRef, attach_matrix, attach_slabs
+from .shm import SharedArrayRef, attach_matrix, attach_slabs
 
 #: Registered at import time -- i.e. before any pool fork -- so every
 #: worker process increments the same fork-shared cell.
@@ -139,7 +139,7 @@ class KillTables(NamedTuple):
     rmin: Optional[np.ndarray]
 
 
-def _resolve_matrix(matrix: Optional[np.ndarray], ref: Optional[SharedMatrixRef]):
+def _resolve_matrix(matrix: Optional[np.ndarray], ref: Optional[SharedArrayRef]):
     """The task's dense matrix: inline payload or shared-memory attach."""
     if matrix is not None:
         return matrix
@@ -163,11 +163,9 @@ def bound_slabs(bounds: SubsetBounds, cmin, rmin) -> dict:
 def _resolve_bounds(task):
     """A task's ``(bounds, cmin, rmin, positions)``.
 
-    Zero-copy tasks carry a :class:`SharedArrayRef` to the full bound
-    arrays plus a ``(start, stride)`` share; the worker attaches the
-    slabs (read-only views) and reconstructs its positions from two
-    integers.  Cold tasks carry a pre-sliced :class:`SubsetBounds`
-    (and scan all of it: ``positions`` stays ``None``).
+    A task carries the full bound arrays -- a :class:`SharedArrayRef`
+    the worker attaches (read-only views), or the arrays inline -- plus
+    a ``(start, stride)`` share it reconstructs its positions from.
     """
     if task.bounds_ref is not None:
         slabs = attach_slabs(task.bounds_ref)
@@ -189,24 +187,23 @@ class ChunkTask:
 
     space: SearchSpace
     timeout: Optional[float]
-    #: Exactly one of these identifies the subset bound arrays: a
-    #: pre-sliced copy (inline executor / shared memory unavailable)
-    #: or a by-reference handle to the shared slabs (which then also
-    #: carry ``cmin`` / ``rmin``).
+    #: Exactly one of these identifies the full subset bound arrays:
+    #: the arrays themselves (inline executor / shared memory off) or a
+    #: by-reference handle to the shared slabs (which then also carry
+    #: ``cmin`` / ``rmin``).
     bounds: Optional[SubsetBounds] = None
     bounds_ref: Optional[SharedArrayRef] = None
     cmin: Optional[np.ndarray] = None
     rmin: Optional[np.ndarray] = None
     #: This chunk's share of the bound arrays: positions
-    #: ``chunk_start :: chunk_stride``.  ``(0, 1)`` means "scan all of
-    #: ``bounds``" (the pre-sliced cold path).
+    #: ``chunk_start :: chunk_stride``.
     chunk_start: int = 0
     chunk_stride: int = 1
     #: Exactly one of these identifies the dense ground matrix: the
     #: array itself (inline executor / shared memory unavailable) or a
     #: by-reference shared-memory handle.
     matrix: Optional[np.ndarray] = None
-    matrix_ref: Optional[SharedMatrixRef] = None
+    matrix_ref: Optional[SharedArrayRef] = None
     #: perf_counter() in the parent when the query started; with
     #: `timeout` it forms one absolute deadline shared by all chunks
     #: (CLOCK_MONOTONIC is system-wide on the platforms with fork).
@@ -214,8 +211,6 @@ class ChunkTask:
     seed_bsf: float = math.inf
     #: Cadence (in processed subsets) of the in-loop threshold exchange.
     sync_every: int = 64
-    #: Restore the pre-lazy full argsort (perf-trajectory baseline).
-    eager_order: bool = False
     #: ``(trace_id, parent_span_id)`` attached by ``pool_map`` at
     #: dispatch time; observability only, never part of any cache key.
     trace: Optional[Tuple[str, str]] = None
@@ -230,11 +225,6 @@ class ChunkResult(NamedTuple):
     subsets_expanded: int
     cells_expanded: int
     candidates_checked: int
-    #: Wall-clock seconds this chunk took inside its worker; the
-    #: adaptive planner (:func:`repro.engine.planner.adapt_chunks_per_worker`)
-    #: consumes one dispatch round's elapsed values to rebalance the
-    #: next round's chunk sizes.
-    elapsed: float = 0.0
 
 
 def scan_chunk(task: ChunkTask) -> ChunkResult:
@@ -249,7 +239,6 @@ def scan_chunk(task: ChunkTask) -> ChunkResult:
     chunk's discovery without waiting for its own chunk boundary.
     """
     fail_at("worker.task")
-    chunk_started = time.perf_counter()
     oracle = DenseGroundMatrix(
         _resolve_matrix(task.matrix, task.matrix_ref), validate=False
     )
@@ -269,7 +258,6 @@ def scan_chunk(task: ChunkTask) -> ChunkResult:
         bsf_sync=sync_bsf,
         bsf_sync_every=task.sync_every,
         positions=positions,
-        eager_order=task.eager_order,
     )
     publish_bsf(bsf)
     return ChunkResult(
@@ -279,7 +267,6 @@ def scan_chunk(task: ChunkTask) -> ChunkResult:
         subsets_expanded=stats.subsets_expanded,
         cells_expanded=stats.cells_expanded,
         candidates_checked=stats.candidates_checked,
-        elapsed=time.perf_counter() - chunk_started,
     )
 
 
@@ -296,7 +283,7 @@ class TopKChunkTask:
     chunk_start: int = 0
     chunk_stride: int = 1
     matrix: Optional[np.ndarray] = None
-    matrix_ref: Optional[SharedMatrixRef] = None
+    matrix_ref: Optional[SharedArrayRef] = None
     seed_kth: float = math.inf
     sync_every: int = 64
     trace: Optional[Tuple[str, str]] = None  # see ChunkTask.trace
@@ -309,7 +296,6 @@ class TopKChunkResult(NamedTuple):
     subsets_total: int
     subsets_expanded: int
     cells_expanded: int
-    elapsed: float = 0.0  # wall-clock seconds (see ChunkResult.elapsed)
 
 
 def topk_chunk(task: TopKChunkTask) -> TopKChunkResult:
@@ -325,7 +311,6 @@ def topk_chunk(task: TopKChunkTask) -> TopKChunkResult:
     fail_at("worker.task")
     from ..extensions.topk import scan_topk_entries
 
-    chunk_started = time.perf_counter()
     oracle = DenseGroundMatrix(
         _resolve_matrix(task.matrix, task.matrix_ref), validate=False
     )
@@ -349,7 +334,6 @@ def topk_chunk(task: TopKChunkTask) -> TopKChunkResult:
         subsets_total=stats.subsets_total,
         subsets_expanded=stats.subsets_expanded,
         cells_expanded=stats.cells_expanded,
-        elapsed=time.perf_counter() - chunk_started,
     )
 
 
@@ -374,7 +358,7 @@ class QueryTask:
     #: Parent-published dense ground matrix for this query's pair of
     #: trajectories; when present the worker attaches instead of
     #: recomputing ``dG`` (the warm-worker path).
-    matrix_ref: Optional[SharedMatrixRef] = None
+    matrix_ref: Optional[SharedArrayRef] = None
     #: Parent-published corpus transport slabs (points / timestamps /
     #: offsets) and this query's position(s) in them.
     corpus_ref: Optional[SharedArrayRef] = None
@@ -614,7 +598,7 @@ class GroupReduceTask:
     u_start: int
     u_end: int
     matrix: Optional[np.ndarray] = None
-    matrix_ref: Optional[SharedMatrixRef] = None
+    matrix_ref: Optional[SharedArrayRef] = None
     trace: Optional[Tuple[str, str]] = None  # see ChunkTask.trace
 
 

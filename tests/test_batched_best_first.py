@@ -179,7 +179,6 @@ knobs = st.fixed_dictionaries({
     "stack_cells": st.sampled_from([dp.STACK_BLOCK_CELLS, 16]),
     "area_limit": st.sampled_from([dp.SCALAR_AREA_LIMIT, 60]),
     "subset": st.booleans(),
-    "eager": st.sampled_from([False, False, True]),
 })
 
 
@@ -187,18 +186,18 @@ knobs = st.fixed_dictionaries({
 # Per-subset references
 # ----------------------------------------------------------------------
 def reference_best_first(case, bounds, bsf, best, use_kills, approx,
-                         sync, sync_every, positions, eager):
-    """The per-subset loop ``run_best_first`` ran before stacking."""
+                         sync, sync_every, positions):
+    """The per-subset loop ``run_best_first`` ran before stacking.
+
+    It walks one up-front stable argsort of the scope, so the lazy
+    :meth:`SubsetBounds.order_blocks` the real loop consumes is checked
+    against it, ties included.
+    """
     stats = SearchStats()
     cmin = case.tables.cmin if use_kills else None
     rmin = case.tables.rmin if use_kills else None
-    if eager:
-        scope = np.arange(len(bounds)) if positions is None else positions
-        order = scope[np.argsort(bounds.combined[scope], kind="stable")]
-    else:
-        order = np.concatenate(
-            list(bounds.order_blocks(within=positions)) or [[]]
-        ).astype(np.int64)
+    scope = np.arange(len(bounds)) if positions is None else positions
+    order = scope[np.argsort(bounds.combined[scope], kind="stable")]
     expanded = np.zeros(len(bounds), dtype=bool)
     witnessed = best is not None
     count = 0
@@ -301,14 +300,13 @@ def test_run_best_first_matches_per_subset_loop(drawn, kn):
     with patched(kn["block_size"], kn["stack_cells"], kn["area_limit"]):
         want_bsf, want_best, want = reference_best_first(
             case, bounds, bsf0, best0, kn["use_kills"], kn["approx"],
-            syncs[0], kn["sync_every"], positions, kn["eager"],
+            syncs[0], kn["sync_every"], positions,
         )
         got_bsf, got_best = run_best_first(
             case.oracle, case.space, bounds, case.tables, got,
             bsf=bsf0, best=best0, use_kills=kn["use_kills"],
             approx_factor=kn["approx"], bsf_sync=syncs[1],
             bsf_sync_every=kn["sync_every"], positions=positions,
-            eager_order=kn["eager"],
         )
     assert (got_bsf, got_best) == (want_bsf, want_best)
     for name in COUNTERS:

@@ -17,7 +17,7 @@ from repro.core import BTM, GTM, GTMStar, discover_motif, self_space
 from repro.core.brute import BruteDP
 from repro.core.motif import _make_algorithm
 from repro.distances.ground import DenseGroundMatrix, ground_matrix
-from repro.engine import MotifEngine, deal_indices, planner, plan_chunks
+from repro.engine import MotifEngine, planner, plan_strides
 from repro.engine.cache import LRUCache, fingerprint_points
 from repro.extensions import StreamingMotif, discover_top_k_motifs
 from repro.extensions.join import merge_join_stats, similarity_join
@@ -206,18 +206,18 @@ class TestCaching:
 class TestPartition:
     def test_deal_covers_exactly_once(self):
         order = np.arange(17)
-        chunks = deal_indices(order, 4)
+        chunks = planner.chunk_deal(order, 4)
         assert len(chunks) == 4
         merged = np.sort(np.concatenate(chunks))
         assert np.array_equal(merged, order)
 
     def test_more_chunks_than_items(self):
         order = np.arange(2)
-        chunks = deal_indices(order, 8)
+        chunks = planner.chunk_deal(order, 8)
         assert len(chunks) == 2
         assert sum(len(c) for c in chunks) == 2
 
-    def test_plan_chunks_partitions_subsets(self):
+    def test_plan_strides_partitions_subsets(self):
         from repro.core.bounds import BoundTables, relaxed_subset_bounds
 
         oracle = DenseGroundMatrix(
@@ -226,11 +226,10 @@ class TestPartition:
         space = self_space(40, 3)
         tables = BoundTables.build(space, oracle)
         bounds = relaxed_subset_bounds(space, oracle, tables)
-        chunks = plan_chunks(bounds, 5)
         seen = sorted(
-            (int(i), int(j))
-            for chunk in chunks
-            for i, j in zip(chunk.i_idx, chunk.j_idx)
+            (int(bounds.i_idx[pos]), int(bounds.j_idx[pos]))
+            for start, stride in plan_strides(len(bounds), 5)
+            for pos in range(start, len(bounds), stride)
         )
         expected = sorted(
             (int(i), int(j)) for i, j in zip(bounds.i_idx, bounds.j_idx)
@@ -421,8 +420,8 @@ class TestEngineConfig:
             eng.discover_matrix(
                 build_fig5_matrix(), min_length=1, algorithm="btm"
             )
-            assert eng._pool is not None
-        assert eng._pool is None
+            assert eng._exec._pool is not None
+        assert eng._exec._pool is None
 
     def test_approximate_variant_stays_serial(self):
         """approx_factor changes semantics; the chunked exact scan must

@@ -190,11 +190,10 @@ class TestEngineExecutor:
     def test_facade_delegates_lifecycle(self):
         eng = MotifEngine(executor="inline", chunks_per_worker=2,
                           bsf_sync_every=5)
-        assert eng.executor == "inline"
-        assert eng.chunks_per_worker == 2
-        assert eng.bsf_sync_every == 5
-        assert eng._pool is None
-        assert eng._shm is eng._exec.shm
+        assert eng._exec.kind == "inline"
+        assert eng._exec.chunks_per_worker == 2
+        assert eng._exec.bsf_sync_every == 5
+        assert eng._exec._pool is None
         eng.close()
 
     def test_remaining_budget_algo_timeouts(self):
@@ -257,79 +256,3 @@ class TestCorpusEdgeCases:
         for use_index in (False, True):
             with pytest.raises(ValueError):
                 eng.join([traj], [traj], theta=-1.0, index=use_index)
-
-
-# ----------------------------------------------------------------------
-# Adaptive chunk granularity (ISSUE 5 satellite)
-# ----------------------------------------------------------------------
-class TestAdaptiveChunks:
-    """planner.adapt_chunks_per_worker is a pure map from observed
-    chunk runtimes to the next round's granularity; the executor only
-    applies it when asked, and answers never depend on it."""
-
-    def test_no_observations_keeps_current(self):
-        assert planner.adapt_chunks_per_worker(3, []) == 3
-        assert planner.adapt_chunks_per_worker(3, [None, -1.0]) == 3
-
-    def test_skewed_round_goes_finer(self):
-        # One straggler dominating the round -> more, smaller chunks.
-        assert planner.adapt_chunks_per_worker(3, [0.1, 0.1, 0.1, 1.0]) == 4
-
-    def test_overhead_round_goes_coarser(self):
-        # All chunks beneath the scheduling floor -> fewer, larger.
-        assert planner.adapt_chunks_per_worker(3, [1e-4, 2e-4, 1e-4]) == 2
-
-    def test_balanced_round_stays_put(self):
-        assert planner.adapt_chunks_per_worker(3, [0.1, 0.11, 0.09]) == 3
-
-    def test_bounds_respected(self):
-        assert planner.adapt_chunks_per_worker(1, [1e-5, 1e-5]) == 1
-        assert planner.adapt_chunks_per_worker(16, [0.01, 5.0]) == 16
-        # Out-of-range inputs are clamped before adapting.
-        assert planner.adapt_chunks_per_worker(99, [0.1, 0.1]) == 16
-
-    def test_single_step_hysteresis(self):
-        # However extreme the skew, granularity moves one step a round.
-        assert planner.adapt_chunks_per_worker(3, [1e-9, 100.0]) == 4
-
-    def test_executor_applies_only_when_enabled(self):
-        fixed = EngineExecutor("inline", chunks_per_worker=3)
-        fixed.observe_chunk_times([1e-5, 1e-5, 1e-5])
-        assert fixed.chunks_per_worker == 3
-        assert fixed.adapt_rounds == 0
-        adaptive = EngineExecutor(
-            "inline", chunks_per_worker=3, adaptive_chunks=True
-        )
-        adaptive.observe_chunk_times([1e-5, 1e-5, 1e-5])
-        assert adaptive.chunks_per_worker == 2
-        assert adaptive.adapt_rounds == 1
-        assert adaptive.adapt_changes == 1
-        info = adaptive.transfer_info()
-        assert info["chunks_per_worker"] == 2
-        assert info["adapt_rounds"] == 1
-
-    def test_adaptive_engine_parity_with_serial(self):
-        """Granularity drift must never change an answer: repeated
-        discover/top-k rounds under adaptation stay byte-identical."""
-        traj = random_walk(130, seed=31)
-        with MotifEngine(workers=1) as serial:
-            ref = serial.discover(traj, min_length=6, algorithm="btm")
-            ref_topk = serial.top_k(traj, min_length=6, k=3)
-        with MotifEngine(
-            workers=2, executor="inline", adaptive_chunks=True,
-            result_cache_size=0,
-        ) as adaptive:
-            for _ in range(3):  # several rounds so granularity can move
-                got = adaptive.discover(
-                    traj, min_length=6, algorithm="btm", cacheable=False
-                )
-                assert (got.distance, got.indices) == (
-                    ref.distance, ref.indices
-                )
-            got_topk = adaptive.top_k(traj, min_length=6, k=3)
-            info = adaptive.transfer_info()
-        assert [(m.distance, m.indices) for m in got_topk] == [
-            (m.distance, m.indices) for m in ref_topk
-        ]
-        assert info["adapt_rounds"] >= 4
-        assert 1 <= info["chunks_per_worker"] <= 16

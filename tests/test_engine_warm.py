@@ -27,13 +27,14 @@ from repro.core import MotifTimeout, discover_motif
 from repro.engine import (
     MotifEngine,
     SharedArrayStore,
-    SharedMatrixStore,
     plan_strides,
     plan_tiles,
     shared_memory_available,
 )
 from repro.engine.engine import _fork_context
 from repro.engine.shm import attach_matrix, attach_slabs
+from repro.extensions import discover_top_k_motifs
+from repro.service import BadRequestError, MotifService
 from repro.testing import random_walk, random_walk_points
 from repro.trajectory import Trajectory
 
@@ -41,6 +42,12 @@ needs_shm = pytest.mark.skipif(
     not (shared_memory_available() and _fork_context() is not None),
     reason="needs POSIX shared memory and a fork context",
 )
+
+
+def answers(result):
+    """``(distance, indices)`` of a motif result or a top-k ranking."""
+    items = result if isinstance(result, list) else [result]
+    return [(m.distance, m.indices) for m in items]
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +101,7 @@ class TestWarmWorkers:
         pool map completes, so a full store refuses (cold fallback)
         rather than evicting same-batch segments; older batches are
         fair game."""
-        store = SharedMatrixStore(capacity=2)
+        store = SharedArrayStore(capacity=2)
         arr = np.ones((2, 2))
         store.begin_batch()
         ref_a, _ = store.publish("a", arr)
@@ -124,7 +131,7 @@ class TestWarmWorkers:
             assert {r.stats.oracle_source for r in lazy} == {"lazy"}
 
     def test_attach_cache_reuses_mapping(self):
-        store = SharedMatrixStore()
+        store = SharedArrayStore()
         arr = np.arange(12.0).reshape(3, 4)
         ref, created = store.publish("key", arr)
         assert created and ref is not None
@@ -199,29 +206,47 @@ class TestSharedBounds:
         eng = MotifEngine(workers=2)
         eng.discover(random_walk(60, seed=12), min_length=4,
                      algorithm="btm", cacheable=False)
-        names = [ref.name for ref in eng._shm.refs()]
+        names = [ref.name for ref in eng._exec.shm.refs()]
         # dG and the bound slabs are distinct segments.
         assert len(names) >= 2, names
         eng.close()
-        assert len(eng._shm) == 0
+        assert len(eng._exec.shm) == 0
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    def test_legacy_transfer_path_still_exact_and_counted(self):
-        """shared_bounds=False restores the PR 2 shape: per-chunk
-        slices through the pipe, counted by the new byte counter."""
-        traj = random_walk(60, seed=13)
-        ref = discover_motif(traj, min_length=4, algorithm="btm")
-        with MotifEngine(workers=2, shared_bounds=False) as eng:
-            got = eng.discover(traj, min_length=4, algorithm="btm",
-                               cacheable=False)
-            info = eng.transfer_info()
-        assert (got.distance, got.indices) == (ref.distance, ref.indices)
-        assert info["bounds_bytes_pickled"] > 0
-        assert info["shm_bounds_refs"] == 0
-        # dG itself still rides shared memory on this configuration.
-        assert info["dense_bytes_pickled"] == 0
+    def test_unshared_pool_path_exact_and_counted(self):
+        """shared_memory=False on the process pool: every chunk task
+        pickles the whole bound arrays (with its (start, stride)
+        share), counted by the byte counter; discover, top-k and
+        grouped GTM still equal serial."""
+        traj = random_walk(90, seed=13)
+        calls = {
+            "btm": (
+                lambda eng: eng.discover(traj, min_length=4, algorithm="btm",
+                                         cacheable=False),
+                lambda: discover_motif(traj, min_length=4, algorithm="btm"),
+            ),
+            "top_k": (
+                lambda eng: eng.top_k(traj, min_length=4, k=3),
+                lambda: discover_top_k_motifs(traj, min_length=4, k=3),
+            ),
+            "gtm": (
+                lambda eng: eng.discover(traj, min_length=4, algorithm="gtm",
+                                         tau=8, cacheable=False),
+                lambda: discover_motif(traj, min_length=4, algorithm="gtm",
+                                       tau=8),
+            ),
+        }
+        for name, (run, serial) in calls.items():
+            with MotifEngine(workers=2, shared_memory=False) as eng:
+                got = run(eng)
+                info = eng.transfer_info()
+            assert answers(got) == answers(serial()), name
+            assert info["bounds_bytes_pickled"] > 0, name
+            assert info["shm_bounds_refs"] == 0, name
+            assert info["shm_segments"] == 0, name
+            assert info["dense_bytes_pickled"] > 0, name
 
     def test_grouped_gtm_pool_path_pickles_no_dense_payloads(self):
         """The parallel GTM grouping phase: exact answer, and neither
@@ -237,6 +262,20 @@ class TestSharedBounds:
         assert info["bounds_bytes_pickled"] == 0
         assert info["group_level_bytes_pickled"] == 0
         assert info["pool_tasks"] > 0
+
+
+def test_eager_order_is_an_unknown_option():
+    """The chunk scan has one ordering, so ``eager_order`` is no
+    algorithm option: the service refuses it as it refuses any unknown
+    option."""
+    traj = random_walk(30, seed=16).points.tolist()
+    with MotifService(workers=1) as service:
+        for options in ({"eager_order": True}, {"no_such_option": True}):
+            with pytest.raises(BadRequestError):
+                service.submit("discover", {
+                    "trajectory": traj, "min_length": 3,
+                    "algorithm": "btm", "options": options,
+                })
 
 
 class TestGroupingTaskFunctions:
@@ -318,10 +357,10 @@ class TestSegmentLifecycle:
         eng = MotifEngine(workers=2)
         eng.discover(random_walk(50, seed=5), min_length=3, algorithm="btm",
                      cacheable=False)
-        names = [ref.name for ref in eng._shm.refs()]
+        names = [ref.name for ref in eng._exec.shm.refs()]
         assert names, "the chunked scan should have published a segment"
         eng.close()
-        assert len(eng._shm) == 0
+        assert len(eng._exec.shm) == 0
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)

@@ -129,7 +129,7 @@ def check_best_first(case, bounds, bsf0=math.inf, best0=None, sync=None,
         syncs = [ref.SyncLog(sync), ref.SyncLog(sync)]
     want_bsf, want_best, want = ref.reference_best_first(
         case, bounds, bsf0, best0, use_kills, approx, syncs[0], sync_every,
-        positions, False,
+        positions,
     )
     got = SearchStats()
     got_bsf, got_best = run_best_first(

@@ -120,6 +120,10 @@ class TestIndexedKernel:
         stack = point_stack([pts, pts])
         with pytest.raises(TrajectoryError):
             dfd_pairs_at(stack, stack, [0, 1], [0])
+        for lefts, rights in (([pts] * 3, [pts]), ([pts], [pts] * 3),
+                              ([pts] * 2, [pts] * 3)):
+            with pytest.raises(TrajectoryError):
+                dfd_pairs(lefts, rights)
         with pytest.raises(TrajectoryError):
             ground_stack([pts, pts], [pts])
         with pytest.raises(TrajectoryError):
@@ -152,18 +156,20 @@ class TestIndexedKernel:
         assert stack.points[0].tolist() == [[0, 1]] * 3
         assert stack.points[2].tolist() == [[8, 9], [10, 11], [10, 11]]
 
-    def test_list_form_delegates_to_indexed_form(self, monkeypatch):
+    def test_list_form_runs_one_kernel_call_per_block(self, monkeypatch):
         calls = []
-        real = frechet.dfd_pairs_at
+        real = frechet.dfd_matrix
 
-        def spy(*args, **kwargs):
-            calls.append(len(args[2]))
-            return real(*args, **kwargs)
+        def spy(stack, lengths=None):
+            calls.append(len(stack))
+            return real(stack, lengths)
 
-        monkeypatch.setattr(frechet, "dfd_pairs_at", spy)
+        monkeypatch.setattr(frechet, "dfd_matrix", spy)
+        # The list form does not re-bucket through dfd_pairs_at.
+        monkeypatch.setattr(frechet, "dfd_pairs_at", None)
         pts = [np.zeros((2, 2)), np.ones((3, 2)), np.ones((30, 2))]
         frechet.dfd_pairs(pts, pts[::-1])
-        # One call per stack block, covering every pair once.
+        # One stacked call per stack block, covering every pair once.
         assert sum(calls) == 3 and len(calls) >= 2
 
 
