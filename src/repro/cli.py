@@ -516,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="shard the candidate pairs across N worker processes")
     p.add_argument("--index", nargs="?", const="tree", default="off",
-                   choices=["off", "tree", "grid"],
+                   choices=["off", "tree"],
                    help="prune candidate pairs with the corpus proximity "
                         "tree before the filter cascade (same matches); "
-                        "a bare --index means 'tree', 'grid' is an alias")
+                        "a bare --index means 'tree'")
     p.add_argument("--stats", action="store_true",
                    help="print filter-cascade statistics")
     _add_trace_flag(p)
@@ -540,10 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int,
                    help="report the k nearest trajectories instead")
     p.add_argument("--index", nargs="?", const="tree", default="tree",
-                   choices=["off", "tree", "grid"],
+                   choices=["off", "tree"],
                    help="'tree' (default) prunes with the hierarchical "
-                        "index ('grid' is an alias); 'off' scans "
-                        "brute-force (same answer)")
+                        "index; 'off' scans brute-force (same answer)")
     p.add_argument("--stats", action="store_true",
                    help="print the traversal's IndexStats accounting")
     _add_trace_flag(p)
@@ -561,10 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="shard the window-pair cascade across N worker processes")
     p.add_argument("--index", nargs="?", const="tree", default="off",
-                   choices=["off", "tree", "grid"],
+                   choices=["off", "tree"],
                    help="prune window pairs with the corpus proximity "
-                        "tree; a bare --index means 'tree', 'grid' is an "
-                        "alias")
+                        "tree; a bare --index means 'tree'")
     p.add_argument("--stats", action="store_true",
                    help="print window/candidate counts and index pruning stats")
     _add_trace_flag(p)

@@ -397,16 +397,15 @@ def _shard_block_bound(engine, left, right, resolved) -> float:
     """Admissible DFD lower bound over an entire (left, right) block.
 
     The root node of each shard's tree aggregates the whole shard, so
-    one vectorised root-pair bound plus one representative DP lower
-    -bounds every cross-shard trajectory pair -- O(1) per block, built
-    from summaries a snapshot-restored shard already carries.
+    one vectorised root-pair bound (endpoint balls, boxes) lower-bounds
+    every cross-shard trajectory pair -- O(1) per block, built from the
+    tree a snapshot-restored shard already carries.
     """
     index_left = corpus_index_for(engine, left, resolved)
     index_right = corpus_index_for(engine, right, resolved)
     left_tree = index_left.ensure_tree()
     right_tree = index_right.ensure_tree()
-    root_lb = float(left_tree.pair_lower_bounds(right_tree, [0], [0])[0])
-    return max(root_lb, left_tree.rep_pair_bound(right_tree, 0, 0))
+    return float(left_tree.pair_lower_bounds(right_tree, [0], [0])[0])
 
 
 def _skipped_block_stats(n_pairs: int) -> JoinStats:

@@ -119,7 +119,7 @@ class MotifEngine:
         loop, so late chunks prune against early discoveries mid-scan.
     index:
         Default for the corpus workloads' ``index=`` knob: ``False``
-        (off) or ``True`` / ``"tree"`` (on; ``"grid"`` is an alias):
+        (off) or ``True`` / ``"tree"`` (on):
         a :class:`repro.index.CorpusIndex` whose admissible DFD lower
         bounds are aggregated up the bulk-loaded
         :class:`repro.index.TrajectoryTree`, so joins walk node pairs

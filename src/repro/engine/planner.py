@@ -194,18 +194,15 @@ def subset_corpus_key(parent_key: str, picks: Sequence[int]) -> str:
 def normalize_index_mode(index) -> bool:
     """Canonicalise a corpus-query ``index`` knob to on/off.
 
-    ``False`` / ``None`` disable the corpus index; ``True``, ``"tree"``
-    and ``"grid"`` (an alias kept for one release, from when a flat
-    endpoint-grid generator existed) enable it, so all three spellings
-    share one cache identity.  Anything else is a query error.
+    ``False`` / ``None`` disable the corpus index; ``True`` and
+    ``"tree"`` enable it, so both spellings share one cache identity.
+    Anything else is a query error.
     """
     if index is False or index is None:
         return False
-    if index is True or index in ("tree", "grid"):
+    if index is True or index == "tree":
         return True
-    raise ReproError(
-        f"index must be True, False, 'tree' or 'grid' (got {index!r})"
-    )
+    raise ReproError(f"index must be True, False or 'tree' (got {index!r})")
 
 
 def join_result_key(left, right, metric, theta: float, indexed) -> tuple:

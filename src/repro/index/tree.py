@@ -27,13 +27,10 @@ flat index already proves admissible, lifted from items to sets:
   metric satisfying the triangle inequality (haversine included, where
   the monotone box bounds must stay off).  Internal nodes compose
   radii: ``r_parent = max_child (d(c_parent, c_child) + r_child)``.
-* **representative simplification** -- the first member's
-  Douglas-Peucker summary ``R`` with the exact Frechet error radius
-  ``node_err = max_T (DFD(R, T^) + err_T)`` (internal nodes:
-  ``max_child (DFD(R, R_child) + child_err)``; the first child shares
-  ``R`` so its cross term is zero).  The DFD triangle inequality then
-  gives ``DFD(Q, T) >= DFD(Q^, R) - err_Q - node_err`` for every
-  member ``T`` -- one small DP bounds a whole subtree.
+
+No node keeps a simplification: a node-level simplification bound is
+dominated by the per-item one :class:`~repro.index.CorpusIndex` runs on
+every tree survivor (DESIGN.md section 14), so the tree runs no DP.
 
 Nodes live in flat arrays, root first, children of a node contiguous
 -- the layout snapshot-persists byte-for-byte through :mod:`repro.store`
@@ -49,18 +46,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..distances.frechet import dfd_matrix, dfd_pairs, dfd_pairs_at
-from ..distances.ground import PointStack, flat_point_stack
 from ..errors import ReproError
 
 #: Node fan-out and leaf capacity of the STR packing.  Eight keeps the
-#: tree shallow (depth ~ log_8 n), node blocks big enough that one
-#: pruned pair of depth-1 nodes removes 64 trajectory pairs, and the
-#: per-node representative DP small.
+#: tree shallow (depth ~ log_8 n) and node blocks big enough that one
+#: pruned pair of depth-1 nodes removes 64 trajectory pairs.
 DEFAULT_FANOUT = 8
 
 
@@ -121,7 +115,7 @@ class _Level:
     __slots__ = (
         "box_lo", "box_hi", "start_lo", "start_hi", "end_lo", "end_hi",
         "start_center", "end_center", "start_radius", "end_radius",
-        "rep", "rep_err", "item_lo", "item_hi", "child_lo", "child_hi",
+        "item_lo", "item_hi", "child_lo", "child_hi",
     )
 
     def __init__(self, count: int, dims: int) -> None:
@@ -135,8 +129,6 @@ class _Level:
         self.end_center = np.empty((count, dims))
         self.start_radius = np.empty(count)
         self.end_radius = np.empty(count)
-        self.rep: List[np.ndarray] = []
-        self.rep_err = np.empty(count)
         self.item_lo = np.empty(count, dtype=np.int64)
         self.item_hi = np.empty(count, dtype=np.int64)
         # Child ranges are level-local during the build; the final
@@ -145,7 +137,7 @@ class _Level:
         self.child_hi = np.zeros(count, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.rep_err)
+        return len(self.child_lo)
 
 
 class TrajectoryTree:
@@ -179,9 +171,6 @@ class TrajectoryTree:
         end_center: np.ndarray,
         start_radius: np.ndarray,
         end_radius: np.ndarray,
-        rep_points: np.ndarray,
-        rep_offsets: np.ndarray,
-        rep_err: np.ndarray,
     ) -> None:
         self.metric = metric
         self.fanout = int(fanout)
@@ -200,10 +189,6 @@ class TrajectoryTree:
         self.end_center = end_center
         self.start_radius = start_radius
         self.end_radius = end_radius
-        self.rep_points = rep_points
-        self.rep_offsets = rep_offsets
-        self.rep_err = rep_err
-        self._rep_stack: Optional[PointStack] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -214,9 +199,10 @@ class TrajectoryTree:
         if fanout < 2:
             raise ReproError("tree fanout must be at least 2")
         m = index.metric
+        # The tree reads only endpoints and boxes; building the summaries
+        # here keeps the first indexed call on a fresh index paying them
+        # (``summary_builds``) whatever its walk prunes.
         index.ensure_summaries()
-        simp = index.simplifications
-        errs = index.simplification_errors
         dims = index.dimensions
         centers = 0.5 * (index.box_lo + index.box_hi)
         groups = _str_leaf_groups(centers, fanout)
@@ -244,11 +230,6 @@ class TrajectoryTree:
             leaf.start_radius[g] = float(m.rowwise(tile, starts).max())
             tile = np.repeat(ends[:1], len(members), axis=0)
             leaf.end_radius[g] = float(m.rowwise(tile, ends).max())
-            leaf.rep.append(simp[int(members[0])])
-        leaf.rep_err[:] = cls._rep_radii(
-            m, leaf.rep, [[simp[int(t)] for t in g] for g in groups],
-            [errs[g] for g in groups],
-        )
 
         levels = [leaf]
         while len(levels[-1]) > 1:
@@ -289,31 +270,7 @@ class TrajectoryTree:
                 m.rowwise(tile, child.end_center[c0:c1])
                 + child.end_radius[c0:c1]
             ).max())
-            lvl.rep.append(child.rep[c0])
-        spans = [range(c0, min(c0 + fanout, n_children))
-                 for c0 in range(0, n_children, fanout)]
-        lvl.rep_err[:] = TrajectoryTree._rep_radii(
-            m, lvl.rep, [[child.rep[c] for c in span] for span in spans],
-            [child.rep_err[span.start:span.stop] for span in spans],
-        )
         return lvl
-
-    @staticmethod
-    def _rep_radii(m, reps, members, member_errs) -> np.ndarray:
-        """``max_k (DFD(reps[g], members[g][k]) + member_errs[g][k])`` per group.
-
-        ``members[g][0]`` shares the representative ``reps[g]``, so its
-        cross term ``DFD(rep, rep)`` is zero by definition and skips the
-        DP; every other cross term of every group is one batched call.
-        """
-        group = np.repeat(np.arange(len(reps)), [len(g) - 1 for g in members])
-        core = dfd_pairs(
-            [reps[g] for g in group], [r for g in members for r in g[1:]], m
-        )
-        radii = np.array([float(errs[0]) for errs in member_errs])
-        rest = np.concatenate([errs[1:] for errs in member_errs])
-        np.maximum.at(radii, group, core + rest)
-        return radii
 
     @classmethod
     def _flatten(
@@ -338,11 +295,6 @@ class TrajectoryTree:
             child_lo[base:base + len(lvl)] = lvl.child_lo + child_base
             child_hi[base:base + len(lvl)] = lvl.child_hi + child_base
 
-        reps = [r for lvl in levels for r in lvl.rep]
-        rep_offsets = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum([r.shape[0] for r in reps], out=rep_offsets[1:])
-        rep_points = np.ascontiguousarray(np.concatenate(reps, axis=0))
-
         return cls(
             m, fanout,
             item_order=item_order,
@@ -360,9 +312,6 @@ class TrajectoryTree:
             end_center=cat("end_center"),
             start_radius=cat("start_radius"),
             end_radius=cat("end_radius"),
-            rep_points=rep_points,
-            rep_offsets=rep_offsets,
-            rep_err=cat("rep_err"),
         )
 
     @classmethod
@@ -383,7 +332,7 @@ class TrajectoryTree:
     # ------------------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        return len(self.rep_err)
+        return len(self.child_lo)
 
     @property
     def n_items(self) -> int:
@@ -406,24 +355,6 @@ class TrajectoryTree:
         """Subtree sizes, vectorised (for pruned-pair accounting)."""
         return self.item_hi[nodes] - self.item_lo[nodes]
 
-    def rep(self, node: int) -> np.ndarray:
-        """Representative simplification of ``node`` (zero-copy view)."""
-        lo = int(self.rep_offsets[node])
-        hi = int(self.rep_offsets[node + 1])
-        return self.rep_points[lo:hi]
-
-    @property
-    def rep_stack(self) -> PointStack:
-        """Every node's representative as one padded stack, row = node id.
-
-        Derived from ``rep_points`` / ``rep_offsets`` on first use (a
-        gather, no DP), so the batched representative bounds read rows
-        by node id instead of slicing and re-padding per call.
-        """
-        if self._rep_stack is None:
-            self._rep_stack = flat_point_stack(self.rep_points, self.rep_offsets)
-        return self._rep_stack
-
     # ------------------------------------------------------------------
     # Node-aggregate lower bounds
     # ------------------------------------------------------------------
@@ -436,8 +367,9 @@ class TrajectoryTree:
         ``result[i] <= DFD(A, B)``.  Combines the endpoint-ball terms
         (any triangle-inequality metric) with the union-box and
         endpoint-hull gaps (coordinate-monotone metrics only), clamped
-        at zero.  The representative DP is *not* folded in -- that one
-        (:meth:`rep_pair_bounds`) is reserved for surviving leaf pairs.
+        at zero.  This is the tree's only pair bound: the item
+        simplification bound on the survivors dominates any node-level
+        simplification bound.
         """
         na = np.asarray(na, dtype=np.int64)
         nb = np.asarray(nb, dtype=np.int64)
@@ -462,22 +394,6 @@ class TrajectoryTree:
                 )
                 lb = np.maximum(lb, m.rowwise(zeros, gaps))
         return np.maximum(lb, 0.0)
-
-    def rep_pair_bound(self, other: "TrajectoryTree", a: int, b: int) -> float:
-        """Representative-simplification bound for one node pair.
-
-        One small DP: ``DFD(R_a, R_b) - err_a - err_b`` lower-bounds the
-        DFD of every member pair by two triangle-inequality steps.
-        """
-        core = float(dfd_matrix(self.metric.pairwise(
-            self.rep(int(a)), other.rep(int(b))
-        )))
-        return core - float(self.rep_err[a]) - float(other.rep_err[b])
-
-    def rep_pair_bounds(self, other: "TrajectoryTree", na, nb) -> np.ndarray:
-        """:meth:`rep_pair_bound` for parallel node arrays, one batched DP call."""
-        core = dfd_pairs_at(self.rep_stack, other.rep_stack, na, nb, self.metric)
-        return core - self.rep_err[na] - other.rep_err[nb]
 
     def query_lower_bounds(self, query: QuerySummary, nodes) -> np.ndarray:
         """Vectorised admissible lower bound of ``DFD(query, T)`` over
@@ -507,13 +423,6 @@ class TrajectoryTree:
                 lb = np.maximum(lb, m.rowwise(zeros, gaps))
         return np.maximum(lb, 0.0)
 
-    def rep_query_bound(self, query: QuerySummary, node: int) -> float:
-        """Representative bound for one (query, node) pair."""
-        core = float(dfd_matrix(self.metric.pairwise(
-            query.simplification, self.rep(int(node))
-        )))
-        return core - float(query.error) - float(self.rep_err[node])
-
     # ------------------------------------------------------------------
     # Traversals
     # ------------------------------------------------------------------
@@ -526,8 +435,7 @@ class TrajectoryTree:
         frontier's aggregate bounds are evaluated in one vectorised
         pass, pairs proved apart (``bound > theta``, strict -- ties
         survive) are dropped with their entire item-pair blocks, and
-        surviving leaf-leaf pairs emit their item cross products after
-        their representative DPs (one batched call per level).  Returns
+        surviving leaf-leaf pairs emit their item cross products.  Returns
         parallel ``(a, b)`` item index arrays; ``stats`` (an
         :class:`IndexStats`) picks up ``nodes_visited`` /
         ``nodes_pruned`` / ``leaves_scanned`` and the pruned item-pair
@@ -551,14 +459,7 @@ class TrajectoryTree:
             if not len(na):
                 break
             pa, pb, na, nb = self.open_pairs(other, na, nb)
-            # One batched representative DP for the level's leaf pairs.
-            far = self.rep_pair_bounds(other, pa, pb) > theta
-            stats.nodes_pruned += int(np.sum(far))
-            stats.pruned_grid += int(np.sum(
-                self.item_counts(pa[far]) * other.item_counts(pb[far])
-            ))
-            stats.leaves_scanned += int(np.sum(~far))
-            pa, pb = pa[~far], pb[~far]
+            stats.leaves_scanned += len(pa)
             pos_a, pos_b = _cross_ranges(
                 self.item_lo[pa], self.item_counts(pa),
                 other.item_lo[pb], other.item_counts(pb),
@@ -633,10 +534,9 @@ class TrajectoryTree:
         """Item ids the tree cannot prove further than ``radius`` away.
 
         Level-synchronous descent from the root, vectorised aggregate
-        bounds per frontier, one representative DP per surviving leaf:
-        a handful of small 2-D scans costs less than the stacked blocks
-        of one batched call.  Returns ascending item ids; pruned subtree
-        sizes accumulate in ``stats.pruned_grid``.
+        bounds per frontier; every surviving leaf contributes all its
+        members.  Returns ascending item ids; pruned subtree sizes
+        accumulate in ``stats.pruned_grid``.
         """
         frontier = np.zeros(1, dtype=np.int64)
         survivors: List[np.ndarray] = []
@@ -652,16 +552,10 @@ class TrajectoryTree:
             if not len(frontier):
                 break
             is_leaf = self.child_hi[frontier] == self.child_lo[frontier]
-            for node in frontier[is_leaf]:
-                node = int(node)
-                if self.rep_query_bound(query, node) > radius:
-                    stats.nodes_pruned += 1
-                    stats.pruned_grid += int(
-                        self.item_hi[node] - self.item_lo[node]
-                    )
-                    continue
-                stats.leaves_scanned += 1
-                survivors.append(self.node_items(node))
+            stats.leaves_scanned += int(is_leaf.sum())
+            survivors.extend(
+                self.node_items(int(n)) for n in frontier[is_leaf]
+            )
             frontier = self._children(frontier[~is_leaf])
         if survivors:
             return np.sort(np.concatenate(survivors))
@@ -746,7 +640,6 @@ TREE_ARRAY_FIELDS = (
     "item_order", "child_lo", "child_hi", "item_lo", "item_hi",
     "box_lo", "box_hi", "start_lo", "start_hi", "end_lo", "end_hi",
     "start_center", "end_center", "start_radius", "end_radius",
-    "rep_points", "rep_offsets", "rep_err",
 )
 
 __all__ = [

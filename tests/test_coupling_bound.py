@@ -198,7 +198,7 @@ def test_serial_join_refuses_bad_latitude(index):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("index", [False, "grid", "tree"])
+@pytest.mark.parametrize("index", [False, "tree"])
 def test_engine_join_refuses_bad_latitude(workers, index):
     left, right = polar_sides()
     with MotifEngine(workers=workers) as engine:
@@ -283,14 +283,13 @@ def stretched_corpus(seed: int, count: int = 16, n: int = 30):
 def test_join_below_the_floor_stays_inline():
     left, right = stretched_corpus(SEED_BASE + 127, count=6, n=12)
     with MotifEngine(workers=2, result_cache_size=0) as engine:
-        for index in ("grid", "tree"):
-            engine.join(left, right, 6.0, index=index)
+        engine.join(left, right, 6.0, index="tree")
         engine.cluster(left[0], window_length=4, theta=2.0, index=True)
         assert engine.transfer_info()["pool_tasks"] == 0
 
 
 @needs_fork
-@pytest.mark.parametrize("index", ["grid", "tree"])
+@pytest.mark.parametrize("index", ["tree"])
 def test_join_above_the_floor_dispatches(monkeypatch, index):
     left, right = stretched_corpus(SEED_BASE + 131)
     theta = 6.0

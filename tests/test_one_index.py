@@ -1,9 +1,10 @@
 """One corpus index: ``index=`` is on/off, every spelling one identity.
 
 The corpus index has one candidate generator, the dual-tree walk.
-``index=True``, ``"tree"`` and ``"grid"`` (an alias kept from when a
-flat endpoint-grid generator existed) must therefore give identical
-answers *and* statistics and share one result-cache entry.  Indexed
+``index=True`` and ``"tree"`` must therefore give identical answers
+*and* statistics and share one result-cache entry; any other spelling,
+the retired ``"grid"`` alias included, is a typed error on every path
+(engine, ``service.submit``, HTTP and the CLI).  Indexed
 answers must equal unindexed and serial answers for ``join``,
 ``join_top_k``, ``cluster``, ``range`` and ``knn`` on every path:
 engine workers {1, 2}, sharded {1, 2} blocks, ``service.submit`` and
@@ -30,12 +31,15 @@ from repro.errors import ReproError
 from repro.extensions.clustering import cluster_subtrajectories
 from repro.extensions.join import join_top_k, similarity_join
 from repro.index import CorpusIndex
+from repro.cli import main as cli_main
 from repro.service import MotifService, ServiceClient, make_server
+from repro.service.protocol import BadRequestError
 from repro.trajectory import Trajectory
 
 SEED = int(os.environ.get("REPRO_TEST_SEED", "0"))
 METRICS = ("euclidean", "chebyshev", "haversine")
-SPELLINGS = (True, "tree", "grid")
+SPELLINGS = (True, "tree")
+REJECTED = ("grid", "rtree")
 SETTINGS = settings(
     max_examples=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -139,11 +143,43 @@ def string_of(items):
 # One identity
 # ----------------------------------------------------------------------
 def test_normalize_index_mode_is_on_off():
-    assert [planner.normalize_index_mode(v) for v in SPELLINGS] == [True] * 3
+    assert all(planner.normalize_index_mode(v) is True for v in SPELLINGS)
     assert planner.normalize_index_mode(False) is False
     assert planner.normalize_index_mode(None) is False
-    with pytest.raises(ReproError):
-        planner.normalize_index_mode("rtree")
+    for spelling in REJECTED:
+        with pytest.raises(ReproError):
+            planner.normalize_index_mode(spelling)
+
+
+@pytest.mark.parametrize("spelling", REJECTED)
+def test_engine_and_cli_reject_unknown_spellings(spelling, capsys):
+    left = [Trajectory(np.array([[0.0, 0.0], [1.0, 1.0]]))]
+    calls = (
+        lambda eng: eng.join(left, left, 1.0, index=spelling),
+        lambda eng: eng.join_top_k(left, left, 1, index=spelling),
+        lambda eng: eng.join_sharded([left], [left], 1.0, index=spelling),
+        lambda eng: eng.join_top_k_sharded([left], [left], 1,
+                                           index=spelling),
+        lambda eng: eng.range(left[0], left, 1.0, index=spelling),
+        lambda eng: eng.knn(left[0], left, 1, index=spelling),
+        lambda eng: eng.cluster(left[0], window_length=1, theta=1.0,
+                                index=spelling),
+    )
+    with MotifEngine(workers=1, executor="inline") as eng:
+        for call in calls:
+            with pytest.raises(ReproError, match="index must be"):
+                call(eng)
+    with pytest.raises(ReproError, match="index must be"):
+        MotifEngine(workers=1, executor="inline", index=spelling)
+    for argv in (
+        ["join", "--dataset", "truck", "--theta", "1"],
+        ["query", "--dataset", "truck", "--radius", "1"],
+        ["cluster", "--dataset", "truck", "--window", "4", "--theta", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--index", spelling])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -169,10 +205,10 @@ def test_spellings_share_answers_stats_and_one_cache_entry(workers):
             before = eng.cache_info()["results"]
             answers = [op(eng, ix) for ix in SPELLINGS]
             after = eng.cache_info()["results"]
-            assert answers[0] == answers[1] == answers[2], name
+            assert answers[0] == answers[1], name
             if name != "cluster":  # clustering keeps no result entry
                 assert after["size"] - before["size"] == 1, name
-                assert after["hits"] - before["hits"] == 2, name
+                assert after["hits"] - before["hits"] == 1, name
 
 
 # ----------------------------------------------------------------------
@@ -375,6 +411,9 @@ def test_service_submit_equals_serial(metric):
         for index in (*SPELLINGS, False):
             got = _answers(call, left, right, metric, index)
             assert got == want, index
+        for index in REJECTED:
+            with pytest.raises(BadRequestError, match="index must be"):
+                _answers(call, left, right, metric, index)
 
 
 def test_http_equals_serial():
@@ -393,6 +432,9 @@ def test_http_equals_serial():
 
         for index in (*SPELLINGS, False):
             assert _answers(call, left, right, "euclidean", index) == want
+        for index in REJECTED:
+            with pytest.raises(BadRequestError, match="index must be"):
+                _answers(call, left, right, "euclidean", index)
     finally:
         httpd.shutdown()
         httpd.server_close()

@@ -5,9 +5,8 @@ endpoints, and snapshot arrays as plain read-only ndarray views.
   ``PointStack`` arrays; it must equal the list form ``dfd_pairs`` (and
   the 2-D DP of each pair) bit for bit under every built-in metric,
   for ragged lengths, single-point items, repeated and empty indices.
-* The tree's representative stack and the index's simplification stack
-  feed the batched bounds; each batched bound equals its scalar
-  definition pair by pair.
+* The index's simplification stack feeds the batched simplification
+  bounds; each equals its scalar definition pair by pair.
 * Haversine's prepared form (radians and ``cos(lat)`` once per point)
   equals ``rowwise`` at the poles, across the date line, at antipodes
   and at identical points.
@@ -176,19 +175,6 @@ class TestIndexedKernel:
 class TestBatchedBounds:
     @pytest.mark.parametrize("seed", SEEDS[:2])
     @pytest.mark.parametrize("metric", METRICS)
-    def test_rep_pair_bounds_equal_scalar(self, seed, metric):
-        left = CorpusIndex(walk_corpus(seed, metric), metric).ensure_tree()
-        right = CorpusIndex(walk_corpus(seed + 7, metric), metric).ensure_tree()
-        na, nb = np.meshgrid(
-            np.arange(left.n_nodes), np.arange(right.n_nodes), indexing="ij"
-        )
-        na, nb = na.ravel(), nb.ravel()
-        got = left.rep_pair_bounds(right, na, nb)
-        want = [left.rep_pair_bound(right, a, b) for a, b in zip(na, nb)]
-        assert same_bits(got, want)
-
-    @pytest.mark.parametrize("seed", SEEDS[:2])
-    @pytest.mark.parametrize("metric", METRICS)
     def test_simplification_bounds_equal_definition(self, seed, metric):
         a = CorpusIndex(walk_corpus(seed, metric), metric)
         b = CorpusIndex(walk_corpus(seed + 5, metric), metric)
@@ -208,12 +194,6 @@ class TestBatchedBounds:
         index = CorpusIndex(walk_corpus(SEED_BASE, "haversine"), "haversine")
         save_snapshot(index, tmp_path / "snap")
         loaded = load_snapshot(tmp_path / "snap")
-        tree = loaded.ensure_tree()
-        stack = tree.rep_stack
-        assert stack.points.shape[0] == tree.n_nodes
-        for node in range(tree.n_nodes):
-            n = stack.lengths[node]
-            assert np.array_equal(stack.points[node, :n], tree.rep(node))
         simp = loaded.simplification_stack
         for i, s in enumerate(loaded.simplifications):
             assert np.array_equal(simp.points[i, :len(s)], s)
@@ -228,7 +208,8 @@ class TestKernelObservability:
     def test_stacked_calls_reach_module_dfd_matrix(self, metric, monkeypatch):
         a = CorpusIndex(walk_corpus(SEED_BASE, metric), metric)
         b = CorpusIndex(walk_corpus(SEED_BASE + 1, metric), metric)
-        ta, tb = a.ensure_tree(), b.ensure_tree()
+        a.ensure_summaries()
+        b.ensure_summaries()
         seen = []
         real = frechet.dfd_matrix
 
@@ -237,22 +218,13 @@ class TestKernelObservability:
             return real(dmat, *args, **kwargs)
 
         monkeypatch.setattr(frechet, "dfd_matrix", counting)
-        na = np.arange(ta.n_nodes).repeat(tb.n_nodes)
-        nb = np.tile(np.arange(tb.n_nodes), ta.n_nodes)
-        ta.rep_pair_bounds(tb, na, nb)
-        assert seen and all(len(s) == 3 for s in seen)
-        stacked = list(seen)
-        # The list form sees the same blocks of the same shapes, so a
-        # tracer's call and cell counts do not move.
-        seen.clear()
-        dfd_pairs([ta.rep(i) for i in na], [tb.rep(j) for j in nb], metric)
-        assert seen == stacked
-        seen.clear()
         ia = np.arange(a.n).repeat(3)
         ib = np.arange(3 * a.n) % b.n
         a.simplification_bounds(b, ia, ib)
         assert seen and all(len(s) == 3 for s in seen)
         stacked = list(seen)
+        # The list form sees the same blocks of the same shapes, so a
+        # tracer's call and cell counts do not move.
         seen.clear()
         dfd_pairs([a.simplifications[i] for i in ia],
                   [b.simplifications[j] for j in ib], metric)
@@ -326,7 +298,7 @@ class TestSnapshotViews:
         for array in (
             loaded.starts, loaded.ends, loaded.box_lo, loaded.box_hi,
             loaded.simplification_errors, loaded.points(0),
-            loaded.simplifications[-1], tree.rep_points, tree.item_order,
+            loaded.simplifications[-1], tree.box_lo, tree.item_order,
             *loaded.transport_slabs().values(),
         ):
             self._assert_plain_mapped(array)

@@ -501,7 +501,7 @@ class TestNonFinite:
             join_top_k(left, right, 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("index", [False, "grid", "tree"])
+    @pytest.mark.parametrize("index", [False, "tree"])
     def test_engine(self, workers, index):
         left, right = _nan_corpora()
         with MotifEngine(workers=workers) as eng:

@@ -17,6 +17,7 @@ The serving contract under test (ISSUE 5 acceptance):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -27,7 +28,7 @@ from repro.engine import Corpus, MotifEngine, fork_context
 from repro.errors import ReproError
 from repro.engine.cache import metric_key
 from repro.distances.ground import get_metric
-from repro.index import CorpusIndex
+from repro.index import TREE_ARRAY_FIELDS, CorpusIndex, TrajectoryTree
 from repro.store import (
     MANIFEST_NAME,
     SnapshotError,
@@ -308,6 +309,90 @@ class TestEngineParity:
             ref = engine.discover(traj, min_length=5, algorithm="btm")
             out = engine.discover(mapped, min_length=5, algorithm="btm")
         assert (out.distance, out.indices) == (ref.distance, ref.indices)
+
+
+class TestOlderTreeArrays:
+    """Snapshots written while the tree still kept representative
+    simplifications carry three more node arrays (``tree_rep_points``,
+    ``tree_rep_offsets``, ``tree_rep_err``).  The loader reads only
+    ``TREE_ARRAY_FIELDS``, so such a snapshot verifies, attaches its
+    tree without a rebuild and answers exactly like a fresh index."""
+
+    OLDER = ("rep_points", "rep_offsets", "rep_err")
+
+    def _save_with_older_arrays(self, index, root):
+        """``save_snapshot`` plus the three older arrays, laid out as the
+        older writer did (each node's first-member simplification, its
+        offsets, one error radius per node) and listed in the manifest
+        with valid digests."""
+        manifest = save_snapshot(index, root)
+        tree = index.ensure_tree()
+        reps = [index.simplifications[int(i)]
+                for i in tree.item_order[tree.item_lo]]
+        offsets = np.zeros(len(reps) + 1, dtype="<i8")
+        np.cumsum([len(r) for r in reps], out=offsets[1:])
+        older = {
+            "rep_points": np.concatenate(reps).astype("<f8"),
+            "rep_offsets": offsets,
+            "rep_err": np.zeros(len(reps), dtype="<f8"),
+        }
+        for name, array in older.items():
+            payload = np.ascontiguousarray(array).tobytes()
+            (root / f"tree_{name}.bin").write_bytes(payload)
+            manifest["arrays"][f"tree_{name}"] = {
+                "file": f"tree_{name}.bin",
+                "dtype": array.dtype.str,
+                "shape": list(array.shape),
+                "nbytes": len(payload),
+                "sha1": hashlib.sha1(payload).hexdigest(),
+            }
+        (root / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
+
+    def test_fresh_save_writes_no_older_arrays(self, tmp_path):
+        manifest = save_snapshot(CorpusIndex(make_corpus(5), "euclidean"),
+                                 tmp_path / "snap")
+        tree_arrays = {name for name in manifest["arrays"]
+                       if name.startswith("tree_")}
+        assert tree_arrays == {f"tree_{name}" for name in TREE_ARRAY_FIELDS}
+        assert len(TREE_ARRAY_FIELDS) == 15
+        assert not list((tmp_path / "snap").glob("tree_rep_*"))
+
+    def test_older_snapshot_loads_without_rebuild(self, tmp_path,
+                                                  monkeypatch):
+        corpus = (make_corpus(SEED_BASE + 41)
+                  + make_corpus(SEED_BASE + 42, clustered=True))
+        fresh = CorpusIndex(corpus, "euclidean")
+        root = tmp_path / "older"
+        self._save_with_older_arrays(fresh, root)
+        rng = np.random.default_rng(SEED_BASE + 43)
+        query = rng.normal(size=(10, 2)).cumsum(axis=0)
+        theta = 6.0
+
+        def answers(index):
+            pairs, join_stats = index.candidate_pairs(None, theta)
+            ranged, range_stats = index.range_scan(query, theta)
+            nearest, knn_stats = index.knn_scan(query, 4)
+            return (pairs.tobytes(), join_stats, ranged, range_stats,
+                    nearest, knn_stats)
+
+        want = answers(CorpusIndex(corpus, "euclidean"))
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("the snapshot's tree was rebuilt")
+
+        monkeypatch.setattr(TrajectoryTree, "build", no_rebuild)
+        loaded = load_snapshot(root, verify=True)
+        assert loaded._tree is not None
+        got = answers(loaded)
+        assert loaded.summary_builds == 0
+        assert got[0] == want[0]
+        assert got[2] == want[2] and got[4] == want[4]
+        for mine, theirs in zip(got[1::2], want[1::2]):
+            assert mine.summary_builds == 0
+            theirs.summary_builds = 0
+            assert mine == theirs
 
 
 class TestRestoreValidation:

@@ -3,11 +3,10 @@ range/knn, tree-mode join parity, snapshot persistence.
 
 The tentpole contract under test (ISSUE 9 acceptance):
 
-* every node-aggregate lower bound (endpoint balls, box / hull gaps,
-  representative simplification) is admissible -- it never exceeds the
-  exact DFD of any trajectory pair covered by the node pair
-  (property-tested on seeded corpora over euclidean, chebyshev and
-  haversine);
+* every node-aggregate lower bound (endpoint balls, box / hull gaps)
+  is admissible -- it never exceeds the exact DFD of any trajectory
+  pair covered by the node pair (property-tested on seeded corpora over
+  euclidean, chebyshev and haversine);
 * ``range`` / ``knn`` answers are byte-identical to the brute-force
   scans, including tie-heavy integer-lattice corpora where many
   distances coincide exactly;
@@ -16,7 +15,10 @@ The tentpole contract under test (ISSUE 9 acceptance):
 * a snapshot roundtrip reattaches the persisted node arrays with zero
   bulk loads and zero summary rebuilds;
 * sharded joins skip provably-far shard blocks and record the skips in
-  ``details["shards"]["blocks_skipped"]``.
+  ``details["shards"]["blocks_skipped"]``;
+* on depot round trips, where every endpoint and box bound is zero, the
+  item simplification bound does the pruning and every path answers
+  like the unindexed and serial references.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.engine import MotifEngine
 from repro.engine.planner import normalize_index_mode
 from repro.errors import ReproError
 from repro.extensions.join import join_top_k, similarity_join
+from repro.service import MotifService
 from repro.index import (
     CorpusIndex,
     TREE_ARRAY_FIELDS,
@@ -105,8 +108,6 @@ class TestNodeBoundsAdmissible:
                     for i in items_a for j in items_b
                 )
                 assert lb <= exact + 1e-9, (na, nb, lb, exact)
-                rep = tree.rep_pair_bound(tree, int(na), int(nb))
-                assert rep <= exact + 1e-9, (na, nb, rep, exact)
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     @pytest.mark.parametrize("metric", METRICS)
@@ -129,8 +130,6 @@ class TestNodeBoundsAdmissible:
                 for i in tree.node_items(int(node))
             )
             assert lb <= exact + 1e-9, (node, lb, exact)
-            rep = tree.rep_query_bound(summary, int(node))
-            assert rep <= exact + 1e-9, (node, rep, exact)
 
     @pytest.mark.parametrize("fanout", (2, 3, 8))
     def test_structure_invariants(self, fanout):
@@ -280,10 +279,10 @@ class TestTreeJoinParity:
         assert normalize_index_mode(None) is False
         assert normalize_index_mode(False) is False
         assert normalize_index_mode(True) is True
-        assert normalize_index_mode("grid") is True
         assert normalize_index_mode("tree") is True
-        with pytest.raises(ReproError):
-            normalize_index_mode("rtree")
+        for spelling in ("rtree", "grid"):
+            with pytest.raises(ReproError):
+                normalize_index_mode(spelling)
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +324,98 @@ class TestShardBlockPruning:
                 tree = engine.join_top_k_sharded(shards, shards, k,
                                                  index="tree")
             assert plain == tree
+
+
+# ----------------------------------------------------------------------
+# Depot round trips: only the item simplification bound prunes
+# ----------------------------------------------------------------------
+def depot_round_trips(seed: int, count: int = 24, n: int = 12):
+    """Out-and-back trips from a depot at the origin to a random stop.
+
+    Every trip starts and ends at the depot and every box contains it,
+    so the endpoint, box and node-aggregate bounds are all zero; only
+    the per-item simplification bound can prove a pair apart.
+    """
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    leg = np.concatenate([np.linspace(0.0, 1.0, half, endpoint=False),
+                          np.linspace(1.0, 0.0, n - half)])[:, None]
+    trips = []
+    for _ in range(count):
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        stop = rng.uniform(5.0, 50.0) * np.array([np.cos(angle),
+                                                  np.sin(angle)])
+        noise = rng.normal(scale=0.5, size=(n, 2))
+        noise[[0, -1]] = 0.0
+        trips.append(Trajectory(leg * stop + noise))
+    return trips
+
+
+class TestDepotRoundTrips:
+    @pytest.fixture(scope="class")
+    def case(self):
+        left = depot_round_trips(SEED_BASE + 61)
+        right = depot_round_trips(SEED_BASE + 62)
+        resolved = get_metric("euclidean")
+        dists = np.array([[exact_dfd(a.points, b.points, resolved)
+                           for b in right] for a in left])
+        theta = float(np.quantile(dists, 0.05))
+        query = right[0]
+        serial = {
+            "join": similarity_join(left, right, theta, "euclidean")[0],
+            "range": [(i, float(d)) for i, d in enumerate(dists[:, 0])
+                      if d <= theta],
+            "knn": sorted((float(d), i)
+                          for i, d in enumerate(dists[:, 0]))[:5],
+        }
+        return left, right, theta, query, serial
+
+    def test_simplification_bound_prunes(self, case):
+        left, right, theta, query, _ = case
+        _, stats = CorpusIndex(left, "euclidean").candidate_pairs(
+            CorpusIndex(right, "euclidean"), theta)
+        assert stats.pruned_endpoint == stats.pruned_box == 0
+        assert stats.pruned_simplification > 0
+        assert (stats.pruned_grid + stats.pruned_simplification
+                + stats.candidates) == len(left) * len(right)
+        _, range_stats = CorpusIndex(left, "euclidean").range_scan(
+            query, theta)
+        assert range_stats.pruned_simplification > 0
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_engine_paths_equal_unindexed_and_serial(self, case, workers):
+        left, right, theta, query, serial = case
+        with MotifEngine(workers=workers, result_cache_size=0) as eng:
+            for index in (True, False):
+                matches, _ = eng.join(left, right, theta, index=index)
+                assert matches == serial["join"], index
+                for shards in (([left], [right]),
+                               ([left[:9], left[9:]], [right[:14], right[14:]])):
+                    sharded, _ = eng.join_sharded(*shards, theta,
+                                                  index=index)
+                    assert sharded == serial["join"], (index, len(shards[0]))
+                ranged, _ = eng.range(query, left, theta, index=index)
+                assert ranged == serial["range"], index
+                nearest, _ = eng.knn(query, left, k=5, index=index)
+                assert nearest == serial["knn"], index
+
+    def test_service_submit_equals_serial(self, case):
+        left, right, theta, query, serial = case
+        pts = [t.points.tolist() for t in left]
+        rpts = [t.points.tolist() for t in right]
+        with MotifService(workers=2) as service:
+            for index in (True, False):
+                base = {"metric": "euclidean", "index": index}
+                out, _ = service.submit("join", {
+                    **base, "left": pts, "right": rpts, "theta": theta})
+                assert [tuple(p) for p in out["matches"]] == serial["join"]
+                out, _ = service.submit("range", {
+                    **base, "query": rpts[0], "corpus": pts,
+                    "radius": theta})
+                assert [tuple(m) for m in out["matches"]] == serial["range"]
+                out, _ = service.submit("knn", {
+                    **base, "query": rpts[0], "corpus": pts, "k": 5})
+                assert [tuple(m) for m in out["neighbors"]] == serial["knn"]
 
 
 # ----------------------------------------------------------------------
