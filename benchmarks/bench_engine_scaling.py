@@ -1013,10 +1013,23 @@ def test_gtm_star_phases(benchmark):
     grouping (level-plus-tables scan and group pruning), bounds and dp
     in ms (per input the fastest of three searches, then the median
     over inputs), the sweep frontier's anti-diagonal rounds and the
-    ``cells_expanded`` per discover, and the ground cells the metric
-    evaluated, in total and in the level-plus-tables scan (one pass:
-    ``n * n``).  Recorded in ``BENCH_engine_scaling.json``; no floor."""
+    ``cells_expanded`` per discover, the subsets the point phase
+    bounded (``subsets_opened``) and the blocks it expanded them from
+    (``blocks_opened``: whole group pairs when every survivor is
+    expanded, GTM*'s sub-blocks when they open lazily) against
+    ``subsets_total``, and the ground cells the metric evaluated, in
+    total and in the level-plus-tables scan (one pass: ``n * n``).  A
+    ``glb_input`` record adds one GeoLife-like input at ``xi = 40``
+    where ``GLB_DFD`` prunes group pairs, with its group counters.
+
+    The row keeps a ``parent`` record (this function run on the parent
+    commit's source) and writes the current run as ``change``; each
+    names its commit and whether ``src`` had uncommitted edits.
+    Recorded in ``BENCH_engine_scaling.json``; no floor."""
+    import subprocess
+
     import repro.core.dp as dp
+    import repro.core.gtm_star as gtm_star
     from repro.core import GTMStar, SearchStats, self_space
     from repro.distances.ground import EuclideanMetric, LazyGroundMatrix
 
@@ -1031,50 +1044,83 @@ def test_gtm_star_phases(benchmark):
 
     benchmark.group = "core: GTM* phases"
     n, per_dataset = 500, 6
+    xi = default_xi(n)
     inputs = [
-        (name, np.asarray(trajectory_for(name, n, seed).points, dtype=float))
+        (name, np.asarray(trajectory_for(name, n, seed).points, dtype=float), xi)
         for name in ("truck", "geolife") for seed in range(per_dataset)
     ]
-    xi = default_xi(n)
-    space = self_space(n, xi)
+    inputs.append(("glb_input", np.asarray(
+        trajectory_for("geolife", n, 5).points, dtype=float), 40))
     one_round = dp.SweepFrontier._round
+    expand = gtm_star.expand_pairs_to_subsets
+    bound = gtm_star.relaxed_subset_bounds_for_pairs
+    counts = {"rounds": 0, "blocks": 0, "subsets": 0}
+
+    def counting_round(self, totals):
+        counts["rounds"] += 1
+        return one_round(self, totals)
+
+    def counting_expand(level, space, pairs):
+        counts["blocks"] += len(pairs)
+        return expand(level, space, pairs)
+
+    def counting_bound(*args, **kwargs):
+        out = bound(*args, **kwargs)
+        counts["subsets"] += len(out)
+        return out
 
     def run():
         rows = {}
-        rounds = [0]
-
-        def counting(self, totals):
-            rounds[0] += 1
-            return one_round(self, totals)
-
-        dp.SweepFrontier._round = counting
+        dp.SweepFrontier._round = counting_round
+        gtm_star.expand_pairs_to_subsets = counting_expand
+        gtm_star.relaxed_subset_bounds_for_pairs = counting_bound
         try:
-            for name, points in inputs:
+            for name, points, min_length in inputs:
+                space = self_space(n, min_length)
                 metric = Counting()
                 oracle = LazyGroundMatrix(points, metric=metric, cache_rows=256)
                 GTMStar._build_level(oracle, space, GTMStar().tau)
                 scan_cells = metric.cells
                 runs = []
                 for _ in range(3):
-                    metric.cells = rounds[0] = 0
+                    metric.cells = 0
+                    counts.update(rounds=0, blocks=0, subsets=0)
                     stats = SearchStats()
                     GTMStar().search(oracle, space, stats)
                     runs.append((
                         1e3 * stats.time_grouping, 1e3 * stats.time_bounds,
-                        1e3 * stats.time_dp, rounds[0], metric.cells,
-                        scan_cells, stats.cells_expanded,
+                        1e3 * stats.time_dp, counts["rounds"], metric.cells,
+                        scan_cells, stats.cells_expanded, counts["subsets"],
+                        counts["blocks"], stats.subsets_total,
+                        stats.subsets_expanded, stats.group_pairs_considered,
+                        stats.group_pairs_pruned_pattern,
+                        stats.group_pairs_pruned_glb, stats.gub_tightenings,
                     ))
                 rows.setdefault(name, []).append(min(runs, key=lambda r: sum(r[:3])))
         finally:
             dp.SweepFrontier._round = one_round
+            gtm_star.expand_pairs_to_subsets = expand
+            gtm_star.relaxed_subset_bounds_for_pairs = bound
         return rows
 
+    def git(*args):
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=BENCH_JSON.parent, capture_output=True,
+                text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return ""
+
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    payload = {"n": n, "xi": xi, "inputs_per_dataset": per_dataset}
+    record = {
+        "commit": git("rev-parse", "HEAD"),
+        "src_modified": bool(git("status", "--porcelain", "src")),
+    }
     for name, runs in rows.items():
         cols = np.array(runs, dtype=float)
         med = np.median(cols, axis=0)
-        payload[name] = {
+        record[name] = {
             "grouping_ms": med[0],
             "bounds_ms": med[1],
             "dp_ms": med[2],
@@ -1082,6 +1128,29 @@ def test_gtm_star_phases(benchmark):
             "ground_cells": float(cols[:, 4].mean()),
             "scan_cells": float(cols[:, 5].mean()),
             "cells_expanded": float(cols[:, 6].mean()),
+            "subsets_opened": float(cols[:, 7].mean()),
+            "blocks_opened": float(cols[:, 8].mean()),
+            "subsets_total": float(cols[:, 9].mean()),
+            "subsets_expanded": float(cols[:, 10].mean()),
         }
         assert (cols[:, 5] == n * n).all()
+    glb = rows["glb_input"][0]
+    record["glb_input"].update({
+        "xi": 40,
+        "group_pairs_considered": int(glb[11]),
+        "group_pairs_pruned_pattern": int(glb[12]),
+        "group_pairs_pruned_glb": int(glb[13]),
+        "gub_tightenings": int(glb[14]),
+    })
+    previous = {}
+    if BENCH_JSON.exists():
+        try:
+            previous = json.loads(BENCH_JSON.read_text()).get(
+                "gtm_star_phases", {})
+        except (ValueError, OSError):
+            previous = {}
+    payload = {"n": n, "xi": xi, "inputs_per_dataset": per_dataset,
+               "change": record}
+    if "parent" in previous:
+        payload["parent"] = previous["parent"]
     _update_bench_json("gtm_star_phases", payload)

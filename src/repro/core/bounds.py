@@ -40,7 +40,7 @@ extension type and is validated against brute force in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -304,7 +304,9 @@ class SubsetBounds:
         best-first loop actually consumes rather than with the full
         O(n^2) candidate set.  Block sizes double each round, bounding
         the worst case (everything consumed) at O(N log N) -- the same
-        as the eager sort it replaces.
+        as the eager sort it replaces.  A value sent into the generator
+        (the loop's threshold, which :class:`LazySubsetBounds` reads)
+        is ignored.
         """
         if block_size < 1:
             raise ValueError("block_size must be at least 1")
@@ -332,6 +334,109 @@ class SubsetBounds:
                 remaining = remaining[~select]
             yield sel[np.argsort(combined[sel], kind="stable")]
             block *= 2
+
+
+class LazySubsetBounds(SubsetBounds):
+    """Subset bounds opened source by source as a best-first loop
+    reaches them.
+
+    The candidate subsets come in *sources* (GTM*'s sub-blocks), each
+    with a floor no larger than any of its subsets' ``combined`` bound.
+    ``floors`` lists them ascending, ``sizes`` their subset counts, and
+    ``open_sources(lo, hi)`` returns the :class:`SubsetBounds` of
+    sources ``lo .. hi - 1``.  ``limit`` is a threshold the loop never
+    consumes a bound above (its best-so-far).  The arrays start empty
+    and grow by appending as :meth:`order_blocks` opens sources, so a
+    position once yielded stays valid; :attr:`opened` counts the open
+    sources.
+    """
+
+    def __init__(self, floors: np.ndarray, sizes: np.ndarray,
+                 open_sources: Callable[[int, int], SubsetBounds],
+                 limit: float = _INF) -> None:
+        index = np.empty(0, dtype=np.int64)
+        empty = np.empty(0)
+        super().__init__(index, index, empty, empty, empty, empty)
+        self.floors = floors
+        self.ends = np.cumsum(sizes)
+        self.open_sources = open_sources
+        self.limit = limit
+        self.opened = 0
+
+    def order_blocks(self, within: Optional[np.ndarray] = None,
+                     block_size: int = 1024):
+        """Yield the sources' subsets in ``(combined, i, j)`` order, in
+        sorted blocks, opening sources only as the order reaches them.
+
+        A subset of bound ``b`` is yielded only once every source whose
+        floor is ``<= b`` is open (``b`` below the first closed floor):
+        no closed subset can then precede it, ties included, so the
+        concatenated blocks are a prefix of a stable argsort of all the
+        sources' subsets listed in ``(i, j)`` order.  Sources open in
+        batches of doubling subset counts until the next block (of
+        ``block_size`` subsets, doubling) is full, except that a source
+        whose floor is above the limit never opens: the order ends
+        where the loop can consume nothing more.  A value sent into the
+        generator lowers the limit (the loop's threshold only falls).
+        """
+        if within is not None:
+            raise ValueError("lazily opened bounds have no positions to restrict")
+        if block_size < 1:
+            raise ValueError("block_size must be at least 1")
+        block = want = int(block_size)
+        pending = np.empty(0, dtype=np.int64)
+        sources = self.floors.shape[0]
+        while True:
+            while self.opened < sources and self.floors[self.opened] <= self.limit:
+                ready = self.combined[pending] < self.floors[self.opened]
+                if np.count_nonzero(ready) >= block:
+                    break
+                first = len(self)
+                self._open(want)
+                want *= 2
+                pending = np.concatenate([pending, np.arange(first, len(self))])
+            else:
+                if self.opened < sources:
+                    ready = self.combined[pending] < self.floors[self.opened]
+                else:
+                    ready = np.ones(pending.shape[0], dtype=bool)
+            eligible = pending[ready]
+            if not eligible.size:
+                return
+            chosen, taken = self._smallest(eligible, block)
+            pending = np.concatenate([pending[~ready], eligible[~taken]])
+            sent = yield chosen
+            if sent is not None:
+                self.limit = min(self.limit, sent)
+            block *= 2
+
+    def _open(self, want: int) -> None:
+        """Open the next sources holding at least ``want`` subsets."""
+        lo = self.opened
+        base = self.ends[lo - 1] if lo else 0
+        hi = int(np.searchsorted(self.ends, base + want)) + 1
+        hi = min(max(hi, lo + 1), self.floors.shape[0])
+        more = self.open_sources(lo, hi)
+        for name in ("i_idx", "j_idx", "lb_cell", "lb_cross", "lb_band",
+                     "combined"):
+            setattr(self, name,
+                    np.concatenate([getattr(self, name), getattr(more, name)]))
+        self.opened = hi
+
+    def _smallest(self, positions: np.ndarray, count: int):
+        """The ``count`` first of ``positions`` in ``(combined, i, j)``
+        order, sorted, and the mask of those taken."""
+        values = self.combined[positions]
+        i, j = self.i_idx[positions], self.j_idx[positions]
+        taken = np.ones(positions.shape[0], dtype=bool)
+        if positions.shape[0] > count:
+            pivot = values[np.argpartition(values, count - 1)[count - 1]]
+            taken = values < pivot
+            ties = np.flatnonzero(values == pivot)
+            ties = ties[np.lexsort((j[ties], i[ties]))]
+            taken[ties[: count - int(np.count_nonzero(taken))]] = True
+        order = np.lexsort((j[taken], i[taken], values[taken]))
+        return positions[taken][order], taken
 
 
 def relaxed_subset_bounds(

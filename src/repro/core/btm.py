@@ -112,8 +112,7 @@ def run_best_first(
     cmin = tables.cmin if (tables is not None and use_kills) else None
     rmin = tables.rmin if (tables is not None and use_kills) else None
     block_iter = bounds.order_blocks(within=positions)
-    n_scope = len(bounds) if positions is None else len(positions)
-    expanded = np.zeros(len(bounds), dtype=bool)
+    consumed = []
     witnessed = best is not None
     frontier = SweepFrontier(oracle, space, bounds, cmin, rmin, stats,
                              chained=True)
@@ -129,9 +128,15 @@ def run_best_first(
     # motif distance; nudge the threshold so an equally-good candidate
     # is still recorded as the witness pair.
     threshold = bsf if witnessed else np.nextafter(bsf, np.inf)
+    block = None
     while not exhausted:
         sort_started = time.perf_counter()
-        block = next(block_iter, None)
+        try:
+            # Each later request carries the current bsf: a lazily
+            # opened source (GTM*) opens nothing above it.
+            block = block_iter.send(None if block is None else bsf)
+        except StopIteration:
+            block = None
         stats.time_sort += time.perf_counter() - sort_started
         if block is None:
             break
@@ -169,8 +174,13 @@ def run_best_first(
             count += 1
         else:
             pos = block.shape[0]
-        expanded[block[:pos]] = True
+        consumed.append(block[:pos])
     stats.time_dp += time.perf_counter() - dp_started
+    # Lazily opened bounds (GTM*) have grown while the loop ran.
+    n_scope = len(bounds) if positions is None else len(positions)
+    expanded = np.zeros(len(bounds), dtype=bool)
+    for done in consumed:
+        expanded[done] = True
     stats.subsets_total += n_scope
     stats.subsets_expanded += count
     by_cell, by_cross, by_band = attribute_pruning(

@@ -39,12 +39,12 @@ rectangles in which *every* point combination is a valid candidate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import mask_lower, upper_cells
+from .bounds import ROW_BLOCK_CELLS, mask_lower, upper_cells
 from .problem import SELF_MODE, SearchSpace
 
 _INF = np.inf
@@ -64,7 +64,12 @@ class GroupLevel:
     col_starts: np.ndarray
     col_ends: np.ndarray  # inclusive
     gmin: np.ndarray
-    gmax: np.ndarray
+    #: ``None`` on a min-only level (GTM*'s sub-level only orders and
+    #: opens sub-blocks).
+    gmax: Optional[np.ndarray]
+    #: GTM*'s min-only level at a divisor of ``tau``, kept by the scan
+    #: that built this one (``None`` elsewhere).
+    sub: Optional["GroupLevel"] = field(default=None, repr=False, compare=False)
 
     @property
     def n_row_groups(self) -> int:
@@ -97,7 +102,7 @@ class GroupLevel:
         identical to :meth:`from_matrix` on the same matrix.
         """
         gmin = np.vstack([band[0] for band in bands])
-        gmax = np.vstack([band[1] for band in bands])
+        gmax = None if bands[0][1] is None else np.vstack([b[1] for b in bands])
         row_starts, row_ends = _extents(n, tau)
         col_starts, col_ends = _extents(m, tau)
         return cls(tau, mode, row_starts, row_ends, col_starts, col_ends, gmin, gmax)
@@ -113,18 +118,39 @@ def block_minmax(
     indices, so a band decomposition (the engine's parallel grouping
     phase) reassembles to exactly the full reduction.
     """
+    gmin, gmax, _ = band_levels(block, r0, tau, tau, mode)
+    return gmin, gmax
+
+
+def band_levels(
+    block: np.ndarray, r0: int, tau: int, sub: int, mode: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`block_minmax` at ``tau`` plus the ``gmin`` rows at its
+    divisor ``sub``, from one read of the band.
+
+    The ``tau`` minima are taken from the ``sub`` minima (a
+    ``tau``-group is a union of ``sub``-groups, the ragged last one
+    included); every entry is a minimum of the same cells, so both
+    equal a direct reduction at their size bit for bit.
+    """
     upper = upper_cells(block, r0, mode)
-    gmin = _reduce_groups(upper, tau, np.fmin)
+    sub_min = _reduce_groups(upper, sub, np.fmin)
+    gmin = sub_min if sub == tau else _reduce_groups(sub_min, tau // sub, np.fmin)
     if mode == SELF_MODE:
         mask_lower(upper, r0, -_INF)
-    return gmin, _reduce_groups(upper, tau, np.fmax)
+    return gmin, _reduce_groups(upper, tau, np.fmax), sub_min
 
 
 def _reduce_groups(block: np.ndarray, tau: int, op) -> np.ndarray:
     """``op`` over the ``tau x tau`` blocks (ragged at the ends)."""
-    heads = range(0, block.shape[0], tau)
-    rows = np.stack([op.reduce(block[h : h + tau], axis=0) for h in heads])
-    return op.reduceat(rows, np.arange(0, block.shape[1], tau), axis=1)
+    rows = block.shape[0]
+    whole = rows - rows % tau
+    stacked = block[:whole].reshape(whole // tau, tau, block.shape[1])
+    parts = [op.reduce(stacked, axis=1)]
+    if whole < rows:
+        parts.append(op.reduce(block[whole:], axis=0, keepdims=True))
+    reduced = np.concatenate(parts) if whole < rows else parts[0]
+    return op.reduceat(reduced, np.arange(0, block.shape[1], tau), axis=1)
 
 
 def _extents(n: int, tau: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -419,3 +445,100 @@ def group_dfd_bounds(
         fmin_prev = fmin
         fmax_prev = fmax
     return float(glb), float(gub)
+
+
+#: Table cells of one :func:`group_dfd_bounds_for_pairs` sweep.  Its
+#: flat arrays (about 90 bytes a cell) stay within the frontier's
+#: ``STACK_SWEEP_BYTES``, which the space models charge and which the
+#: frontier takes only after the group phase.  A pair whose own table
+#: is larger (over 64 groups a side) is swept alone.
+GROUP_DFD_CELLS = ROW_BLOCK_CELLS // 4
+
+
+def dfd_table_cells(level: GroupLevel, space: SearchSpace,
+                    us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Cells of each pair's Definition-5 table (rows ``u .. ue_hi``,
+    columns ``v ..`` the last group)."""
+    if space.mode == SELF_MODE:
+        heights = np.minimum(vs, level.n_row_groups - 1) - us + 1
+    else:
+        heights = level.n_row_groups - us
+    return heights * (level.n_col_groups - vs)
+
+
+def group_dfd_bounds_for_pairs(
+    level: GroupLevel, space: SearchSpace, us: np.ndarray, vs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact ``(GLB_DFD, GUB_DFD)`` arrays of many pairs, batched.
+
+    The pairs' ``dF^min`` and ``dF^max`` tables are laid out flat, in
+    anti-diagonal order, and filled by one sweep: every cell depends
+    only on cells of the two diagonals before it, read through index
+    arrays.  Callers keep the cells near
+    :data:`GROUP_DFD_CELLS` (:func:`dfd_table_cells`).  The regions are
+    :func:`group_dfd_bounds`'s.  Nothing stops early, so the GUB equals
+    :func:`group_dfd_bounds`'s (its early stop never changes it) and the
+    GLB is the exact minimum; the early-stopped GLB differs only where
+    both exceed the ``bsf`` it ran against, so every ``glb > bsf``
+    decision lands on the same side.
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    if not us.shape[0]:
+        return np.empty(0), np.empty(0)
+    xi, tau = space.xi, level.tau
+    widths = level.n_col_groups - vs
+    sizes = dfd_table_cells(level, space, us, vs)
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    # Cell k of pair p is rectangle cell (r, c) = divmod(k, w_p).  The
+    # per-cell index arrays are int32: a block holds GROUP_DFD_CELLS.
+    pair = np.repeat(np.arange(us.shape[0], dtype=np.int32), sizes)
+    w = widths.astype(np.int32)[pair]
+    r, c = np.divmod(np.arange(total, dtype=np.int32) - starts[pair].astype(np.int32), w)
+    ue, ve = us[pair] + r, vs[pair] + c
+    # LB region: superset of every candidate's (ue, ve).
+    lb_region = (ue >= (level.row_starts[us] + xi + 1)[pair] // tau) & (
+        ve >= (level.col_starts[vs] + xi + 1)[pair] // tau)
+    # UB region: every point combination valid.
+    ub_region = (ue >= -(-(level.row_ends[us] + xi + 1) // tau)[pair]) & (
+        ve >= -(-(level.col_ends[vs] + xi + 1) // tau)[pair])
+    if space.mode == SELF_MODE:
+        ub_region &= level.row_ends[ue] < level.col_starts[vs][pair]
+    ground = np.stack([level.gmin[ue, ve], level.gmax[ue, ve]], axis=1)
+    del pair, ue, ve
+    # Sweep order: by anti-diagonal (a radix sort on small keys).
+    d = r + c
+    n_diag = int(d.max()) + 1
+    order = np.argsort(d.astype(np.int16) if n_diag < 1 << 15 else d,
+                       kind="stable").astype(np.int32)
+    edges = 2 * np.searchsorted(d[order], np.arange(n_diag + 1))
+    # Sweep position of each cell; ``total`` is a +inf sentinel (no
+    # neighbour), ``total + 1`` a -inf one (the start cell's only
+    # predecessor).
+    at = np.empty(total + 2, dtype=np.int32)
+    at[order] = np.arange(total, dtype=np.int32)
+    at[total:] = total, total + 1
+    r, c, w = r[order], c[order], w[order]
+    up = at[np.where(r > 0, order - w, total)]
+    left = at[np.where(c > 0, order - 1, total)]
+    diag = at[np.where((r > 0) & (c > 0), order - w - 1, total)]
+    diag[(r == 0) & (c == 0)] = total + 1
+    del r, c, w
+    # The two tables interleave: entry 2 * position + t holds dF^min
+    # (t = 0) or dF^max (t = 1).
+    lanes = np.array([0, 1], dtype=np.int32)
+    up, left, diag = ((2 * x[:, None] + lanes).ravel() for x in (up, left, diag))
+    ground = ground[order].ravel()
+    table = np.empty(2 * total + 4)
+    table[2 * total : 2 * total + 2] = _INF
+    table[2 * total + 2 :] = -_INF
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        low = np.minimum(table[up[lo:hi]], table[left[lo:hi]])
+        np.minimum(low, table[diag[lo:hi]], out=low)
+        np.maximum(ground[lo:hi], low, out=table[lo:hi])
+    del up, left, diag, ground
+    table = table[: 2 * total].reshape(total, 2)[at[:total]]
+    glb = np.minimum.reduceat(np.where(lb_region, table[:, 0], _INF), starts)
+    gub = np.minimum.reduceat(np.where(ub_region, table[:, 1], _INF), starts)
+    return glb, gub

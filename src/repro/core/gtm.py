@@ -251,14 +251,15 @@ class GTM:
 def expand_pairs_to_subsets(
     level: GroupLevel, space: SearchSpace, pairs: List[Tuple[int, int]]
 ):
-    """Enumerate the feasible point-level subsets inside group pairs.
+    """Enumerate the feasible point-level subsets inside group pairs
+    (a list of ``(u, v)`` or a ``(P, 2)`` array).
 
     One broadcast ``(P, tau, tau)`` feasibility mask over every pair's
     block, then one sort of the surviving ``(i, j)`` keys: ascending
     ``i``, then ``j`` (the pairs' blocks are disjoint, so keys are
     unique and the order is total).
     """
-    if not pairs:
+    if len(pairs) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
     uv = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)

@@ -754,22 +754,19 @@ class MotifEngine:
                     algo.level_builder = self._exec.level_builder_for(
                         self._oracles, okey, workers
                     )
+                    # It also re-expands the same surviving pair sets;
+                    # route both through the per-(level, space) expansion
+                    # cache so the lexsorted enumeration happens once per
+                    # tau.
+                    if algo.subset_expander is None:
+                        algo.subset_expander = self._exec.subset_expander_for(
+                            self._oracles, okey
+                        )
                 else:
                     d_star = self._exec.chunked_distance(
                         self._oracles, dense, okey, space, algo, stats,
                         workers, started,
                     )
-                if hasattr(type(algo), "subset_expander"):
-                    # The resolution pass re-expands the same surviving
-                    # pair sets the grouped scan just expanded; route both
-                    # through the per-(level, space) expansion cache so
-                    # the lexsorted enumeration happens once per tau (a
-                    # copy keeps a caller-owned instance untouched).
-                    if algo.subset_expander is None:
-                        algo = copy.copy(algo)
-                        algo.subset_expander = self._exec.subset_expander_for(
-                            self._oracles, okey
-                        )
                 algo = self._exec.remaining_budget_algo(algo, started)
             _PHASE_SECONDS.labels("chunks").observe(
                 time.perf_counter() - chunks_started

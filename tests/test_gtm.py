@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.core.gtm_star as gtm_star
 from repro.core import BTM, GTM, GTMStar, BruteDP, MotifTimeout, SearchStats, self_space
 from repro.core.dp import STACK_SWEEP_BYTES
 from repro.distances.ground import DenseGroundMatrix, LazyGroundMatrix, ground_matrix
@@ -125,22 +126,43 @@ class TestGtmStarBehaviour:
         BTM().search(dense, space, stats_btm)
         assert stats_star.space_bytes < stats_btm.space_bytes
 
-    def test_space_accounting_charges_the_scan_block(self):
+    def test_space_accounting_charges_the_scan_block(self, monkeypatch):
         """Past ``tau * m > ROW_BLOCK_CELLS`` the level-plus-tables scan
         reads one whole group a block: three ``tau x m`` float arrays
         (block, masked copy, reduction scratch), which the model charges
-        and which bound the scan's traced peak."""
+        and which bound the scan's traced peak.  The model also charges
+        the sub-level (``tau / 8``), the ordered sub-blocks and only the
+        subset bounds the cursor opened."""
         n, tau = 700, 32
         pts = random_walk_points(n, 33)
         space = self_space(n, 6)
         lazy = LazyGroundMatrix(pts, metric="euclidean", cache_rows=1)
+        opened, sub_blocks = [], []
+        bounds_for = gtm_star.relaxed_subset_bounds_for_pairs
+        make_blocks = gtm_star._sub_blocks
+
+        def counting_bounds(*args, **kwargs):
+            out = bounds_for(*args, **kwargs)
+            opened.append(len(out))
+            return out
+
+        def counting_blocks(*args, **kwargs):
+            out = make_blocks(*args, **kwargs)
+            sub_blocks.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(gtm_star, "relaxed_subset_bounds_for_pairs",
+                            counting_bounds)
+        monkeypatch.setattr(gtm_star, "_sub_blocks", counting_blocks)
         stats = SearchStats()
         GTMStar(tau=tau, cache_rows=1).search(lazy, space, stats)
         g = math.ceil(n / tau) ** 2
+        g_sub = math.ceil(n / (tau // 8)) ** 2
         block = 3 * 8 * tau * n
+        assert 0 < sum(opened) < stats.subsets_total
         assert stats.space_bytes == (
-            2 * 8 * g + 8 * 4 * n + 8 * 6 * stats.subsets_total + 8 * n
-            + block + STACK_SWEEP_BYTES
+            2 * 8 * g + 8 * g_sub + 8 * 4 * sum(sub_blocks) + 8 * 4 * n
+            + 8 * 6 * sum(opened) + 8 * n + block + STACK_SWEEP_BYTES
         )
         tracemalloc.start()
         try:
@@ -148,8 +170,8 @@ class TestGtmStarBehaviour:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The level and the tables it returns are charged separately.
-        assert peak <= block + 2 * 8 * g + 8 * 6 * n
+        # The levels and the tables it returns are charged separately.
+        assert peak <= block + 2 * 8 * g + 8 * g_sub + 8 * 6 * n
 
 
 class TestHigherDimensions:
