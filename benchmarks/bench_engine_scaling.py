@@ -943,8 +943,12 @@ def test_index_summaries(benchmark):
     walks of 40 points): the one-pass batched Douglas-Peucker against
     the per-trajectory doubling loop, both followed by the batched
     error-radius DP, with identical summaries asserted; plus the mean
-    cost of one ``summarize_query`` (a batch of one) over 200 queries.
-    Recorded in ``BENCH_engine_scaling.json``; no floor."""
+    cost of one query summary over 200 queries: ``query_ms`` is
+    ``summarize_query`` plus the on-demand ``simplify_query`` (a batch
+    of one), the work one eager summary did, and ``cheap_query_ms`` is
+    ``summarize_query`` alone (points, endpoints, box and checks), what
+    range and knn pay below ``SIMPLIFY_FLOOR_CELLS``.  Recorded in
+    ``BENCH_engine_scaling.json``; no floor."""
     from repro.distances.frechet import dfd_matrix, dfd_pairs
     from repro.index import CorpusIndex
 
@@ -971,18 +975,25 @@ def test_index_summaries(benchmark):
         reference_s = time.perf_counter() - started
         started = time.perf_counter()
         summaries = [index.summarize_query(q) for q in stream]
+        for summary in summaries:
+            index.simplify_query(summary)
         query_s = time.perf_counter() - started
+        started = time.perf_counter()
+        for q in stream:
+            index.summarize_query(q)
+        cheap_query_s = time.perf_counter() - started
         started = time.perf_counter()
         for q in stream:
             simp = _reference_summary(q, q.min(axis=0), q.max(axis=0), frac, cap)
             float(dfd_matrix(index.metric.pairwise(q, simp)))
         reference_query_s = time.perf_counter() - started
         return index, ref, ref_errors, summaries, (
-            min(batched), reference_s, query_s, reference_query_s)
+            min(batched), reference_s, query_s, cheap_query_s,
+            reference_query_s)
 
     index, ref, ref_errors, summaries, times = benchmark.pedantic(
         run, rounds=1, iterations=1)
-    batched_s, reference_s, query_s, reference_query_s = times
+    batched_s, reference_s, query_s, cheap_query_s, reference_query_s = times
     assert len(index.simplifications) == len(ref)
     for got, want in zip(index.simplifications, ref):
         assert np.array_equal(got, want)
@@ -1001,6 +1012,7 @@ def test_index_summaries(benchmark):
         "speedup": reference_s / max(batched_s, 1e-9),
         "queries": queries,
         "query_ms": 1e3 * query_s / queries,
+        "cheap_query_ms": 1e3 * cheap_query_s / queries,
         "reference_query_ms": 1e3 * reference_query_s / queries,
     })
 

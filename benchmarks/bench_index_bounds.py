@@ -17,7 +17,8 @@ bound is kept or deleted on a recorded counter.
   round trips.  Every round trip starts and ends at one depot, so the
   endpoint and box bounds prove nothing and only the simplification
   bound prunes; their theta is the 1% quantile of DFD over a seeded
-  sample of pairs.
+  sample of pairs.  The smoke scale's trips have 80 points, so that
+  its range queries' survivors still reach the query floor.
 * Ops on the synthetic corpora: ``join``, ``join_top_k``, ``range``,
   ``knn`` and window ``cluster`` (sparse: distinct walks strung
   together; dense: one walk repeated with noise).  Answers come from a
@@ -27,19 +28,34 @@ bound is kept or deleted on a recorded counter.
   counters and its median time per request over ``--rounds`` rounds,
   on fresh indexes with summaries and tree prebuilt.  The candidate
   step is ``candidate_pairs`` for joins and clustering (the top-k join
-  at its seeded bound on the k-th distance) and the range query's
-  traversal and filter cascade for range and knn (knn at its seeded
-  bound).  Per corpus: the median tree build, the node count and the
-  tree arrays' snapshot bytes.
+  at its seeded bound on the k-th distance).  For range and knn it is
+  the query summary, the range query's traversal and filter cascade
+  and the exact step over its survivors (knn at its seeded bound,
+  valuing the survivors its seeds did not cover), so a bound that is
+  skipped is charged the exact DPs it would have saved.  Per corpus:
+  the median tree build, the node count and the tree arrays' snapshot
+  bytes.
+* ``query_floor``: the crossover behind
+  ``repro.index.index.SIMPLIFY_FLOOR_CELLS``.  On the perfbench
+  ``corpus_query``, clustered haversine and round-trip corpora, every
+  range and knn request (range also at 2x and 4x its radius, the round
+  trips also on prefixes of the corpus) is timed end to end (summary,
+  candidate step, exact step) with the query simplification bound
+  forced on (floor 0, arm ``bound``) and off (floor above every
+  survivor set, arm ``exact``), arms alternated per round, and
+  reported per bin of the endpoint/box survivors' exact cells
+  (``len(query) * sum(n_i)``).  A tree without the floor always runs
+  the bound and records the ``bound`` arm only.
 
 Run ``python benchmarks/bench_index_bounds.py --label NAME`` to record
 one run under ``NAME`` in ``BENCH_index_bounds.json`` with the host
 block and the commit it ran on.  Once the file holds ``parent`` and
 ``change`` records, a ``comparison`` block lists every counter that
-differs, the candidate-step and build time ratios and the tree bytes.
+differs, the candidate-step and build time ratios, the tree bytes and
+the ``query_floor`` bins side by side.
 ``pytest benchmarks/bench_index_bounds.py`` runs the smoke scale and
-checks the answers and that the round trips prune through the
-simplification bound.
+checks the answers, that the round trips prune through the
+simplification bound and that the ``exact`` arm never runs it.
 """
 
 from __future__ import annotations
@@ -63,6 +79,7 @@ for _path in (_ROOT / "src", _ROOT):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
+import repro.index.index as index_mod  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from repro.distances.frechet import dfd_pairs  # noqa: E402
 from repro.engine import MotifEngine  # noqa: E402
@@ -83,10 +100,22 @@ COUNTERS = (
 )
 SCALES = {
     "full": dict(perfbench="full", query_requests=200, join_requests=60,
-                 walks=600, trips=400, queries=10, cluster_walks=20),
+                 walks=600, trips=400, trip_points=40, queries=10,
+                 cluster_walks=20,
+                 trip_prefixes=(25, 50, 100, 150, 200, 300, 400)),
     "smoke": dict(perfbench="tiny", query_requests=12, join_requests=6,
-                  walks=60, trips=80, queries=3, cluster_walks=6),
+                  walks=60, trips=80, trip_points=80, queries=3,
+                  cluster_walks=6, trip_prefixes=(20, 80)),
 }
+#: The ``query_floor`` row: its corpora, the radius scales of their
+#: range requests, the lower edges of its survivor-cell bins and the
+#: floor that switches the bound off.
+FLOOR_CORPORA = ("perfbench_corpus_query", "clustered_haversine",
+                 "round_trips")
+FLOOR_RADIUS_SCALES = (1.0, 2.0, 4.0)
+CELL_BINS = (0, 10_000, 25_000, 50_000, 100_000, 150_000, 200_000, 300_000,
+             400_000, 600_000)
+FLOOR_OFF = 1 << 62
 
 
 def _walks(count, n, seed, *, clusters, spread, step, origin=(0.0, 0.0)):
@@ -172,8 +201,8 @@ def panels(scale):
                        step=1.0)
     geo = _walks(n, 30, 3, clusters=max(1, n // 10), spread=3.0,
                  step=0.002, origin=(0.0, 45.0))
-    trips_left = round_trips(sc["trips"], 40, 1)
-    trips_right = round_trips(sc["trips"], 40, 2)
+    trips_left = round_trips(sc["trips"], sc["trip_points"], 1)
+    trips_right = round_trips(sc["trips"], sc["trip_points"], 2)
     rng = np.random.default_rng(0)
     a = rng.integers(len(trips_left), size=10_000)
     b = rng.integers(len(trips_right), size=10_000)
@@ -230,27 +259,131 @@ def _prepare_step(panel, op, p, il, ir):
         cut = float(dists[min(p["k"], len(dists)) - 1])
         return lambda: il.candidate_pairs(ir, cut)[1]
     if op in ("range", "knn"):
-        q = il.summarize_query(p["query"])
-        cut = p.get("radius")
-        if op == "knn":
-            # The seeded bound of the tree knn: the largest exact
-            # distance of the k beam items with the smallest bounds.
-            reached = il.ensure_tree().beam_items(q, 2 * p["k"], IndexStats())
-            _, lbs = il._item_bounds(q, reached)
-            seeds = reached[np.lexsort((reached, lbs))[:p["k"]]]
-            cut = float(il._exact(q, seeds).max())
-
-        def step():
-            stats = IndexStats(pairs_total=il.n)
-            il._within(q, cut, stats)
-            return stats
-        return step
+        return _query_step(il, op, p)[0]
     traj = np.asarray(p["trajectory"])
     starts = window_starts(len(traj), WINDOW, 2, p["theta"])
     windex = CorpusIndex([traj[s:s + WINDOW] for s in starts], m)
     windex.ensure_tree()
     grid = window_pair_grid(starts, WINDOW)
     return lambda: windex.candidate_pairs(None, p["theta"], pairs=grid)[1]
+
+
+def _query_step(il, op, p):
+    """``(step, cut)`` of a range or knn request: the step runs the
+    query summary, the candidate step at ``cut`` and the exact step and
+    returns its :class:`IndexStats`."""
+    query, cut = p["query"], p.get("radius")
+    seeds = np.empty(0, dtype=np.int64)
+    if op == "knn":
+        # The seeded bound of the tree knn: the largest exact distance
+        # of the k beam items with the smallest bounds.
+        q = il.summarize_query(query)
+        reached = il.ensure_tree().beam_items(q, 2 * p["k"], IndexStats())
+        _, lbs = il._item_bounds(q, reached)
+        seeds = reached[np.lexsort((reached, lbs))[:p["k"]]]
+        cut = float(il._exact(q, seeds).max())
+
+    def step():
+        stats = IndexStats(pairs_total=il.n)
+        q = il.summarize_query(query)
+        cand = il._within(q, cut, stats)
+        il._exact(q, cand[~np.isin(cand, seeds)])
+        return stats
+    return step, cut
+
+
+def _survivor_cells(il, query, cut):
+    """Exact cells of the endpoint/box survivors of a range query at
+    ``cut``: ``len(query)`` times their summed lengths."""
+    q = il.summarize_query(query)
+    cand = il.ensure_tree().range_candidates(q, cut, IndexStats())
+    _, lb = il._item_bounds(q, cand)
+    return len(q.points) * sum(il.points(i).shape[0] for i in cand[lb <= cut])
+
+
+def _floor_requests(name, panel, sc):
+    """``[(index, op, params)]`` of one corpus of the ``query_floor``
+    row, on fresh indexes with summaries and tree prebuilt."""
+    queries = [(op, p) for op, p in panel["requests"]
+               if op in ("range", "knn")]
+    lefts = [panel["left"]]
+    if name == "round_trips":
+        lefts = [panel["left"][:m] for m in sc["trip_prefixes"]]
+        scales = (1.0,)
+    else:
+        scales = FLOOR_RADIUS_SCALES
+    out = []
+    for left in lefts:
+        il = CorpusIndex(left, panel["metric"])
+        il.ensure_summaries()
+        il.ensure_tree()
+        for op, p in queries:
+            for scale in (scales if op == "range" else (1.0,)):
+                params = dict(p)
+                if op == "range":
+                    params["radius"] = p["radius"] * scale
+                out.append((il, op, params))
+    return out
+
+
+def _floor_arms():
+    """Arm name -> floor; a tree without the floor records ``bound``
+    only (it always runs the bound)."""
+    if not hasattr(index_mod, "SIMPLIFY_FLOOR_CELLS"):
+        return {"bound": None}
+    return {"bound": 0, "exact": FLOOR_OFF}
+
+
+def _cell_bin(cells):
+    return str(max(edge for edge in CELL_BINS if edge <= cells))
+
+
+def query_floor(scale, rounds, built=None):
+    """The ``query_floor`` row: per corpus, arm and survivor-cell bin,
+    the requests, their mean time (the median of ``rounds`` per
+    request) and what the bound pruned."""
+    sc = SCALES[scale]
+    arms = _floor_arms()
+    saved = getattr(index_mod, "SIMPLIFY_FLOOR_CELLS", None)
+    corpora = {}
+    try:
+        for name, panel in (built or panels(scale)):
+            if name not in FLOOR_CORPORA:
+                continue
+            steps = []
+            for il, op, p in _floor_requests(name, panel, sc):
+                step, cut = _query_step(il, op, p)
+                steps.append((_survivor_cells(il, p["query"], cut), step))
+            times = {arm: [[] for _ in steps] for arm in arms}
+            pruned = {arm: [0] * len(steps) for arm in arms}
+            for _ in range(rounds):
+                for arm, floor in arms.items():
+                    if floor is not None:
+                        index_mod.SIMPLIFY_FLOOR_CELLS = floor
+                    for k, (_, step) in enumerate(steps):
+                        ms, stats = _ms(step)
+                        times[arm][k].append(ms)
+                        pruned[arm][k] = stats.pruned_simplification
+            bins = {}
+            for k, (cells, _) in enumerate(steps):
+                row = bins.setdefault(_cell_bin(cells), {
+                    "requests": 0, "cells": 0,
+                    **{arm: {"ms": 0.0, "pruned_simplification": 0}
+                       for arm in arms}})
+                row["requests"] += 1
+                row["cells"] += cells
+                for arm in arms:
+                    row[arm]["ms"] += statistics.median(times[arm][k])
+                    row[arm]["pruned_simplification"] += pruned[arm][k]
+            for row in bins.values():
+                row["cells"] //= row["requests"]
+                for arm in arms:
+                    row[arm]["ms"] = round(row[arm]["ms"] / row["requests"], 3)
+            corpora[name] = dict(sorted(bins.items(), key=lambda kv: int(kv[0])))
+    finally:
+        if saved is not None:
+            index_mod.SIMPLIFY_FLOOR_CELLS = saved
+    return {"floor_cells": saved, "arms": sorted(arms), "corpora": corpora}
 
 
 def _fresh(panel):
@@ -340,6 +473,20 @@ def compare(parent, change):
                 },
             }
         out[name] = row
+    floor = {}
+    for name, bins in change.get("query_floor", {}).get("corpora", {}).items():
+        before = parent.get("query_floor", {}).get("corpora", {}).get(name, {})
+        floor[name] = {
+            edge: {
+                "requests": row["requests"],
+                "parent_bound_ms": before.get(edge, {}).get("bound", {}).get("ms"),
+                **{f"{arm}_ms": row[arm]["ms"]
+                   for arm in change["query_floor"]["arms"]},
+            }
+            for edge, row in bins.items()
+        }
+    if floor:
+        out["query_floor"] = floor
     return out
 
 
@@ -368,13 +515,17 @@ def record(scale, rounds):
         "rounds": rounds,
         "corpora": {},
     }
-    for name, panel in panels(scale):
+    built = panels(scale)
+    for name, panel in built:
         row = run_panel(panel, rounds)
         result["corpora"][name] = row
         print(name, "build", row["tree_build_ms"], "ms", {
             op: (v["candidate_ms"], v["stats"]["candidates"],
                  v["stats"]["pruned_grid"], v["stats"]["pruned_simplification"])
             for op, v in row["ops"].items()}, flush=True)
+    result["query_floor"] = query_floor(scale, rounds, built)
+    print("query_floor", json.dumps(result["query_floor"]["corpora"]),
+          flush=True)
     return result
 
 
@@ -399,13 +550,19 @@ def main(argv=None) -> dict:
 
 
 def test_bounds_panel_smoke():
-    """Indexed answers equal ``index=False`` on every corpus and op, and
-    the round trips prune through the simplification bound."""
-    rows = {name: run_panel(panel, rounds=1)
-            for name, panel in panels("smoke")}
+    """Indexed answers equal ``index=False`` on every corpus and op, the
+    round trips prune through the simplification bound, and the
+    ``query_floor`` row's ``exact`` arm never runs it."""
+    built = panels("smoke")
+    rows = {name: run_panel(panel, rounds=1) for name, panel in built}
     trips = rows["round_trips"]["ops"]
     assert trips["join"]["stats"]["pruned_simplification"] > 0
     assert trips["range"]["stats"]["pruned_simplification"] > 0
+    floor = query_floor("smoke", 1, built)
+    assert sorted(floor["corpora"]) == sorted(FLOOR_CORPORA)
+    bins = [row for c in floor["corpora"].values() for row in c.values()]
+    assert sum(row["bound"]["pruned_simplification"] for row in bins) > 0
+    assert all(row["exact"]["pruned_simplification"] == 0 for row in bins)
 
 
 if __name__ == "__main__":

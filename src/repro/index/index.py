@@ -70,6 +70,22 @@ from .tree import (
     TreePairCursor,
 )
 
+#: Exact cells (query length times the summed lengths of the
+#: endpoint/box survivors) from which range and knn run the query's
+#: simplification bound before the exact step.  Below it the query's
+#: Douglas-Peucker summary and the bound's batched DP cost more than
+#: the exact DPs they could save, so the survivors go straight to the
+#: exact step.  From the ``query_floor`` row of
+#: ``benchmarks/bench_index_bounds.py`` (``BENCH_index_bounds.json``
+#: and three earlier runs of the row; 2-vCPU host, bound forced on and
+#: off, alternated): on depot round trips, where the bound prunes about
+#: half the survivors, it took 1.04-1.26x the exact-only time at 240k
+#: cells, 0.95-1.18x at 320k and 0.84-0.91x at 480k.  Where it prunes
+#: nothing (perfbench ``corpus_query``, clustered haversine) it adds
+#: 1.2-2.3 ms a request at every size; the perfbench requests reach
+#: at most 46k cells.
+SIMPLIFY_FLOOR_CELLS = 400_000
+
 
 @dataclass
 class IndexStats:
@@ -408,30 +424,48 @@ class CorpusIndex:
         self.summary_builds += self.n
 
     def summarize_query(self, trajectory) -> QuerySummary:
-        """Reduce one query trajectory to the index's summary kinds.
+        """Reduce one query trajectory to its points, endpoints and box.
 
-        The query-side DP runs on the *query*, never on the corpus --
-        a snapshot-served index keeps ``summary_builds`` at zero across
-        any number of range / knn queries.
+        The query's simplification is left to :meth:`simplify_query`,
+        but every input its DPs would refuse is refused here, with the
+        same typed error: fewer than 2 coordinates, a point outside the
+        metric's domain, and a ground cell that overflows (checked on
+        the box diagonal, which bounds every cell of a
+        coordinate-monotone metric; haversine cells are bounded).
         """
         pts = _as_points(trajectory)
         if pts.shape[1] != self.dimensions:
             raise ReproError(
                 "query dimensionality does not match the indexed corpus"
             )
+        if pts.shape[1] < 2:
+            raise TrajectoryError(
+                f"points need at least 2 coordinates per row; got {pts.shape[1]}"
+            )
+        self.metric._check_domain(pts)
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
-        simp = self._summaries([pts], [lo], [hi])[0]
-        err = float(dfd_matrix(self.metric.pairwise(pts, simp)))
-        return QuerySummary(
-            points=pts,
-            start=pts[0],
-            end=pts[-1],
-            box_lo=lo,
-            box_hi=hi,
-            simplification=simp,
-            error=err,
+        q = QuerySummary(
+            points=pts, start=pts[0], end=pts[-1], box_lo=lo, box_hi=hi,
         )
+        if not math.isfinite(self.metric.distance(lo, hi)):
+            self.simplify_query(q)
+        return q
+
+    def simplify_query(self, q: QuerySummary) -> Tuple[np.ndarray, float]:
+        """The query's Douglas-Peucker simplification and its exact
+        error radius ``DFD(points, simplification)``, computed on first
+        use and kept on ``q``.
+
+        The DPs run on the *query*, never on the corpus -- a
+        snapshot-served index keeps ``summary_builds`` at zero across
+        any number of range / knn queries.
+        """
+        if q.simplification is None:
+            simp = self._summaries([q.points], [q.box_lo], [q.box_hi])[0]
+            q.error = float(dfd_matrix(self.metric.pairwise(q.points, simp)))
+            q.simplification = simp
+        return q.simplification, q.error
 
     def ensure_tree(self, fanout: int = DEFAULT_FANOUT) -> TrajectoryTree:
         """Build (or return) the hierarchical proximity tree.
@@ -772,9 +806,11 @@ class CorpusIndex:
         cannot prove further than ``radius`` from the query.
 
         The range query's candidate step: the tree descent, then the
-        endpoint/box bounds, then one batched simplification DP.  Only
-        a strict excess prunes.  Every item lands in exactly one of
-        ``stats``' ``pruned_*`` counters or in ``candidates``.
+        endpoint/box bounds, then -- only when the survivors' exact
+        cells reach :data:`SIMPLIFY_FLOOR_CELLS` -- one batched
+        simplification DP.  Only a strict excess prunes.  Every item
+        lands in exactly one of ``stats``' ``pruned_*`` counters or in
+        ``candidates``.
         """
         cand = self.ensure_tree().range_candidates(q, radius, stats)
         if len(cand):
@@ -783,14 +819,14 @@ class CorpusIndex:
             stats.pruned_endpoint = int(np.sum(lb_end > radius))
             stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
             cand = cand[keep]
-        if len(cand):
+        cells = len(q.points) * sum(self._points[i].shape[0] for i in cand)
+        if len(cand) and cells >= SIMPLIFY_FLOOR_CELLS:
+            simp, err = self.simplify_query(q)
             core = dfd_pairs_at(
-                point_stack([q.simplification]), self.simplification_stack,
+                point_stack([simp]), self.simplification_stack,
                 np.zeros(len(cand), dtype=np.int64), cand, self.metric,
             )
-            keep_mask = ~(
-                core - q.error - self.simplification_errors[cand] > radius
-            )
+            keep_mask = ~(core - err - self.simplification_errors[cand] > radius)
             stats.pruned_simplification = int(np.sum(~keep_mask))
             cand = cand[keep_mask]
         stats.candidates = len(cand)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class QuerySummary:
     Built once per query (:meth:`CorpusIndex.summarize_query`) and then
     compared against node aggregates and item summaries without ever
     touching the query's full point set until the exact-distance stage.
+    The Douglas-Peucker ``simplification`` and its error radius
+    ``error = DFD(points, simplification)`` stay ``None`` until
+    :meth:`CorpusIndex.simplify_query` fills them in, which range and
+    knn do only when their survivors' exact cells pay for it.
     """
 
     points: np.ndarray
@@ -72,8 +76,8 @@ class QuerySummary:
     end: np.ndarray
     box_lo: np.ndarray
     box_hi: np.ndarray
-    simplification: np.ndarray
-    error: float
+    simplification: Optional[np.ndarray] = None
+    error: Optional[float] = None
 
 
 def _str_leaf_groups(centers: np.ndarray, leaf_cap: int) -> List[np.ndarray]:

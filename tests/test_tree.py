@@ -28,6 +28,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.index.index as index_mod
 from repro.distances.frechet import discrete_frechet
 from repro.distances.ground import get_metric
 from repro.engine import MotifEngine
@@ -370,7 +371,7 @@ class TestDepotRoundTrips:
         }
         return left, right, theta, query, serial
 
-    def test_simplification_bound_prunes(self, case):
+    def test_simplification_bound_prunes(self, case, monkeypatch):
         left, right, theta, query, _ = case
         _, stats = CorpusIndex(left, "euclidean").candidate_pairs(
             CorpusIndex(right, "euclidean"), theta)
@@ -378,9 +379,34 @@ class TestDepotRoundTrips:
         assert stats.pruned_simplification > 0
         assert (stats.pruned_grid + stats.pruned_simplification
                 + stats.candidates) == len(left) * len(right)
+        # These 24 short trips sit below the query floor: force the
+        # bound on to see it prune.
+        monkeypatch.setattr(index_mod, "SIMPLIFY_FLOOR_CELLS", 0)
         _, range_stats = CorpusIndex(left, "euclidean").range_scan(
             query, theta)
         assert range_stats.pruned_simplification > 0
+
+    def test_simplification_bound_prunes_above_the_floor(self):
+        """Unpatched: round-trip range queries whose survivors' exact
+        cells reach the floor run the bound and keep brute force's
+        answers."""
+        n = 40
+        count = -(-index_mod.SIMPLIFY_FLOOR_CELLS // (n * n)) + 8
+        trips = depot_round_trips(SEED_BASE + 63, count=count, n=n)
+        index = CorpusIndex(trips, "euclidean")
+        assert n * sum(len(t.points) for t in trips) >= (
+            index_mod.SIMPLIFY_FLOOR_CELLS)
+        pruned = 0
+        for query in depot_round_trips(SEED_BASE + 64, count=3, n=n):
+            theta = float(np.quantile(
+                [exact_dfd(query.points, t.points, index.metric)
+                 for t in trips], 0.05))
+            matches, stats = index.range_scan(query, theta)
+            assert stats.pruned_grid == stats.pruned_endpoint == 0
+            assert matches == index.range_scan(
+                query, theta, use_tree=False)[0]
+            pruned += stats.pruned_simplification
+        assert pruned > 0
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_engine_paths_equal_unindexed_and_serial(self, case, workers):
