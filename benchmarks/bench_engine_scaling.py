@@ -3,16 +3,13 @@
 The scaling experiment this reproduction adds on top of the paper: a
 serving-style query stream (each corpus trajectory queried repeatedly)
 answered by a serial loop vs the :class:`MotifEngine`, across four
-workloads -- batched discover, cold unique-corpus discover (isolating
-the partitioned chunk scan), a top-k stream (parallel chunk-merge
-top-k), and a similarity-join stream (sharded tile grid) -- plus a
-large-n single-query discover row timing the partitioned chunk scan
-at 2 workers against the same ``btm`` discover at 1 worker.  Shapes
+workloads -- batched discover, cold unique-corpus discover (the
+engine's per-query overhead), a top-k stream (cached oracles and
+results), and a similarity-join stream (sharded tile grid).  Shapes
 under test: the batched engine answers the discover stream >= 1.5x
 faster and the top-k stream >= 1.3x faster than the serial loops at
->= 2 workers, the 2-worker chunk scan beats 1 worker >= 1.2x on the
-single-query row, and every pool task carries both ``dG`` *and* its
-bound arrays by reference (zero dense pickling of either).
+>= 2 workers, and every pool task that needs ``dG`` or the corpus
+arrays carries them by reference (zero dense or index pickling).
 
 Each test folds its measurements into ``BENCH_engine_scaling.json`` at
 the repo root -- the machine-readable perf trajectory future PRs diff
@@ -39,11 +36,6 @@ from repro.bench import default_tau, default_xi, trajectory_for
 from repro.trajectory import Trajectory, douglas_peucker
 
 WORKERS = (1, 2)
-
-#: Trajectory length of the single-query discover row, per scale: the
-#: bound pipeline's O(n^2) sort/transfer share only shows at larger n
-#: than the stream workloads use.
-SINGLE_QUERY_N = {"smoke": 480, "quick": 480, "full": 800}
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine_scaling.json"
 
@@ -90,68 +82,6 @@ def test_engine_scaling(benchmark):
     # Acceptance floors; future PRs should beat them.
     assert speedups[("batched stream", max(WORKERS))] >= 1.5, table.render()
     assert speedups[("topk stream", max(WORKERS))] >= 1.3, table.render()
-
-
-def test_single_query_parallel_speedup(benchmark):
-    """One large-n ``btm`` discover: the partitioned chunk scan at 2
-    workers vs the serial search at 1 worker, same host, same answers,
-    and zero bound-array pickling on the pool path."""
-    benchmark.group = "engine: single-query chunk scan"
-    n = SINGLE_QUERY_N.get(bench_scale(), 480)
-    traj = trajectory_for("geolife", n, 0)
-    xi = default_xi(n)
-    repeats = 5
-
-    def measure(workers: int):
-        with MotifEngine(workers=workers) as eng:
-            # Warm-up also warms the dG/table caches, so the timed
-            # repeats isolate the search (serving behaviour).
-            first = eng.discover(traj, min_length=xi, algorithm="btm",
-                                 cacheable=False)
-            times = []
-            for _ in range(repeats):
-                started = time.perf_counter()
-                result = eng.discover(traj, min_length=xi, algorithm="btm",
-                                      cacheable=False)
-                times.append(time.perf_counter() - started)
-            assert (result.distance, result.indices) == (
-                first.distance, first.indices
-            )
-            # Min over repeats: the noise-robust per-query estimate on
-            # a shared host (noise only ever adds time).
-            return min(times), result, eng.transfer_info()
-
-    def run():
-        t_serial, r_serial, _ = measure(min(WORKERS))
-        t_pool, r_pool, info_pool = measure(max(WORKERS))
-        return t_serial, r_serial, t_pool, r_pool, info_pool
-
-    t_serial, r_serial, t_pool, r_pool, info_pool = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    # Same answer at every worker count.
-    assert (r_pool.distance, r_pool.indices) == (
-        r_serial.distance, r_serial.indices
-    )
-    speedup = t_serial / max(t_pool, 1e-9)
-    _update_bench_json("single_query_discover", {
-        "n": n,
-        "xi": xi,
-        "workers": max(WORKERS),
-        "repeats": repeats,
-        "serial_seconds": t_serial,
-        "parallel_seconds": t_pool,
-        "speedup": speedup,
-        "parallel_transfer": info_pool,
-    })
-    if shared_memory_available():
-        # The pool run pickled no bound arrays.
-        assert info_pool["bounds_bytes_pickled"] == 0, info_pool
-        assert speedup >= 1.2, (
-            f"chunk scan at {max(WORKERS)} workers {speedup:.2f}x vs "
-            f"{min(WORKERS)} (serial {t_serial:.3f}s, "
-            f"parallel {t_pool:.3f}s)"
-        )
 
 
 #: Indexed-join corpus shape per scale: clusters of small trajectories
@@ -807,11 +737,13 @@ def test_engine_answers_match_serial(benchmark):
     not shared_memory_available(), reason="needs POSIX shared memory"
 )
 def test_parallel_paths_pickle_no_dense_matrices(benchmark):
-    """Warm-worker acceptance: every pool task carries ``dG`` -- and
-    its bound arrays -- by reference; nothing dense crosses the pipe."""
+    """Warm-worker acceptance: a single query never forks, and every
+    ``discover_many`` task carries ``dG`` and the batch's trajectories
+    by reference; nothing dense crosses the pipe."""
     benchmark.group = "engine: transfer accounting"
     n = 120
     traj = trajectory_for("geolife", n, 0)
+    other = trajectory_for("truck", n, 0)
     xi = default_xi(n)
 
     def run():
@@ -819,28 +751,28 @@ def test_parallel_paths_pickle_no_dense_matrices(benchmark):
             eng.top_k(traj, min_length=xi, k=3)
             eng.discover(traj, min_length=xi, algorithm="btm",
                          cacheable=False)
-            chunk_info = eng.transfer_info()
-            # A repeated-trajectory batch rides the warm path end to end.
+            single_info = eng.transfer_info()
+            # A repeated-trajectory batch rides the warm path end to
+            # end, its trajectories in one transport segment.
             eng.discover_many(
-                [traj, trajectory_for("truck", n, 0), traj],
-                min_length=xi, algorithm="btm", dedupe=False,
+                [traj, other, traj], min_length=xi, algorithm="btm",
+                dedupe=False, index=True,
             )
-            return chunk_info, eng.transfer_info()
+            return single_info, eng.transfer_info()
 
-    chunk_info, info = benchmark.pedantic(run, rounds=1, iterations=1)
+    single_info, info = benchmark.pedantic(run, rounds=1, iterations=1)
     _update_bench_json("transfer", info)
-    # Every chunk-scan task carried dG and its bounds by reference...
-    assert chunk_info["pool_tasks"] > 0, chunk_info
-    assert chunk_info["shm_task_refs"] == chunk_info["pool_tasks"], chunk_info
-    assert chunk_info["shm_bounds_refs"] == chunk_info["pool_tasks"], chunk_info
-    # ...and nothing, batch queries included, pickled a dense payload.
-    assert info["dense_bytes_pickled"] == 0, info
-    assert info["bounds_bytes_pickled"] == 0, info
-    assert info["group_level_bytes_pickled"] == 0, info
-    assert info["shm_task_refs"] > chunk_info["shm_task_refs"], info
+    # Single queries ran in the parent...
+    assert single_info["pool_tasks"] == 0, single_info
+    # ...the batch's repeated trajectory attached its published dG...
+    assert info["pool_tasks"] == 3, info
+    assert info["shm_task_refs"] == 2, info
     assert info["shm_segments"] >= 1 and info["shm_bytes"] > 0, info
-    assert info["shm_bounds_segments"] >= 1, info
-    assert info["shm_bounds_bytes"] > 0, info
+    # ...every task read the trajectories from the transport segment...
+    assert info["shm_index_refs"] == 3, info
+    # ...and nothing pickled a dense or index payload.
+    assert info["dense_bytes_pickled"] == 0, info
+    assert info["index_bytes_pickled"] == 0, info
 
 
 OVERHEAD_SHAPE = {

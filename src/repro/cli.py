@@ -4,7 +4,7 @@ Subcommands::
 
     repro-motif discover --dataset geolife --n 500 --min-length 10
     repro-motif discover --input track.csv --algorithm btm --min-length 20
-    repro-motif topk --dataset geolife --min-length 10 --k 5 --workers 4
+    repro-motif topk --dataset geolife --min-length 10 --k 5
     repro-motif join --dataset truck --count 12 --theta 25 --workers 4
     repro-motif snapshot build --dataset truck --count 12 --output snap/
     repro-motif snapshot inspect snap/
@@ -39,25 +39,20 @@ from .trajectory import read_csv, read_json, read_plt
 def _engine_for(args: argparse.Namespace):
     """Context manager yielding the engine backing one CLI invocation.
 
-    ``--workers N`` builds a dedicated parallel engine that is closed
-    (pool shut down, shared-memory segments unlinked) when the command
-    finishes; the default shares the process-wide serial engine (and
-    its caches), which is left running.  ``--no-shared-memory`` pickles
-    ``dG`` and the bound arrays into every pool task instead of
-    publishing them to shared-memory segments (for hosts with a small
-    ``/dev/shm``); answers are identical.
+    ``--workers N`` (``join`` and ``cluster``) builds a dedicated
+    parallel engine that is closed (pool shut down, shared-memory
+    segments unlinked) when the command finishes; otherwise the command
+    shares the process-wide serial engine (and its caches), which is
+    left running.  ``discover`` and ``topk`` take no ``--workers``: a
+    single motif query runs the serial algorithm at any worker count.
     """
     workers = getattr(args, "workers", 1)
     if workers is None:
         workers = 1
     if workers < 1:
         raise SystemExit("--workers must be at least 1")
-    no_shm = bool(getattr(args, "no_shared_memory", False))
-    if workers > 1 or no_shm:
-        return MotifEngine(  # context manager: closes itself
-            workers=workers,
-            shared_memory=not no_shm,
-        )
+    if workers > 1:
+        return MotifEngine(workers=workers)  # context manager: closes itself
     return contextlib.nullcontext(default_engine())
 
 
@@ -437,7 +432,8 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
 def _cmd_info(_args: argparse.Namespace) -> int:
     print(f"repro {__version__} -- motif discovery with discrete Frechet distance")
     print("reproduction of Tang, Yiu, Mouratidis, Wang (EDBT 2017)")
-    print("algorithms: brute_dp, btm, gtm, gtm_star (engine: --workers N)")
+    print("algorithms: brute_dp, btm, gtm, gtm_star "
+          "(serial; join, cluster and serve take --workers N)")
     print(f"datasets:   {', '.join(dataset_names())}")
     print(f"experiments: {', '.join(EXPERIMENTS)}")
     return 0
@@ -470,12 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["brute", "btm", "gtm", "gtm_star"])
     p.add_argument("--tau", type=int, help="group size for gtm/gtm_star")
     p.add_argument("--timeout", type=float, help="wall-clock budget (seconds)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="partition the search across N worker processes")
-    p.add_argument("--no-shared-memory", action="store_true",
-                   help="pickle dG and bound arrays into every pool task "
-                        "instead of shared-memory segments (for hosts with "
-                        "a small /dev/shm)")
     p.add_argument("--stats", action="store_true", help="print search statistics")
     p.add_argument("--plot", action="store_true",
                    help="render the motif as ASCII art")
@@ -489,12 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-length", type=int, required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1,
-                   help="partition the top-k scan across N worker processes")
-    p.add_argument("--no-shared-memory", action="store_true",
-                   help="pickle dG and bound arrays into every pool task "
-                        "instead of shared-memory segments (for hosts with "
-                        "a small /dev/shm)")
     _add_trace_flag(p)
     p.set_defaults(func=_cmd_topk)
 

@@ -40,7 +40,7 @@ extension type and is validated against brute force in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -287,16 +287,12 @@ class SubsetBounds:
         """Subset indices sorted ascending by combined bound (Alg. 2 L4)."""
         return np.argsort(self.combined, kind="stable")
 
-    def order_blocks(self, within: Optional[np.ndarray] = None,
-                     block_size: int = 1024):
+    def order_blocks(self, block_size: int = 1024):
         """Yield the stable ascending order lazily, in sorted blocks.
 
-        The concatenation of the yielded blocks equals :meth:`order`
-        (restricted to ``within`` when given), *including tie order*:
-        ties on ``combined`` resolve by original subset index, exactly
-        as a stable argsort does.  ``within`` must be ascending (the
-        identity range and the engine's strided chunk positions both
-        are), since tie order is inherited from its element order.
+        The concatenation of the yielded blocks equals :meth:`order`,
+        *including tie order*: ties on ``combined`` resolve by original
+        subset index, exactly as a stable argsort does.
 
         Each block costs one ``np.argpartition`` pass over the not-yet
         yielded candidates plus a sort of the block itself, so the
@@ -311,10 +307,7 @@ class SubsetBounds:
         if block_size < 1:
             raise ValueError("block_size must be at least 1")
         combined = self.combined
-        if within is None:
-            remaining = np.arange(combined.shape[0], dtype=np.int64)
-        else:
-            remaining = np.asarray(within, dtype=np.int64)
+        remaining = np.arange(combined.shape[0], dtype=np.int64)
         block = int(block_size)
         while remaining.size:
             if remaining.size <= block:
@@ -363,8 +356,7 @@ class LazySubsetBounds(SubsetBounds):
         self.limit = limit
         self.opened = 0
 
-    def order_blocks(self, within: Optional[np.ndarray] = None,
-                     block_size: int = 1024):
+    def order_blocks(self, block_size: int = 1024):
         """Yield the sources' subsets in ``(combined, i, j)`` order, in
         sorted blocks, opening sources only as the order reaches them.
 
@@ -379,8 +371,6 @@ class LazySubsetBounds(SubsetBounds):
         where the loop can consume nothing more.  A value sent into the
         generator lowers the limit (the loop's threshold only falls).
         """
-        if within is not None:
-            raise ValueError("lazily opened bounds have no positions to restrict")
         if block_size < 1:
             raise ValueError("block_size must be at least 1")
         block = want = int(block_size)
@@ -551,27 +541,16 @@ def attribute_pruning(
     use_cell: bool = True,
     use_cross: bool = True,
     use_band: bool = True,
-    scope: Optional[np.ndarray] = None,
 ) -> Tuple[int, int, int]:
     """Post-hoc Figure-15 attribution of pruned subsets to bound classes.
 
     A subset never expanded was pruned because its combined bound
     reached the final ``bsf``; it is credited to the first enabled class
     (cell, then cross, then band) whose bound alone suffices -- the same
-    cascade order the paper uses in its breakdown.  ``scope`` restricts
-    the attribution to a subset of positions (the engine's chunk scans
-    own only their dealt share of the candidate space); ``expanded`` is
-    always indexed over the full bound arrays.
+    cascade order the paper uses in its breakdown.
     """
-    if scope is None:
-        pruned = ~expanded
-        lb_cell, lb_cross, lb_band = bounds.lb_cell, bounds.lb_cross, bounds.lb_band
-    else:
-        pruned = ~expanded[scope]
-        lb_cell = bounds.lb_cell[scope]
-        lb_cross = bounds.lb_cross[scope]
-        lb_band = bounds.lb_band[scope]
-    remaining = pruned.copy()
+    lb_cell, lb_cross, lb_band = bounds.lb_cell, bounds.lb_cross, bounds.lb_band
+    remaining = ~expanded
     by_cell = by_cross = by_band = 0
     if use_cell:
         hit = remaining & (lb_cell >= bsf)

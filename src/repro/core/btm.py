@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,9 +64,6 @@ def run_best_first(
     use_cell: bool = True,
     use_cross: bool = True,
     use_band: bool = True,
-    bsf_sync: Optional[Callable[[float], float]] = None,
-    bsf_sync_every: int = 64,
-    positions: Optional[np.ndarray] = None,
 ) -> Tuple[float, Best]:
     """Process candidate subsets in ascending bound order (Alg. 2 L5-13).
 
@@ -75,29 +72,19 @@ def run_best_first(
     module docstring).  ``approx_factor >= 1`` enables the
     (1+eps)-approximate early stop of the extensions module.
 
-    ``bsf_sync`` is the engine's in-chunk best-so-far exchange: every
-    ``bsf_sync_every`` processed subsets it is called with the current
-    ``bsf`` (publishing it to sibling chunk scans) and returns the
-    tightest globally known threshold.  An adopted external threshold
-    is *unwitnessed* -- we hold no concrete pair for it -- so ``best``
-    is dropped and the tie-keeping break rule applies, exactly as for
-    a chunk's seed threshold.  Serial callers leave it ``None``.
-
-    ``positions`` restricts the scan to a subset of the bound arrays
-    (ascending; the engine's chunk scans own a strided share of the
-    shared arrays).  The loop consumes the ascending order lazily via
+    The loop consumes the ascending order lazily via
     :meth:`SubsetBounds.order_blocks`, so with strong pruning the sort
     cost scales with the subsets actually expanded; the expansion order
-    equals a single up-front stable argsort of the scope.
+    equals a single up-front stable argsort of the bounds.
 
     Expansion runs in one frontier for the whole loop
     (:class:`repro.core.dp.SweepFrontier`, chained): when the loop
     reaches a subset that has not finished, the frontier runs
     anti-diagonal rounds until it has, admitting the subsets the current
     cut admits under the current threshold as earlier rows leave.  The
-    loop keeps replaying the serial rules -- break test, ``bsf_sync``
-    cadence, the nudged threshold, acceptance of a result only below it
-    -- over the per-subset results.  Each accepted result is the one
+    loop keeps replaying the serial rules -- break test, the nudged
+    threshold, acceptance of a result only below it -- over the
+    per-subset results.  Each accepted result is the one
     the per-subset kernel reports under the same threshold, so the
     answer, ``subsets_expanded`` and the pruning attribution are
     unchanged; ``cells_*``, ``candidates_checked`` and ``bsf_updates``
@@ -111,7 +98,7 @@ def run_best_first(
     deadline = None if timeout is None else start_time + timeout
     cmin = tables.cmin if (tables is not None and use_kills) else None
     rmin = tables.rmin if (tables is not None and use_kills) else None
-    block_iter = bounds.order_blocks(within=positions)
+    block_iter = bounds.order_blocks()
     consumed = []
     witnessed = best is not None
     frontier = SweepFrontier(oracle, space, bounds, cmin, rmin, stats,
@@ -143,13 +130,6 @@ def run_best_first(
         lbs = bounds.combined[block] * approx_factor
         lb_list = lbs.tolist()
         for pos in range(block.shape[0]):
-            if bsf_sync is not None and count % bsf_sync_every == 0:
-                shared = bsf_sync(bsf)
-                if shared < bsf:
-                    bsf = shared
-                    best = None
-                    witnessed = False
-                    threshold = np.nextafter(bsf, np.inf)
             lb = lb_list[pos]
             if lb > bsf or (witnessed and lb >= bsf):
                 exhausted = True
@@ -177,16 +157,14 @@ def run_best_first(
         consumed.append(block[:pos])
     stats.time_dp += time.perf_counter() - dp_started
     # Lazily opened bounds (GTM*) have grown while the loop ran.
-    n_scope = len(bounds) if positions is None else len(positions)
     expanded = np.zeros(len(bounds), dtype=bool)
     for done in consumed:
         expanded[done] = True
-    stats.subsets_total += n_scope
+    stats.subsets_total += len(bounds)
     stats.subsets_expanded += count
     by_cell, by_cross, by_band = attribute_pruning(
         bounds, expanded, bsf / approx_factor,
         use_cell=use_cell, use_cross=use_cross, use_band=use_band,
-        scope=None if positions is None else np.asarray(positions, dtype=np.int64),
     )
     stats.pruned_by_cell += by_cell
     stats.pruned_by_cross += by_cross
@@ -249,7 +227,7 @@ class BTM:
 
         ``bsf0`` / ``best0`` seed the best-first loop with an external
         threshold: a witnessed pair (streaming warm starts) or an
-        unwitnessed bound (the engine's witness-resolution pass).  A
+        unwitnessed bound (e.g. a GTM group upper bound).  A
         correct unwitnessed seed never changes the answer -- only the
         amount of work (see the witness rule in the module docstring).
         """

@@ -97,9 +97,9 @@ class GroupLevel:
     ) -> "GroupLevel":
         """Stitch :func:`block_minmax` bands into a full level.
 
-        The engine's parallel grouping phase shards the block
-        reductions across workers and reassembles here; the result is
-        identical to :meth:`from_matrix` on the same matrix.
+        GTM*'s level builder reduces a lazy oracle band by band and
+        reassembles here; the result is identical to
+        :meth:`from_matrix` on the same matrix.
         """
         gmin = np.vstack([band[0] for band in bands])
         gmax = None if bands[0][1] is None else np.vstack([b[1] for b in bands])
@@ -115,8 +115,8 @@ def block_minmax(
 
     ``r0`` is a group start; the last group may be partial.  Self mode
     reduces only the cells strictly above the diagonal, at global
-    indices, so a band decomposition (the engine's parallel grouping
-    phase) reassembles to exactly the full reduction.
+    indices, so a band decomposition (GTM*'s row-band level builder)
+    reassembles to exactly the full reduction.
     """
     gmin, gmax, _ = band_levels(block, r0, tau, tau, mode)
     return gmin, gmax

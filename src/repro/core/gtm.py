@@ -68,21 +68,6 @@ class GTM:
 
     name = "gtm"
 
-    #: Optional ``(dmat, tau, mode) -> GroupLevel`` hook.  The engine
-    #: wires its cached (and pool-sharded) level builder through here
-    #: so the seeded witness-resolution pass reuses the levels the
-    #: parallel grouping phase already built instead of re-reducing
-    #: the O(n^2) matrix per level.  ``None`` means
-    #: :meth:`GroupLevel.from_matrix` (the plain serial behaviour).
-    level_builder = None
-
-    #: Optional ``(level, space, pairs) -> (i_idx, j_idx)`` hook.  The
-    #: engine routes this through a per-``(level, space)`` cache so the
-    #: grouped scan and the seeded resolution pass expand each tau's
-    #: surviving pair set once instead of re-running the lexsorted
-    #: enumeration.  ``None`` means :func:`expand_pairs_to_subsets`.
-    subset_expander = None
-
     def __init__(
         self,
         tau: int = 32,
@@ -130,11 +115,10 @@ class GTM:
         pairs: Optional[List[Tuple[int, int]]] = None
         survivors: List[Tuple[int, int]] = []
         level: Optional[GroupLevel] = None
-        build_level = self.level_builder or GroupLevel.from_matrix
         with PhaseTimer(stats, "time_grouping"):
             prev_tau = None
             while tau >= self.min_tau:
-                level = build_level(dmat, tau, space.mode)
+                level = GroupLevel.from_matrix(dmat, tau, space.mode)
                 if pairs is None:
                     pairs = feasible_group_pairs(level, space)
                 else:
@@ -234,8 +218,7 @@ class GTM:
 
                 bounds = relaxed_subset_bounds(space, oracle, tables)
         else:
-            expand = self.subset_expander or expand_pairs_to_subsets
-            i_idx, j_idx = expand(level, space, survivors)
+            i_idx, j_idx = expand_pairs_to_subsets(level, space, survivors)
             with PhaseTimer(stats, "time_bounds"):
                 tables = BoundTables.build(space, oracle)
                 bounds = relaxed_subset_bounds_for_pairs(

@@ -41,12 +41,6 @@ class SearchStats:
     #: Times the best-so-far improved.
     bsf_updates: int = 0
 
-    #: Engine chunk-scan work (parallel distance phase).  Kept separate
-    #: from the serial counters above so the witness-resolution pass
-    #: does not double-count the subset space in the paper figures.
-    scan_subsets_expanded: int = 0
-    scan_cells_expanded: int = 0
-
     #: How many times a ground oracle was *built* from trajectory points
     #: for this search (0 when it came from a cache or shared memory).
     ground_builds: int = 0

@@ -2,18 +2,17 @@
 
 :class:`MotifEngine` is the production facade over the serial paper
 algorithms in :mod:`repro.core`: it caches ground oracles and results
-by content fingerprint, partitions single queries' candidate start
-pairs across a process pool with best-so-far sharing, fans corpus
-batches out one query per worker, scans top-k chunks against a shared
-k-th-best threshold, and shards similarity joins over candidate-pair
-tiles (optionally pruned by a :class:`repro.index.CorpusIndex`) --
-with dense ground matrices, bound tables and corpus transport arrays
-riding named shared-memory segments (:mod:`repro.engine.shm`) instead
-of the pool pipe, and answers byte-identical to the serial algorithms
-(see ``tests/test_engine.py`` and ``tests/test_parity_randomized.py``).
+by content fingerprint, runs each single motif query through the serial
+algorithm, fans corpus batches out one query per worker, and shards
+similarity joins over candidate-pair tiles (optionally pruned by a
+:class:`repro.index.CorpusIndex`) when their cells pay for the pool --
+with warm dense ground matrices and corpus transport arrays riding
+named shared-memory segments (:mod:`repro.engine.shm`) instead of the
+pool pipe, and answers byte-identical to the serial algorithms (see
+``tests/test_engine.py`` and ``tests/test_parity_randomized.py``).
 
 The engine itself is layered (PR 4): :mod:`repro.engine.planner` is
-the pure query-planning layer (keys, parallelism decisions, partition
+the pure query-planning layer (keys, the pool cost rule, partition
 layout), :mod:`repro.engine.oracles` the cache layer
 (:class:`OracleManager`), :mod:`repro.engine.executor` the execution
 backend (:class:`EngineExecutor`: pools, dispatch, shm publication,

@@ -543,8 +543,10 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     The answer is canonical under ``(distance, (a, b))``, so the
     result cache is shared by every path.  Indexed, it is one
     thresholded tree join (:func:`_tree_join_topk`).  Unindexed scans
-    run serially, or sharded: chunks exchange the k-th best through
-    the engine's shared threshold and per-chunk heaps merge exactly.
+    run serially, or -- when the grid's ground cells pass
+    :func:`planner.verify_on_pool`, the rule the tiled join uses --
+    sharded: chunks exchange the k-th best through the engine's shared
+    threshold and per-chunk heaps merge exactly.
     """
     resolved = get_metric(metric)
     key = planner.join_topk_result_key(left, right, resolved, k)
@@ -555,8 +557,10 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     n_pairs = len(left) * len(right)
     if planner.normalize_index_mode(use_index) and n_pairs:
         entries = _tree_join_topk(engine, left, right, k, resolved)
-    elif (not exec_.can_shard(workers) or n_pairs < 2
-          or planner.n_chunks_for(workers, exec_.chunks_per_worker) < 2):
+    elif not planner.verify_on_pool(
+        _point_count(left) * _point_count(right), n_pairs, workers,
+        exec_.chunks_per_worker, exec_.can_shard(workers),
+    ):
         entries = join_top_k(left, right, k, resolved)
     else:
         entries = _sharded_join_topk(engine, left, right, k, metric,
@@ -665,7 +669,6 @@ def _sharded_join_topk(engine, left, right, k, metric, resolved, workers):
                     pairs_ref=pairs_ref,
                     pair_start=start if pairs_ref is not None else 0,
                     pair_stride=stride if pairs_ref is not None else 1,
-                    sync_every=exec_.bsf_sync_every,
                     **corpus_payload,
                 )
                 for start, stride in planner.plan_pair_strides(

@@ -2,22 +2,21 @@
 
 The serial algorithms in :mod:`repro.core` answer one query on one
 trajectory.  Production workloads look different: the same trajectories
-are queried repeatedly (serving), many trajectories are queried at once
-(corpus analytics), and multi-core hosts sit idle while a single
-best-first loop runs.  The engine closes that gap, and since PR 4 it is
-layered -- this module is only the thin public facade gluing three
-collaborators together:
+are queried repeatedly (serving), and many trajectories are queried or
+joined at once (corpus analytics).  The engine closes that gap, and
+since PR 4 it is layered -- this module is only the thin public facade
+gluing three collaborators together:
 
 * :mod:`repro.engine.planner` -- pure query planning: item parsing,
-  content-addressed cache keys, parallelism decisions,
-  chunk/stride/tile layout.  Unit-testable without a pool.
+  content-addressed cache keys, the pool cost rule, stride/tile
+  layout.  Unit-testable without a pool.
 * :mod:`repro.engine.oracles` -- the cache layer
   (:class:`~repro.engine.oracles.OracleManager`): dense/lazy/matrix
-  ground oracles, bound tables, group levels and whole results, all
-  keyed by content fingerprint.
+  ground oracles, bound tables and whole results, all keyed by content
+  fingerprint.
 * :mod:`repro.engine.executor` -- the execution backend
   (:class:`~repro.engine.executor.EngineExecutor`): pool lifecycle,
-  chunk/tile dispatch with inline fallbacks, shared-memory slab
+  task dispatch with inline fallbacks, shared-memory slab
   publication and the transfer accounting behind
   :meth:`transfer_info`.
 * :mod:`repro.engine.corpus` -- collection-level workloads (similarity
@@ -25,10 +24,11 @@ collaborators together:
   composed from the three layers plus the corpus proximity index
   (:class:`repro.index.CorpusIndex`).
 
-The engine is exact by construction: every answer either comes from the
-serial algorithm directly, from a resolution pass of that same serial
-algorithm seeded with a proven threshold, or (top-k/join) from an
-order-independent merge of exhaustive per-partition answers.  With
+The engine is exact by construction: a motif query (``discover``,
+``discover_matrix``, ``top_k``) runs the serial algorithm itself at any
+worker count, a ``discover_many`` batch runs it once per query in the
+pool, and a join merges exhaustive per-partition answers in an
+order-independent way.  With
 ``index=True`` the corpus workloads additionally consult admissible
 DFD lower bounds before the filter cascade -- pruned pairs provably
 cannot match, so indexed answers equal unindexed answers exactly
@@ -37,7 +37,6 @@ cannot match, so indexed answers equal unindexed answers exactly
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -45,7 +44,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..core.gtm import GTM
 from ..core.motif import MotifResult, _as_trajectory, _make_algorithm
 from ..core.stats import PhaseTimer, SearchStats
 from ..distances.ground import GroundMetric, get_metric
@@ -69,7 +67,7 @@ class MatrixMotifResult(NamedTuple):
 #: Search phases observed into the fork-shared latency histogram (and
 #: mirrored as spans when a trace is active).  Registered at module
 #: scope so forked workers agree on the metric layout.
-_PHASES = ("plan", "chunks", "oracle", "search", "total")
+_PHASES = ("oracle", "search", "total")
 _PHASE_SECONDS = obs.REGISTRY.histogram(
     "repro_engine_phase_seconds",
     "engine search-phase latency by phase",
@@ -85,8 +83,11 @@ class MotifEngine:
     ----------
     workers:
         Default worker count.  ``1`` runs everything serially in
-        process; ``> 1`` partitions single queries across a process
-        pool and fans corpus batches out one query per worker.
+        process; ``> 1`` fans ``discover_many`` batches out one query
+        per worker and deals a join's pair work across the pool when
+        its ground cells pay for it (:func:`planner.verify_on_pool`).
+        A single motif query (:meth:`discover`, :meth:`discover_matrix`,
+        :meth:`top_k`) runs the serial algorithm at any worker count.
     algorithm:
         Default algorithm (name or instance) when a call does not pick
         one; ``"gtm_star"`` mirrors the paper's recommendation for
@@ -95,28 +96,22 @@ class MotifEngine:
         LRU capacities (entries) of the ground-oracle, bound-table and
         result caches; ``0`` disables the respective cache.
     chunks_per_worker:
-        Chunks dealt per worker for partitioned single-query search.
-        More chunks mean more best-so-far synchronisation points at
-        slightly more scheduling overhead.
+        Chunks (or tiles) dealt per worker when a join's pair work goes
+        to the pool.
     executor:
         ``"process"`` (default) uses a fork-context process pool;
-        ``"inline"`` runs chunk tasks sequentially in-process, which
+        ``"inline"`` runs join tasks sequentially in-process, which
         exercises the exact same partition/merge machinery
         deterministically (used by tests and as the automatic fallback
         where fork is unavailable).
     shared_memory:
-        Publish dense ground matrices, each query's bound tables and
-        :class:`~repro.core.bounds.SubsetBounds` arrays, GTM group
-        levels and corpus-index transport arrays to named
-        shared-memory segments, so pool tasks carry by-reference
-        handles instead of pickled payloads.  ``False`` (for hosts
-        with a small ``/dev/shm``) pickles them into every task;
-        automatically off where unsupported.  Results are identical
-        either way.
-    bsf_sync_every:
-        Cadence (in processed subsets) at which a chunk scan re-reads
-        and republishes the shared best-so-far *inside* its best-first
-        loop, so late chunks prune against early discoveries mid-scan.
+        Publish the dense ground matrices of warm ``discover_many``
+        queries and the corpus-index transport arrays and pair lists of
+        joins to named shared-memory segments, so pool tasks carry
+        by-reference handles instead of pickled payloads.  ``False``
+        (for hosts with a small ``/dev/shm``) pickles them into every
+        task; automatically off where unsupported.  Results are
+        identical either way.
     index:
         Default for the corpus workloads' ``index=`` knob: ``False``
         (off) or ``True`` / ``"tree"`` (on):
@@ -139,7 +134,6 @@ class MotifEngine:
         chunks_per_worker: int = 3,
         executor: str = "process",
         shared_memory: bool = True,
-        bsf_sync_every: int = 64,
         index: Union[bool, str] = False,
     ) -> None:
         if workers < 1:
@@ -157,7 +151,6 @@ class MotifEngine:
             shared_memory=shared_memory,
             shm_capacity=max(4, oracle_cache_size),
             chunks_per_worker=chunks_per_worker,
-            bsf_sync_every=bsf_sync_every,
         )
 
     # ------------------------------------------------------------------
@@ -171,7 +164,6 @@ class MotifEngine:
         min_length: int,
         algorithm: Union[str, object, None] = None,
         metric: Union[str, GroundMetric, None] = None,
-        workers: Optional[int] = None,
         seed: Optional[Tuple[float, Optional[Tuple[int, int, int, int]]]] = None,
         cacheable: bool = True,
         **algorithm_options,
@@ -179,14 +171,14 @@ class MotifEngine:
         """Discover the motif of one trajectory (or a cross pair).
 
         Identical in semantics to :func:`repro.core.discover_motif`;
-        adds oracle/result caching, ``workers`` (partitioned search)
-        and ``seed`` (an external ``(bsf, best)`` warm start, e.g. from
-        streaming maintenance -- forces the serial path).
+        adds oracle/result caching and ``seed`` (an external ``(bsf,
+        best)`` warm start, e.g. from streaming maintenance).  One query
+        always runs the serial algorithm in this process; only
+        :meth:`discover_many` fans whole queries out to the pool.
         """
         traj_a = _as_trajectory(trajectory)
         traj_b = None if second is None else _as_trajectory(second)
         resolved_metric = get_metric(metric, crs=traj_a.crs)
-        workers = self.workers if workers is None else max(1, int(workers))
         algorithm = self.algorithm if algorithm is None else algorithm
 
         result_key = None
@@ -207,7 +199,6 @@ class MotifEngine:
             traj_a=traj_a,
             traj_b=traj_b,
             metric=resolved_metric,
-            workers=workers,
             seed=seed,
         )
         i, ie, j, je = best
@@ -226,7 +217,6 @@ class MotifEngine:
         *,
         min_length: int,
         algorithm: Union[str, object, None] = None,
-        workers: Optional[int] = None,
         mode: str = "self",
         **algorithm_options,
     ) -> MatrixMotifResult:
@@ -234,10 +224,9 @@ class MotifEngine:
 
         Used for parity testing against hand-decoded matrices (the
         paper's Figure 5) and for workloads that own their distance
-        computation.
+        computation.  Serial, like :meth:`discover`.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
-        workers = self.workers if workers is None else max(1, int(workers))
         algorithm = self.algorithm if algorithm is None else algorithm
         space = planner.matrix_space(matrix.shape, min_length, mode)
         distance, best, stats = self._search(
@@ -245,7 +234,6 @@ class MotifEngine:
             algorithm,
             algorithm_options,
             matrix=matrix,
-            workers=workers,
         )
         return MatrixMotifResult(float(distance), best, stats)
 
@@ -271,7 +259,9 @@ class MotifEngine:
         (``dedupe``), and the result cache is consulted per query.
         With ``index=True`` the batch's trajectories are published once
         as corpus transport slabs and every task carries a spec into
-        them instead of pickled trajectories.
+        them instead of pickled trajectories.  Should the pool fail to
+        fork or talk (an ``OSError``), the batch runs the serial loop; a
+        query's ``MotifTimeout`` propagates at once, pool intact.
         """
         workers = self.workers if workers is None else max(1, int(workers))
         algorithm = self.algorithm if algorithm is None else algorithm
@@ -349,17 +339,21 @@ class MotifEngine:
                             pending, warm_refs, specs
                         )
                     ]
-                    self._exec.count_transfer(tasks)
-                    for idx, result in zip(
-                        pending,
-                        self._exec.pool_map(_worker.run_query, tasks, workers),
-                    ):
-                        results[idx] = result
-                        self._oracles.put_result(keys[idx], result)
+                    # A fork/pipe failure (an OSError other than a
+                    # timeout) leaves every slot None, and the serial
+                    # loop below answers.
+                    done = self._exec.map_tasks(
+                        tasks, workers, _worker.run_query,
+                        lambda ts: [None] * len(ts),
+                    )
                 finally:
                     self._exec.shm.trim()
-        else:
-            for idx in pending:
+            for idx, result in zip(pending, done):
+                if result is not None:
+                    results[idx] = result
+                    self._oracles.put_result(keys[idx], result)
+        for idx in pending:
+            if results[idx] is None:
                 traj_a, traj_b = parsed[idx]
                 results[idx] = self.discover(
                     traj_a,
@@ -367,7 +361,6 @@ class MotifEngine:
                     min_length=min_length,
                     algorithm=algorithm,
                     metric=metric,
-                    workers=workers,
                     **algorithm_options,
                 )
         for idx, canonical in duplicates:
@@ -382,16 +375,12 @@ class MotifEngine:
         min_length: int,
         k: int = 5,
         metric: Union[str, GroundMetric, None] = None,
-        workers: Optional[int] = None,
     ):
         """Top-k subset-distinct motifs through the shared oracle cache.
 
-        With ``workers > 1`` the bound-ordered candidate subsets are
-        dealt into chunks scanned against a shared k-th-best threshold;
-        the per-chunk heaps merge into the exact serial ranking (the
-        answer is canonical under the ``(distance, indices)`` order, so
-        the merge needs no resolution pass).  Answers are identical for
-        every worker count -- the result cache is workers-independent.
+        The serial scan of :func:`repro.extensions.discover_top_k_motifs`
+        over the cached ground matrix and bound tables.  The answer is
+        canonical under the ``(distance, indices)`` order.
         """
         from ..extensions.topk import entries_to_ranked, scan_topk_entries
         from ..core.bounds import relaxed_subset_bounds
@@ -400,7 +389,6 @@ class MotifEngine:
         traj_a = _as_trajectory(trajectory)
         traj_b = None if second is None else _as_trajectory(second)
         resolved = get_metric(metric, crs=traj_a.crs)
-        workers = self.workers if workers is None else max(1, int(workers))
         key = planner.topk_result_key(traj_a, traj_b, resolved, min_length, k)
         cached = self._oracles.result(key)
         if cached is not None:
@@ -411,15 +399,9 @@ class MotifEngine:
         tables = self._oracles.bound_tables(okey, space, oracle)
         with PhaseTimer(stats, "time_bounds"):
             bounds = relaxed_subset_bounds(space, oracle, tables)
-        if workers > 1:
-            entries = self._exec.chunked_topk(
-                oracle, okey, space, bounds, tables, k, stats, workers
-            )
-            stats.algorithm = f"engine[topk x{workers}]"
-        else:
-            entries = scan_topk_entries(
-                oracle, space, bounds, tables.cmin, tables.rmin, k, stats
-            )
+        entries = scan_topk_entries(
+            oracle, space, bounds, tables.cmin, tables.rmin, k, stats
+        )
         ranked = entries_to_ranked(traj_a, traj_b, entries)
         self._oracles.put_result(key, ranked)
         return list(ranked)
@@ -670,16 +652,15 @@ class MotifEngine:
         """Pool-transfer accounting: what crossed the pipe vs shared memory.
 
         ``dense_bytes_pickled`` counts dense ``dG`` bytes serialised
-        into pool tasks (0 whenever shared memory served the scan);
+        into pool tasks (0 whenever shared memory served the batch);
         ``shm_segments`` / ``shm_bytes`` count published dense
         segments and ``shm_task_refs`` the tasks that carried a
-        by-reference matrix.  The bound pipeline
-        (``bounds_bytes_pickled`` vs ``shm_bounds_*``), the parallel
-        GTM grouping phase (``group_level_bytes_pickled`` vs
-        ``shm_level_*``) and the corpus-index transport
+        by-reference matrix.  The corpus-index transport
         (``index_bytes_pickled`` vs ``shm_index_*``: corpus points,
-        candidate-pair slabs, batch trajectories) are accounted the
-        same way.
+        candidate-pair slabs, batch trajectories) is accounted the
+        same way.  No task carries subset bounds or group levels, so
+        ``bounds_bytes_pickled``, ``group_level_bytes_pickled``,
+        ``shm_bounds_bytes`` and ``shm_level_bytes`` always read 0.
         """
         return self._exec.transfer_info()
 
@@ -709,69 +690,18 @@ class MotifEngine:
         traj_b: Optional[Trajectory] = None,
         metric: Optional[GroundMetric] = None,
         matrix: Optional[np.ndarray] = None,
-        workers: int = 1,
         seed: Optional[tuple] = None,
     ):
         """Common core of discover()/discover_matrix().
 
-        Returns ``(distance, best, stats)``.  The parallel path runs
-        the chunked distance scan, then always defers to the seeded
-        serial algorithm for the witness (exactness + parity).
+        Returns ``(distance, best, stats)``: the serial algorithm over
+        the cached oracle, seeded with ``seed`` when one is given.
         """
         algo = _make_algorithm(algorithm, **options)
         stats = SearchStats(
             mode=space.mode, n_rows=space.n_rows, n_cols=space.n_cols, xi=space.xi
         )
         started = time.perf_counter()
-        with obs.span("engine.plan", workers=workers):
-            parallel = planner.should_partition(
-                workers, seed, getattr(algo, "approx_factor", 1.0)
-            )
-        _PHASE_SECONDS.labels("plan").observe(time.perf_counter() - started)
-
-        d_star = math.inf
-        if parallel:
-            chunks_started = time.perf_counter()
-            with obs.span("engine.chunks", workers=workers):
-                dense, okey = (
-                    self._oracles.dense_oracle(traj_a, traj_b, metric)
-                    if matrix is None
-                    else self._oracles.matrix_oracle(matrix)
-                )
-                if isinstance(algo, GTM):
-                    # GTM queries run the paper's grouping phase first --
-                    # sharded across the pool -- so the chunk scan sees
-                    # only the surviving subsets with a proven threshold.
-                    d_star = self._exec.grouped_distance(
-                        self._oracles, dense, okey, space, algo, stats,
-                        workers, started,
-                    )
-                    # The resolution pass descends the same tau sequence;
-                    # hand it the levels this scan just built and cached
-                    # so it never re-reduces the O(n^2) matrix (a copy
-                    # keeps a caller-owned algorithm instance untouched).
-                    algo = copy.copy(algo)
-                    algo.level_builder = self._exec.level_builder_for(
-                        self._oracles, okey, workers
-                    )
-                    # It also re-expands the same surviving pair sets;
-                    # route both through the per-(level, space) expansion
-                    # cache so the lexsorted enumeration happens once per
-                    # tau.
-                    if algo.subset_expander is None:
-                        algo.subset_expander = self._exec.subset_expander_for(
-                            self._oracles, okey
-                        )
-                else:
-                    d_star = self._exec.chunked_distance(
-                        self._oracles, dense, okey, space, algo, stats,
-                        workers, started,
-                    )
-                algo = self._exec.remaining_budget_algo(algo, started)
-            _PHASE_SECONDS.labels("chunks").observe(
-                time.perf_counter() - chunks_started
-            )
-
         with obs.span("engine.oracle"):
             with PhaseTimer(stats, "time_precompute"):
                 oracle = self._oracles.serial_oracle(
@@ -779,8 +709,6 @@ class MotifEngine:
                 )
         _PHASE_SECONDS.labels("oracle").observe(stats.time_precompute)
         bsf0, best0 = (math.inf, None) if seed is None else seed
-        if d_star < bsf0:
-            bsf0, best0 = d_star, None
         search_started = time.perf_counter()
         with obs.span("engine.search"):
             distance, best = algo.search(
@@ -795,8 +723,6 @@ class MotifEngine:
             raise ReproError(
                 "search finished without a witness pair; this indicates a bug"
             )
-        if parallel:
-            stats.algorithm = f"engine[{stats.algorithm} x{workers}]"
         return float(distance), best, stats
 
 #: Process-wide shared engine (lazy); used by the CLI and extensions.

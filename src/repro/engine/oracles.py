@@ -1,19 +1,19 @@
 """Oracle and bound-table management for the engine (the cache layer).
 
-Ground matrices, lazy row oracles, bound tables, group levels and whole
-results are pure functions of their content-fingerprinted inputs; the
+Ground matrices, lazy row oracles, bound tables and whole results are
+pure functions of their content-fingerprinted inputs; the
 :class:`OracleManager` owns the three LRU caches the engine serves them
 from and centralises the build rules:
 
 * **dense** -- the paper's precomputed ``dG`` (one O(n^2) metric
-  sweep), shared by chunk scans, top-k and the bound tables;
+  sweep), shared by discover, top-k, the bound tables and the warm
+  ``discover_many`` batches;
 * **lazy** -- the row-on-demand oracle GTM* requires to honour its
   O(n)-space contract (never replaced by a dense build);
 * **matrix** -- caller-owned matrices (``discover_matrix``);
-* **tables / levels** -- :class:`BoundTables` and grouping
-  :class:`GroupLevel` objects keyed per (oracle, geometry), so the
-  parallel scan and the seeded serial resolution pass each build them
-  at most once per query.
+* **tables** -- the top-k scan's :class:`BoundTables`, keyed per
+  (oracle, geometry), so repeated top-k queries over one trajectory
+  build them once.
 
 The manager performs no pool or shared-memory work -- publication is
 the executor's job (:mod:`repro.engine.executor`); keys come from the
@@ -96,39 +96,13 @@ class OracleManager:
         return oracle
 
     # ------------------------------------------------------------------
-    # Bound tables and group levels
+    # Bound tables
     # ------------------------------------------------------------------
     def bound_tables(self, okey, space: SearchSpace, dense) -> BoundTables:
         """Cached kill tables of one oracle + geometry."""
         return self.tables.get_or_build(
             planner.bound_tables_key(okey, space),
             lambda: BoundTables.build(space, dense),
-        )
-
-    def group_level(self, okey, tau: int, mode: str, builder):
-        """One grouping level, cached by content key.
-
-        The grouping scan and the seeded resolution pass descend the
-        same ``tau`` sequence over the same matrix, so each level is
-        built exactly once per (matrix, tau, mode) and served from the
-        tables cache afterwards.
-        """
-        return self.tables.get_or_build(
-            planner.group_level_key(okey, tau, mode), builder
-        )
-
-    def subset_expansion(self, okey, level, space, pairs, expander):
-        """One level's pair-set expansion, cached by content key.
-
-        The grouped distance scan and the seeded resolution pass expand
-        the same surviving group pairs at the same tau; caching the
-        ``(i_idx, j_idx)`` arrays per ``(oracle, space, tau, pairs)``
-        runs the lexsorted enumeration once and replays it for repeated
-        searches over the same corpus.
-        """
-        return self.tables.get_or_build(
-            planner.subset_expansion_key(okey, space, int(level.tau), pairs),
-            lambda: expander(level, space, pairs),
         )
 
     # ------------------------------------------------------------------

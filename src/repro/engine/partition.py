@@ -1,26 +1,20 @@
-"""Partitioning of one query's candidate start-pair space into chunks.
+"""Partitioning of a join's pair work into pool tasks.
 
-The subtrajectory-clustering literature (Gudmundsson & Wong 2021; Ost
-et al. 2025) observes that motif/cluster workloads are embarrassingly
-parallel over candidate start pairs.  The catch for *best-first* search
-is load balance: the combined lower bounds concentrate the interesting
-subsets at the front of the sorted order, so naively splitting the
-sorted array into contiguous blocks gives one worker all the real work
-and the rest early exits.
+The candidate pairs of a join are not equally expensive: the corpus
+index emits them ordered by lower bound, which concentrates the
+expensive near-pairs at the front, so splitting the list into
+contiguous blocks gives one worker all the real work and the rest
+early exits.
 
-:func:`plan_strides` therefore deals the candidate positions
-round-robin ("card dealing"): chunk ``k`` owns the strided index range
-``k :: n_chunks`` of the shared bound arrays, so every chunk holds a
-representative sample of the promising candidates and reaches a
-near-optimal best-so-far quickly -- which it then publishes to the
-other workers through the shared threshold (see
-:mod:`repro.engine.worker`).  A stride is two integers, so the chunk
-task payload is constant-size: the arrays themselves travel once per
-query through a shared-memory segment, and each worker orders its own
-share lazily (:meth:`SubsetBounds.order_blocks`).  Where no segment
-was published (the inline executor, or ``shared_memory=False``) the
-task carries the whole arrays inline with the same ``(start, stride)``
-share.
+:func:`plan_strides` therefore deals the positions round-robin ("card
+dealing"): chunk ``k`` owns the strided index range ``k :: n_chunks``
+of the shared pair array, so every chunk holds a representative sample
+of the cheap and the expensive pairs.  A stride is two integers, so
+the task payload is constant-size: the pair array itself travels once
+through a shared-memory segment.  Where no segment was published (the
+inline executor, or ``shared_memory=False``) the task carries its
+slice inline.  :func:`plan_tiles` splits the unindexed join's full
+``left x right`` grid instead.
 """
 
 from __future__ import annotations
@@ -31,20 +25,16 @@ from typing import List, Tuple
 import numpy as np
 
 
-def plan_strides(n_subsets: int, n_chunks: int) -> List[Tuple[int, int]]:
-    """Deal ``n_subsets`` positions round-robin as ``(start, stride)`` pairs.
+def plan_strides(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
+    """Deal ``n_items`` positions round-robin as ``(start, stride)`` pairs.
 
     Chunk ``k`` owns positions ``start + m * stride`` -- a strided view
-    into the shared bound arrays that every worker can reconstruct from
-    two integers.  The union over chunks covers each position exactly
-    once.  Striding the *raw* position order samples every region of
-    the (i, j) start-pair grid per chunk, which balances the promising
-    candidates about as well as dealing from the sorted order would,
-    without anybody paying the full O(N log N) argsort up front.
+    into the shared array that every worker can reconstruct from two
+    integers.  The union over chunks covers each position exactly once.
     """
     if n_chunks < 1:
         raise ValueError("n_chunks must be at least 1")
-    n_chunks = min(n_chunks, max(1, n_subsets))
+    n_chunks = min(n_chunks, max(1, n_items))
     return [(k, n_chunks) for k in range(n_chunks)]
 
 

@@ -2,20 +2,21 @@
 
 Everything the engine decides *before* any pool, shared-memory segment
 or oracle exists lives here: parsing query items, deriving the
-content-addressed cache keys (oracle, bound-table, group-level and
-result keys all flow from the same fingerprints, which is what makes
-answers workers-independent), choosing whether a query parallelises,
-and laying out the chunk / stride / tile partitions the executor will
-dispatch.  The module is deliberately side-effect free -- every
-function is a pure map from query description to plan, so the planner
-is unit-testable without ever touching a process pool
+content-addressed cache keys (oracle, bound-table and result keys all
+flow from the same fingerprints, which is what makes answers
+workers-independent), the one cost rule that decides whether a join's
+pair work goes to the pool (:func:`verify_on_pool`), and laying out
+the stride / tile partitions the executor will dispatch.  The module is
+deliberately side-effect free -- every function is a pure map from
+query description to plan, so the planner is unit-testable without
+ever touching a process pool
 (``tests/test_engine_layers.py``).
 
 The facade flow is::
 
-    plan = plan_discover(...)        # planner: keys + geometry + layout
-    oracle = oracles.dense_oracle()  # oracle manager: cached builds
-    executor.scan(plan, ...)         # executor: pools, shm, dispatch
+    key = planner.join_result_key(...)      # planner: cache key
+    if planner.verify_on_pool(cells, ...):  # planner: the cost rule
+        executor.map_tasks(tasks, ...)      # executor: pools, shm, dispatch
 
 :func:`plan_strides` / :func:`plan_tiles` (the low-level partition
 maths) stay in :mod:`repro.engine.partition`; the planner composes
@@ -94,29 +95,6 @@ def lazy_oracle_key(traj_a, traj_b, metric, cache_rows: int) -> tuple:
 def bound_tables_key(okey, space: SearchSpace) -> tuple:
     """Key of the cached :class:`BoundTables` of one oracle + geometry."""
     return ("tables", okey, space.mode, space.xi)
-
-
-def bounds_slab_key(okey, space: SearchSpace) -> tuple:
-    """Shared-segment key of one query's published bound slabs."""
-    return ("bounds", okey, space.mode, space.xi)
-
-
-def grouped_bounds_key(okey, space: SearchSpace, algo) -> tuple:
-    """Shared-segment key of a grouped-GTM query's surviving bounds."""
-    return (
-        "gbounds", okey, space.mode, space.xi,
-        algo.tau, algo.min_tau, algo.use_gub, algo.dfd_bound_max_groups,
-    )
-
-
-def group_level_key(okey, tau: int, mode: str) -> tuple:
-    """Tables-cache key of one grouping level."""
-    return ("glevel", okey, tau, mode)
-
-
-def level_slab_key(okey, space: SearchSpace, tau: int) -> tuple:
-    """Shared-segment key of one published group level."""
-    return ("glevel", okey, space.mode, tau)
 
 
 def discover_result_key(
@@ -256,38 +234,12 @@ def topk_pairs_slab_key(left_key: str, right_key: str, metric) -> tuple:
     return ("topk_pairs", left_key, right_key, metric_key(metric))
 
 
-def subset_expansion_key(okey, space, tau: int, pairs) -> tuple:
-    """Tables-cache key of one survivor-set subset expansion.
-
-    Keyed by the oracle, the level geometry and a digest of the
-    survivor pair array itself: GTM's grouped-distance pass and the
-    resolution pass expand the *same* survivors at the same level, so
-    the second expansion is a cache hit instead of a recompute.
-    """
-    arr = np.ascontiguousarray(np.asarray(pairs, dtype=np.int64))
-    digest = hashlib.sha1(arr.astype("<i8", copy=False).tobytes()).hexdigest()
-    return (
-        "expand", okey, space.mode, space.xi, int(tau), int(arr.size), digest,
-    )
-
-
 # ----------------------------------------------------------------------
 # Parallelism decisions and partition layout
 # ----------------------------------------------------------------------
 def n_chunks_for(workers: int, chunks_per_worker: int) -> int:
     """Chunk count of one partitioned scan."""
     return max(1, int(workers)) * max(1, int(chunks_per_worker))
-
-
-def should_partition(workers: int, seed, approx_factor: float) -> bool:
-    """Whether one discover query runs the partitioned chunk scan.
-
-    The chunked scan proves an *exact* threshold; seeding an
-    approximate search with it would change its semantics, so
-    approximate variants stay serial, as do externally seeded queries
-    (streaming maintenance owns its own warm start).
-    """
-    return workers > 1 and seed is None and float(approx_factor) == 1.0
 
 
 @dataclass(frozen=True)
@@ -332,7 +284,12 @@ POOL_FLOOR_CELLS = 500_000
 
 def verify_on_pool(cells: int, n_pairs: int, workers: int,
                    chunks_per_worker: int, can_shard: bool) -> bool:
-    """Whether a join's open pairs go to the pool (else verify inline)."""
+    """Whether a join's pair work goes to the pool (else it runs inline).
+
+    The one rule for every pair fan-out: the open pairs of an indexed
+    join or a window clustering, the unindexed tiled join and the
+    unindexed top-k join.
+    """
     return (
         can_shard
         and n_pairs >= 2
@@ -344,50 +301,10 @@ def verify_on_pool(cells: int, n_pairs: int, workers: int,
 def plan_pair_strides(n_pairs: int, workers: int, chunks_per_worker: int):
     """Round-robin ``(start, stride)`` shares of a candidate-pair list.
 
-    Indexed joins and pair-chunked scans deal the candidate pairs the
-    same way the chunk scan deals subset positions: chunk ``k`` owns
-    pairs ``k :: n_chunks``, so every chunk holds a representative mix
+    Indexed joins and the top-k join scan deal the candidate pairs
+    round-robin: chunk ``k`` owns pairs ``k :: n_chunks``, so every
+    chunk holds a representative mix
     of cheap and expensive pairs (the index orders candidates by lower
     bound, which concentrates the expensive near-pairs at the front).
     """
     return plan_strides(n_pairs, n_chunks_for(workers, chunks_per_worker))
-
-
-def tau_schedule(algo, space: SearchSpace):
-    """GTM's descending tau sequence for one query (pure).
-
-    Mirrors :meth:`repro.core.gtm.GTM.search`: start at
-    ``min(tau, max(min_tau, n_rows // 2))`` and halve (floored at
-    ``min_tau``) until ``min_tau`` runs.
-    """
-    tau = min(algo.tau, max(algo.min_tau, space.n_rows // 2))
-    while tau >= algo.min_tau:
-        yield tau
-        if tau == algo.min_tau:
-            return
-        tau = max(tau // 2, algo.min_tau)
-
-
-def remaining_budget(timeout: Optional[float], started_at: float, now: float) -> Optional[float]:
-    """What is left of one whole-query wall-clock budget (None = none)."""
-    if timeout is None:
-        return None
-    return float(timeout) - (now - started_at)
-
-
-def deadline_for(timeout: Optional[float], started_at: float) -> Optional[float]:
-    """Absolute ``perf_counter()`` deadline of a timeout-bounded query."""
-    return None if timeout is None else started_at + float(timeout)
-
-
-def chunk_deal(candidates, n_chunks: int):
-    """Deal an index array round-robin into ``n_chunks`` hands."""
-    n_chunks = max(1, min(int(n_chunks), len(candidates)))
-    return [candidates[k::n_chunks] for k in range(n_chunks)]
-
-
-def band_edges(n_rows: int, workers: int):
-    """Contiguous group-row bands for the sharded level reduction."""
-    return [
-        band for band in np.array_split(np.arange(n_rows), workers) if len(band)
-    ]

@@ -77,6 +77,18 @@ def check_k(k) -> int:
     return int(k)
 
 
+def check_query_shape(shape) -> None:
+    """A range / knn query: a non-empty ``(n, d)`` array of points.
+
+    One error on every path -- the index with the tree on or off, the
+    engine and the service, which answers it as a bad request in the
+    same words -- so an empty query is never reported as a fault of
+    the corpus.
+    """
+    if len(shape) != 2 or shape[0] < 1:
+        raise TrajectoryError("query must be a non-empty (n, d) array of points")
+
+
 class WorkerCrashError(ReproError, RuntimeError):
     """Raised when pool workers keep dying and re-dispatch gives up.
 

@@ -10,20 +10,17 @@ against the heap maximum instead of the single ``bsf``.
 
 Canonical answer
 ----------------
-The answer is defined *canonically* so serial and partitioned-parallel
-scans agree byte-for-byte even under distance ties: each subset
-contributes its deterministic best candidate (the kernels report the
-first scan-order cell attaining the subset minimum, independent of the
-pruning threshold), and the top-k is the ``k`` smallest entries under
-the total order ``(distance, (i, ie, j, je))``.  Retention by that key
-is order-independent, which is what lets the engine merge per-chunk
-heaps into the exact serial ranking without a resolution pass (see
-``MotifEngine.top_k``).
+The answer is defined *canonically* so every path agrees byte-for-byte
+even under distance ties: each subset contributes its deterministic
+best candidate (the kernels report the first scan-order cell attaining
+the subset minimum, independent of the pruning threshold), and the
+top-k is the ``k`` smallest entries under the total order
+``(distance, (i, ie, j, je))``.
 
 :func:`scan_topk_entries` is the oracle-level core shared by the
-serial wrapper and the engine's chunk workers; the engine additionally
-supplies a cached ground matrix so repeated top-k calls on a serving
-corpus skip the O(n^2) precompute.
+serial wrapper and ``MotifEngine.top_k``; the engine additionally
+supplies a cached ground matrix and bound tables so repeated top-k
+calls on a serving corpus skip the O(n^2) precompute.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,23 +74,17 @@ def scan_topk_entries(
     stats: SearchStats,
     *,
     kth0: float = math.inf,
-    sync: Optional[Callable[[float], float]] = None,
-    sync_every: int = 64,
-    positions: Optional[np.ndarray] = None,
 ) -> List[TopKEntry]:
     """Heap-pruned best-first scan; returns ascending ``(dist, cand)``.
 
     Exact: every subset whose bound is at or below the k-th best
     distance is expanded, with the expansion threshold nudged one ulp
     above the cut so tied candidates are still recorded.  ``kth0``
-    seeds the cut with an externally proven k-th-best bound and
-    ``sync`` (called every ``sync_every`` subsets with the local k-th
-    best) exchanges thresholds with sibling chunk scans -- both only
-    tighten pruning; the returned entries are unchanged.  ``positions``
-    restricts the scan to a strided share of the bound arrays (the
-    engine's zero-copy chunk tasks); the ascending order is consumed
-    lazily via :meth:`SubsetBounds.order_blocks`, so sort cost scales
-    with the subsets actually expanded.  The subsets are expanded in
+    seeds the cut with an externally proven k-th-best bound -- it only
+    tightens pruning; the returned entries are unchanged.  The
+    ascending order is consumed lazily via
+    :meth:`SubsetBounds.order_blocks`, so sort cost scales with the
+    subsets actually expanded.  The subsets are expanded in
     one unchained :class:`~repro.core.dp.SweepFrontier`, which admits
     what the cut admits and lowers each new row to the ``k``-th best of
     the rows before it; the entries are those of the per-subset loop.
@@ -109,7 +100,7 @@ def scan_topk_entries(
 
     count = 0
     exhausted = False
-    block_iter = bounds.order_blocks(within=positions)
+    block_iter = bounds.order_blocks()
     frontier = SweepFrontier(oracle, space, bounds, cmin, rmin, stats, k=k)
     while not exhausted:
         # Pull the next block only while still consuming -- once the
@@ -120,11 +111,8 @@ def scan_topk_entries(
             break
         lbs = bounds.combined[block]
         lb_list = lbs.tolist()
-        cut = None  # recomputed whenever the heap or the external cut moves
+        cut = None  # recomputed whenever the heap moves
         for pos in range(block.shape[0]):
-            if sync is not None and count % sync_every == 0:
-                external = min(external, sync(kth_dist()))
-                cut = None
             if cut is None:
                 cut = min(kth_dist(), external)
                 threshold = float(np.nextafter(cut, np.inf))
@@ -147,22 +135,11 @@ def scan_topk_entries(
             if len(heap) > k:
                 heapq.heappop(heap)
             cut = None
-    stats.subsets_total += len(bounds) if positions is None else len(positions)
+    stats.subsets_total += len(bounds)
     stats.subsets_expanded += count
     return sorted(
         (-neg_d, tuple(-v for v in neg_cand)) for neg_d, neg_cand in heap
     )
-
-
-def merge_topk_entries(
-    parts: Iterable[Sequence[TopKEntry]], k: int
-) -> List[TopKEntry]:
-    """The k smallest ``(dist, cand)`` entries across per-chunk answers.
-
-    Each chunk retains its own k best, and any candidate in the global
-    answer is among its chunk's k best, so the merge is exact.
-    """
-    return heapq.nsmallest(k, (entry for part in parts for entry in part))
 
 
 def entries_to_ranked(
@@ -211,7 +188,7 @@ def discover_top_k_motifs(
 
     One-shot convenience wrapper; batched callers should prefer
     :meth:`repro.engine.MotifEngine.top_k`, which caches the ground
-    oracle across calls and can partition the scan over workers.
+    oracle across calls.
     """
     k = check_k(k)
     traj_a = _as_trajectory(trajectory)

@@ -60,7 +60,13 @@ import numpy as np
 from .. import obs
 from ..distances.frechet import dfd_matrix, dfd_pairs, dfd_pairs_at
 from ..distances.ground import GroundMetric, PointStack, get_metric, point_stack
-from ..errors import ReproError, TrajectoryError, check_k, check_threshold
+from ..errors import (
+    ReproError,
+    TrajectoryError,
+    check_k,
+    check_query_shape,
+    check_threshold,
+)
 from ..trajectory import Trajectory
 from ..trajectory.ops import douglas_peucker_batch
 from .tree import (
@@ -431,9 +437,14 @@ class CorpusIndex:
         same typed error: fewer than 2 coordinates, a point outside the
         metric's domain, and a ground cell that overflows (checked on
         the box diagonal, which bounds every cell of a
-        coordinate-monotone metric; haversine cells are bounded).
+        coordinate-monotone metric; haversine cells are bounded).  A
+        query that is not a non-empty ``(n, d)`` array fails
+        :func:`~repro.errors.check_query_shape`.
         """
-        pts = _as_points(trajectory)
+        pts = np.asarray(getattr(trajectory, "points", trajectory),
+                         dtype=np.float64)
+        check_query_shape(pts.shape)
+        pts = _as_points(pts)
         if pts.shape[1] != self.dimensions:
             raise ReproError(
                 "query dimensionality does not match the indexed corpus"

@@ -59,8 +59,10 @@ from ..engine.cache import fingerprint_points, metric_key
 from ..errors import (
     QueryParameterError,
     ReproError,
+    TrajectoryError,
     WorkerCrashError,
     check_k,
+    check_query_shape,
     check_threshold,
 )
 from ..faults import fail_at
@@ -893,6 +895,19 @@ class MotifService:
         except (ValueError, TypeError, ReproError) as exc:
             raise BadRequestError(f"bad trajectory spec: {exc}") from exc
 
+    def _query_from_spec(self, spec) -> Trajectory:
+        """A range / knn query spec; a wire query that is not a
+        non-empty ``(n, d)`` array is refused in the engine's words
+        (:func:`~repro.errors.check_query_shape`)."""
+        if not isinstance(spec, dict):
+            try:
+                check_query_shape(np.asarray(spec, dtype=np.float64).shape)
+            except TrajectoryError as exc:
+                raise BadRequestError(str(exc)) from exc
+            except (ValueError, TypeError):
+                pass  # not an array at all: the spec's own message
+        return self._trajectory_from_spec(spec)
+
     def _corpus_from_spec(self, spec) -> Corpus:
         """A corpus spec as a handle: registered, subset, or keyed once."""
         if isinstance(spec, dict):
@@ -1190,7 +1205,7 @@ class MotifService:
         return key, runner
 
     def _prepare_range(self, params: dict):
-        query = self._trajectory_from_spec(params["query"])
+        query = self._query_from_spec(params["query"])
         corpus, shards = self._corpus_and_shards_from_spec(params["corpus"])
         radius = check_threshold("radius", params["radius"])
         metric = params.get("metric") or "euclidean"
@@ -1221,7 +1236,7 @@ class MotifService:
         return key, runner
 
     def _prepare_knn(self, params: dict):
-        query = self._trajectory_from_spec(params["query"])
+        query = self._query_from_spec(params["query"])
         corpus, shards = self._corpus_and_shards_from_spec(params["corpus"])
         k = check_k(params.get("k", 5))
         metric = params.get("metric") or "euclidean"

@@ -5,13 +5,13 @@ subsets in one frontier (``repro.core.dp.SweepFrontier``) and replay the
 serial loop over the per-subset results.  The reference loops below are the
 per-subset form they replaced, kept here verbatim in spirit: one kernel
 call per subset, in bound order, under the running threshold.  Answers
-(ties included), the subset counters, the pruning attribution and the
-``bsf_sync`` call sequence must all be identical.
+(ties included), the subset counters and the pruning attribution must
+all be identical.
 
 Tie pressure comes from small-integer-grid points (many equal ground
 distances, most of all under Chebyshev).  Cases cover self and cross
 mode, dense and lazy oracles, witnessed and unwitnessed seeds,
-``approx_factor > 1``, ``bsf_sync``, strided ``positions``, small
+``approx_factor > 1``, strided shares of the bound arrays, small
 ``order_blocks`` blocks and sweeps cut by a small cell budget.  The
 examples derive from ``REPRO_TEST_SEED`` (default 0), like the
 randomized parity suite.
@@ -127,23 +127,14 @@ def cases(draw):
     return case, rng
 
 
-def positions_for(bounds, stride, start):
+def strided(bounds, stride, start):
+    """Every ``stride``-th subset from ``start``, as its own bounds: a
+    sparse, still ``(i, j)``-ordered pick like GTM's survivor sets."""
     if stride == 1:
-        return None
-    return np.arange(min(start, len(bounds) - 1), len(bounds), stride)
-
-
-class SyncLog:
-    """A deterministic ``bsf_sync``: adopts ``external`` once it is
-    tighter, and records every value it is handed."""
-
-    def __init__(self, external):
-        self.external = external
-        self.calls = []
-
-    def __call__(self, value):
-        self.calls.append(float(value))
-        return min(float(value), self.external)
+        return bounds
+    keep = np.arange(min(start, len(bounds) - 1), len(bounds), stride)
+    return SubsetBounds(*(getattr(bounds, name)[keep] for name in (
+        "i_idx", "j_idx", "lb_cell", "lb_cross", "lb_band", "combined")))
 
 
 @contextmanager
@@ -154,8 +145,8 @@ def patched(block_size, stack_cells, area_limit):
     original = SubsetBounds.order_blocks
     saved = dp.STACK_BLOCK_CELLS, dp.SCALAR_AREA_LIMIT
 
-    def order_blocks(self, within=None, block_size=block_size):
-        return original(self, within, block_size)
+    def order_blocks(self, block_size=block_size):
+        return original(self, block_size)
 
     SubsetBounds.order_blocks = order_blocks
     dp.STACK_BLOCK_CELLS, dp.SCALAR_AREA_LIMIT = stack_cells, area_limit
@@ -173,8 +164,6 @@ knobs = st.fixed_dictionaries({
     "use_kills": st.booleans(),
     "stride": st.sampled_from([1, 1, 2, 3]),
     "start": st.integers(0, 2),
-    "sync": st.sampled_from([None, 0.5, 1.0, 2.0]),
-    "sync_every": st.sampled_from([1, 3, 64]),
     "block_size": st.sampled_from([1024, 1, 5]),
     "stack_cells": st.sampled_from([dp.STACK_BLOCK_CELLS, 16]),
     "area_limit": st.sampled_from([dp.SCALAR_AREA_LIMIT, 60]),
@@ -185,27 +174,21 @@ knobs = st.fixed_dictionaries({
 # ----------------------------------------------------------------------
 # Per-subset references
 # ----------------------------------------------------------------------
-def reference_best_first(case, bounds, bsf, best, use_kills, approx,
-                         sync, sync_every, positions):
+def reference_best_first(case, bounds, bsf, best, use_kills, approx):
     """The per-subset loop ``run_best_first`` ran before stacking.
 
-    It walks one up-front stable argsort of the scope, so the lazy
+    It walks one up-front stable argsort of the bounds, so the lazy
     :meth:`SubsetBounds.order_blocks` the real loop consumes is checked
     against it, ties included.
     """
     stats = SearchStats()
     cmin = case.tables.cmin if use_kills else None
     rmin = case.tables.rmin if use_kills else None
-    scope = np.arange(len(bounds)) if positions is None else positions
-    order = scope[np.argsort(bounds.combined[scope], kind="stable")]
+    order = np.argsort(bounds.combined, kind="stable")
     expanded = np.zeros(len(bounds), dtype=bool)
     witnessed = best is not None
     count = 0
     for k in order:
-        if sync is not None and count % sync_every == 0:
-            shared = sync(bsf)
-            if shared < bsf:
-                bsf, best, witnessed = shared, None, False
         lb = bounds.combined[k] * approx
         if lb > bsf or (witnessed and lb >= bsf):
             break
@@ -219,15 +202,14 @@ def reference_best_first(case, bounds, bsf, best, use_kills, approx,
             bsf, best = new_bsf, new_best
         expanded[k] = True
         count += 1
-    stats.subsets_total = len(bounds) if positions is None else len(positions)
+    stats.subsets_total = len(bounds)
     stats.subsets_expanded = count
     (stats.pruned_by_cell, stats.pruned_by_cross,
-     stats.pruned_by_band) = attribute_pruning(
-        bounds, expanded, bsf / approx, scope=positions)
+     stats.pruned_by_band) = attribute_pruning(bounds, expanded, bsf / approx)
     return bsf, best, stats
 
 
-def reference_topk(case, bounds, k, kth0, sync, sync_every, positions):
+def reference_topk(case, bounds, k, kth0):
     """The per-subset loop ``scan_topk_entries`` ran before stacking."""
     import heapq
 
@@ -239,11 +221,9 @@ def reference_topk(case, bounds, k, kth0, sync, sync_every, positions):
         return -heap[0][0] if len(heap) == k else math.inf
 
     count = 0
-    for blk in bounds.order_blocks(within=positions):
+    for blk in bounds.order_blocks():
         stop = False
         for idx in blk:
-            if sync is not None and count % sync_every == 0:
-                external = min(external, sync(kth()))
             cut = min(kth(), external)
             if float(bounds.combined[idx]) > cut:
                 stop = True
@@ -261,7 +241,7 @@ def reference_topk(case, bounds, k, kth0, sync, sync_every, positions):
                 heapq.heappop(heap)
         if stop:
             break
-    stats.subsets_total = len(bounds) if positions is None else len(positions)
+    stats.subsets_total = len(bounds)
     stats.subsets_expanded = count
     return sorted((-d, tuple(-v for v in c)) for d, c in heap), stats
 
@@ -289,30 +269,22 @@ COUNTERS = ("subsets_total", "subsets_expanded", "pruned_by_cell",
 @given(cases(), knobs)
 def test_run_best_first_matches_per_subset_loop(drawn, kn):
     case, rng = drawn
-    bounds = case.bounds(rng, kn["subset"])
-    positions = positions_for(bounds, kn["stride"], kn["start"])
+    bounds = strided(case.bounds(rng, kn["subset"]), kn["stride"],
+                     kn["start"])
     bsf0, best0 = seeds_for(case, kn["seed_kind"])
-    syncs = [None, None]
-    if kn["sync"] is not None:
-        truth = seeds_for(case, "exact")[0]
-        syncs = [SyncLog(truth * kn["sync"]), SyncLog(truth * kn["sync"])]
     got = SearchStats()
     with patched(kn["block_size"], kn["stack_cells"], kn["area_limit"]):
         want_bsf, want_best, want = reference_best_first(
             case, bounds, bsf0, best0, kn["use_kills"], kn["approx"],
-            syncs[0], kn["sync_every"], positions,
         )
         got_bsf, got_best = run_best_first(
             case.oracle, case.space, bounds, case.tables, got,
             bsf=bsf0, best=best0, use_kills=kn["use_kills"],
-            approx_factor=kn["approx"], bsf_sync=syncs[1],
-            bsf_sync_every=kn["sync_every"], positions=positions,
+            approx_factor=kn["approx"],
         )
     assert (got_bsf, got_best) == (want_bsf, want_best)
     for name in COUNTERS:
         assert getattr(got, name) == getattr(want, name), name
-    if syncs[0] is not None:
-        assert syncs[1].calls == syncs[0].calls
 
 
 @seed(SEED)
@@ -320,29 +292,21 @@ def test_run_best_first_matches_per_subset_loop(drawn, kn):
 @given(cases(), knobs, st.integers(1, 6))
 def test_scan_topk_entries_matches_per_subset_loop(drawn, kn, k):
     case, rng = drawn
-    bounds = case.bounds(rng, kn["subset"])
-    positions = positions_for(bounds, kn["stride"], kn["start"])
+    bounds = strided(case.bounds(rng, kn["subset"]), kn["stride"],
+                     kn["start"])
     truth = seeds_for(case, "exact")[0]
     kth0 = {"none": math.inf, "exact": truth, "loose": truth * 1.5 + 0.5,
             "below": truth * 0.5, "witnessed": math.inf}[kn["seed_kind"]]
-    syncs = [None, None]
-    if kn["sync"] is not None:
-        syncs = [SyncLog(truth * kn["sync"] + 1.0),
-                 SyncLog(truth * kn["sync"] + 1.0)]
     got_stats = SearchStats()
     with patched(kn["block_size"], kn["stack_cells"], kn["area_limit"]):
-        want, want_stats = reference_topk(
-            case, bounds, k, kth0, syncs[0], kn["sync_every"], positions)
+        want, want_stats = reference_topk(case, bounds, k, kth0)
         got = scan_topk_entries(
             case.oracle, case.space, bounds, case.tables.cmin,
-            case.tables.rmin, k, got_stats, kth0=kth0, sync=syncs[1],
-            sync_every=kn["sync_every"], positions=positions,
+            case.tables.rmin, k, got_stats, kth0=kth0,
         )
     assert got == want
     assert got_stats.subsets_total == want_stats.subsets_total
     assert got_stats.subsets_expanded == want_stats.subsets_expanded
-    if syncs[0] is not None:
-        assert syncs[1].calls == syncs[0].calls
 
 
 @seed(SEED)

@@ -214,18 +214,11 @@ class TestOrderBlocks:
         return SubsetBounds(idx, idx.copy(), zeros, zeros.copy(),
                             zeros.copy(), combined)
 
-    def _assert_parity(self, bounds: SubsetBounds, block_size: int,
-                       within=None):
-        blocks = list(bounds.order_blocks(within=within,
-                                          block_size=block_size))
+    def _assert_parity(self, bounds: SubsetBounds, block_size: int):
+        blocks = list(bounds.order_blocks(block_size=block_size))
         lazy = (np.concatenate(blocks) if blocks
                 else np.empty(0, dtype=np.int64))
-        if within is None:
-            eager = bounds.order()
-        else:
-            scope = np.asarray(within, dtype=np.int64)
-            eager = scope[np.argsort(bounds.combined[scope], kind="stable")]
-        assert np.array_equal(lazy, eager)
+        assert np.array_equal(lazy, bounds.order())
         # Each yielded block is internally sorted (consumable as-is).
         for block in blocks:
             assert (np.diff(bounds.combined[block]) >= 0).all()
@@ -240,16 +233,6 @@ class TestOrderBlocks:
         bounds = self._bounds_from_combined(np.zeros(100))
         blocks = list(bounds.order_blocks(block_size=7))
         assert np.array_equal(np.concatenate(blocks), np.arange(100))
-
-    @pytest.mark.parametrize("block_size", [1, 5, 32])
-    def test_strided_within_parity(self, block_size):
-        """The engine's chunk shares: an ascending strided subset."""
-        rng = np.random.default_rng(13)
-        combined = rng.integers(0, 3, size=211).astype(np.float64)
-        bounds = self._bounds_from_combined(combined)
-        for start, stride in ((0, 4), (3, 4), (1, 2)):
-            within = np.arange(start, len(combined), stride)
-            self._assert_parity(bounds, block_size, within=within)
 
     def test_real_bounds_with_infinities(self):
         """Relaxed tables carry +inf at undefined edges; the pivot

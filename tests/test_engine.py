@@ -5,10 +5,12 @@ count, executor, or cache state, `MotifEngine` must return exactly the
 motif the corresponding serial algorithm returns -- same indices, same
 distance -- including under distance ties (the Figure-5 matrix is
 integer-valued and tie-heavy, which is what makes it a sharp parity
-probe for the witness-resolution pass).
+probe for the best-first tie order).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from repro.engine import MotifEngine, planner, plan_strides
 from repro.engine.cache import LRUCache, fingerprint_points
 from repro.extensions import StreamingMotif, discover_top_k_motifs
 from repro.extensions.join import merge_join_stats, similarity_join
-from repro.testing import build_fig5_matrix, random_walk, random_walk_points
+from repro.testing import random_walk, random_walk_points
 
 ALGOS = ("btm", "gtm", "gtm_star", "brute")
 
@@ -45,8 +47,8 @@ class TestFig5Parity:
         ref_d, ref_best = serial.search(
             DenseGroundMatrix(fig5_matrix), self_space(12, 1)
         )
-        got = inline_engine().discover_matrix(
-            fig5_matrix, min_length=1, algorithm=algo, workers=workers
+        got = inline_engine(workers=workers).discover_matrix(
+            fig5_matrix, min_length=1, algorithm=algo
         )
         assert got.distance == ref_d
         assert got.indices == ref_best
@@ -66,11 +68,9 @@ class TestWalkParity:
     def test_self_mode(self, algo, seed):
         traj = random_walk(70, seed=seed)
         ref = discover_motif(traj, min_length=4, algorithm=algo)
-        eng = inline_engine()
         for workers in (1, 2):
-            got = eng.discover(
-                traj, min_length=4, algorithm=algo, workers=workers,
-                cacheable=False,
+            got = inline_engine(workers=workers).discover(
+                traj, min_length=4, algorithm=algo, cacheable=False,
             )
             assert got.distance == ref.distance
             assert got.indices == ref.indices
@@ -78,8 +78,8 @@ class TestWalkParity:
     def test_cross_mode(self):
         a, b = random_walk(50, seed=5), random_walk(60, seed=6)
         ref = discover_motif(a, b, min_length=4, algorithm="btm")
-        got = inline_engine().discover(
-            a, b, min_length=4, algorithm="btm", workers=2, cacheable=False
+        got = inline_engine(workers=2).discover(
+            a, b, min_length=4, algorithm="btm", cacheable=False
         )
         assert got.distance == ref.distance
         assert got.indices == ref.indices
@@ -95,9 +95,43 @@ class TestWalkParity:
         assert got.indices == ref.indices
 
 
+class TestSingleQueriesStaySerial:
+    """One motif query never forks: at workers=2 on a process engine
+    discover, discover_matrix and top_k run the serial path -- no pool
+    task, and the same answers and SearchStats as workers=1."""
+
+    @staticmethod
+    def _counters(stats):
+        fields = dataclasses.asdict(stats)
+        return {k: v for k, v in fields.items() if not k.startswith("time_")}
+
+    @pytest.mark.parametrize("algo", ["btm", "gtm", "gtm_star"])
+    def test_no_pool_task_and_workers_one_answers(self, algo):
+        traj = random_walk(90, seed=21)
+        matrix = ground_matrix(random_walk_points(40, seed=22), "euclidean")
+        runs = {}
+        for workers in (1, 2):
+            with MotifEngine(workers=workers, result_cache_size=0) as eng:
+                found = eng.discover(traj, min_length=4, algorithm=algo)
+                on_matrix = eng.discover_matrix(matrix, min_length=3,
+                                                algorithm=algo)
+                ranked = eng.top_k(traj, min_length=4, k=3)
+                runs[workers] = (found, on_matrix, ranked,
+                                 eng.transfer_info()["pool_tasks"])
+        (f1, m1, r1, _), (f2, m2, r2, tasks) = runs[1], runs[2]
+        assert tasks == 0
+        assert (f2.distance, f2.indices) == (f1.distance, f1.indices)
+        assert (m2.distance, m2.indices) == (m1.distance, m1.indices)
+        assert [(r.distance, r.indices) for r in r2] == [
+            (r.distance, r.indices) for r in r1
+        ]
+        assert self._counters(f2.stats) == self._counters(f1.stats)
+        assert self._counters(m2.stats) == self._counters(m1.stats)
+
+
 class TestSeededSearch:
-    """The property the resolution pass relies on: seeding the serial
-    search with the exact answer never changes the witness."""
+    """The property the ``seed=`` warm start relies on: seeding the
+    serial search with the exact answer never changes the witness."""
 
     @pytest.mark.parametrize("algo_cls", [BTM, GTM, GTMStar, BruteDP])
     def test_fig5_seeded_equals_unseeded(self, fig5_matrix, algo_cls):
@@ -150,12 +184,13 @@ class TestCaching:
         assert second is first
 
     def test_result_cache_is_workers_independent(self):
-        """Serving semantics: identical answers regardless of workers,
-        so a warm result short-circuits a parallel request too."""
+        """Serving semantics: a result warmed by a single discover
+        short-circuits the same query inside a workers=2 batch."""
         traj = random_walk(60, seed=3)
         eng = inline_engine()
-        first = eng.discover(traj, min_length=4, algorithm="btm", workers=1)
-        second = eng.discover(traj, min_length=4, algorithm="btm", workers=2)
+        first = eng.discover(traj, min_length=4, algorithm="btm")
+        [second] = eng.discover_many([traj], min_length=4, algorithm="btm",
+                                     workers=2)
         assert second is first
 
     def test_equal_content_shares_cache_entries(self):
@@ -204,19 +239,6 @@ class TestCaching:
 # Partitioning
 # ----------------------------------------------------------------------
 class TestPartition:
-    def test_deal_covers_exactly_once(self):
-        order = np.arange(17)
-        chunks = planner.chunk_deal(order, 4)
-        assert len(chunks) == 4
-        merged = np.sort(np.concatenate(chunks))
-        assert np.array_equal(merged, order)
-
-    def test_more_chunks_than_items(self):
-        order = np.arange(2)
-        chunks = planner.chunk_deal(order, 8)
-        assert len(chunks) == 2
-        assert sum(len(c) for c in chunks) == 2
-
     def test_plan_strides_partitions_subsets(self):
         from repro.core.bounds import BoundTables, relaxed_subset_bounds
 
@@ -417,19 +439,20 @@ class TestEngineConfig:
 
     def test_context_manager_closes_pool(self):
         with MotifEngine(workers=2) as eng:
-            eng.discover_matrix(
-                build_fig5_matrix(), min_length=1, algorithm="btm"
+            eng.discover_many(
+                [random_walk(30, seed=s) for s in (1, 2)], min_length=3,
+                algorithm="btm",
             )
             assert eng._exec._pool is not None
         assert eng._exec._pool is None
 
     def test_approximate_variant_stays_serial(self):
-        """approx_factor changes semantics; the chunked exact scan must
-        not be spliced under it."""
+        """approx_factor changes semantics; the engine must pass it
+        through to the serial algorithm unchanged."""
         traj = random_walk(60, seed=10)
-        eng = inline_engine()
+        eng = inline_engine(workers=2)
         got = eng.discover(
-            traj, min_length=4, algorithm="btm", workers=2,
+            traj, min_length=4, algorithm="btm",
             approx_factor=1.5, cacheable=False,
         )
         ref = discover_motif(

@@ -61,37 +61,12 @@ class TestPlanner:
         k_index = planner.join_result_key(items, items, metric, 1.0, True)
         assert k_plain != k_index  # different statistics, different entry
 
-    def test_should_partition(self):
-        assert planner.should_partition(2, None, 1.0)
-        assert not planner.should_partition(1, None, 1.0)
-        assert not planner.should_partition(2, (1.0, None), 1.0)
-        assert not planner.should_partition(2, None, 1.5)  # approximate
-
     def test_plan_pair_strides_cover_each_pair_once(self):
         strides = planner.plan_pair_strides(23, workers=2, chunks_per_worker=3)
         seen = sorted(
             pos for start, step in strides for pos in range(start, 23, step)
         )
         assert seen == list(range(23))
-
-    def test_tau_schedule_matches_gtm_descent(self):
-        algo = GTM(tau=16, min_tau=2)
-        space = self_space(64, 4)
-        assert list(planner.tau_schedule(algo, space)) == [16, 8, 4, 2]
-        # Clamped entry point: tau capped at n_rows // 2.
-        small = self_space(12, 2)
-        assert list(planner.tau_schedule(algo, small))[0] == 6
-
-    def test_band_edges_cover_rows(self):
-        bands = planner.band_edges(10, 3)
-        flat = np.concatenate(bands)
-        assert flat.tolist() == list(range(10))
-
-    def test_deadline_helpers(self):
-        assert planner.deadline_for(None, 10.0) is None
-        assert planner.deadline_for(2.5, 10.0) == 12.5
-        assert planner.remaining_budget(None, 0.0, 5.0) is None
-        assert planner.remaining_budget(4.0, 1.0, 3.0) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------
@@ -151,12 +126,9 @@ class TestEngineExecutor:
             EngineExecutor("threads")
         with pytest.raises(ValueError):
             EngineExecutor("process", chunks_per_worker=0)
-        with pytest.raises(ValueError):
-            EngineExecutor("process", bsf_sync_every=0)
 
     def test_inline_kind_never_builds_a_pool(self):
         exec_ = EngineExecutor("inline")
-        assert not exec_.pool_ready(4)
         assert not exec_.use_shared_memory()
         out = exec_.map_tasks([1, 2, 3], 4, lambda x: x * 2)
         assert out == [2, 4, 6]
@@ -188,23 +160,11 @@ class TestEngineExecutor:
         assert info["pool_tasks"] == 1
 
     def test_facade_delegates_lifecycle(self):
-        eng = MotifEngine(executor="inline", chunks_per_worker=2,
-                          bsf_sync_every=5)
+        eng = MotifEngine(executor="inline", chunks_per_worker=2)
         assert eng._exec.kind == "inline"
         assert eng._exec.chunks_per_worker == 2
-        assert eng._exec.bsf_sync_every == 5
         assert eng._exec._pool is None
         eng.close()
-
-    def test_remaining_budget_algo_timeouts(self):
-        from repro.core import BTM, MotifTimeout
-
-        exec_ = EngineExecutor("inline")
-        algo = BTM()
-        assert exec_.remaining_budget_algo(algo, 0.0) is algo  # no budget
-        algo = BTM(timeout=1e-9)
-        with pytest.raises(MotifTimeout):
-            exec_.remaining_budget_algo(algo, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ Covers the engine's warm-worker contract:
 * no pool task pickles a dense matrix (``transfer_info``);
 * ``MotifEngine.close()`` unlinks every segment (no shm leaks, and no
   ``resource_tracker`` complaints at interpreter exit);
-* a ``MotifTimeout`` raised mid-chunk neither deadlocks the pool nor
-  poisons the shared best-so-far for the next query.
+* a ``MotifTimeout`` raised mid-search leaves the engine serving the
+  next query exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.engine import (
 )
 from repro.engine.engine import _fork_context
 from repro.engine.shm import attach_matrix, attach_slabs
-from repro.extensions import discover_top_k_motifs
 from repro.service import BadRequestError, MotifService
 from repro.testing import random_walk, random_walk_points
 from repro.trajectory import Trajectory
@@ -75,26 +74,22 @@ class TestWarmWorkers:
             assert got.distance == ref.distance
             assert got.indices == ref.indices
 
-    def test_chunked_scan_ships_matrix_by_reference(self):
-        traj = random_walk(70, seed=3)
-        with MotifEngine(workers=2) as eng:
-            eng.discover(traj, min_length=4, algorithm="btm", cacheable=False)
-            eng.top_k(traj, min_length=4, k=3)
-            info = eng.transfer_info()
-        assert info["pool_tasks"] > 0
-        assert info["shm_task_refs"] == info["pool_tasks"]
-        assert info["dense_bytes_pickled"] == 0
-
     def test_shared_memory_opt_out_still_exact(self):
-        traj = random_walk(60, seed=4)
-        ref = discover_motif(traj, min_length=4, algorithm="btm")
-        with MotifEngine(workers=2, shared_memory=False) as eng:
-            got = eng.discover(traj, min_length=4, algorithm="btm",
-                               cacheable=False)
+        """shared_memory=False on a repeated batch: no segment, every
+        task ships its trajectory instead of a dG ref, same answers."""
+        items = [random_walk(60, seed=4), random_walk(55, seed=5)]
+        batch = items + items
+        with MotifEngine(workers=2, shared_memory=False,
+                         result_cache_size=0) as eng:
+            got = eng.discover_many(batch, min_length=4, algorithm="btm",
+                                    dedupe=False)
             info = eng.transfer_info()
-        assert (got.distance, got.indices) == (ref.distance, ref.indices)
+        for traj, res in zip(batch, got):
+            ref = discover_motif(traj, min_length=4, algorithm="btm")
+            assert (res.distance, res.indices) == (ref.distance, ref.indices)
+        assert info["pool_tasks"] == len(batch)
         assert info["shm_segments"] == 0
-        assert info["dense_bytes_pickled"] > 0  # the old pickled path
+        assert info["shm_task_refs"] == 0
 
     def test_publish_is_capacity_bounded_but_never_evicts_own_batch(self):
         """Refs issued during one batch must stay attachable until its
@@ -179,91 +174,6 @@ class TestSharedArrayStore:
         store.close()
 
 
-# ----------------------------------------------------------------------
-# Zero-copy bound pipeline
-# ----------------------------------------------------------------------
-@needs_shm
-class TestSharedBounds:
-    def test_chunk_tasks_carry_bounds_by_reference(self):
-        """Every chunk-scan task resolves its bound arrays from a
-        shared segment: zero SubsetBounds bytes through the pipe."""
-        traj = random_walk(70, seed=11)
-        with MotifEngine(workers=2) as eng:
-            eng.discover(traj, min_length=4, algorithm="btm", cacheable=False)
-            eng.top_k(traj, min_length=4, k=3)
-            info = eng.transfer_info()
-        assert info["pool_tasks"] > 0
-        assert info["shm_bounds_refs"] == info["pool_tasks"]
-        assert info["bounds_bytes_pickled"] == 0
-        assert info["shm_bounds_segments"] >= 1
-        assert info["shm_bounds_bytes"] > 0
-
-    def test_bounds_segments_unlinked_on_close(self):
-        """Mirrors the dG lifecycle test: the bound segment dies with
-        the engine -- no shm leak from the bound pipeline."""
-        from multiprocessing import shared_memory
-
-        eng = MotifEngine(workers=2)
-        eng.discover(random_walk(60, seed=12), min_length=4,
-                     algorithm="btm", cacheable=False)
-        names = [ref.name for ref in eng._exec.shm.refs()]
-        # dG and the bound slabs are distinct segments.
-        assert len(names) >= 2, names
-        eng.close()
-        assert len(eng._exec.shm) == 0
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_unshared_pool_path_exact_and_counted(self):
-        """shared_memory=False on the process pool: every chunk task
-        pickles the whole bound arrays (with its (start, stride)
-        share), counted by the byte counter; discover, top-k and
-        grouped GTM still equal serial."""
-        traj = random_walk(90, seed=13)
-        calls = {
-            "btm": (
-                lambda eng: eng.discover(traj, min_length=4, algorithm="btm",
-                                         cacheable=False),
-                lambda: discover_motif(traj, min_length=4, algorithm="btm"),
-            ),
-            "top_k": (
-                lambda eng: eng.top_k(traj, min_length=4, k=3),
-                lambda: discover_top_k_motifs(traj, min_length=4, k=3),
-            ),
-            "gtm": (
-                lambda eng: eng.discover(traj, min_length=4, algorithm="gtm",
-                                         tau=8, cacheable=False),
-                lambda: discover_motif(traj, min_length=4, algorithm="gtm",
-                                       tau=8),
-            ),
-        }
-        for name, (run, serial) in calls.items():
-            with MotifEngine(workers=2, shared_memory=False) as eng:
-                got = run(eng)
-                info = eng.transfer_info()
-            assert answers(got) == answers(serial()), name
-            assert info["bounds_bytes_pickled"] > 0, name
-            assert info["shm_bounds_refs"] == 0, name
-            assert info["shm_segments"] == 0, name
-            assert info["dense_bytes_pickled"] > 0, name
-
-    def test_grouped_gtm_pool_path_pickles_no_dense_payloads(self):
-        """The parallel GTM grouping phase: exact answer, and neither
-        dG, bounds, nor group levels pickled into pool tasks."""
-        traj = random_walk(90, seed=14)
-        ref = discover_motif(traj, min_length=4, algorithm="gtm", tau=8)
-        with MotifEngine(workers=2) as eng:
-            got = eng.discover(traj, min_length=4, algorithm="gtm", tau=8,
-                               cacheable=False)
-            info = eng.transfer_info()
-        assert (got.distance, got.indices) == (ref.distance, ref.indices)
-        assert info["dense_bytes_pickled"] == 0
-        assert info["bounds_bytes_pickled"] == 0
-        assert info["group_level_bytes_pickled"] == 0
-        assert info["pool_tasks"] > 0
-
-
 def test_eager_order_is_an_unknown_option():
     """The chunk scan has one ordering, so ``eager_order`` is no
     algorithm option: the service refuses it as it refuses any unknown
@@ -276,54 +186,6 @@ def test_eager_order_is_an_unknown_option():
                     "trajectory": traj, "min_length": 3,
                     "algorithm": "btm", "options": options,
                 })
-
-
-class TestGroupingTaskFunctions:
-    """The sharded grouping kernels equal their serial counterparts --
-    with inline payloads (no shared memory required), which is also
-    the pool path on hosts without POSIX shm."""
-
-    @staticmethod
-    def _level_and_space():
-        from repro.core.grouping import GroupLevel
-        from repro.core.problem import self_space
-        from repro.distances.ground import ground_matrix
-
-        pts = random_walk_points(40, seed=15)
-        dmat = ground_matrix(pts, "euclidean")
-        space = self_space(40, 3)
-        return dmat, GroupLevel.from_matrix(dmat, 8, space.mode), space
-
-    def test_group_reduce_bands_stitch_to_from_matrix(self):
-        from repro.core.grouping import GroupLevel
-        from repro.engine.worker import GroupReduceTask, group_reduce
-
-        dmat, level, space = self._level_and_space()
-        bands = [
-            group_reduce(GroupReduceTask(tau=8, mode=space.mode,
-                                         u_start=u0, u_end=u1, matrix=dmat))
-            for u0, u1 in ((0, 2), (2, 4), (4, 5))
-        ]
-        stitched = GroupLevel.from_bands(bands, 40, 40, 8, space.mode)
-        assert np.array_equal(stitched.gmin, level.gmin)
-        assert np.array_equal(stitched.gmax, level.gmax)
-
-    def test_group_dfd_chunk_matches_serial_bounds(self):
-        from repro.core.grouping import feasible_group_pairs, group_dfd_bounds
-        from repro.engine.worker import GroupDFDTask, group_dfd_chunk
-
-        _, level, space = self._level_and_space()
-        pairs = feasible_group_pairs(level, space)
-        assert pairs
-        us = tuple(u for u, _ in pairs)
-        vs = tuple(v for _, v in pairs)
-        out = group_dfd_chunk(GroupDFDTask(
-            space=space, us=us, vs=vs, bsf=np.inf, level=level,
-        ))
-        for pos, (u, v) in enumerate(pairs):
-            glb, gub = group_dfd_bounds(level, space, u, v, bsf=np.inf)
-            assert out[pos, 0] == glb
-            assert out[pos, 1] == gub
 
 
 class TestPlanStrides:
@@ -355,10 +217,11 @@ class TestSegmentLifecycle:
         from multiprocessing import shared_memory
 
         eng = MotifEngine(workers=2)
-        eng.discover(random_walk(50, seed=5), min_length=3, algorithm="btm",
-                     cacheable=False)
+        traj = random_walk(50, seed=5)
+        eng.discover_many([traj, traj], min_length=3, algorithm="btm",
+                          dedupe=False)
         names = [ref.name for ref in eng._exec.shm.refs()]
-        assert names, "the chunked scan should have published a segment"
+        assert names, "the warm batch should have published a segment"
         eng.close()
         assert len(eng._exec.shm) == 0
         for name in names:
@@ -380,8 +243,9 @@ class TestSegmentLifecycle:
                 eng.discover(traj, min_length=3, algorithm="btm",
                              cacheable=False)
                 eng.top_k(traj, min_length=3, k=2)
-                eng.discover_many([traj, random_walk(45, seed=2)],
-                                  min_length=3, algorithm="btm")
+                eng.discover_many([traj, random_walk(45, seed=2), traj],
+                                  min_length=3, algorithm="btm",
+                                  dedupe=False)
             """
         )
         src_dir = str(Path(repro.__file__).resolve().parents[1])
@@ -400,63 +264,95 @@ class TestSegmentLifecycle:
 # Cancellation / timeout
 # ----------------------------------------------------------------------
 class TestTimeoutHygiene:
-    @staticmethod
-    def _tiny_distance_walk():
-        # Minuscule coordinates => minuscule motif distance: if a stale
-        # shared best-so-far from this query leaked into the next one,
-        # it would prune the whole search and break it.
-        return Trajectory(random_walk_points(90, seed=6) * 1e-3)
+    """A query's MotifTimeout propagates out of a workers=2 batch at
+    once: the pool stays up and no query is rerun serially."""
 
-    def test_pool_timeout_mid_chunk_then_engine_still_serves(self):
-        big = random_walk(60, seed=7)
-        ref = discover_motif(big, min_length=4, algorithm="btm")
+    @staticmethod
+    def _tiny_distance_walks():
+        # Minuscule coordinates => minuscule motif distance: if a stale
+        # best-so-far from these queries leaked into the next one, it
+        # would prune the whole search and break it.
+        return [Trajectory(random_walk_points(90, seed=s) * 1e-3)
+                for s in (6, 16)]
+
+    def test_pool_batch_timeout_raises_without_serial_rerun(self,
+                                                            monkeypatch):
+        reruns = []
+        real_discover = MotifEngine.discover
+
+        def spy(self, *args, **kwargs):
+            reruns.append(args)
+            return real_discover(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotifEngine, "discover", spy)
         with MotifEngine(workers=2) as eng:
             with pytest.raises(MotifTimeout):
-                eng.discover(self._tiny_distance_walk(), min_length=3,
-                             algorithm="btm", timeout=1e-6, cacheable=False)
-            got = eng.discover(big, min_length=4, algorithm="btm",
-                               cacheable=False)
-        assert (got.distance, got.indices) == (ref.distance, ref.indices)
+                eng.discover_many(self._tiny_distance_walks(), min_length=3,
+                                  algorithm="btm", timeout=1e-6)
+            assert eng._exec._pool is not None
+            assert eng.transfer_info()["worker_crashes"] == 0
+        assert reruns == []
+
+    def test_pool_timeout_mid_chunk_then_engine_still_serves(self):
+        """A batch whose pool tasks time out mid-search leaves an
+        engine that answers the next batch exactly."""
+        bigs = [random_walk(60, seed=s) for s in (7, 17)]
+        refs = [discover_motif(t, min_length=4, algorithm="btm")
+                for t in bigs]
+        with MotifEngine(workers=2, result_cache_size=0) as eng:
+            with pytest.raises(MotifTimeout):
+                eng.discover_many(self._tiny_distance_walks(), min_length=3,
+                                  algorithm="btm", timeout=1e-6)
+            got = eng.discover_many(bigs, min_length=4, algorithm="btm")
+        assert [(g.distance, g.indices) for g in got] == [
+            (r.distance, r.indices) for r in refs
+        ]
 
     def test_inline_timeout_then_engine_still_serves(self):
         big = random_walk(60, seed=8)
         ref = discover_motif(big, min_length=4, algorithm="btm")
-        eng = MotifEngine(executor="inline")
+        eng = MotifEngine(executor="inline", workers=2)
         with pytest.raises(MotifTimeout):
-            eng.discover(self._tiny_distance_walk(), min_length=3,
-                         algorithm="btm", workers=2, timeout=1e-6,
-                         cacheable=False)
-        got = eng.discover(big, min_length=4, algorithm="btm", workers=2,
+            eng.discover(self._tiny_distance_walks()[0], min_length=3,
+                         algorithm="btm", timeout=1e-6, cacheable=False)
+        got = eng.discover(big, min_length=4, algorithm="btm",
                            cacheable=False)
         assert (got.distance, got.indices) == (ref.distance, ref.indices)
 
     def test_grouped_gtm_respects_timeout(self):
-        """The parallel grouping phase honors the query budget too --
-        a timed-out GTM query raises promptly instead of finishing the
-        group-DFD precompute first."""
-        with MotifEngine(workers=2) as eng:
+        """GTM's grouping phase honors the query budget inside a pool
+        worker too -- a timed-out GTM batch raises promptly instead of
+        finishing the group-DFD bounds first."""
+        with MotifEngine(workers=2, result_cache_size=0) as eng:
             with pytest.raises(MotifTimeout):
-                eng.discover(self._tiny_distance_walk(), min_length=3,
-                             algorithm="gtm", tau=4, timeout=1e-6,
-                             cacheable=False)
-            traj = random_walk(60, seed=10)
-            ref = discover_motif(traj, min_length=4, algorithm="gtm")
-            got = eng.discover(traj, min_length=4, algorithm="gtm",
-                               cacheable=False)
-        assert (got.distance, got.indices) == (ref.distance, ref.indices)
+                eng.discover_many(self._tiny_distance_walks(), min_length=3,
+                                  algorithm="gtm", tau=4, timeout=1e-6)
+            trajs = [random_walk(60, seed=s) for s in (10, 20)]
+            refs = [discover_motif(t, min_length=4, algorithm="gtm")
+                    for t in trajs]
+            got = eng.discover_many(trajs, min_length=4, algorithm="gtm")
+        assert [(g.distance, g.indices) for g in got] == [
+            (r.distance, r.indices) for r in refs
+        ]
 
     def test_pool_survives_repeated_timeouts(self):
-        with MotifEngine(workers=2) as eng:
+        with MotifEngine(workers=2, result_cache_size=0) as eng:
+            pools = []
             for _ in range(3):
                 with pytest.raises(MotifTimeout):
-                    eng.discover(self._tiny_distance_walk(), min_length=3,
-                                 algorithm="btm", timeout=1e-6,
-                                 cacheable=False)
-            traj = random_walk(50, seed=9)
-            ref = discover_motif(traj, min_length=3, algorithm="btm")
-            got = eng.discover(traj, min_length=3, algorithm="btm",
-                               cacheable=False)
-        assert (got.distance, got.indices) == (ref.distance, ref.indices)
+                    eng.discover_many(self._tiny_distance_walks(),
+                                      min_length=3, algorithm="btm",
+                                      timeout=1e-6)
+                pools.append(eng._exec._pool)
+            assert pools[0] is not None
+            assert all(p is pools[0] for p in pools)
+            trajs = [random_walk(50, seed=s) for s in (9, 19)]
+            refs = [discover_motif(t, min_length=3, algorithm="btm")
+                    for t in trajs]
+            got = eng.discover_many(trajs, min_length=3, algorithm="btm")
+        assert [(g.distance, g.indices) for g in got] == [
+            (r.distance, r.indices) for r in refs
+        ]
 
 
 # ----------------------------------------------------------------------

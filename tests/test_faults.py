@@ -7,7 +7,7 @@ The PR 8 tentpole contracts, end to end:
   budgets, and the counters are fork-shared so a child's fire spends
   the budget for the whole process tree;
 * the engine's pool dispatch survives SIGKILL-ed workers: the pool is
-  rebuilt, only unfinished chunks are re-dispatched, answers are
+  rebuilt, only unfinished tasks are re-dispatched, answers are
   byte-identical to a fault-free run, and the crash is visible in
   ``transfer_info()``;
 * a systematically crashing workload raises a typed
@@ -159,33 +159,49 @@ class TestRegistry:
 # Engine: crash-safe dispatch
 # ----------------------------------------------------------------------
 class TestEngineCrashRecovery:
-    """SIGKILL one pool child mid-dispatch; answers must not change."""
+    """SIGKILL one pool child mid-dispatch; answers must not change.
+
+    A single motif query never forks, so discover is driven through
+    ``discover_many`` over distinct trajectories, one pool task per
+    query, and top-k through the unindexed closest-pair join.
+    """
+
+    @staticmethod
+    def _batch(seed):
+        return [random_walk(120, seed=seed), random_walk(110, seed=seed + 1)]
+
+    @staticmethod
+    def _answers(results):
+        return [(r.distance, r.indices) for r in results]
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_discover_survives_worker_kill(self, workers):
-        traj = random_walk(120, seed=3)
+        batch = self._batch(3)
         with MotifEngine(workers=1) as ref_eng:
-            ref = ref_eng.discover(traj, min_length=8, cacheable=False)
+            ref = ref_eng.discover_many(batch, min_length=8)
         with MotifEngine(workers=workers) as eng:
             faults.arm("worker.task=kill%1")
-            got = eng.discover(traj, min_length=8, cacheable=False)
+            got = eng.discover_many(batch, min_length=8)
             info = eng.transfer_info()
             assert info["worker_crashes"] >= 1
             assert info["redispatches"] >= 1
             # The engine-wide scan lock must not stay held.
             assert eng._exec.scan_lock.acquire(blocking=False)
             eng._exec.scan_lock.release()
-        assert got.distance == ref.distance
-        assert got.indices == ref.indices
+        assert self._answers(got) == self._answers(ref)
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_top_k_survives_worker_kill(self, workers):
-        traj = random_walk(120, seed=5)
+    def test_top_k_survives_worker_kill(self, workers, monkeypatch):
+        """The top-k that still forks: the unindexed closest-pair join,
+        whose chunks share the k-th best (reset on the rebuilt pool)."""
+        monkeypatch.setattr(planner, "POOL_FLOOR_CELLS", 0)
+        left = make_corpus(seed=5)
+        right = make_corpus(seed=6)
         with MotifEngine(workers=1) as ref_eng:
-            ref = ref_eng.top_k(traj, min_length=8, k=3)
+            ref = ref_eng.join_top_k(left, right, k=3)
         with MotifEngine(workers=workers) as eng:
             faults.arm("worker.task=kill%1")
-            got = eng.top_k(traj, min_length=8, k=3)
+            got = eng.join_top_k(left, right, k=3)
             assert eng.transfer_info()["worker_crashes"] >= 1
             assert eng._exec.scan_lock.acquire(blocking=False)
             eng._exec.scan_lock.release()
@@ -207,12 +223,12 @@ class TestEngineCrashRecovery:
         assert got_matches == ref_matches
 
     def test_systematic_crashes_raise_typed_error_then_recover(self):
-        traj = random_walk(120, seed=7)
-        with MotifEngine(workers=2) as eng:
+        batch = self._batch(7)
+        with MotifEngine(workers=2, result_cache_size=0) as eng:
             eng._exec.max_dispatch_attempts = 2
             faults.arm("worker.task=kill")  # unlimited: every dispatch dies
             with pytest.raises(WorkerCrashError):
-                eng.discover(traj, min_length=8, cacheable=False)
+                eng.discover_many(batch, min_length=8)
             assert isinstance(WorkerCrashError("x"), ReproError)
             assert not isinstance(WorkerCrashError("x"), OSError)
             # The scan lock is free and the engine recovers once the
@@ -220,20 +236,26 @@ class TestEngineCrashRecovery:
             assert eng._exec.scan_lock.acquire(blocking=False)
             eng._exec.scan_lock.release()
             faults.disarm()
-            got = eng.discover(traj, min_length=8, cacheable=False)
+            got = eng.discover_many(batch, min_length=8)
         with MotifEngine(workers=1) as ref_eng:
-            ref = ref_eng.discover(traj, min_length=8, cacheable=False)
-        assert got.distance == ref.distance and got.indices == ref.indices
+            ref = ref_eng.discover_many(batch, min_length=8)
+        assert self._answers(got) == self._answers(ref)
 
     def test_shm_attach_fault_falls_back_inline_with_same_answer(self):
-        traj = random_walk(120, seed=9)
+        # Each trajectory twice: the warm batch publishes its dG, so
+        # the tasks attach -- and the first attach fails.
+        batch = self._batch(9) * 2
         with MotifEngine(workers=1) as ref_eng:
-            ref = ref_eng.discover(traj, min_length=8, cacheable=False)
-        with MotifEngine(workers=2) as eng:
+            ref = ref_eng.discover_many(batch, min_length=8, algorithm="btm",
+                                        dedupe=False)
+        with MotifEngine(workers=2, result_cache_size=0) as eng:
             faults.arm("shm.attach=raise:OSError%1")
-            got = eng.discover(traj, min_length=8, cacheable=False)
-        assert got.distance == ref.distance
-        assert got.indices == ref.indices
+            got = eng.discover_many(batch, min_length=8, algorithm="btm",
+                                    dedupe=False)
+            info = eng.transfer_info()
+        assert info["shm_segments"] == 2
+        assert info["pool_tasks"] == 0  # the serial loop answered
+        assert self._answers(got) == self._answers(ref)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 ``run_best_first`` and ``scan_topk_entries`` keep one frontier for the
 whole loop: subsets join a running anti-diagonal sweep when the cut
 admits them and leave at their own depth.  Every test here checks the
-loops' answers, subset counters and ``bsf_sync`` calls against the
-per-subset reference loops of ``test_batched_best_first`` while driving
+loops' answers and subset counters against the per-subset reference
+loops of ``test_batched_best_first`` while driving
 one part of the frontier:
 
 * subsets admitted while others are mid-sweep, rows on different
@@ -120,34 +120,25 @@ class Recorder:
             Frontier.result, dp._buffers = result, buffers
 
 
-def check_best_first(case, bounds, bsf0=math.inf, best0=None, sync=None,
-                     sync_every=64, approx=1.0, use_kills=True,
-                     positions=None):
+def check_best_first(case, bounds, bsf0=math.inf, best0=None, approx=1.0,
+                     use_kills=True):
     """``run_best_first`` against the per-subset reference loop."""
-    syncs = [None, None]
-    if sync is not None:
-        syncs = [ref.SyncLog(sync), ref.SyncLog(sync)]
     want_bsf, want_best, want = ref.reference_best_first(
-        case, bounds, bsf0, best0, use_kills, approx, syncs[0], sync_every,
-        positions,
+        case, bounds, bsf0, best0, use_kills, approx,
     )
     got = SearchStats()
     got_bsf, got_best = run_best_first(
         case.oracle, case.space, bounds, case.tables, got, bsf=bsf0,
         best=best0, use_kills=use_kills, approx_factor=approx,
-        bsf_sync=syncs[1], bsf_sync_every=sync_every, positions=positions,
     )
     assert (got_bsf, got_best) == (want_bsf, want_best)
     for name in ref.COUNTERS:
         assert getattr(got, name) == getattr(want, name), name
-    if sync is not None:
-        assert syncs[1].calls == syncs[0].calls
 
 
 def check_topk(case, bounds, k, kth0=math.inf):
     """``scan_topk_entries`` against the per-subset reference loop."""
-    want, want_stats = ref.reference_topk(case, bounds, k, kth0, None, 64,
-                                          None)
+    want, want_stats = ref.reference_topk(case, bounds, k, kth0)
     got_stats = SearchStats()
     got = scan_topk_entries(
         case.oracle, case.space, bounds, case.tables.cmin, case.tables.rmin,
@@ -291,11 +282,10 @@ def test_evicted_rows_rejoin_in_order(drawn, cells, block_size, stride,
     (finished and compacted before the eviction) must not floor them,
     so the answers stay the reference loop's, ties included."""
     case, rng = drawn
-    bounds = case.bounds(rng, subset)
-    positions = ref.positions_for(bounds, stride, 0)
+    bounds = ref.strided(case.bounds(rng, subset), stride, 0)
     bsf0, best0 = ref.seeds_for(case, seed_kind)
     with ref.patched(block_size, cells, dp.SCALAR_AREA_LIMIT):
-        check_best_first(case, bounds, bsf0, best0, positions=positions)
+        check_best_first(case, bounds, bsf0, best0)
 
 
 def test_evicted_rows_ignore_later_compacted_bests():
@@ -310,8 +300,7 @@ def test_evicted_rows_ignore_later_compacted_bests():
     bounds = case.bounds(rng, True)
     bsf0, best0 = ref.seeds_for(case, "loose")
     with ref.patched(5, 40, dp.SCALAR_AREA_LIMIT):
-        check_best_first(case, bounds, bsf0, best0,
-                         positions=ref.positions_for(bounds, 2, 0))
+        check_best_first(case, ref.strided(bounds, 2, 0), bsf0, best0)
 
 
 def test_tiny_budget_makes_admissions_wait():
@@ -355,17 +344,19 @@ def test_single_admission_under_infinite_threshold(drawn, k):
 @given(ref.cases(), st.sampled_from([30, 60, 200]),
        st.sampled_from([None, 64]), st.integers(1, 4),
        st.sampled_from([None, 0.5, 2.0]))
-def test_row_major_ties_on_dense_oracle(drawn, area_limit, cells, k, sync):
+def test_row_major_ties_on_dense_oracle(drawn, area_limit, cells, k,
+                                       seed_at):
     """Dense rectangles up to ``SCALAR_AREA_LIMIT`` cells resolve ties
     row-major, larger ones anti-diagonal; a patched-small limit mixes
-    both in one frontier, on tie-heavy integer grids."""
+    both in one frontier, on tie-heavy integer grids, with and without
+    an unwitnessed seed threshold."""
     case, rng = drawn
     case.oracle = case.dense
     bounds = case.bounds(rng, False)
     truth = ref.seeds_for(case, "exact")[0]
+    bsf0 = math.inf if seed_at is None else truth * seed_at
     with budget(cells, area_limit):
-        check_best_first(case, bounds,
-                         sync=None if sync is None else truth * sync)
+        check_best_first(case, bounds, bsf0)
         check_topk(case, bounds, k)
 
 

@@ -382,21 +382,22 @@ class TestServiceObservability:
     def test_trace_propagates_to_pool_workers_over_the_wire(
         self, snapshot_dir, traced
     ):
+        # A batch of distinct trajectories: one pool task per query (a
+        # single discover runs in the service process).
         rng = np.random.default_rng(7)
-        traj = Trajectory(rng.normal(size=(80, 2)).cumsum(axis=0))
+        items = [rng.normal(size=(80, 2)).cumsum(axis=0).tolist()
+                 for _ in range(2)]
         trace_id = "deadbeef" * 4
         with running_service(snapshot_dir, workers=2) as (_, client):
             out = client.call(
-                "discover",
-                {"trajectory": traj.points.tolist(), "min_length": 4},
+                "discover_many", {"items": items, "min_length": 4},
                 trace_id=trace_id,
             )
             assert client.last_trace_id == trace_id
-        assert out["result"]["indices"]
+        assert all(res["indices"] for res in out["result"])
         spans = file_spans(traced, trace_id)
         names = {r["name"] for r in spans}
-        assert {"service.request", "service.execute",
-                "engine.plan", "engine.search"} <= names
+        assert {"service.request", "service.execute", "worker.task"} <= names
         workers = [r for r in spans if r["name"] == "worker.task"]
         assert workers
         assert all(r["pid"] != os.getpid() for r in workers)

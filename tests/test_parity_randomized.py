@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import discover_motif
-from repro.engine import MotifEngine
+from repro.engine import MotifEngine, planner
 from repro.extensions import discover_top_k_motifs
 from repro.extensions.clustering import cluster_subtrajectories
 from repro.extensions.join import join_top_k, similarity_join
@@ -100,14 +100,16 @@ def assert_motif_equal(got, ref):
 # Inline sweep: every API, every worker count, 20+ seeds
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_discover_parity(inline_engine, seed):
+def test_discover_parity(seed):
     traj_a, traj_b, xi, algo, metric = make_case(seed)
     ref = discover_motif(traj_a, traj_b, min_length=xi, algorithm=algo,
                          metric=metric)
     for workers in WORKER_COUNTS:
-        got = inline_engine.discover(
+        eng = MotifEngine(executor="inline", workers=workers,
+                          result_cache_size=0)
+        got = eng.discover(
             traj_a, traj_b, min_length=xi, algorithm=algo, metric=metric,
-            workers=workers, cacheable=False,
+            cacheable=False,
         )
         assert_motif_equal(got, ref)
 
@@ -131,15 +133,15 @@ def test_discover_many_parity(inline_engine, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_top_k_parity(inline_engine, seed):
+def test_top_k_parity(seed):
     traj_a, traj_b, xi, _algo, metric = make_case(seed)
     k = 1 + seed % 5
     ref = discover_top_k_motifs(traj_a, traj_b, min_length=xi, k=k,
                                 metric=metric)
     for workers in WORKER_COUNTS:
-        got = inline_engine.top_k(
-            traj_a, traj_b, min_length=xi, k=k, metric=metric, workers=workers
-        )
+        eng = MotifEngine(executor="inline", workers=workers,
+                          result_cache_size=0)
+        got = eng.top_k(traj_a, traj_b, min_length=xi, k=k, metric=metric)
         assert [r.indices for r in got] == [r.indices for r in ref]
         assert [r.distance for r in got] == [r.distance for r in ref]
         assert [r.rank for r in got] == [r.rank for r in ref]
@@ -193,8 +195,10 @@ def test_indexed_join_parity(inline_engine, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_join_top_k_parity(inline_engine, seed):
+def test_join_top_k_parity(inline_engine, seed, monkeypatch):
     """Indexed/sharded top-k closest pairs == the serial reference."""
+    # The floor at 0 shards the (small) unindexed grids at workers > 1.
+    monkeypatch.setattr(planner, "POOL_FLOOR_CELLS", 0)
     left, right, _theta, metric = make_collections(seed)
     k = 1 + seed % 6
     ref = join_top_k(left, right, k, metric)
@@ -294,7 +298,9 @@ def test_pool_indexed_join_parity(pool_engine, seed):
 
 
 @pytest.mark.parametrize("seed", POOL_SEEDS)
-def test_pool_join_top_k_parity(pool_engine, seed):
+def test_pool_join_top_k_parity(pool_engine, seed, monkeypatch):
+    # The floor at 0 sends the unindexed scan's chunks to the pool.
+    monkeypatch.setattr(planner, "POOL_FLOOR_CELLS", 0)
     left, right, _theta, metric = make_collections(seed)
     k = 1 + seed % 6
     ref = join_top_k(left, right, k, metric)

@@ -258,6 +258,8 @@ EDGE_QUERIES = {
     "single_point_haversine": (GEO, geo_query(-60.0)[:1], "haversine"),
     "far_euclidean": (PLANE, np.full((7, 2), 1e6), "euclidean"),
     "far_haversine": (GEO, geo_query(-60.0), "haversine"),
+    "empty": (PLANE, np.empty((0, 2)), "euclidean"),
+    "empty_haversine": (GEO, np.empty((0, 2)), "haversine"),
 }
 #: The parent's typed outcome per edge query: an error type, or None.
 EDGE_ERRORS = {
@@ -268,6 +270,8 @@ EDGE_ERRORS = {
     "one_column": ReproError,
     "one_column_corpus": TrajectoryError,
     "overflow": TrajectoryError,
+    "empty": TrajectoryError,
+    "empty_haversine": TrajectoryError,
 }
 
 
@@ -337,6 +341,10 @@ def test_edge_queries_on_every_path(stack, monkeypatch, op, name, floor):
             # words; submit and HTTP agree.
             assert got[0] is BadRequestError
             assert rpc == got
+            if name.startswith("empty"):
+                # ... except an empty query: the engine's words.
+                assert got[1] == want[1]
+                assert "query" in want[1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

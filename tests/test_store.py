@@ -24,7 +24,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import Corpus, MotifEngine, fork_context
+from repro.engine import Corpus, MotifEngine, fork_context, planner
 from repro.errors import ReproError
 from repro.engine.cache import metric_key
 from repro.distances.ground import get_metric
@@ -257,7 +257,10 @@ class TestEngineParity:
     """Snapshot-served answers equal in-memory answers, all workers."""
 
     @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_join_and_topk_parity(self, workers, tmp_path):
+    def test_join_and_topk_parity(self, workers, tmp_path, monkeypatch):
+        # The corpus is far below planner.POOL_FLOOR_CELLS; the floor at
+        # 0 sends the unindexed top-k join's chunks to the pool.
+        monkeypatch.setattr(planner, "POOL_FLOOR_CELLS", 0)
         executor = "process" if fork_context() is not None else "inline"
         corpus = make_corpus(SEED_BASE + 11, clustered=True)
         theta = 8.0
