@@ -5,7 +5,8 @@ aggregates are walked down the :class:`repro.index.TrajectoryTree`;
 the pairs they drop land in ``pruned_grid`` and ``nodes_pruned``.  The
 tree's survivors then meet the per-item endpoint, box and
 simplification filters (``pruned_endpoint``, ``pruned_box``,
-``pruned_simplification``).  This panel records, for every op the index
+``pruned_simplification``); the joins run the simplification filter
+only on the pairs their coupling screen leaves open.  This panel records, for every op the index
 serves, what each bound class prunes, what the candidate step and the
 tree build cost and how many bytes the tree adds to a snapshot, so a
 bound is kept or deleted on a recorded counter.
@@ -26,9 +27,11 @@ bound is kept or deleted on a recorded counter.
   equal to ``index=False``.
 * Per op: the candidate step's summed :class:`repro.index.IndexStats`
   counters and its median time per request over ``--rounds`` rounds,
-  on fresh indexes with summaries and tree prebuilt.  The candidate
-  step is ``candidate_pairs`` for joins and clustering (the top-k join
-  at its seeded bound on the k-th distance).  For range and knn it is
+  on fresh indexes with summaries and tree prebuilt.  For joins and
+  clustering the candidate step is ``candidate_pairs``, the coupling
+  screen and the simplification bound, in the order the code runs
+  them, so work moved from one to the other stays charged (the top-k
+  join at its seeded bound on the k-th distance).  For range and knn it is
   the query summary, the range query's traversal and filter cascade
   and the exact step over its survivors (knn at its seeded bound,
   valuing the survivors its seeds did not cover), so a bound that is
@@ -47,12 +50,17 @@ bound is kept or deleted on a recorded counter.
   (``len(query) * sum(n_i)``).  A tree without the floor always runs
   the bound and records the ``bound`` arm only.
 
-Run ``python benchmarks/bench_index_bounds.py --label NAME`` to record
-one run under ``NAME`` in ``BENCH_index_bounds.json`` with the host
-block and the commit it ran on.  Once the file holds ``parent`` and
-``change`` records, a ``comparison`` block lists every counter that
-differs, the candidate-step and build time ratios, the tree bytes and
-the ``query_floor`` bins side by side.
+Run ``python benchmarks/bench_index_bounds.py --parent REV`` to record
+``parent`` (``REV``, run from a ``git archive`` of it) and ``change``
+(this checkout) as ``--pairs`` interleaved process pairs, the order
+alternating per pair, so both sides carry the same host drift; each
+time is the median over a side's processes (``process_ms`` keeps them
+per op).  ``--label NAME`` records one run under ``NAME``.  Records
+land in ``BENCH_index_bounds.json`` with the host block and the commit
+they ran on.  Once the file holds ``parent`` and ``change`` records, a
+``comparison`` block lists every counter that differs, the
+candidate-step and build time ratios (per process pair too), the tree
+bytes and the ``query_floor`` bins side by side.
 ``pytest benchmarks/bench_index_bounds.py`` runs the smoke scale and
 checks the answers, that the round trips prune through the
 simplification bound and that the ``exact`` arm never runs it.
@@ -75,7 +83,18 @@ from pathlib import Path
 import numpy as np
 
 _ROOT = Path(__file__).resolve().parents[1]
-for _path in (_ROOT / "src", _ROOT):
+
+
+def _src_dir() -> Path:
+    """The ``repro`` sources this process benches: ``--src DIR`` (the
+    parent checkout's ``src`` in a paired recording), else this
+    checkout's.  Read before ``repro`` is imported."""
+    if "--src" in sys.argv[1:-1]:
+        return Path(sys.argv[sys.argv.index("--src") + 1]).resolve()
+    return _ROOT / "src"
+
+
+for _path in (_src_dir(), _ROOT):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
@@ -83,6 +102,7 @@ import repro.index.index as index_mod  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from repro.distances.frechet import dfd_pairs  # noqa: E402
 from repro.engine import MotifEngine  # noqa: E402
+from repro.extensions.join import screen_pairs  # noqa: E402
 from repro.extensions.clustering import (  # noqa: E402
     window_pair_grid,
     window_starts,
@@ -244,12 +264,31 @@ def _answer(eng, panel, op, p, index):
                        theta=p["theta"], stride=2, metric=m, index=index)
 
 
+def _pair_step(il, ir, theta, m, pairs=None):
+    """The candidate step of a join at ``theta``: the tree walk with
+    the endpoint/box bounds, the coupling screen and the simplification
+    bound, in the order the code under test runs them.  A tree whose
+    index has no ``simplification_screen`` runs the bound inside
+    ``candidate_pairs``, before the screen."""
+    peer = il if ir is None else ir
+
+    def step():
+        cand, stats = il.candidate_pairs(ir, theta, pairs)
+        if hasattr(il, "simplification_screen"):
+            screen_pairs(il.points, peer.points, cand, theta, m,
+                         index=(il, ir, stats))
+        else:
+            screen_pairs(il.points, peer.points, cand, theta, m)
+        return stats
+    return step
+
+
 def _prepare_step(panel, op, p, il, ir):
     """A zero-argument candidate step for one request, returning its
     :class:`IndexStats`; everything it reads is computed here, untimed."""
     m = panel["metric"]
     if op == "join":
-        return lambda: il.candidate_pairs(ir, p["theta"])[1]
+        return _pair_step(il, ir, p["theta"], m)
     if op == "join_top_k":
         # The seeded bound of the engine's tree top-k: the k-th smallest
         # exact distance of the beam's first 2k pairs.
@@ -257,7 +296,7 @@ def _prepare_step(panel, op, p, il, ir):
         dists = np.sort(dfd_pairs([il.points(a) for a in seeds[:, 0]],
                                   [ir.points(b) for b in seeds[:, 1]], m))
         cut = float(dists[min(p["k"], len(dists)) - 1])
-        return lambda: il.candidate_pairs(ir, cut)[1]
+        return _pair_step(il, ir, cut, m)
     if op in ("range", "knn"):
         return _query_step(il, op, p)[0]
     traj = np.asarray(p["trajectory"])
@@ -265,7 +304,7 @@ def _prepare_step(panel, op, p, il, ir):
     windex = CorpusIndex([traj[s:s + WINDOW] for s in starts], m)
     windex.ensure_tree()
     grid = window_pair_grid(starts, WINDOW)
-    return lambda: windex.candidate_pairs(None, p["theta"], pairs=grid)[1]
+    return _pair_step(windex, None, p["theta"], m, grid)
 
 
 def _query_step(il, op, p):
@@ -472,6 +511,10 @@ def compare(parent, change):
                     if a_op["stats"][k] != b_op["stats"][k]
                 },
             }
+            runs = zip(b_op.get("process_ms", ()), a_op.get("process_ms", ()))
+            ratios = [round(a / b, 3) for b, a in runs]
+            if ratios:
+                row["ops"][op]["pair_ratios"] = ratios
         out[name] = row
     floor = {}
     for name, bins in change.get("query_floor", {}).get("corpora", {}).items():
@@ -529,10 +572,76 @@ def record(scale, rounds):
     return result
 
 
+def merge_records(runs):
+    """One record from the records of several processes of one side:
+    every time is the median over the processes (each op keeps its
+    per-process times as ``process_ms``); counters must agree."""
+    merged = copy.deepcopy(runs[0])
+    merged["processes"] = len(runs)
+
+    def median(values):
+        return round(statistics.median(values), 3)
+
+    for name, row in merged["corpora"].items():
+        rows = [run["corpora"][name] for run in runs]
+        row["tree_build_ms"] = median([r["tree_build_ms"] for r in rows])
+        for op, cell in row["ops"].items():
+            assert all(r["ops"][op]["stats"] == cell["stats"] for r in rows), (
+                name, op)
+            cell["process_ms"] = [r["ops"][op]["candidate_ms"] for r in rows]
+            cell["candidate_ms"] = median(cell["process_ms"])
+    for name, bins in merged["query_floor"]["corpora"].items():
+        for edge, cell in bins.items():
+            for arm in merged["query_floor"]["arms"]:
+                cell[arm]["ms"] = median([
+                    run["query_floor"]["corpora"][name][edge][arm]["ms"]
+                    for run in runs])
+    return merged
+
+
+def record_pairs(parent, pairs, scale, rounds):
+    """``{"parent": ..., "change": ...}`` recorded as ``pairs``
+    interleaved process pairs: the parent revision runs from a ``git
+    archive`` of it, this checkout as it stands, one process each per
+    pair, the order alternating, so both sides share the host's drift."""
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "parent"
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent], cwd=_ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive,
+                       check=True)
+        srcs = {"parent": tree / "src", "change": _ROOT / "src"}
+        for i in range(pairs):
+            for label in (("parent", "change") if i % 2 == 0
+                          else ("change", "parent")):
+                out = Path(tmp) / f"{label}-{i}.json"
+                subprocess.run([
+                    sys.executable, __file__, "--label", label,
+                    "--scale", scale, "--rounds", str(rounds),
+                    "--src", str(srcs[label]), "--out", str(out),
+                ], check=True)
+                runs[label].append(
+                    json.loads(out.read_text())["records"][label])
+    merged = {label: merge_records(r) for label, r in runs.items()}
+    merged["parent"]["commit"] = _git("rev-parse", parent)
+    merged["parent"]["src_modified"] = False
+    return merged
+
+
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True,
-                        help="record name, e.g. parent or change")
+    parser.add_argument("--label",
+                        help="record name of a single run, e.g. change")
+    parser.add_argument("--parent", metavar="REV",
+                        help="record parent (REV) and change (this "
+                             "checkout) as interleaved process pairs")
+    parser.add_argument("--pairs", type=int, default=5,
+                        help="process pairs of --parent (default 5)")
+    parser.add_argument("--src", type=Path,
+                        help="repro sources to bench (default: this "
+                             "checkout's src)")
     parser.add_argument("--scale", choices=sorted(SCALES), default="full")
     parser.add_argument("--rounds", type=int, default=5,
                         help="timed rounds per candidate step (default 5)")
@@ -540,9 +649,17 @@ def main(argv=None) -> dict:
     args = parser.parse_args(argv)
     if args.rounds < 3:
         parser.error("--rounds must be at least 3")
+    if (args.label is None) == (args.parent is None):
+        parser.error("give exactly one of --label and --parent")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     records = doc.setdefault("records", {})
-    records[args.label] = record(args.scale, args.rounds)
+    if args.parent is not None:
+        records.update(record_pairs(args.parent, args.pairs, args.scale,
+                                    args.rounds))
+    else:
+        records[args.label] = record(args.scale, args.rounds)
     if "parent" in records and "change" in records:
         doc["comparison"] = compare(records["parent"], records["change"])
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -422,15 +422,39 @@ def coupling_upper_bounds(
     b, first_b, mm = _flat_points(rights)
     m._check_domain(a)
     m._check_domain(b)
+    return flat_coupling_bounds(a, first_a, n, b, first_b, mm, m)
+
+
+def flat_coupling_bounds(a, first_a, n, b, first_b, mm, metric):
+    """:func:`coupling_upper_bounds` of pairs held as runs of two flat
+    ``(rows, d)`` point arrays: pair ``k`` couples ``a[first_a[k]:][:n[k]]``
+    with ``b[first_b[k]:][:mm[k]]``.  Runs may repeat, so a caller that
+    holds each trajectory once (the join screen) builds no per-pair
+    arrays.  The caller's part: an
+    :attr:`~repro.distances.ground.GroundMetric.exact_rowwise` metric,
+    and the runs' points checked against its domain.
+    """
+    m = get_metric(metric)
     steps = np.maximum(n, mm)
     starts = np.cumsum(steps) - steps
-    pair = np.repeat(np.arange(count), steps)
+    pair = np.repeat(np.arange(len(steps)), steps)
     t = np.arange(int(steps.sum())) - starts[pair]
-    span = np.maximum(steps - 1, 1)[pair]
-    i = (2 * t * (n[pair] - 1) + span) // (2 * span)
-    j = (2 * t * (mm[pair] - 1) + span) // (2 * span)
+
+    def walk(lengths):
+        # round(t (n - 1) / L) is t itself on the longer side (n - 1 ==
+        # L), so only the shorter side's cells pay the division.
+        idx = t.copy()
+        short = np.flatnonzero((lengths < steps)[pair])
+        if len(short):
+            span = np.maximum(steps - 1, 1)[pair[short]]
+            idx[short] = (
+                2 * t[short] * (lengths[pair[short]] - 1) + span
+            ) // (2 * span)
+        return idx
+
     cells = m._cells(
-        list(a[first_a[pair] + i].T), list(b[first_b[pair] + j].T)
+        list(a[first_a[pair] + walk(n)].T),
+        list(b[first_b[pair] + walk(mm)].T),
     )
     return np.maximum.reduceat(cells, starts)
 

@@ -28,6 +28,17 @@ from ..errors import TrajectoryError
 #: Mean Earth radius in metres (Sinnott's haversine, as cited in the paper).
 EARTH_RADIUS_M = 6371000.0
 
+#: Float slack of :meth:`HaversineMetric.box_gap`.  A computed cell
+#: subtracts radian coordinates directly, the folded longitude gap
+#: subtracts a span from ``2 pi``: the two differ by a few ulps of
+#: ``2 pi`` (under 2e-15 rad), which the angle slack (1e-12 rad, about
+#: 6 micrometres on Earth) covers 500 times over.  The sines, cosines,
+#: products and the sum carry a relative error under 1e-14, which the
+#: relative term slack covers 100 times over; the shared ``sqrt`` /
+#: ``asin`` / ``2R`` tail then keeps the order.
+BOX_GAP_ANGLE_SLACK = 1e-12
+BOX_GAP_TERM_SLACK = 1e-12
+
 
 class GroundMetric:
     """Base class for point-to-point metrics.
@@ -113,6 +124,24 @@ class GroundMetric:
         only some cells through the unchecked :meth:`_cells`."""
         if not np.isfinite(pts).all():
             raise TrajectoryError("points contain NaN or infinite coordinates")
+
+    def box_gap(self, lo_a, hi_a, lo_b, hi_b) -> Optional[np.ndarray]:
+        """A lower bound of ``d(p, q)`` over every ``p`` in box ``a`` and
+        ``q`` in box ``b``, per row of the broadcast ``(..., d)`` box
+        corners; ``None`` when the metric has no such bound.
+
+        For a coordinate-monotone metric it is the distance of the
+        per-axis gaps, attained by the axis-wise closest points.  The
+        computed value never exceeds a computed cell of such a pair:
+        each gap is a float difference of the same coordinates the cell
+        subtracts, and every later step is monotone.
+        """
+        if not self.coordinate_monotone:
+            return None
+        gaps = np.moveaxis(
+            np.maximum(0.0, np.maximum(lo_b - hi_a, lo_a - hi_b)), -1, 0
+        )
+        return self._cells(np.zeros_like(gaps), gaps)
 
     def distance(self, p, q) -> float:
         """Distance between two single points."""
@@ -232,6 +261,44 @@ class HaversineMetric(GroundMetric):
 
     def bind(self, b: np.ndarray):
         return super().bind(self._checked(b))
+
+    def box_gap(self, lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+        """Great-circle lower bound between two (lat, lon) degree boxes.
+
+        With ``dphi`` the latitude gap of the boxes, ``g`` their
+        longitude gap folded across the antimeridian
+        (``min(gap, 360 - widest span)``, 0 when negative) and ``phi``
+        the largest ``|lat|`` in either box, every point pair has
+        ``|dlat| >= dphi``, a wrapped ``|dlon| >= g`` (both at most 180
+        degrees, where ``sin(x / 2)`` rises) and ``cos lat_p cos lat_q
+        >= cos^2 phi``, so its haversine term is at least
+        ``sin^2(dphi / 2) + cos^2 phi sin^2(g / 2)`` and its distance at
+        least ``2R asin`` of that term's root.  Float slack: both gaps
+        shrink by :data:`BOX_GAP_ANGLE_SLACK` radians and the term by
+        the relative :data:`BOX_GAP_TERM_SLACK` before ``asin``, so the
+        computed bound stays below the computed cell of every covered
+        pair (DESIGN.md section 14).
+        """
+        (lat_lo_a, lon_lo_a), (lat_hi_a, lon_hi_a), \
+            (lat_lo_b, lon_lo_b), (lat_hi_b, lon_hi_b) = (
+                np.moveaxis(np.radians(x[..., :2]), -1, 0)
+                for x in (lo_a, hi_a, lo_b, hi_b)
+            )
+        dphi = np.maximum(lat_lo_b - lat_hi_a, lat_lo_a - lat_hi_b)
+        gap = np.maximum(lon_lo_b - lon_hi_a, lon_lo_a - lon_hi_b)
+        span = np.maximum(lon_hi_b - lon_lo_a, lon_hi_a - lon_lo_b)
+        g = np.minimum(gap, 2.0 * np.pi - span)
+        dphi = np.maximum(dphi - BOX_GAP_ANGLE_SLACK, 0.0)
+        g = np.maximum(g - BOX_GAP_ANGLE_SLACK, 0.0)
+        # The largest |lat| of a box [lo, hi] is max(hi, -lo).
+        phi = np.maximum(
+            np.maximum(lat_hi_a, -lat_lo_a), np.maximum(lat_hi_b, -lat_lo_b)
+        )
+        h = (
+            np.sin(dphi / 2.0) ** 2
+            + np.cos(phi) ** 2 * np.sin(g / 2.0) ** 2
+        ) * (1.0 - BOX_GAP_TERM_SLACK)
+        return 2.0 * self.radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
     def _check_domain(self, pts: np.ndarray) -> None:
         super()._check_domain(pts)

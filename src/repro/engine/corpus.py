@@ -45,7 +45,6 @@ from ..errors import ReproError
 from ..extensions.join import (
     JoinStats,
     _points_getter,
-    join_pairs,
     join_top_k,
     merge_join_stats,
     merge_join_topk,
@@ -191,20 +190,22 @@ def _corpus_payloads(left_ref, right_ref, left_pts, right_pts, self_join):
 
 
 def _decide_pairs(engine, get_left, get_right, pairs, theta, resolved,
-                  workers, publish):
+                  workers, publish, index=None):
     """Decide candidate pairs at ``theta``: ``(sorted matches, stats)``.
 
     The parent screens every pair (:func:`screen_pairs`: endpoints,
-    boxes, the coupling settle).  The pairs left open are verified
+    boxes, the coupling settle, and -- for an index's candidates,
+    ``index`` as :func:`screen_pairs` takes it -- the simplification
+    bound on the pairs left open).  The open pairs are verified
     inline, or -- when :func:`planner.verify_on_pool` says their
     ground cells pay for it -- dealt across the pool.  ``publish()``
     then returns ``(corpus_fields, pairs_key)``: the task fields that
     carry both corpora, and the slab key the open pairs publish under.
-    Statistics equal :func:`join_pairs`'s over ``pairs`` either way.
+    Statistics equal the serial join's over ``pairs`` either way.
     """
     exec_ = engine._exec
     settled, rest, stats = screen_pairs(
-        get_left, get_right, pairs, theta, resolved
+        get_left, get_right, pairs, theta, resolved, index=index
     )
     cells = sum(
         len(get_left(a)) * len(get_right(b)) for a, b in rest.tolist()
@@ -336,13 +337,16 @@ def _indexed_join(engine, left, right, theta, resolved, workers):
     # serving workloads re-join the same collections, so they ride the
     # tables cache next to the indexes themselves.
     with obs.span("engine.index", mode="tree") as _sp:
-        pairs, index_stats = engine._oracles.tables.get_or_build(
+        pairs, walk_stats = engine._oracles.tables.get_or_build(
             ("cpairs", left.key, right.key, metric_key(resolved),
              float(theta)),
             lambda: index_left.candidate_pairs(index_right, theta),
         )
         if _sp is not None:
             _sp.attrs["candidates"] = int(len(pairs))
+    # The screen's simplification stage counts into these stats, so a
+    # cached walk keeps its own.
+    index_stats = dataclasses.replace(walk_stats)
 
     def publish():
         left_ref = _share_corpus(engine, index_left, left.key)
@@ -355,12 +359,14 @@ def _indexed_join(engine, left, right, theta, resolved, workers):
             self_join,
         ), planner.pairs_slab_key(left.key, right.key, resolved, theta)
 
+    # The indexes hold the checked point arrays: no per-request scan.
     matches, stats = _decide_pairs(
-        engine, _points_getter(left), _points_getter(right), pairs, theta,
+        engine, index_left.points, index_right.points, pairs, theta,
         resolved, workers, publish,
+        index=(index_left, index_right, index_stats),
     )
     stats.pairs_total = len(left) * len(right)
-    stats.pruned_index = stats.pairs_total - len(pairs)
+    stats.pruned_index = stats.pairs_total - index_stats.candidates
     stats.details["index"] = index_stats.as_dict()
     return matches, stats
 
@@ -580,19 +586,21 @@ def _tree_join_topk(engine, left, right, k, resolved):
        are unvalued, value the ``2k`` with the smallest bounds, lower
        ``u`` to the k-th smallest value so far and keep only
        candidates with bound ``<= u``.
-    3. *Verify*: the pair cascade at ``u`` -- inline, it checks tens of
-       pairs -- keeps the unvalued candidates with ``DFD <= u``; one
-       more stack values them.  Valued pairs within ``u`` sort under
-       ``(distance, (a, b))`` and the first ``k`` are the answer.
+    3. *Verify*: the indexed cascade at ``u`` (:func:`screen_pairs`
+       with its simplification stage, then :func:`verify_pairs`) --
+       inline, it checks tens of pairs -- keeps the unvalued candidates
+       with ``DFD <= u``; one more stack values them.  Valued pairs
+       within ``u`` sort under ``(distance, (a, b))`` and the first
+       ``k`` are the answer.
 
     Every top-k pair has ``DFD <= k-th distance <= u``, bounds are
     admissible and only a strict excess prunes, so ties at the k-th
     distance survive: the answer is byte-identical to serial
     :func:`join_top_k` (DESIGN.md section 14).
     """
-    get_left, get_right = _points_getter(left), _points_getter(right)
     index_left = corpus_index_for(engine, left, resolved)
     index_right = corpus_index_for(engine, right, resolved)
+    get_left, get_right = index_left.points, index_right.points
     n_right = len(right)
     valued = {}  # a * n_right + b -> exact distance
 
@@ -626,8 +634,14 @@ def _tree_join_topk(engine, left, right, k, resolved):
             _sp.attrs["candidates"] = int(len(pairs))
             _sp.attrs["bound"] = bound
     if len(pairs):
-        matches, _ = join_pairs(get_left, get_right, pairs, bound, resolved)
-        value(np.asarray(matches, dtype=np.int64).reshape(-1, 2))
+        settled, rest, _ = screen_pairs(
+            get_left, get_right, pairs, bound, resolved,
+            index=(index_left, index_right, IndexStats()),
+        )
+        matches, _ = verify_pairs(get_left, get_right, rest, bound, resolved)
+        value(np.concatenate([
+            settled, np.asarray(matches, dtype=np.int64).reshape(-1, 2)
+        ]))
     entries = sorted(
         (dist, divmod(key, n_right)) for key, dist in valued.items()
         if dist <= bound
@@ -795,7 +809,7 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
         info = {
             "windows": len(starts),
             "pairs_total": int(len(pair_grid)),
-            "candidates": int(len(candidates)),
+            "candidates": candidates,
             "index": None if index_stats is None else index_stats.as_dict(),
         }
         if cascade_stats is not None:
@@ -814,9 +828,9 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
         # (min_cluster_size=1 reports every window) -- same as serial.
         return answer(
             clusters_from_edges(starts, [], window_length, min_cluster_size),
-            [],
+            0,
         )
-    windex = None
+    windex = index = None
     if planner.normalize_index_mode(use_index):
         fp = (
             "cwindex", fingerprint_points(traj), int(window_length),
@@ -828,8 +842,10 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
         candidates, index_stats = windex.candidate_pairs(
             None, theta, pairs=pair_grid
         )
+        index = (windex, None, index_stats)
     else:
         candidates = pair_grid
+
     def publish():
         windows_key = (f"windows:{fingerprint_points(traj)}:"
                        f"{int(window_length)}:{int(stride)}")
@@ -849,13 +865,13 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
     get_windows = _points_getter(windows)
     edges, cascade_stats = _decide_pairs(
         engine, get_windows, get_windows, candidates, theta, resolved,
-        workers, publish,
+        workers, publish, index,
     )
     # Edges come back sorted: the serial discovery order, hence the
     # identical union-find state.
     return answer(
         clusters_from_edges(starts, edges, window_length, min_cluster_size),
-        candidates,
+        len(candidates) if index is None else index_stats.candidates,
     )
 
 

@@ -42,8 +42,12 @@ hierarchical tree, prune most pairs before any of the per-pair filters
 run.
 The pruning is admissible, so the *matches* are identical to the
 unindexed path; the filter statistics account the index's share in
-``pruned_index``.  :func:`join_pairs` is the candidate-list core the
-indexed paths (serial and engine-sharded) share, and
+``pruned_index``.  The index's simplification bound runs inside the
+cascade, after step 3, on the pairs the coupling settle leaves open
+(:func:`screen_pairs` with ``index=``): every indexed path (serial,
+engine, sharded, top-k, window clustering) decides its candidates
+through :func:`screen_pairs` and :func:`verify_pairs`.
+:func:`join_pairs` is the unindexed candidate-list core, and
 :func:`scan_join_topk` the analogous core of the top-k closest-pair
 join :func:`join_top_k`.
 """
@@ -58,9 +62,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..distances.frechet import (
-    coupling_upper_bounds,
     dfd_decision,
     dfd_matrix,
+    flat_coupling_bounds,
     ground_stacks,
 )
 from ..distances.ground import GroundMetric, get_metric
@@ -189,15 +193,16 @@ def join_pairs(
 ) -> Tuple[List[Tuple[int, int]], JoinStats]:
     """The filter cascade over an explicit candidate-pair list.
 
-    The core every threshold join shares: the serial
-    :func:`similarity_join` (over its full pair grid or the index's
-    candidates) and the engine's sharded pair chunks all run it, so
-    their cascade statistics are additive and identical for identical
-    candidate sets.  ``get_left`` / ``get_right`` map collection
-    indices to point arrays (inline lists or shared-memory transport
-    slabs); ``pairs`` is an ``(m, 2)`` array of collection index pairs.
-    ``stats.pairs_total`` counts only the candidates scanned here --
-    callers fold the index's own accounting on top.
+    The unindexed core: the serial :func:`similarity_join` runs it
+    over its full pair grid, the engine's tiles over theirs, so their
+    cascade statistics are additive and identical for identical
+    candidate sets (the indexed paths run its two halves,
+    :func:`screen_pairs` and :func:`verify_pairs`).  ``get_left`` /
+    ``get_right`` map collection indices to point arrays (inline lists
+    or shared-memory transport slabs); ``pairs`` is an ``(m, 2)`` array
+    of collection index pairs.  ``stats.pairs_total`` counts only the
+    candidates scanned here -- callers fold the index's own accounting
+    on top.
 
     Each step runs vectorised over all pairs still alive: endpoint
     and bounding-box distances as one stacked ground-metric call, the
@@ -225,6 +230,8 @@ def screen_pairs(
     pairs,
     theta: float,
     metric: Union[str, GroundMetric] = "euclidean",
+    *,
+    index=None,
 ) -> Tuple[np.ndarray, np.ndarray, JoinStats]:
     """The matrix-free head of the cascade: ``(settled, rest, stats)``.
 
@@ -236,6 +243,15 @@ def screen_pairs(
     :func:`verify_pairs`.  Both keep ``pairs`` order.  ``stats``
     accounts every pair given; with the stats of ``verify_pairs(rest)``
     folded in (:func:`merge_join_stats`) they equal ``join_pairs``'s.
+
+    ``index`` -- ``(left index, right index or None, IndexStats)`` of
+    the :meth:`~repro.index.CorpusIndex.candidate_pairs` walk that
+    produced ``pairs`` -- adds the index's last stage: the
+    simplification bound runs on ``rest`` only
+    (:meth:`~repro.index.CorpusIndex.simplification_screen`).  Every
+    indexed join runs its candidates through here, so this is the one
+    place that fixes the order: walk, endpoint/box, coupling settle,
+    simplification DP, then the matrices.
     """
     theta = check_threshold("theta", theta)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -247,7 +263,13 @@ def screen_pairs(
         hit, live, _, _ = _screen(get_left, get_right, chunk, theta, m, stats)
         settled.append(chunk[hit])
         rest.append(chunk[live])
-    return np.concatenate(settled), np.concatenate(rest), stats
+    rest = np.concatenate(rest)
+    if index is not None:
+        index_left, index_right, index_stats = index
+        rest = index_left.simplification_screen(
+            index_right, rest, theta, index_stats
+        )
+    return np.concatenate(settled), rest, stats
 
 
 def verify_pairs(
@@ -294,10 +316,12 @@ def _cascade(get_left, get_right, pairs, theta, m, stats) -> np.ndarray:
 
     Returns the boolean match mask over ``pairs``.
     """
-    hit, live, lefts, rights = _screen(
+    hit, live, left, right = _screen(
         get_left, get_right, pairs, theta, m, stats
     )
-    hit[live[_verify(lefts, rights, theta, m, stats)]] = True
+    ok = _verify([left.points(k) for k in live],
+                 [right.points(k) for k in live], theta, m, stats)
+    hit[live[ok]] = True
     return hit
 
 
@@ -305,9 +329,10 @@ def _screen(get_left, get_right, pairs, theta, m, stats):
     """Steps 1-3 (endpoint and box filters, the coupling settle) over
     one chunk of pairs.
 
-    Returns ``(hit, live, lefts, rights)``: the settled-match mask over
-    ``pairs``, the positions of the pairs still open, and their point
-    arrays.  Updates ``stats``.
+    Returns ``(hit, live, left, right)``: the settled-match mask over
+    ``pairs``, the positions of the pairs still open, and the two
+    sides (:class:`_Side`) that hold their point arrays.  Updates
+    ``stats``.
     """
     left = _Side(get_left, pairs[:, 0])
     right = _Side(get_right, pairs[:, 1])
@@ -327,22 +352,21 @@ def _screen(get_left, get_right, pairs, theta, m, stats):
         stats.pruned_bbox += int(np.sum(apart))
         alive &= ~apart
     live = np.flatnonzero(alive)
-    lefts = [left.points(k) for k in live]
-    rights = [right.points(k) for k in live]
     # Settle: one coupling within theta decides DFD <= theta exactly.
     # Its cells are ground-matrix cells, so the Hausdorff value
     # (<= DFD) would have passed too: the pair counts as a decision.
-    near = coupling_upper_bounds(lefts, rights, m) <= theta
+    near = np.zeros(len(live), dtype=bool)
+    if len(live) and m.exact_rowwise:
+        near = flat_coupling_bounds(
+            *left.runs(live, m), *right.runs(live, m), m
+        ) <= theta
     done = int(np.sum(near))
     stats.settled += done
     stats.decisions += done
     stats.matches += done
     hit = np.zeros(len(pairs), dtype=bool)
     hit[live[near]] = True
-    keep = np.flatnonzero(~near)
-    return (
-        hit, live[keep], [lefts[k] for k in keep], [rights[k] for k in keep]
-    )
+    return hit, live[~near], left, right
 
 
 def _verify(lefts, rights, theta, m, stats) -> np.ndarray:
@@ -373,19 +397,32 @@ class _Side:
     def __init__(self, get: Callable[[int], np.ndarray], ids: np.ndarray) -> None:
         uniq, self._inv = np.unique(ids, return_inverse=True)
         self._arrays = [np.asarray(get(int(i)), dtype=np.float64) for i in uniq]
-        lengths = np.array([len(p) for p in self._arrays])
-        flat = np.concatenate(self._arrays)
+        self._lengths = np.array([len(p) for p in self._arrays])
+        self._flat = flat = np.concatenate(self._arrays)
         if not np.isfinite(flat).all():
             raise TrajectoryError("points contain NaN or infinite coordinates")
-        first = np.cumsum(lengths) - lengths
+        self._first = first = np.cumsum(self._lengths) - self._lengths
         self.starts = flat[first][self._inv]
-        self.ends = flat[first + lengths - 1][self._inv]
+        self.ends = flat[first + self._lengths - 1][self._inv]
         self.lo = np.minimum.reduceat(flat, first)[self._inv]
         self.hi = np.maximum.reduceat(flat, first)[self._inv]
 
     def points(self, k: int) -> np.ndarray:
         """Point array of the chunk's ``k``-th pair on this side."""
         return self._arrays[self._inv[k]]
+
+    def runs(self, ks: np.ndarray, m: GroundMetric):
+        """``(flat, first, lengths)`` of the chunk's pairs ``ks`` on this
+        side, for :func:`flat_coupling_bounds`; their points are
+        checked against ``m``'s domain here."""
+        used = np.zeros(len(self._arrays), dtype=bool)
+        used[self._inv[ks]] = True
+        m._check_domain(self._flat[np.repeat(used, self._lengths)])
+        trajectories = self._inv[ks]
+        return (
+            self._flat, self._first[trajectories],
+            self._lengths[trajectories],
+        )
 
 
 def _point_distances(m: GroundMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,7 +436,7 @@ def _point_distances(m: GroundMetric, a: np.ndarray, b: np.ndarray) -> np.ndarra
 
 
 def _indexed_join(left, right, theta, metric, offsets):
-    """Serial indexed join: index candidates, then the pair cascade."""
+    """Serial indexed join: index candidates, screened, then verified."""
     from ..index import CorpusIndex
 
     if not len(left) or not len(right):
@@ -408,13 +445,20 @@ def _indexed_join(left, right, theta, metric, offsets):
     index_left = CorpusIndex(left, m)
     index_right = CorpusIndex(right, m)
     pairs, index_stats = index_left.candidate_pairs(index_right, theta)
-    matches, stats = join_pairs(
-        _points_getter(left), _points_getter(right), pairs, theta, m, offsets
+    get_left, get_right = index_left.points, index_right.points
+    settled, rest, stats = screen_pairs(
+        get_left, get_right, pairs, theta, m,
+        index=(index_left, index_right, index_stats),
     )
+    matches, rest_stats = verify_pairs(get_left, get_right, rest, theta, m)
+    matches.extend(map(tuple, settled.tolist()))
+    matches.sort()  # candidate order: left-major, then right
+    stats = merge_join_stats([stats, rest_stats])
     stats.pairs_total = len(left) * len(right)
-    stats.pruned_index = stats.pairs_total - len(pairs)
+    stats.pruned_index = stats.pairs_total - index_stats.candidates
     stats.details["index"] = index_stats.as_dict()
-    return matches, stats
+    off_a, off_b = (int(offsets[0]), int(offsets[1]))
+    return [(a + off_a, b + off_b) for a, b in matches], stats
 
 
 # ----------------------------------------------------------------------

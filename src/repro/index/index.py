@@ -31,7 +31,9 @@ Candidate generation is one dual traversal of the hierarchical
 summaries: node pairs whose aggregate bound exceeds ``theta`` drop
 their whole item-pair blocks, so most pairs are never enumerated at
 all.  The flat summaries are the tree's leaf payload and the filter
-tail every surviving pair runs through.
+tail every surviving pair runs through: endpoint and box bounds at
+once, the simplification bound only on the pairs the join's coupling
+screen leaves open (:meth:`CorpusIndex.simplification_screen`).
 
 Every bound is *admissible* (never exceeds the true DFD), which the
 property suite in ``tests/test_index.py`` asserts on random corpora;
@@ -609,7 +611,8 @@ class CorpusIndex:
         theta: float,
         pairs: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, IndexStats]:
-        """All pairs the index cannot prove apart at threshold ``theta``.
+        """The pairs the tree walk and the endpoint/box bounds cannot
+        prove apart at threshold ``theta``.
 
         Returns a lexicographically sorted ``(m, 2)`` int64 array of
         surviving ``(a, b)`` pairs plus the pruning statistics.  Every
@@ -619,8 +622,13 @@ class CorpusIndex:
         pairs drop whole blocks and land in ``pruned_grid``.  ``pairs``
         restricts the answer to a caller-supplied pair list (window
         clustering's non-overlap rule), intersected with the walk.  The
-        vectorised endpoint / box / simplification filters then run on
-        the survivors.
+        vectorised endpoint / box filters then run on the survivors.
+
+        The simplification bound is the joins' next stage, not this
+        one: it runs on the pairs their coupling screen leaves open
+        (:meth:`simplification_screen`, called by
+        :func:`repro.extensions.join.screen_pairs`), which moves what
+        it prunes from ``candidates`` to ``pruned_simplification``.
         """
         out, _, stats = self._candidates(other, theta, pairs)
         return out, stats
@@ -628,8 +636,8 @@ class CorpusIndex:
     def _candidates(
         self, other, theta, pairs
     ) -> Tuple[np.ndarray, np.ndarray, IndexStats]:
-        """:meth:`candidate_pairs` plus each survivor's bound
-        ``max(endpoint + box, simplification)``, in pair order."""
+        """:meth:`candidate_pairs` plus each survivor's endpoint + box
+        bound, in pair order."""
         theta = check_threshold("theta", theta)
         peer = self if other is None else other
         stats = IndexStats()
@@ -659,14 +667,6 @@ class CorpusIndex:
             stats.pruned_endpoint = int(np.sum(lb_end > theta))
             stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
             a_idx, b_idx, lbs = a_idx[keep], b_idx[keep], lbs[keep]
-        if len(a_idx):
-            lbs = np.maximum(
-                lbs, self.simplification_bounds(other, a_idx, b_idx)
-            )
-            keep_mask = ~(lbs > theta)
-            stats.pruned_simplification = int(np.sum(~keep_mask))
-            a_idx, b_idx = a_idx[keep_mask], b_idx[keep_mask]
-            lbs = lbs[keep_mask]
         out = np.stack([a_idx, b_idx], axis=1) if len(a_idx) else (
             np.empty((0, 2), dtype=np.int64)
         )
@@ -680,6 +680,35 @@ class CorpusIndex:
         )
         stats.candidates = len(out)
         return out, lbs, stats
+
+    def simplification_screen(
+        self,
+        other: Optional["CorpusIndex"],
+        pairs: np.ndarray,
+        theta: float,
+        stats: IndexStats,
+    ) -> np.ndarray:
+        """The pairs of ``pairs`` the simplification bound cannot prove
+        further than ``theta`` apart, in ``pairs`` order.
+
+        One batched DP over the summaries.  The joins call it on the
+        candidates their coupling screen left open: a settled pair has
+        ``bound <= DFD <= coupling <= theta``, so it never prunes one,
+        and the pairs pruned are those it would prune over every
+        candidate.  Each pruned pair moves from ``stats.candidates`` to
+        ``stats.pruned_simplification``.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if not len(pairs):
+            return pairs
+        keep = ~(
+            self.simplification_bounds(other, pairs[:, 0], pairs[:, 1])
+            > theta
+        )
+        pruned = len(pairs) - int(np.sum(keep))
+        stats.pruned_simplification += pruned
+        stats.candidates -= pruned
+        return pairs[keep]
 
     def pair_cursor(
         self, other: Optional["CorpusIndex"] = None

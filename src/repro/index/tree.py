@@ -13,19 +13,19 @@ sublinear candidate generation on clustered corpora.
 Every node aggregates its subtree with exactly the summary kinds the
 flat index already proves admissible, lifted from items to sets:
 
-* **bounding box** -- the union box of member boxes.  For a
-  coordinate-monotone ground metric the box-to-box gap lower-bounds the
-  ground distance of every coupled point pair, hence the DFD, of every
-  member pair (the flat index's box bound, applied set-wise).  Start
-  and end hull boxes are kept too: endpoints couple to endpoints, so
-  their hull gap is an endpoint bound that survives aggregation.
+* **bounding box** -- the union box of member boxes.  The metric's
+  box-to-box gap (:meth:`GroundMetric.box_gap`: the axis-wise gap for
+  coordinate-monotone metrics, a great-circle gap for haversine)
+  lower-bounds the ground distance of every coupled point pair, hence
+  the DFD, of every member pair.  Start and end hull boxes are kept
+  too: endpoints couple to endpoints, so their hull gap is an endpoint
+  bound that survives aggregation.
 * **endpoint balls** -- a representative start (the first member's) and
   the exact covering radius ``r = max_T d(center, start_T)``.  The
   ground metric's triangle inequality gives
   ``d(start_A, start_B) >= d(c_A, c_B) - r_A - r_B`` for any members,
   and the first coupled pair makes that a DFD bound -- valid for *any*
-  metric satisfying the triangle inequality (haversine included, where
-  the monotone box bounds must stay off).  Internal nodes compose
+  metric satisfying the triangle inequality.  Internal nodes compose
   radii: ``r_parent = max_child (d(c_parent, c_child) + r_child)``.
 
 No node keeps a simplification: a node-level simplification bound is
@@ -193,6 +193,13 @@ class TrajectoryTree:
         self.end_center = end_center
         self.start_radius = start_radius
         self.end_radius = end_radius
+        #: The union, start and end boxes of every node as ``(nodes, 3,
+        #: d)`` corner stacks, so each bound evaluation gaps all three
+        #: in one :meth:`GroundMetric.box_gap` call.
+        self.box_stack = (
+            np.stack([box_lo, start_lo, end_lo], axis=1),
+            np.stack([box_hi, start_hi, end_hi], axis=1),
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -370,10 +377,10 @@ class TrajectoryTree:
         For any member ``A`` of node ``na[i]`` and ``B`` of ``nb[i]``,
         ``result[i] <= DFD(A, B)``.  Combines the endpoint-ball terms
         (any triangle-inequality metric) with the union-box and
-        endpoint-hull gaps (coordinate-monotone metrics only), clamped
-        at zero.  This is the tree's only pair bound: the item
-        simplification bound on the survivors dominates any node-level
-        simplification bound.
+        endpoint-hull gaps (every metric with a
+        :meth:`GroundMetric.box_gap`), clamped at zero.  This is the
+        tree's only pair bound: the item simplification bound on the
+        survivors dominates any node-level simplification bound.
         """
         na = np.asarray(na, dtype=np.int64)
         nb = np.asarray(nb, dtype=np.int64)
@@ -384,19 +391,10 @@ class TrajectoryTree:
             m.rowwise(self.end_center[na], other.end_center[nb])
             - self.end_radius[na] - other.end_radius[nb],
         )
-        if m.coordinate_monotone:
-            zeros = np.zeros((len(na), self.dims))
-            for lo_a, hi_a, lo_b, hi_b in (
-                (self.box_lo, self.box_hi, other.box_lo, other.box_hi),
-                (self.start_lo, self.start_hi,
-                 other.start_lo, other.start_hi),
-                (self.end_lo, self.end_hi, other.end_lo, other.end_hi),
-            ):
-                gaps = np.maximum(
-                    0.0,
-                    np.maximum(lo_b[nb] - hi_a[na], lo_a[na] - hi_b[nb]),
-                )
-                lb = np.maximum(lb, m.rowwise(zeros, gaps))
+        (lo_a, hi_a), (lo_b, hi_b) = self.box_stack, other.box_stack
+        gap = m.box_gap(lo_a[na], hi_a[na], lo_b[nb], hi_b[nb])
+        if gap is not None:
+            lb = np.maximum(lb, gap.max(axis=1))
         return np.maximum(lb, 0.0)
 
     def query_lower_bounds(self, query: QuerySummary, nodes) -> np.ndarray:
@@ -413,18 +411,18 @@ class TrajectoryTree:
             m.rowwise(q_end, self.end_center[nodes])
             - self.end_radius[nodes],
         )
+        # One query's descent evaluates few nodes per level, so the
+        # great-circle gap's trigonometry costs more than the nodes it
+        # prunes (BENCH_index_bounds.json, clustered haversine range and
+        # knn): only the axis gap of coordinate-monotone metrics runs.
         if m.coordinate_monotone:
-            zeros = np.zeros((count, self.dims))
-            for q_lo, q_hi, lo, hi in (
-                (query.box_lo, query.box_hi, self.box_lo, self.box_hi),
-                (query.start, query.start, self.start_lo, self.start_hi),
-                (query.end, query.end, self.end_lo, self.end_hi),
-            ):
-                gaps = np.maximum(
-                    0.0,
-                    np.maximum(lo[nodes] - q_hi, q_lo - hi[nodes]),
-                )
-                lb = np.maximum(lb, m.rowwise(zeros, gaps))
+            lo, hi = self.box_stack
+            gap = m.box_gap(
+                np.stack([query.box_lo, query.start, query.end]),
+                np.stack([query.box_hi, query.start, query.end]),
+                lo[nodes], hi[nodes],
+            )
+            lb = np.maximum(lb, gap.max(axis=1))
         return np.maximum(lb, 0.0)
 
     # ------------------------------------------------------------------
@@ -632,8 +630,10 @@ class TreePairCursor:
         """Every item pair the trees cannot prove ``> cut``, with its bound.
 
         The pairs of :meth:`CorpusIndex.candidate_pairs` at ``cut``,
-        each with the tightest bound the filter tail proved for it.
-        Only a strict excess prunes: ties at ``cut`` survive.
+        each with its endpoint + box bound.  The simplification bound
+        is left to the cascade that decides them, which runs it on the
+        pairs its coupling screen leaves open.  Only a strict excess
+        prunes: ties at ``cut`` survive.
         """
         pairs, lbs, _ = self._left._candidates(self._right, cut, None)
         return pairs, lbs

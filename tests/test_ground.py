@@ -10,6 +10,7 @@ from repro.distances.ground import (
     ChebyshevMetric,
     DenseGroundMatrix,
     EuclideanMetric,
+    GroundMetric,
     HaversineMetric,
     LazyGroundMatrix,
     cross_ground_matrix,
@@ -90,6 +91,96 @@ class TestHaversine:
     def test_invalid_radius(self):
         with pytest.raises(TrajectoryError):
             HaversineMetric(radius=0.0)
+
+
+def _lat_lon_boxes(rng, count):
+    """Random (lat, lon) degree boxes, some degenerate: polar latitudes
+    (|lat| <= 89.9), boxes on both sides of the antimeridian and
+    longitudes past +-180, so box pairs also sit 180 degrees and more
+    apart in raw longitude."""
+    quarter = count // 4
+    lat = rng.uniform(-89.9, 89.9, size=count)
+    lat[:quarter] = rng.choice([-1.0, 1.0], size=quarter) * rng.uniform(
+        85.0, 89.9, size=quarter)
+    lon = rng.uniform(-180.0, 180.0, size=count)
+    lon[quarter:2 * quarter] = rng.choice([-179.9, -179.0, 179.0, 179.9],
+                                          size=quarter)
+    lon[2 * quarter:3 * quarter] = rng.uniform(-200.0, 370.0, size=quarter)
+    widths = rng.uniform(0.0, 2.0, size=(count, 2))
+    widths[::3] = 0.0
+    lo = np.stack([lat, lon], axis=1)
+    hi = lo + widths
+    hi[:, 0] = np.minimum(hi[:, 0], 89.9)
+    return lo, hi
+
+
+class TestHaversineBoxGap:
+    """``HaversineMetric.box_gap`` never exceeds a computed cell of any
+    point pair its boxes cover, ties included, and is at least the
+    latitude and longitude terms it combines (less its float slack)."""
+
+    def _points(self, rng, lo, hi, count):
+        corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]],
+                            [hi[0], lo[1]], [hi[0], hi[1]]])
+        inner = lo + rng.uniform(size=(count, 2)) * (hi - lo)
+        return np.concatenate([corners, inner])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_never_exceeds_a_covered_cell(self, seed):
+        m = HaversineMetric()
+        rng = np.random.default_rng(seed)
+        lo_a, hi_a = _lat_lon_boxes(rng, 40)
+        lo_b, hi_b = _lat_lon_boxes(rng, 40)
+        gaps = m.box_gap(lo_a, hi_a, lo_b, hi_b)
+        for k in range(40):
+            p = self._points(rng, lo_a[k], hi_a[k], 12)
+            q = self._points(rng, lo_b[k], hi_b[k], 12)
+            # Both cell forms the join and the index read.
+            cells = m.pairwise_stack(p[None], q[None])[0]
+            assert gaps[k] <= cells.min(), k
+            prepared = m.prepared_cells(
+                [x[:, None] for x in m.prepare(p)],
+                [x[None, :] for x in m.prepare(q)],
+            )
+            assert gaps[k] <= prepared.min(), k
+
+    def test_equal_points_give_zero(self):
+        m = HaversineMetric()
+        pts = np.array([[89.9, 179.9], [-45.0, -180.0], [0.0, 0.0]])
+        assert np.all(m.box_gap(pts, pts, pts, pts) == 0.0)
+
+    def test_at_least_its_latitude_and_longitude_terms(self):
+        m = HaversineMetric()
+        rng = np.random.default_rng(7)
+        lo_a, hi_a = _lat_lon_boxes(rng, 200)
+        lo_b, hi_b = _lat_lon_boxes(rng, 200)
+        gaps = m.box_gap(lo_a, hi_a, lo_b, hi_b)
+        rad = np.radians
+        dphi = np.maximum(0.0, np.maximum(rad(lo_b[:, 0] - hi_a[:, 0]),
+                                          rad(lo_a[:, 0] - hi_b[:, 0])))
+        gap = np.maximum(lo_b[:, 1] - hi_a[:, 1], lo_a[:, 1] - hi_b[:, 1])
+        span = np.maximum(hi_b[:, 1] - lo_a[:, 1], hi_a[:, 1] - lo_b[:, 1])
+        g = rad(np.clip(np.minimum(gap, 360.0 - span), 0.0, None))
+        phi = rad(np.abs(np.concatenate([lo_a, hi_a, lo_b, hi_b], axis=1)[
+            :, ::2]).max(axis=1))
+        lat_term = m.radius * dphi
+        lon_term = 2 * m.radius * np.arcsin(np.cos(phi) * np.sin(g / 2))
+        # The slack costs at most a few micrometres here.
+        assert np.all(gaps >= np.maximum(lat_term, lon_term) - 1e-4)
+        # Wide longitude gaps fold across the antimeridian.
+        near = m.box_gap(np.array([[0.0, 179.5]]), np.array([[0.0, 179.5]]),
+                         np.array([[0.0, -179.5]]), np.array([[0.0, -179.5]]))
+        assert near[0] == pytest.approx(m.distance([0.0, 179.5],
+                                                   [0.0, -179.5]), rel=1e-9)
+
+    def test_euclidean_box_gap_is_the_axis_gap_distance(self):
+        m = EuclideanMetric()
+        got = m.box_gap(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]),
+                        np.array([[4.0, 5.0]]), np.array([[6.0, 7.0]]))
+        assert got[0] == 5.0
+        assert GroundMetric().box_gap(
+            np.zeros((1, 2)), np.zeros((1, 2)), np.ones((1, 2)),
+            np.ones((1, 2))) is None
 
 
 class TestHaversineDomain:

@@ -42,7 +42,6 @@ from repro.engine import MotifEngine
 from repro.errors import TrajectoryError
 from repro.extensions import join as join_mod
 from repro.extensions.join import join_top_k, similarity_join
-from repro.index import CorpusIndex
 
 SEED = int(os.environ.get("REPRO_TEST_SEED", "0"))
 
@@ -430,10 +429,8 @@ class TestCascadeCounters:
         keys = ("pruned_grid", "pruned_endpoint", "pruned_simplification",
                 "candidates", "nodes_visited", "nodes_pruned",
                 "leaves_scanned")
-        _, index_stats = CorpusIndex(left).candidate_pairs(
-            CorpusIndex(right), theta
-        )
-        assert tuple(index_stats.as_dict()[k] for k in keys) == tree
+        _, stats = similarity_join(left, right, theta, index=True)
+        assert tuple(stats.details["index"][k] for k in keys) == tree
 
     def test_unindexed_chunks_cross_grid_rows(self, monkeypatch):
         left, right = _clustered(7, 0.0), _clustered(8, 0.2)

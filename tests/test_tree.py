@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 import repro.index.index as index_mod
-from repro.distances.frechet import discrete_frechet
+from repro.distances.frechet import dfd_pairs, discrete_frechet
 from repro.distances.ground import get_metric
 from repro.engine import MotifEngine
 from repro.engine.planner import normalize_index_mode
@@ -38,6 +38,7 @@ from repro.extensions.join import join_top_k, similarity_join
 from repro.service import MotifService
 from repro.index import (
     CorpusIndex,
+    IndexStats,
     TREE_ARRAY_FIELDS,
     TrajectoryTree,
 )
@@ -77,6 +78,25 @@ def lattice_corpus(seed: int, count: int = 12):
     return corpus
 
 
+def edge_geo_corpus(seed: int):
+    """(lat, lon) walks where the haversine box gap is hardest to get
+    right: near both poles (|lat| <= 89.9), on both sides of the
+    antimeridian (longitudes past 180 included) and 180 degrees and
+    more apart in raw longitude."""
+    rng = np.random.default_rng(seed + 5)
+    centres = [(89.6, 0.0), (89.6, 150.0), (-89.6, -100.0), (88.0, -30.0),
+               (0.0, 179.95), (0.0, -179.95), (12.0, 180.2), (12.0, -179.8),
+               (-40.0, 0.0), (-40.0, 181.0)]
+    corpus = []
+    for lat, lon in centres:
+        n = int(rng.integers(4, 9))
+        walk = rng.normal(size=(n, 2)).cumsum(axis=0) * 0.05
+        pts = walk + np.array([lat, lon])
+        pts[:, 0] = np.clip(pts[:, 0], -89.9, 89.9)
+        corpus.append(Trajectory(pts))
+    return corpus
+
+
 def exact_dfd(a, b, metric) -> float:
     return float(discrete_frechet(a, b, metric))
 
@@ -89,26 +109,43 @@ class TestNodeBoundsAdmissible:
     @pytest.mark.parametrize("metric", METRICS)
     def test_pair_bounds_never_exceed_exact_dfd(self, seed, metric):
         """Property: for every node pair, every aggregated lower bound
-        is <= the exact DFD of every covered trajectory pair."""
+        is <= the exact DFD of every covered trajectory pair.  Haversine
+        also runs a corpus at the edges of its box-gap bound (polar
+        latitudes, the antimeridian, longitude gaps of 180 degrees and
+        more), with no tolerance, and a join at a pair's exact DFD
+        keeps that pair."""
         geo = metric == "haversine"
-        corpus = make_corpus(seed, geo=geo)
-        index = CorpusIndex(corpus, metric)
-        tree = index.ensure_tree(fanout=3)
+        corpora = [(make_corpus(seed, geo=geo), 1e-9)]
+        if geo:
+            corpora.append((edge_geo_corpus(seed), 0.0))
         resolved = get_metric(metric)
-        nodes = np.arange(tree.n_nodes)
-        for na in nodes:
-            items_a = tree.node_items(int(na))
-            nb_arr = np.repeat(nodes, 1)
-            lbs = tree.pair_lower_bounds(
-                tree, np.full(len(nodes), na), nb_arr
-            )
-            for nb, lb in zip(nodes, lbs):
-                items_b = tree.node_items(int(nb))
-                exact = min(
-                    exact_dfd(corpus[i], corpus[j], resolved)
-                    for i in items_a for j in items_b
+        for corpus, slack in corpora:
+            index = CorpusIndex(corpus, metric)
+            tree = index.ensure_tree(fanout=3)
+            nodes = np.arange(tree.n_nodes)
+            for na in nodes:
+                items_a = tree.node_items(int(na))
+                lbs = tree.pair_lower_bounds(
+                    tree, np.full(len(nodes), na), nodes
                 )
-                assert lb <= exact + 1e-9, (na, nb, lb, exact)
+                for nb, lb in zip(nodes, lbs):
+                    items_b = tree.node_items(int(nb))
+                    exact = min(
+                        exact_dfd(corpus[i], corpus[j], resolved)
+                        for i in items_a for j in items_b
+                    )
+                    assert lb <= exact + slack, (na, nb, lb, exact)
+        if geo:
+            # The join kernel's own value is the threshold: a tie.
+            corpus = corpora[1][0]
+            tree = CorpusIndex(corpus, metric).ensure_tree(fanout=3)
+            n = len(corpus)
+            a_idx, b_idx = np.divmod(np.arange(n * n), n)
+            dists = dfd_pairs([corpus[a].points for a in a_idx],
+                              [corpus[b].points for b in b_idx], resolved)
+            for a, b, theta in zip(a_idx, b_idx, dists):
+                got_a, got_b = tree.join_candidates(tree, theta, IndexStats())
+                assert np.any((got_a == a) & (got_b == b)), (a, b, theta)
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     @pytest.mark.parametrize("metric", METRICS)
@@ -373,8 +410,10 @@ class TestDepotRoundTrips:
 
     def test_simplification_bound_prunes(self, case, monkeypatch):
         left, right, theta, query, _ = case
-        _, stats = CorpusIndex(left, "euclidean").candidate_pairs(
-            CorpusIndex(right, "euclidean"), theta)
+        # The joins run the bound after the coupling screen.
+        _, join_stats = similarity_join(left, right, theta, "euclidean",
+                                        index=True)
+        stats = IndexStats(**join_stats.details["index"])
         assert stats.pruned_endpoint == stats.pruned_box == 0
         assert stats.pruned_simplification > 0
         assert (stats.pruned_grid + stats.pruned_simplification

@@ -207,25 +207,30 @@ class TestParity:
 # The refine step and the instrument
 # ----------------------------------------------------------------------
 def test_verify_sees_only_pairs_within_the_bound(engines, monkeypatch):
-    """The cascade runs at ``u`` on pairs whose index bound is ``<= u``:
-    the refine drops every candidate its lowered ``u`` excludes."""
+    """The cascade runs at ``u`` on pairs whose endpoint/box bound is
+    ``<= u`` (the refine drops every candidate its lowered ``u``
+    excludes), and the pairs its screen leaves open for the matrices
+    also have a simplification bound ``<= u``."""
     calls = []
-    real = corpus_mod.join_pairs
+    real = corpus_mod.screen_pairs
 
-    def spy(get_left, get_right, pairs, theta, metric):
-        calls.append((np.array(pairs), theta))
-        return real(get_left, get_right, pairs, theta, metric)
+    def spy(get_left, get_right, pairs, theta, metric, *, index=None):
+        out = real(get_left, get_right, pairs, theta, metric, index=index)
+        calls.append((np.array(pairs), theta, out[1]))
+        return out
 
-    monkeypatch.setattr(corpus_mod, "join_pairs", spy)
+    monkeypatch.setattr(corpus_mod, "screen_pairs", spy)
     left, right = adversarial_corpus()
     index_left, index_right = CorpusIndex(left), CorpusIndex(right)
     for k in (2, 5, 8):
         calls.clear()
         got = engine_top_k(engines[1], left, right, k)
         assert len(calls) == 1
-        pairs, theta = calls[0]
+        pairs, theta, rest = calls[0]
         assert theta >= got[-1][0]
-        for a, b in pairs:
+        assert np.all(index_left.pair_bounds(
+            index_right, pairs[:, 0], pairs[:, 1]) <= theta)
+        for a, b in rest:
             assert index_left.lower_bound(a, b, index_right) <= theta
 
 
