@@ -399,7 +399,7 @@ def coupling_upper_bounds(
     round(t (m-1) / L))``, ``t = 0 .. L`` (halves round up); entry ``k``
     is the largest ground distance on that walk, ``max(n, m)`` cells
     instead of ``n m``.  All pairs' cells are one gather and one
-    :meth:`~repro.distances.ground.GroundMetric._cells` call.
+    :meth:`~repro.distances.ground.GroundMetric.prepared_cells` call.
 
     For an :attr:`~repro.distances.ground.GroundMetric.exact_rowwise`
     metric those cells equal :func:`ground_stack`'s bit for bit, and
@@ -422,14 +422,19 @@ def coupling_upper_bounds(
     b, first_b, mm = _flat_points(rights)
     m._check_domain(a)
     m._check_domain(b)
-    return flat_coupling_bounds(a, first_a, n, b, first_b, mm, m)
+    return flat_coupling_bounds(
+        m.prepare(a), first_a, n, m.prepare(b), first_b, mm, m
+    )
 
 
 def flat_coupling_bounds(a, first_a, n, b, first_b, mm, metric):
     """:func:`coupling_upper_bounds` of pairs held as runs of two flat
-    ``(rows, d)`` point arrays: pair ``k`` couples ``a[first_a[k]:][:n[k]]``
-    with ``b[first_b[k]:][:mm[k]]``.  Runs may repeat, so a caller that
-    holds each trajectory once (the join screen) builds no per-pair
+    point sets in :meth:`~repro.distances.ground.GroundMetric.prepare`
+    form: pair ``k`` couples the ``n[k]`` points of ``a`` from
+    ``first_a[k]`` on with the ``mm[k]`` points of ``b`` from
+    ``first_b[k]`` on, all cells gathered into one
+    :meth:`~repro.distances.ground.GroundMetric.prepared_cells` call.  Runs may repeat, so a caller that prepares each trajectory
+    once (an index's slab, the join screen's chunk) builds no per-pair
     arrays.  The caller's part: an
     :attr:`~repro.distances.ground.GroundMetric.exact_rowwise` metric,
     and the runs' points checked against its domain.
@@ -452,9 +457,10 @@ def flat_coupling_bounds(a, first_a, n, b, first_b, mm, metric):
             ) // (2 * span)
         return idx
 
-    cells = m._cells(
-        list(a[first_a[pair] + walk(n)].T),
-        list(b[first_b[pair] + walk(mm)].T),
+    rows_a = first_a[pair] + walk(n)
+    rows_b = first_b[pair] + walk(mm)
+    cells = m.prepared_cells(
+        [x.take(rows_a) for x in a], [y.take(rows_b) for y in b]
     )
     return np.maximum.reduceat(cells, starts)
 

@@ -28,7 +28,7 @@ from ..errors import TrajectoryError
 #: Mean Earth radius in metres (Sinnott's haversine, as cited in the paper).
 EARTH_RADIUS_M = 6371000.0
 
-#: Float slack of :meth:`HaversineMetric.box_gap`.  A computed cell
+#: Float slack of :meth:`HaversineMetric.prepared_box_gap`.  A computed cell
 #: subtracts radian coordinates directly, the folded longitude gap
 #: subtracts a span from ``2 pi``: the two differ by a few ulps of
 #: ``2 pi`` (under 2e-15 rad), which the angle slack (1e-12 rad, about
@@ -130,18 +130,35 @@ class GroundMetric:
         ``q`` in box ``b``, per row of the broadcast ``(..., d)`` box
         corners; ``None`` when the metric has no such bound.
 
+        :meth:`prepared_box_gap` of both boxes' :meth:`prepare_boxes`.
+        """
+        a = self.prepare_boxes(lo_a, hi_a)
+        if a is None:
+            return None
+        return self.prepared_box_gap(a, self.prepare_boxes(lo_b, hi_b))
+
+    def prepare_boxes(self, lo, hi) -> Optional[tuple]:
+        """Boxes given by ``(..., d)`` corners as the per-box arrays
+        :meth:`prepared_box_gap` reads, or ``None`` when the metric has
+        no box bound: here the corners themselves.  A tree prepares its
+        node boxes once and gathers them per node pair."""
+        if not self.coordinate_monotone:
+            return None
+        return lo, hi
+
+    def prepared_box_gap(self, a, b) -> np.ndarray:
+        """:meth:`box_gap` of boxes in :meth:`prepare_boxes` form.
+
         For a coordinate-monotone metric it is the distance of the
         per-axis gaps, attained by the axis-wise closest points.  The
         computed value never exceeds a computed cell of such a pair:
         each gap is a float difference of the same coordinates the cell
         subtracts, and every later step is monotone.
         """
-        if not self.coordinate_monotone:
-            return None
-        gaps = np.moveaxis(
-            np.maximum(0.0, np.maximum(lo_b - hi_a, lo_a - hi_b)), -1, 0
-        )
-        return self._cells(np.zeros_like(gaps), gaps)
+        (lo_a, hi_a), (lo_b, hi_b) = a, b
+        gaps = np.maximum(0.0, np.maximum(lo_b - hi_a, lo_a - hi_b))
+        d = gaps.shape[-1]
+        return self._cells([0.0] * d, [gaps[..., k] for k in range(d)])
 
     def distance(self, p, q) -> float:
         """Distance between two single points."""
@@ -262,7 +279,17 @@ class HaversineMetric(GroundMetric):
     def bind(self, b: np.ndarray):
         return super().bind(self._checked(b))
 
-    def box_gap(self, lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    def prepare_boxes(self, lo, hi) -> tuple:
+        """``(lat lo, lon lo, lat hi, lon hi, phi, cos^2 phi)`` of
+        (lat, lon) degree boxes, in radians, ``phi`` the box's largest
+        ``|lat|``."""
+        lat_lo, lon_lo = np.moveaxis(np.radians(lo[..., :2]), -1, 0)
+        lat_hi, lon_hi = np.moveaxis(np.radians(hi[..., :2]), -1, 0)
+        # The largest |lat| of a box [lo, hi] is max(hi, -lo).
+        phi = np.maximum(lat_hi, -lat_lo)
+        return lat_lo, lon_lo, lat_hi, lon_hi, phi, np.cos(phi) ** 2
+
+    def prepared_box_gap(self, a, b) -> np.ndarray:
         """Great-circle lower bound between two (lat, lon) degree boxes.
 
         With ``dphi`` the latitude gap of the boxes, ``g`` their
@@ -279,24 +306,18 @@ class HaversineMetric(GroundMetric):
         computed bound stays below the computed cell of every covered
         pair (DESIGN.md section 14).
         """
-        (lat_lo_a, lon_lo_a), (lat_hi_a, lon_hi_a), \
-            (lat_lo_b, lon_lo_b), (lat_hi_b, lon_hi_b) = (
-                np.moveaxis(np.radians(x[..., :2]), -1, 0)
-                for x in (lo_a, hi_a, lo_b, hi_b)
-            )
+        lat_lo_a, lon_lo_a, lat_hi_a, lon_hi_a, phi_a, cos2_a = a
+        lat_lo_b, lon_lo_b, lat_hi_b, lon_hi_b, phi_b, cos2_b = b
         dphi = np.maximum(lat_lo_b - lat_hi_a, lat_lo_a - lat_hi_b)
         gap = np.maximum(lon_lo_b - lon_hi_a, lon_lo_a - lon_hi_b)
         span = np.maximum(lon_hi_b - lon_lo_a, lon_hi_a - lon_lo_b)
         g = np.minimum(gap, 2.0 * np.pi - span)
         dphi = np.maximum(dphi - BOX_GAP_ANGLE_SLACK, 0.0)
         g = np.maximum(g - BOX_GAP_ANGLE_SLACK, 0.0)
-        # The largest |lat| of a box [lo, hi] is max(hi, -lo).
-        phi = np.maximum(
-            np.maximum(lat_hi_a, -lat_lo_a), np.maximum(lat_hi_b, -lat_lo_b)
-        )
+        # cos^2 of the larger phi, picked rather than recomputed.
+        cos2 = np.where(phi_a >= phi_b, cos2_a, cos2_b)
         h = (
-            np.sin(dphi / 2.0) ** 2
-            + np.cos(phi) ** 2 * np.sin(g / 2.0) ** 2
+            np.sin(dphi / 2.0) ** 2 + cos2 * np.sin(g / 2.0) ** 2
         ) * (1.0 - BOX_GAP_TERM_SLACK)
         return 2.0 * self.radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 

@@ -633,15 +633,16 @@ def _tree_join_topk(engine, left, right, k, resolved):
         if _sp is not None:
             _sp.attrs["candidates"] = int(len(pairs))
             _sp.attrs["bound"] = bound
-    if len(pairs):
-        settled, rest, _ = screen_pairs(
-            get_left, get_right, pairs, bound, resolved,
-            index=(index_left, index_right, IndexStats()),
-        )
-        matches, _ = verify_pairs(get_left, get_right, rest, bound, resolved)
-        value(np.concatenate([
-            settled, np.asarray(matches, dtype=np.int64).reshape(-1, 2)
-        ]))
+    # Run even with no candidate left: the screen's first use of each
+    # index checks its point slab's domain, as every indexed join does.
+    settled, rest, _ = screen_pairs(
+        get_left, get_right, pairs, bound, resolved,
+        index=(index_left, index_right, IndexStats()),
+    )
+    matches, _ = verify_pairs(get_left, get_right, rest, bound, resolved)
+    value(np.concatenate([
+        settled, np.asarray(matches, dtype=np.int64).reshape(-1, 2)
+    ]))
     entries = sorted(
         (dist, divmod(key, n_right)) for key, dist in valued.items()
         if dist <= bound

@@ -42,9 +42,11 @@ hierarchical tree, prune most pairs before any of the per-pair filters
 run.
 The pruning is admissible, so the *matches* are identical to the
 unindexed path; the filter statistics account the index's share in
-``pruned_index``.  The index's simplification bound runs inside the
-cascade, after step 3, on the pairs the coupling settle leaves open
-(:func:`screen_pairs` with ``index=``): every indexed path (serial,
+``pruned_index``.  The index's walk already applies filters 1-2 with
+the same arithmetic, so its screen (:func:`screen_pairs` with
+``index=``) runs step 3 alone, on the index's prepared point slab, and
+then the index's simplification bound on the pairs the coupling settle
+leaves open: every indexed path (serial,
 engine, sharded, top-k, window clustering) decides its candidates
 through :func:`screen_pairs` and :func:`verify_pairs`.
 :func:`join_pairs` is the unindexed candidate-list core, and
@@ -246,26 +248,43 @@ def screen_pairs(
 
     ``index`` -- ``(left index, right index or None, IndexStats)`` of
     the :meth:`~repro.index.CorpusIndex.candidate_pairs` walk that
-    produced ``pairs`` -- adds the index's last stage: the
-    simplification bound runs on ``rest`` only
-    (:meth:`~repro.index.CorpusIndex.simplification_screen`).  Every
-    indexed join runs its candidates through here, so this is the one
-    place that fixes the order: walk, endpoint/box, coupling settle,
-    simplification DP, then the matrices.
+    produced ``pairs`` -- makes this the index's screen.  The walk
+    already applied the endpoint and box bounds with the filters'
+    arithmetic, so they are not re-run (they could prune nothing); the
+    coupling settle reads the indexes' prepared point slabs
+    (:meth:`~repro.index.CorpusIndex.screen_runs`, whose first use
+    checks the slab's domain), and the simplification bound runs on
+    ``rest`` only (:meth:`~repro.index.CorpusIndex.simplification_screen`).
+    Every indexed join runs its candidates through here, so this is the
+    one place that fixes the order: walk with endpoint/box, coupling
+    settle, simplification DP, then the matrices.
     """
     theta = check_threshold("theta", theta)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     m = get_metric(metric)
     stats = JoinStats(pairs_total=len(pairs))
+    if index is not None:
+        index_left, index_right, index_stats = index
+        runs_left = index_left.screen_runs()
+        runs_right = (
+            index_left if index_right is None else index_right
+        ).screen_runs()
     settled, rest = [pairs[:0]], [pairs[:0]]
     for start in range(0, len(pairs), PAIR_CHUNK):
         chunk = pairs[start:start + PAIR_CHUNK]
-        hit, live, _, _ = _screen(get_left, get_right, chunk, theta, m, stats)
-        settled.append(chunk[hit])
-        rest.append(chunk[live])
+        if index is None:
+            hit, live, _, _ = _screen(
+                get_left, get_right, chunk, theta, m, stats
+            )
+            settled.append(chunk[hit])
+            rest.append(chunk[live])
+        else:
+            near = _settle(runs_left, chunk[:, 0], runs_right, chunk[:, 1],
+                           theta, m, stats)
+            settled.append(chunk[near])
+            rest.append(chunk[~near])
     rest = np.concatenate(rest)
     if index is not None:
-        index_left, index_right, index_stats = index
         rest = index_left.simplification_screen(
             index_right, rest, theta, index_stats
         )
@@ -352,21 +371,33 @@ def _screen(get_left, get_right, pairs, theta, m, stats):
         stats.pruned_bbox += int(np.sum(apart))
         alive &= ~apart
     live = np.flatnonzero(alive)
-    # Settle: one coupling within theta decides DFD <= theta exactly.
-    # Its cells are ground-matrix cells, so the Hausdorff value
-    # (<= DFD) would have passed too: the pair counts as a decision.
-    near = np.zeros(len(live), dtype=bool)
-    if len(live) and m.exact_rowwise:
+    near = _settle(*left.runs(live, m), *right.runs(live, m), theta, m, stats)
+    hit = np.zeros(len(pairs), dtype=bool)
+    hit[live[near]] = True
+    return hit, live[~near], left, right
+
+
+def _settle(left, ia, right, ib, theta, m, stats) -> np.ndarray:
+    """Step 3, the coupling settle, of the pairs ``(run ia[k] of left,
+    run ib[k] of right)``; the mask of the pairs it decides.  ``left``
+    and ``right`` are ``(prepared points, first rows, lengths)`` runs,
+    as :meth:`~repro.index.CorpusIndex.screen_runs` returns them.
+    Updates ``stats``.
+    """
+    # One coupling within theta decides DFD <= theta exactly.  Its cells
+    # are ground-matrix cells, so the Hausdorff value (<= DFD) would
+    # have passed too: the pair counts as a decision.
+    near = np.zeros(len(ia), dtype=bool)
+    if len(ia) and m.exact_rowwise:
+        (prep_a, first_a, n_a), (prep_b, first_b, n_b) = left, right
         near = flat_coupling_bounds(
-            *left.runs(live, m), *right.runs(live, m), m
+            prep_a, first_a[ia], n_a[ia], prep_b, first_b[ib], n_b[ib], m
         ) <= theta
     done = int(np.sum(near))
     stats.settled += done
     stats.decisions += done
     stats.matches += done
-    hit = np.zeros(len(pairs), dtype=bool)
-    hit[live[near]] = True
-    return hit, live[~near], left, right
+    return near
 
 
 def _verify(lefts, rights, theta, m, stats) -> np.ndarray:
@@ -412,17 +443,17 @@ class _Side:
         return self._arrays[self._inv[k]]
 
     def runs(self, ks: np.ndarray, m: GroundMetric):
-        """``(flat, first, lengths)`` of the chunk's pairs ``ks`` on this
-        side, for :func:`flat_coupling_bounds`; their points are
-        checked against ``m``'s domain here."""
-        used = np.zeros(len(self._arrays), dtype=bool)
-        used[self._inv[ks]] = True
-        m._check_domain(self._flat[np.repeat(used, self._lengths)])
+        """``(runs, ids)`` for :func:`_settle`: this side's trajectories
+        as ``(prepared points, first rows, lengths)`` runs, prepared by
+        ``m`` once per chunk, and the run of each of the chunk's pairs
+        ``ks``.  The points of those runs are checked against ``m``'s
+        domain here."""
         trajectories = self._inv[ks]
-        return (
-            self._flat, self._first[trajectories],
-            self._lengths[trajectories],
-        )
+        used = np.zeros(len(self._arrays), dtype=bool)
+        used[trajectories] = True
+        m._check_domain(self._flat[np.repeat(used, self._lengths)])
+        runs = (m.prepare(self._flat), self._first, self._lengths)
+        return runs, trajectories
 
 
 def _point_distances(m: GroundMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -568,17 +599,12 @@ def _bbox(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _boxes_apart(box_a, box_b, theta: float, metric: GroundMetric) -> np.ndarray:
     """True where the minimum box-to-box distance exceeds theta.
 
-    Per axis, the closest pair of points of two intervals is either the
-    facing endpoints (disjoint intervals) or any shared coordinate
-    (overlapping intervals); assembling those coordinates minimises
-    every per-axis difference simultaneously, which attains the minimum
-    box-to-box distance for every coordinate-monotone metric
-    (Euclidean, Chebyshev, ...).  A box is a ``(lo, hi)`` pair of
-    ``(d,)`` corners, or of ``(P, d)`` corner rows for ``P`` box pairs
-    at once; the answer has one entry per box pair.
+    The metric's :meth:`~repro.distances.ground.GroundMetric.box_gap`,
+    for coordinate-monotone metrics the distance of the axis-wise
+    closest points, which attains the minimum (the same arithmetic as
+    the index's box bound).  A box is a ``(lo, hi)`` pair of ``(d,)``
+    corners, or of ``(P, d)`` corner rows for ``P`` box pairs at once;
+    the answer has one entry per box pair.
     """
-    lo_a, hi_a = box_a
-    lo_b, hi_b = box_b
-    near_a = np.where(hi_a < lo_b, hi_a, np.where(hi_b < lo_a, lo_a, np.maximum(lo_a, lo_b)))
-    near_b = np.where(hi_a < lo_b, lo_b, np.where(hi_b < lo_a, hi_b, np.maximum(lo_a, lo_b)))
-    return _point_distances(metric, np.atleast_2d(near_a), np.atleast_2d(near_b)) > theta
+    corners = [np.atleast_2d(x) for x in (*box_a, *box_b)]
+    return metric.box_gap(*corners) > theta

@@ -324,6 +324,8 @@ class CorpusIndex:
         self._simp_stack: Optional[PointStack] = None
         #: ``metric.prepare`` of the starts and of the ends.
         self._prepared_ends: Optional[Tuple[tuple, tuple]] = None
+        #: The checked, prepared point slab of :meth:`screen_runs`.
+        self._runs: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -530,12 +532,6 @@ class CorpusIndex:
     # ------------------------------------------------------------------
     # Lower bounds
     # ------------------------------------------------------------------
-    def _box_gaps(self, other: "CorpusIndex", a_idx, b_idx) -> np.ndarray:
-        """Per-axis separation of the bounding boxes of paired items."""
-        lo_a, hi_a = self.box_lo[a_idx], self.box_hi[a_idx]
-        lo_b, hi_b = other.box_lo[b_idx], other.box_hi[b_idx]
-        return np.maximum(0.0, np.maximum(lo_b - hi_a, lo_a - hi_b))
-
     def pair_bounds(
         self, other: Optional["CorpusIndex"], a_idx, b_idx
     ) -> np.ndarray:
@@ -565,8 +561,10 @@ class CorpusIndex:
         )
         lb = lb_end
         if m.coordinate_monotone:
-            gaps = self._box_gaps(other, a_idx, b_idx)
-            lb = np.maximum(lb, m.rowwise(np.zeros_like(gaps), gaps))
+            lb = np.maximum(lb, m.box_gap(
+                self.box_lo[a_idx], self.box_hi[a_idx],
+                other.box_lo[b_idx], other.box_hi[b_idx],
+            ))
         return lb_end, lb
 
     def simplification_bounds(
@@ -829,14 +827,9 @@ class CorpusIndex:
         )
         lb = lb_end
         if m.coordinate_monotone:
-            gaps = np.maximum(
-                0.0,
-                np.maximum(
-                    self.box_lo[items] - q.box_hi,
-                    q.box_lo - self.box_hi[items],
-                ),
-            )
-            lb = np.maximum(lb, m.rowwise(np.zeros_like(gaps), gaps))
+            lb = np.maximum(lb, m.box_gap(
+                q.box_lo, q.box_hi, self.box_lo[items], self.box_hi[items]
+            ))
         return lb_end, lb
 
     def _within(
@@ -891,17 +884,41 @@ class CorpusIndex:
         Workers rebuild any trajectory as a zero-copy slice
         (:func:`slab_points` / :func:`slab_trajectory`).  A
         snapshot-restored index already holds its corpus as contiguous
-        mapped slabs and returns those directly (no concatenation).
+        mapped slabs and returns those directly; any other index
+        concatenates them on first use and keeps them, its trajectories
+        then being views into them (one copy of the corpus).
         """
-        if self._slabs is not None:
-            return dict(self._slabs)
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([p.shape[0] for p in self._points], out=offsets[1:])
-        return {
-            "points": np.concatenate(self._points, axis=0),
-            "timestamps": np.concatenate(self._timestamps),
-            "offsets": offsets,
-        }
+        if self._slabs is None:
+            offsets = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum([p.shape[0] for p in self._points], out=offsets[1:])
+            points = np.concatenate(self._points, axis=0)
+            timestamps = np.concatenate(self._timestamps)
+            runs = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+            self._points = [points[lo:hi] for lo, hi in runs]
+            self._timestamps = [timestamps[lo:hi] for lo, hi in runs]
+            self._slabs = {
+                "points": points, "timestamps": timestamps, "offsets": offsets,
+            }
+        return dict(self._slabs)
+
+    def screen_runs(self) -> Tuple[tuple, np.ndarray, np.ndarray]:
+        """``(prepared points, first rows, lengths)``: the point slab of
+        :meth:`transport_slabs` in :meth:`GroundMetric.prepare` form and
+        each trajectory's run in it, for the join screen's coupling
+        settle.  Built on first use, after one check of the whole slab
+        against the metric's domain (a snapshot's mapped points are not
+        checked on load); a failed check raises
+        :class:`~repro.errors.TrajectoryError` on every call.
+        """
+        if self._runs is None:
+            slabs = self.transport_slabs()
+            points = slabs["points"]
+            offsets = np.asarray(slabs["offsets"], dtype=np.int64)
+            self.metric._check_domain(points)
+            self._runs = (
+                self.metric.prepare(points), offsets[:-1], np.diff(offsets)
+            )
+        return self._runs
 
 
 def _take(prepared: tuple, idx: np.ndarray) -> list:

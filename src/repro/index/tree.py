@@ -193,13 +193,7 @@ class TrajectoryTree:
         self.end_center = end_center
         self.start_radius = start_radius
         self.end_radius = end_radius
-        #: The union, start and end boxes of every node as ``(nodes, 3,
-        #: d)`` corner stacks, so each bound evaluation gaps all three
-        #: in one :meth:`GroundMetric.box_gap` call.
-        self.box_stack = (
-            np.stack([box_lo, start_lo, end_lo], axis=1),
-            np.stack([box_hi, start_hi, end_hi], axis=1),
-        )
+        self._prepared: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -366,6 +360,29 @@ class TrajectoryTree:
         """Subtree sizes, vectorised (for pruned-pair accounting)."""
         return self.item_hi[nodes] - self.item_lo[nodes]
 
+    def prepared(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """What the bounds gather from, built on first use and not
+        persisted: the start and end centres as one ``(k, 2, nodes)``
+        :meth:`GroundMetric.prepare` stack, the radii as ``(2, nodes)``
+        and the union, start and end boxes as one stack of
+        :meth:`GroundMetric.prepare_boxes` arrays, each ``(nodes, 3,
+        ...)`` (``None`` without a box bound)."""
+        if self._prepared is None:
+            m = self.metric
+            ends = np.stack([
+                np.stack(m.prepare(self.start_center)),
+                np.stack(m.prepare(self.end_center)),
+            ], axis=1)
+            radii = np.stack([self.start_radius, self.end_radius])
+            boxes = m.prepare_boxes(
+                np.stack([self.box_lo, self.start_lo, self.end_lo], axis=1),
+                np.stack([self.box_hi, self.start_hi, self.end_hi], axis=1),
+            )
+            self._prepared = (
+                ends, radii, None if boxes is None else np.stack(boxes)
+            )
+        return self._prepared
+
     # ------------------------------------------------------------------
     # Node-aggregate lower bounds
     # ------------------------------------------------------------------
@@ -385,15 +402,17 @@ class TrajectoryTree:
         na = np.asarray(na, dtype=np.int64)
         nb = np.asarray(nb, dtype=np.int64)
         m = self.metric
-        lb = np.maximum(
-            m.rowwise(self.start_center[na], other.start_center[nb])
-            - self.start_radius[na] - other.start_radius[nb],
-            m.rowwise(self.end_center[na], other.end_center[nb])
-            - self.end_radius[na] - other.end_radius[nb],
+        ends_a, radii_a, boxes_a = self.prepared()
+        ends_b, radii_b, boxes_b = other.prepared()
+        # Row 0 the start balls, row 1 the end balls.
+        ball = (
+            m.prepared_cells(ends_a.take(na, axis=-1), ends_b.take(nb, axis=-1))
+            - radii_a.take(na, axis=1) - radii_b.take(nb, axis=1)
         )
-        (lo_a, hi_a), (lo_b, hi_b) = self.box_stack, other.box_stack
-        gap = m.box_gap(lo_a[na], hi_a[na], lo_b[nb], hi_b[nb])
-        if gap is not None:
+        lb = np.maximum(ball[0], ball[1])
+        if boxes_a is not None:
+            gap = m.prepared_box_gap(boxes_a.take(na, axis=1),
+                                     boxes_b.take(nb, axis=1))
             lb = np.maximum(lb, gap.max(axis=1))
         return np.maximum(lb, 0.0)
 
@@ -416,11 +435,12 @@ class TrajectoryTree:
         # prunes (BENCH_index_bounds.json, clustered haversine range and
         # knn): only the axis gap of coordinate-monotone metrics runs.
         if m.coordinate_monotone:
-            lo, hi = self.box_stack
-            gap = m.box_gap(
+            q_boxes = m.prepare_boxes(
                 np.stack([query.box_lo, query.start, query.end]),
                 np.stack([query.box_hi, query.start, query.end]),
-                lo[nodes], hi[nodes],
+            )
+            gap = m.prepared_box_gap(
+                q_boxes, self.prepared()[2].take(nodes, axis=1)
             )
             lb = np.maximum(lb, gap.max(axis=1))
         return np.maximum(lb, 0.0)
