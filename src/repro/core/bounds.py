@@ -44,6 +44,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from ..errors import TrajectoryError
 from .problem import SELF_MODE, SearchSpace
 
 _INF = np.inf
@@ -53,27 +54,49 @@ _INF = np.inf
 ROW_BLOCK_CELLS = 1 << 14
 
 
-def mask_lower(block: np.ndarray, r0: int, fill: float) -> None:
-    """Set the cells on or below the diagonal to ``fill``, in place.
+def mask_lower(block: np.ndarray, fill: float) -> None:
+    """Set the cells on or below the diagonal of a self-mode trapezoid
+    (:func:`candidate_rows`) to ``fill``, in place.
 
-    ``block`` holds matrix rows ``r0 ..``; cell ``(r, c)`` is on or
-    below the diagonal when ``c <= r``.  Self-mode candidates only read
-    cells strictly above it.
+    ``block`` holds matrix rows ``r0 ..`` from column ``r0`` on, so cell
+    ``(r, c)`` sits at ``(r - r0, c - r0)`` and is on or below the
+    diagonal when its local column is at most its local row.  Self-mode
+    candidates only read cells strictly above it.
     """
     rows = block.shape[0]
-    block[:, : r0 + 1] = fill
-    tri = block[:, r0 + 1 : r0 + rows]
-    tri[np.tri(rows, tri.shape[1], -1, dtype=bool)] = fill
+    tri = block[:, :rows]
+    tri[np.tri(rows, tri.shape[1], dtype=bool)] = fill
 
 
-def upper_cells(block: np.ndarray, r0: int, mode: str) -> np.ndarray:
-    """The cells a candidate can read: in self mode a copy of ``block``
+def upper_cells(block: np.ndarray, mode: str) -> np.ndarray:
+    """The cells a candidate can read of a block in
+    :func:`candidate_rows`' layout: in self mode a copy of ``block``
     with the cells on or below the diagonal at ``+inf``."""
     if mode != SELF_MODE:
         return block
     upper = block.copy()
-    mask_lower(upper, r0, _INF)
+    mask_lower(upper, _INF)
     return upper
+
+
+def candidate_rows(oracle, r0: int, r1: int, mode: str):
+    """Rows ``r0 .. r1 - 1`` of ``dG`` as ``(block, upper)``.
+
+    Cross mode reads whole rows.  Self mode reads only the trapezoid
+    from column ``r0`` on: no column left of ``r0`` holds a cell above
+    the diagonal of these rows.  ``upper`` is :func:`upper_cells` of the
+    block, one masked copy that every reduction of the rows shares.  A
+    non-finite cell (a metric that overflows) is refused with the dense
+    oracle's :class:`~repro.errors.TrajectoryError`: it would poison the
+    bounds as it would a dense ``dG``.
+    """
+    if mode == SELF_MODE:
+        block = oracle.block(r0, r1, r0, oracle.shape[1])
+    else:
+        block = oracle.rows(r0, r1)
+    if not np.isfinite(block).all():
+        raise TrajectoryError("ground matrix contains NaN or inf entries")
+    return block, upper_cells(block, mode)
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +132,15 @@ class BoundTables:
 
         Works identically for dense and lazy oracles: one block of at
         most :data:`ROW_BLOCK_CELLS` cells (one metric call for a lazy
-        oracle, a view for a dense one) plus O(n) running vectors live
-        at a time.
+        oracle, a view for a dense one; the upper trapezoid in self
+        mode), its masked copy and O(n) running vectors live at a time.
         """
         n, m = space.n_rows, space.n_cols
         scan = TableScan(space)
         step = max(1, ROW_BLOCK_CELLS // m)
         for r0 in range(0, n, step):
-            scan.add(r0, oracle.rows(r0, min(n, r0 + step)))
+            scan.add(r0, *candidate_rows(oracle, r0, min(n, r0 + step),
+                                         space.mode))
         return scan.tables()
 
     # ------------------------------------------------------------------
@@ -153,10 +177,13 @@ def _sliding_max(values: np.ndarray, window: int) -> np.ndarray:
 class TableScan:
     """The running state of a row stream that fills :class:`BoundTables`.
 
-    Feed the ground matrix's rows in order, in blocks of any size
-    (:meth:`add`), then read the tables (:meth:`tables`).  Every entry
-    is a minimum over matrix entries, so any split of the rows into
-    blocks gives the same bits as a row-by-row stream.
+    Feed the ground matrix's rows in order, in blocks of any size read
+    by :func:`candidate_rows` (:meth:`add`), then read the tables
+    (:meth:`tables`).  Every entry is a minimum over matrix entries, so
+    any split of the rows into blocks gives the same bits as a
+    row-by-row stream.  In self mode the running column minima skip the
+    columns left of each block: ``Rmin`` reads them only from column
+    ``r0 + 2`` on, where every earlier row is above the diagonal.
     """
 
     def __init__(self, space: SearchSpace) -> None:
@@ -165,17 +192,20 @@ class TableScan:
         self.cmin = np.full(space.n_rows, _INF)
         self.colmin = np.full(space.n_cols, _INF)
 
-    def add(self, r0: int, block: np.ndarray) -> None:
-        """Fold rows ``r0 ..`` of ``dG`` in."""
+    def add(self, r0: int, block: np.ndarray, upper: np.ndarray) -> None:
+        """Fold rows ``r0 ..`` of ``dG`` in, as :func:`candidate_rows`
+        reads them: ``block`` from column ``r0`` on in self mode, and
+        ``upper`` its masked copy."""
         rows = block.shape[0]
         first = 1 if r0 == 0 else 0  # row 0 has no Cmin[-1]
         # Cmin[r-1] = min dG[r, r+1 .. m-1] (self) or min dG[r, :].
-        upper = upper_cells(block[first:], r0 + first, self.space.mode)
-        self.cmin[r0 + first - 1 : r0 + rows - 1] = upper.min(axis=1)
+        self.cmin[r0 + first - 1 : r0 + rows - 1] = upper[first:].min(axis=1)
+        c0 = 0
         if self.space.mode == SELF_MODE:
+            c0 = r0
             # Rmin[r+1] = min dG[0..r, r+2]: the column minimum before
             # the block, and down to row r within it, at column r + 2.
-            diag = block[:, r0 + 2 : r0 + 2 + rows]
+            diag = block[:, 2 : 2 + rows]
             width = diag.shape[1]
             below = np.tri(rows, width, -1, dtype=bool)  # rows past r
             np.minimum(
@@ -183,7 +213,8 @@ class TableScan:
                 self.colmin[r0 + 2 : r0 + 2 + width],
                 out=self.rmin[r0 + 1 : r0 + 1 + width],
             )
-        np.minimum(self.colmin, block.min(axis=0), out=self.colmin)
+        colmin = self.colmin[c0:]
+        np.minimum(colmin, block.min(axis=0), out=colmin)
 
     def tables(self) -> BoundTables:
         space = self.space

@@ -695,7 +695,7 @@ class SweepFrontier:
             held = min(2 * held, tallest)
         # Columns past ``need`` hold only +inf: drop what the rows
         # cannot afford.
-        held = max(need, min(held, STACK_BLOCK_CELLS // rows - _SIDE))
+        held = max(need, min(held, STACK_BLOCK_CELLS // max(rows, 1) - _SIDE))
         cap = max(rows, min(2 * rows, STACK_BLOCK_CELLS // (held + _SIDE)))
         old = self._rows
         self._bufs = _buffers(cap, held, self._bufs[:, :old, :held])
@@ -705,6 +705,10 @@ class SweepFrontier:
         floats[:, :old] = self._floats[:, :old]
         self._ints, self._floats = ints, floats
         self._index = np.arange(cap)
+        if self.stats is not None:
+            held_bytes = (self._bufs.nbytes + ints.nbytes + floats.nbytes
+                          + self._index.nbytes)
+            self.stats.sweep_bytes = max(self.stats.sweep_bytes, held_bytes)
 
     def _compact(self) -> None:
         """Drop the dead rows, keeping their bests in the floors of the

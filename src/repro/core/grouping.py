@@ -84,7 +84,8 @@ class GroupLevel:
         """Build a level by block-reducing a dense ground matrix."""
         dmat = np.asarray(dmat, dtype=np.float64)
         n, m = dmat.shape
-        return cls.from_bands([block_minmax(dmat, 0, tau, mode)], n, m, tau, mode)
+        gmin, gmax, _ = band_levels(upper_cells(dmat, mode), 0, tau, tau, mode)
+        return cls.from_bands([(gmin, gmax)], n, m, tau, mode)
 
     @classmethod
     def from_bands(
@@ -95,7 +96,7 @@ class GroupLevel:
         tau: int,
         mode: str,
     ) -> "GroupLevel":
-        """Stitch :func:`block_minmax` bands into a full level.
+        """Stitch :func:`band_levels` bands into a full level.
 
         GTM*'s level builder reduces a lazy oracle band by band and
         reassembles here; the result is identical to
@@ -108,37 +109,44 @@ class GroupLevel:
         return cls(tau, mode, row_starts, row_ends, col_starts, col_ends, gmin, gmax)
 
 
-def block_minmax(
-    block: np.ndarray, r0: int, tau: int, mode: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(gmin, gmax)`` rows of the groups in matrix rows ``r0 ..``.
-
-    ``r0`` is a group start; the last group may be partial.  Self mode
-    reduces only the cells strictly above the diagonal, at global
-    indices, so a band decomposition (GTM*'s row-band level builder)
-    reassembles to exactly the full reduction.
-    """
-    gmin, gmax, _ = band_levels(block, r0, tau, tau, mode)
-    return gmin, gmax
-
-
 def band_levels(
-    block: np.ndarray, r0: int, tau: int, sub: int, mode: str
+    upper: np.ndarray, r0: int, tau: int, sub: int, mode: str
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`block_minmax` at ``tau`` plus the ``gmin`` rows at its
-    divisor ``sub``, from one read of the band.
+    """``(gmin, gmax)`` rows of the ``tau``-groups in matrix rows
+    ``r0 ..`` plus their ``gmin`` rows at the divisor ``sub``.
+
+    ``upper`` holds the rows' candidate cells as
+    :func:`~repro.core.bounds.candidate_rows` returns them: whole rows
+    in cross mode; in self mode the trapezoid from column ``r0`` on,
+    masked to ``+inf`` on and below the diagonal, which this re-masks to
+    ``-inf`` in place for the maxima.  ``r0`` is a group start, so the
+    groups left of ``r0`` hold no candidate cell: their minima are
+    ``+inf`` and their maxima ``-inf``, as a masked full row gives.  The
+    last group may be partial.
 
     The ``tau`` minima are taken from the ``sub`` minima (a
     ``tau``-group is a union of ``sub``-groups, the ragged last one
     included); every entry is a minimum of the same cells, so both
     equal a direct reduction at their size bit for bit.
     """
-    upper = upper_cells(block, r0, mode)
     sub_min = _reduce_groups(upper, sub, np.fmin)
     gmin = sub_min if sub == tau else _reduce_groups(sub_min, tau // sub, np.fmin)
-    if mode == SELF_MODE:
-        mask_lower(upper, r0, -_INF)
-    return gmin, _reduce_groups(upper, tau, np.fmax), sub_min
+    if mode != SELF_MODE:
+        return gmin, _reduce_groups(upper, tau, np.fmax), sub_min
+    mask_lower(upper, -_INF)
+    gmax = _reduce_groups(upper, tau, np.fmax)
+    return (_pad(gmin, r0 // tau, _INF), _pad(gmax, r0 // tau, -_INF),
+            _pad(sub_min, r0 // sub, _INF))
+
+
+def _pad(groups: np.ndarray, lead: int, fill: float) -> np.ndarray:
+    """``groups`` behind ``lead`` columns of ``fill``."""
+    if not lead:
+        return groups
+    out = np.empty((groups.shape[0], lead + groups.shape[1]))
+    out[:, :lead] = fill
+    out[:, lead:] = groups
+    return out
 
 
 def _reduce_groups(block: np.ndarray, tau: int, op) -> np.ndarray:
@@ -449,8 +457,8 @@ def group_dfd_bounds(
 
 #: Table cells of one :func:`group_dfd_bounds_for_pairs` sweep.  Its
 #: flat arrays (about 90 bytes a cell) stay within the frontier's
-#: ``STACK_SWEEP_BYTES``, which the space models charge and which the
-#: frontier takes only after the group phase.  A pair whose own table
+#: ``STACK_SWEEP_BYTES`` budget, which the frontier takes only after
+#: the group phase.  A pair whose own table
 #: is larger (over 64 groups a side) is swept alone.
 GROUP_DFD_CELLS = ROW_BLOCK_CELLS // 4
 

@@ -48,11 +48,12 @@ from .bounds import (
     BoundTables,
     LazySubsetBounds,
     TableScan,
+    candidate_rows,
     relaxed_subset_bounds_for_pairs,
 )
 from .btm import run_best_first
 from .brute import MotifTimeout
-from .dp import STACK_SWEEP_BYTES, Best
+from .dp import Best
 from .grouping import (
     GroupBoundTables,
     GroupLevel,
@@ -121,53 +122,25 @@ class GTMStar:
         stats.algorithm = self.name
         started_at = time.perf_counter()
         deadline = None if self.timeout is None else started_at + self.timeout
-        tau = min(self.tau, max(2, space.n_rows // 2))
+        tau = level_tau(self.tau, space)
 
         with PhaseTimer(stats, "time_grouping"):
             level, point_tables = self._build_level(oracle, space, tau)
-            sub_level = level.sub or level
             bsf, best, survivors = self._prune_groups(
                 level, space, float(bsf0), best0, stats, deadline
             )
             stats.group_levels[tau] = len(survivors)
 
-        with PhaseTimer(stats, "time_bounds"):
-            blocks, floors, sizes = _sub_blocks(
-                level, sub_level, space, point_tables, survivors
-            )
-
-        def open_sources(lo: int, hi: int):
-            with PhaseTimer(stats, "time_bounds"):
-                i_idx, j_idx = expand_pairs_to_subsets(
-                    sub_level, space, blocks[lo:hi]
-                )
-                return relaxed_subset_bounds_for_pairs(
-                    space, oracle, point_tables, i_idx, j_idx
-                )
-
-        bounds = LazySubsetBounds(floors, sizes, open_sources, limit=bsf)
+        bounds, blocks, sizes = level_sources(
+            oracle, space, level, point_tables, survivors, stats, limit=bsf
+        )
         bsf, best = run_best_first(
             oracle, space, bounds, point_tables, stats, bsf=bsf, best=best,
             timeout=self.timeout, started_at=started_at,
         )
-        _credit_closed(sub_level, point_tables, blocks[bounds.opened:],
-                       sizes[bounds.opened:], bsf, stats)
-        g = level.n_row_groups * level.n_col_groups
-        g_sub = 0 if sub_level is level else (
-            sub_level.n_row_groups * sub_level.n_col_groups)
-        cache_rows = min(getattr(oracle, "cache_rows", 0), space.n_rows)
-        scan_rows = min(_scan_rows(tau, space.n_cols), space.n_rows)
-        stats.space_bytes = max(
-            stats.space_bytes,
-            2 * 8 * g                              # gmin / gmax
-            + 8 * g_sub                            # sub-level gmin
-            + 8 * 4 * len(floors)                  # ordered sub-blocks
-            + 8 * 4 * space.n_cols                 # point-level tables
-            + 8 * 6 * len(bounds)                  # opened subset bounds
-            + 8 * cache_rows * space.n_cols        # lazy row cache
-            + 3 * 8 * scan_rows * space.n_cols     # level-plus-tables scan
-            + STACK_SWEEP_BYTES,                   # stacked DP sweep
-        )
+        _credit_closed(level.sub or level, point_tables,
+                       blocks[bounds.opened:], sizes[bounds.opened:], bsf, stats)
+        charge_space(stats, oracle, space, level, blocks, bounds)
         return bsf, best
 
     def _prune_groups(
@@ -268,6 +241,77 @@ class GTMStar:
         return level, scan.tables()
 
 
+def level_tau(tau: int, space: SearchSpace) -> int:
+    """The group size GTM* configured at ``tau`` scans ``space`` at."""
+    return min(tau, max(2, space.n_rows // 2))
+
+
+def level_sources(
+    oracle,
+    space: SearchSpace,
+    level: GroupLevel,
+    tables: BoundTables,
+    pairs: List[Tuple[int, int]],
+    stats: SearchStats,
+    limit: float = math.inf,
+) -> Tuple[LazySubsetBounds, np.ndarray, np.ndarray]:
+    """The group pairs' subsets as a best-first cursor over their
+    sub-blocks: ``(bounds, blocks, sizes)``, the sub-blocks and their
+    subset counts ascending by floor (:func:`_sub_blocks`).  Sub-blocks
+    open as the loop's bound reaches them, never above ``limit`` or a
+    threshold the loop sends."""
+    sub_level = level.sub or level
+    with PhaseTimer(stats, "time_bounds"):
+        blocks, floors, sizes = _sub_blocks(level, sub_level, space, tables,
+                                            pairs)
+
+    def open_sources(lo: int, hi: int):
+        with PhaseTimer(stats, "time_bounds"):
+            i_idx, j_idx = expand_pairs_to_subsets(
+                sub_level, space, blocks[lo:hi]
+            )
+            return relaxed_subset_bounds_for_pairs(
+                space, oracle, tables, i_idx, j_idx
+            )
+
+    return LazySubsetBounds(floors, sizes, open_sources, limit=limit), blocks, sizes
+
+
+def charge_space(
+    stats: SearchStats,
+    oracle,
+    space: SearchSpace,
+    level: GroupLevel,
+    blocks: np.ndarray,
+    bounds: LazySubsetBounds,
+) -> None:
+    """GTM*'s space model, for a search over :func:`level_sources`.
+
+    It charges what the search holds: the level and sub-level, the
+    ordered sub-blocks, the point tables, the subset bounds the cursor
+    opened, the rows the lazy oracle's cache holds (none with the
+    built-in metrics, which read single cells), the level scan's block
+    and the sweep frontier's peak buffers (``stats.sweep_bytes``).
+    """
+    sub_level = level.sub or level
+    g = level.n_row_groups * level.n_col_groups
+    g_sub = 0 if sub_level is level else (
+        sub_level.n_row_groups * sub_level.n_col_groups)
+    held_rows = getattr(oracle, "cached_rows", 0)
+    scan_rows = min(_scan_rows(level.tau, space.n_cols), space.n_rows)
+    stats.space_bytes = max(
+        stats.space_bytes,
+        2 * 8 * g                              # gmin / gmax
+        + 8 * g_sub                            # sub-level gmin
+        + 8 * 4 * blocks.shape[0]              # ordered sub-blocks
+        + 8 * 4 * space.n_cols                 # point-level tables
+        + 8 * 6 * len(bounds)                  # opened subset bounds
+        + 8 * held_rows * space.n_cols         # lazy row cache
+        + 3 * 8 * scan_rows * space.n_cols     # level-plus-tables scan
+        + stats.sweep_bytes,                   # sweep frontier buffers
+    )
+
+
 def _sub_tau(tau: int) -> int:
     """The sub-block size: the largest divisor of ``tau`` from 2 to
     ``max(2, tau // 8)``, else ``tau`` (no finer level)."""
@@ -285,12 +329,14 @@ def _scan_rows(tau: int, m: int) -> int:
 
 def _fold_rows(oracle, scan: TableScan, r0: int, r1: int, tau: int, sub: int,
                mode: str):
-    """Read ``dG[r0:r1]`` once: fold it into ``scan`` and return its
-    group rows.  The block dies on return, so the scan's peak is one
-    block, one masked copy of it and the metric's temporaries."""
-    block = oracle.rows(r0, r1)
-    scan.add(r0, block)
-    return band_levels(block, r0, tau, sub, mode)
+    """Read rows ``r0 .. r1 - 1`` of ``dG`` once (in self mode only their
+    upper trapezoid): fold them into ``scan`` and return their group
+    rows.  One masked copy serves both; the block dies on return, so
+    the scan's peak is one block, its masked copy and the metric's
+    temporaries."""
+    block, upper = candidate_rows(oracle, r0, r1, mode)
+    scan.add(r0, block, upper)
+    return band_levels(upper, r0, tau, sub, mode)
 
 
 def _sub_blocks(

@@ -66,6 +66,9 @@ class SearchStats:
 
     #: Analytic peak-space model in bytes (dominant allocations).
     space_bytes: int = 0
+    #: Peak bytes of the stacked DP sweeps' buffers (the sweep
+    #: frontier's, tracked as it grows), which GTM*'s model charges.
+    sweep_bytes: int = 0
 
     # ------------------------------------------------------------------
     @property
@@ -109,6 +112,7 @@ class SearchStats:
         self.time_sort += other.time_sort
         self.time_dp += other.time_dp
         self.space_bytes = max(self.space_bytes, other.space_bytes)
+        self.sweep_bytes = max(self.sweep_bytes, other.sweep_bytes)
 
     def summary(self) -> str:
         """One-line human-readable digest."""

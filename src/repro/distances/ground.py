@@ -539,6 +539,11 @@ class LazyGroundMatrix:
         """Maximum number of cached rows."""
         return self._cache_rows
 
+    @property
+    def cached_rows(self) -> int:
+        """Rows the cache holds now (only :meth:`row` fills it)."""
+        return len(self._cache)
+
     def row(self, i: int) -> np.ndarray:
         """Full row ``dG[i, :]``, cached with true LRU eviction.
 

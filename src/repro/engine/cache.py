@@ -1,6 +1,6 @@
 """Content-addressed caches backing the :class:`~repro.engine.MotifEngine`.
 
-Ground matrices, bound tables and motif results are pure functions of
+Ground matrices, corpus artefacts and motif results are pure functions of
 their inputs (points, metric, query geometry), so the engine keys them
 by a content *fingerprint* -- a SHA-1 over the raw point bytes plus
 shape/dtype -- rather than by object identity.  Two `Trajectory`

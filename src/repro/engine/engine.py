@@ -12,7 +12,7 @@ gluing three collaborators together:
   layout.  Unit-testable without a pool.
 * :mod:`repro.engine.oracles` -- the cache layer
   (:class:`~repro.engine.oracles.OracleManager`): dense/lazy/matrix
-  ground oracles, bound tables and whole results, all keyed by content
+  ground oracles, corpus artefacts and whole results, all keyed by content
   fingerprint.
 * :mod:`repro.engine.executor` -- the execution backend
   (:class:`~repro.engine.executor.EngineExecutor`): pool lifecycle,
@@ -44,6 +44,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
+from ..core.gtm_star import GTMStar
 from ..core.motif import MotifResult, _as_trajectory, _make_algorithm
 from ..core.stats import PhaseTimer, SearchStats
 from ..distances.ground import GroundMetric, get_metric
@@ -93,8 +94,8 @@ class MotifEngine:
         one; ``"gtm_star"`` mirrors the paper's recommendation for
         large inputs.
     oracle_cache_size / tables_cache_size / result_cache_size:
-        LRU capacities (entries) of the ground-oracle, bound-table and
-        result caches; ``0`` disables the respective cache.
+        LRU capacities (entries) of the ground-oracle, corpus-artefact
+        and result caches; ``0`` disables the respective cache.
     chunks_per_worker:
         Chunks (or tiles) dealt per worker when a join's pair work goes
         to the pool.
@@ -379,11 +380,12 @@ class MotifEngine:
         """Top-k subset-distinct motifs through the shared oracle cache.
 
         The serial scan of :func:`repro.extensions.discover_top_k_motifs`
-        over the cached ground matrix and bound tables.  The answer is
-        canonical under the ``(distance, indices)`` order.
+        over the cached lazy oracle, the one GTM* ``discover`` uses for
+        the same trajectory: O(n) ground cells per row block, never
+        ``dG``.  The answer is canonical under the ``(distance,
+        indices)`` order.
         """
-        from ..extensions.topk import entries_to_ranked, scan_topk_entries
-        from ..core.bounds import relaxed_subset_bounds
+        from ..extensions.topk import entries_to_ranked, top_k_entries
 
         k = check_k(k)
         traj_a = _as_trajectory(trajectory)
@@ -394,14 +396,11 @@ class MotifEngine:
         if cached is not None:
             return list(cached)  # copy: caller mutations must not poison it
         space = planner.build_space(traj_a, traj_b, min_length)
-        oracle, okey = self._oracles.dense_oracle(traj_a, traj_b, resolved)
-        stats = SearchStats(algorithm="topk", mode=space.mode, xi=space.xi)
-        tables = self._oracles.bound_tables(okey, space, oracle)
-        with PhaseTimer(stats, "time_bounds"):
-            bounds = relaxed_subset_bounds(space, oracle, tables)
-        entries = scan_topk_entries(
-            oracle, space, bounds, tables.cmin, tables.rmin, k, stats
+        oracle = self._oracles.lazy_oracle(
+            traj_a, traj_b, resolved, GTMStar().cache_rows
         )
+        stats = SearchStats(algorithm="topk", mode=space.mode, xi=space.xi)
+        entries = top_k_entries(oracle, space, k, stats)
         ranked = entries_to_ranked(traj_a, traj_b, entries)
         self._oracles.put_result(key, ranked)
         return list(ranked)

@@ -1,19 +1,20 @@
-"""Oracle and bound-table management for the engine (the cache layer).
+"""Oracle and result caching for the engine (the cache layer).
 
-Ground matrices, lazy row oracles, bound tables and whole results are
+Ground matrices, lazy row oracles, corpus artefacts and whole results are
 pure functions of their content-fingerprinted inputs; the
 :class:`OracleManager` owns the three LRU caches the engine serves them
 from and centralises the build rules:
 
 * **dense** -- the paper's precomputed ``dG`` (one O(n^2) metric
-  sweep), shared by discover, top-k, the bound tables and the warm
+  sweep), shared by the dense-matrix algorithms' discover and the warm
   ``discover_many`` batches;
 * **lazy** -- the row-on-demand oracle GTM* requires to honour its
-  O(n)-space contract (never replaced by a dense build);
-* **matrix** -- caller-owned matrices (``discover_matrix``);
-* **tables** -- the top-k scan's :class:`BoundTables`, keyed per
-  (oracle, geometry), so repeated top-k queries over one trajectory
-  build them once.
+  O(n)-space contract (never replaced by a dense build), shared by
+  GTM* discover and top-k;
+* **matrix** -- caller-owned matrices (``discover_matrix``).
+
+The ``tables`` LRU holds the corpus workloads' per-corpus artefacts
+(:mod:`repro.engine.corpus`).
 
 The manager performs no pool or shared-memory work -- publication is
 the executor's job (:mod:`repro.engine.executor`); keys come from the
@@ -26,9 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.bounds import BoundTables
 from ..core.gtm_star import GTMStar
-from ..core.problem import SearchSpace
 from ..distances.ground import DenseGroundMatrix, LazyGroundMatrix
 from .cache import LRUCache, fingerprint_array
 from . import planner
@@ -94,16 +93,6 @@ class OracleManager:
             return self.lazy_oracle(traj_a, traj_b, metric, algo.cache_rows)
         oracle, _ = self.dense_oracle(traj_a, traj_b, metric)
         return oracle
-
-    # ------------------------------------------------------------------
-    # Bound tables
-    # ------------------------------------------------------------------
-    def bound_tables(self, okey, space: SearchSpace, dense) -> BoundTables:
-        """Cached kill tables of one oracle + geometry."""
-        return self.tables.get_or_build(
-            planner.bound_tables_key(okey, space),
-            lambda: BoundTables.build(space, dense),
-        )
 
     # ------------------------------------------------------------------
     # Results

@@ -92,11 +92,6 @@ def lazy_oracle_key(traj_a, traj_b, metric, cache_rows: int) -> tuple:
     )
 
 
-def bound_tables_key(okey, space: SearchSpace) -> tuple:
-    """Key of the cached :class:`BoundTables` of one oracle + geometry."""
-    return ("tables", okey, space.mode, space.xi)
-
-
 def discover_result_key(
     traj_a, traj_b, metric, min_length: int, algorithm, options: dict
 ) -> Optional[tuple]:

@@ -17,10 +17,13 @@ the subset minimum, independent of the pruning threshold), and the
 top-k is the ``k`` smallest entries under the total order
 ``(distance, (i, ie, j, je))``.
 
-:func:`scan_topk_entries` is the oracle-level core shared by the
-serial wrapper and ``MotifEngine.top_k``; the engine additionally
-supplies a cached ground matrix and bound tables so repeated top-k
-calls on a serving corpus skip the O(n^2) precompute.
+:func:`top_k_entries` is the oracle-level core shared by the serial
+wrapper and ``MotifEngine.top_k``.  It runs on GTM*'s machinery: the
+lazy ground oracle (no ``n x n`` matrix), GTM*'s one level scan, and a
+:class:`~repro.core.bounds.LazySubsetBounds` cursor over every feasible
+group pair's sub-blocks, which :func:`scan_topk_entries` reads with the
+current k-th best as its limit.  No group pair is pruned by its group
+DFD bounds: a GUB bounds one motif, not k of them.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.bounds import BoundTables, SubsetBounds, relaxed_subset_bounds
+from ..core import gtm_star
+from ..core.bounds import SubsetBounds
 from ..core.dp import SweepFrontier
+from ..core.gtm_star import GTMStar
 from ..core.motif import _as_trajectory, _build_oracle  # shared plumbing
 from ..core.problem import SearchSpace, cross_space, self_space
 from ..core.stats import PhaseTimer, SearchStats
@@ -84,7 +89,9 @@ def scan_topk_entries(
     tightens pruning; the returned entries are unchanged.  The
     ascending order is consumed lazily via
     :meth:`SubsetBounds.order_blocks`, so sort cost scales with the
-    subsets actually expanded.  The subsets are expanded in
+    subsets actually expanded; each later block is asked for with the
+    current cut, so a :class:`~repro.core.bounds.LazySubsetBounds`
+    opens no source above it.  The subsets are expanded in
     one unchained :class:`~repro.core.dp.SweepFrontier`, which admits
     what the cut admits and lowers each new row to the ``k``-th best of
     the rows before it; the entries are those of the per-subset loop.
@@ -102,12 +109,15 @@ def scan_topk_entries(
     exhausted = False
     block_iter = bounds.order_blocks()
     frontier = SweepFrontier(oracle, space, bounds, cmin, rmin, stats, k=k)
+    block = None
     while not exhausted:
         # Pull the next block only while still consuming -- once the
         # cut is exhausted, generating another (doubled-size) block
         # would pay a full selection pass just to discard it.
-        block = next(block_iter, None)
-        if block is None:
+        try:
+            block = block_iter.send(
+                None if block is None else min(kth_dist(), external))
+        except StopIteration:
             break
         lbs = bounds.combined[block]
         lb_list = lbs.tolist()
@@ -158,6 +168,33 @@ def entries_to_ranked(
     ]
 
 
+def top_k_entries(
+    oracle, space: SearchSpace, k: int, stats: SearchStats
+) -> List[TopKEntry]:
+    """The canonical top-k entries of ``space`` over a ground oracle.
+
+    GTM*'s level scan at its default ``tau`` builds the level and the
+    point tables; every feasible group pair's sub-blocks become the
+    sources of a lazy cursor, and :func:`scan_topk_entries` reads it.
+    The sub-blocks it never opens join ``subsets_total`` in closed form,
+    so the counter is that of bounding every subset.  On a lazy oracle
+    no ``n x n`` ground matrix is ever held.
+    """
+    tau = gtm_star.level_tau(GTMStar().tau, space)
+    with PhaseTimer(stats, "time_grouping"):
+        level, tables = GTMStar._build_level(oracle, space, tau)
+        pairs = gtm_star.feasible_group_pairs(level, space)
+    bounds, blocks, sizes = gtm_star.level_sources(
+        oracle, space, level, tables, pairs, stats
+    )
+    entries = scan_topk_entries(
+        oracle, space, bounds, tables.cmin, tables.rmin, k, stats
+    )
+    stats.subsets_total += int(sizes[bounds.opened:].sum())
+    gtm_star.charge_space(stats, oracle, space, level, blocks, bounds)
+    return entries
+
+
 def top_k_from_oracle(
     traj_a: Trajectory,
     traj_b: Optional[Trajectory],
@@ -167,12 +204,7 @@ def top_k_from_oracle(
     stats: SearchStats,
 ) -> List[RankedMotif]:
     """Serial top-k over a prebuilt ground oracle (canonical answer)."""
-    with PhaseTimer(stats, "time_bounds"):
-        tables = BoundTables.build(space, oracle)
-        bounds = relaxed_subset_bounds(space, oracle, tables)
-    entries = scan_topk_entries(
-        oracle, space, bounds, tables.cmin, tables.rmin, k, stats
-    )
+    entries = top_k_entries(oracle, space, k, stats)
     return entries_to_ranked(traj_a, traj_b, entries)
 
 
@@ -186,9 +218,10 @@ def discover_top_k_motifs(
 ) -> List[RankedMotif]:
     """Return the ``k`` best subset-distinct motif pairs, ascending.
 
-    One-shot convenience wrapper; batched callers should prefer
-    :meth:`repro.engine.MotifEngine.top_k`, which caches the ground
-    oracle across calls.
+    One-shot convenience wrapper over GTM*'s lazy ground oracle;
+    batched callers should prefer :meth:`repro.engine.MotifEngine.top_k`,
+    which caches the oracle (shared with GTM* ``discover``) and the
+    answer across calls.
     """
     k = check_k(k)
     traj_a = _as_trajectory(trajectory)
@@ -200,9 +233,5 @@ def discover_top_k_motifs(
     )
     stats = SearchStats(algorithm="topk", mode=space.mode, xi=space.xi)
     resolved = get_metric(metric, crs=traj_a.crs)
-
-    class _DenseAlgo:  # oracle builder expects an algorithm instance
-        pass
-
-    oracle = _build_oracle(_DenseAlgo(), traj_a, traj_b, resolved, stats)
+    oracle = _build_oracle(GTMStar(), traj_a, traj_b, resolved, stats)
     return top_k_from_oracle(traj_a, traj_b, space, oracle, k, stats)

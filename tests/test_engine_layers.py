@@ -106,16 +106,6 @@ class TestOracleManager:
         assert manager.result(("x",)) is None
         assert manager.result(None) is None
 
-    def test_bound_tables_cached_per_geometry(self):
-        manager = OracleManager()
-        metric = get_metric("euclidean")
-        traj = random_walk(14, seed=7)
-        dense, okey = manager.dense_oracle(traj, None, metric)
-        t1 = manager.bound_tables(okey, self_space(14, 2), dense)
-        t2 = manager.bound_tables(okey, self_space(14, 2), dense)
-        t3 = manager.bound_tables(okey, self_space(14, 3), dense)
-        assert t1 is t2 and t1 is not t3
-
 
 # ----------------------------------------------------------------------
 # Executor: lifecycle and configuration

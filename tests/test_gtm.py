@@ -162,8 +162,12 @@ class TestGtmStarBehaviour:
         assert 0 < sum(opened) < stats.subsets_total
         assert stats.space_bytes == (
             2 * 8 * g + 8 * g_sub + 8 * 4 * sum(sub_blocks) + 8 * 4 * n
-            + 8 * 6 * sum(opened) + 8 * n + block + STACK_SWEEP_BYTES
+            + 8 * 6 * sum(opened) + block + stats.sweep_bytes
         )
+        # The row cache is never filled (Euclidean reads single cells),
+        # and the sweep is charged at the frontier's peak buffers.
+        assert lazy.cached_rows == 0
+        assert 0 < stats.sweep_bytes <= 2 * STACK_SWEEP_BYTES
         tracemalloc.start()
         try:
             GTMStar._build_level(lazy, space, tau)
