@@ -326,6 +326,8 @@ class CorpusIndex:
         self._prepared_ends: Optional[Tuple[tuple, tuple]] = None
         #: The checked, prepared point slab of :meth:`screen_runs`.
         self._runs: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = None
+        #: Whether :meth:`check_slab` has passed.
+        self._slab_checked = False
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -738,6 +740,7 @@ class CorpusIndex:
         ``radius``.
         """
         radius = check_threshold("radius", radius)
+        self.check_slab()
         m = self.metric
         stats = IndexStats()
         stats.pairs_total = self.n
@@ -785,6 +788,7 @@ class CorpusIndex:
         answer.  No item's exact DFD is computed twice.
         """
         k = check_k(k)
+        self.check_slab()
         m = self.metric
         stats = IndexStats()
         stats.pairs_total = self.n
@@ -901,6 +905,15 @@ class CorpusIndex:
             }
         return dict(self._slabs)
 
+    def check_slab(self) -> None:
+        """Check the point slab of :meth:`transport_slabs` against the
+        metric's domain once per index (a snapshot's mapped points are
+        not checked on load); a failed check raises
+        :class:`~repro.errors.TrajectoryError` on every call."""
+        if not self._slab_checked:
+            self.metric._check_domain(self.transport_slabs()["points"])
+            self._slab_checked = True
+
     def screen_runs(self) -> Tuple[tuple, np.ndarray, np.ndarray]:
         """``(prepared points, first rows, lengths)``: the point slab of
         :meth:`transport_slabs` in :meth:`GroundMetric.prepare` form and
@@ -911,10 +924,10 @@ class CorpusIndex:
         :class:`~repro.errors.TrajectoryError` on every call.
         """
         if self._runs is None:
+            self.check_slab()
             slabs = self.transport_slabs()
             points = slabs["points"]
             offsets = np.asarray(slabs["offsets"], dtype=np.int64)
-            self.metric._check_domain(points)
             self._runs = (
                 self.metric.prepare(points), offsets[:-1], np.diff(offsets)
             )

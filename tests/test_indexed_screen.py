@@ -374,3 +374,17 @@ def test_restored_bad_slab_raises(bad_snapshots, engines):
             service.submit("join", {**base, "theta": 1.0})
         with pytest.raises(BadRequestError, match="latitude"):
             service.submit("join_top_k", {**base, "k": 3})
+
+
+def test_restored_bad_slab_raises_on_range_and_knn(bad_snapshots):
+    """The single-query verbs check the slab once per index too: small
+    and large radius and k raise alike."""
+    _, left, right, paths = bad_snapshots
+    index = load_snapshot(paths["left"])
+    query = right[0]
+    for radius in (1.0, 1e7):
+        with pytest.raises(TrajectoryError):
+            index.range_scan(query, radius)
+    for k in (1, len(left)):
+        with pytest.raises(TrajectoryError):
+            index.knn_scan(query, k)
