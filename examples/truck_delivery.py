@@ -14,6 +14,7 @@ import time
 
 from repro import discover_motif
 from repro.datasets import get_dataset
+from repro.engine import Corpus, MotifEngine
 from repro.extensions import similarity_join
 from repro.trajectory import sliding_windows
 
@@ -57,3 +58,17 @@ for a, b in repeats[:5]:
     print(f"    A[{a * 20}..{a * 20 + 39}] ~ A[{b * 20}..{b * 20 + 39}]")
 if len(repeats) > 5:
     print(f"    ... and {len(repeats) - 5} more")
+
+# The same segments through the engine.  An inline list is re-keyed
+# (one hash over all its points) on every corpus call; a `Corpus`
+# handle is keyed once, so build it once and reuse it.
+corpus = Corpus.of(segments)
+with MotifEngine(workers=1) as engine:
+    engine_matches, _ = engine.join(corpus, corpus, theta,
+                                    metric="haversine", index=True)
+    near, _ = engine.knn(segments[0], corpus, 3, metric="haversine",
+                         index=True)
+assert sorted(engine_matches) == sorted(matches)
+print(f"engine join over one keyed corpus: {len(engine_matches)} matches "
+      f"(same as above); segments nearest A[0..39]: "
+      f"{[idx for _, idx in near]}")

@@ -44,7 +44,6 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ..errors import TrajectoryError
 from .problem import SELF_MODE, SearchSpace
 
 _INF = np.inf
@@ -86,16 +85,13 @@ def candidate_rows(oracle, r0: int, r1: int, mode: str):
     from column ``r0`` on: no column left of ``r0`` holds a cell above
     the diagonal of these rows.  ``upper`` is :func:`upper_cells` of the
     block, one masked copy that every reduction of the rows shares.  A
-    non-finite cell (a metric that overflows) is refused with the dense
-    oracle's :class:`~repro.errors.TrajectoryError`: it would poison the
-    bounds as it would a dense ``dG``.
+    non-finite cell is refused by the oracle (the lazy one when it
+    computes the rows, the dense one when it is built).
     """
     if mode == SELF_MODE:
         block = oracle.block(r0, r1, r0, oracle.shape[1])
     else:
         block = oracle.rows(r0, r1)
-    if not np.isfinite(block).all():
-        raise TrajectoryError("ground matrix contains NaN or inf entries")
     return block, upper_cells(block, mode)
 
 

@@ -408,6 +408,10 @@ def _kth_floors(pool: np.ndarray, upper: np.ndarray, k: int) -> np.ndarray:
     is the running minimum of ``max(x[q], t-th smallest before q)``.
     """
     seq = np.concatenate([np.sort(pool)[:k], upper])
+    if k > seq.shape[0]:
+        # No prefix holds k values; this also keeps a k far past the
+        # subset count from costing k passes.
+        return np.full(upper.shape[0], inf)
     held = np.full(seq.shape[0] + 1, -inf)
     for _ in range(k):
         nxt = np.maximum(seq, held[:-1])
@@ -461,6 +465,14 @@ class SweepFrontier:
     deepening rows outgrow it the latest rows leave and rejoin later
     from the cursor.  Subsets admitted but never consumed (the loop
     broke earlier) are dropped.
+
+    *Ties.*  A row reports the first cell attaining its minimum in the
+    scan order of :func:`expand_subset` on a dense oracle: row-major for
+    rectangles of at most :data:`SCALAR_AREA_LIMIT` cells, anti-diagonal
+    (lowest row first) otherwise.  By default only a dense oracle breaks
+    ties row-major, and a lazy oracle's rows are all anti-diagonal (the
+    wavefront over its rows); ``rowmajor=True`` takes the dense order on
+    any oracle, as the canonical top-k does.
     """
 
     def __init__(
@@ -473,6 +485,7 @@ class SweepFrontier:
         stats: Optional[SearchStats],
         chained: bool = False,
         k: int = 1,
+        rowmajor: Optional[bool] = None,
     ) -> None:
         self.oracle = oracle
         self.space = space
@@ -482,7 +495,8 @@ class SweepFrontier:
         self.k = k
         self._kill = cmin is not None and rmin is not None
         self.cmin, self.rmin = cmin, rmin
-        self._dense = hasattr(oracle, "array")
+        self._rowmajor_ties = (
+            hasattr(oracle, "array") if rowmajor is None else rowmajor)
         self._ramp = np.arange(max(space.n_rows, space.n_cols) + 2)
         self._index = self._ramp[:0]
         self._bufs = _buffers(0, 0)
@@ -662,7 +676,7 @@ class SweepFrontier:
         ints[_LAST] = heights + widths - 2
         ints[_SLOT] = np.arange(first, self._next) - self._base
         ints[_ROWMAJOR] = 0
-        if self._dense:
+        if self._rowmajor_ties:
             # Ties resolve in the scan order expand_subset would use.
             ints[_ROWMAJOR] = heights * widths <= SCALAR_AREA_LIMIT
             self._rowmajor |= bool(ints[_ROWMAJOR].any())

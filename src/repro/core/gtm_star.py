@@ -71,6 +71,13 @@ from .problem import SELF_MODE, SearchSpace
 from .stats import PhaseTimer, SearchStats
 
 
+#: GTM*'s default group size; top-k scans its level at this ``tau``.
+DEFAULT_TAU = 32
+
+#: GTM*'s default lazy-oracle row cache; top-k shares the oracle.
+DEFAULT_CACHE_ROWS = 256
+
+
 class GTMStar:
     """Space-efficient grouping-based motif discovery (Section 5.5).
 
@@ -88,9 +95,9 @@ class GTMStar:
 
     def __init__(
         self,
-        tau: int = 32,
+        tau: int = DEFAULT_TAU,
         use_gub: bool = True,
-        cache_rows: int = 256,
+        cache_rows: int = DEFAULT_CACHE_ROWS,
         timeout: Optional[float] = None,
     ) -> None:
         if tau < 2:

@@ -494,6 +494,14 @@ def ground_stack(
     return ground_stack_at(point_stack(lefts), point_stack(rights), k, k, metric)
 
 
+def _finite(cells: np.ndarray) -> np.ndarray:
+    """``cells``, refused if any is NaN or inf (a metric that overflows):
+    such a cell would silently poison the pruning bounds."""
+    if not np.isfinite(cells).all():
+        raise TrajectoryError("ground matrix contains NaN or inf entries")
+    return cells
+
+
 class LazyGroundMatrix:
     """Row-on-demand ground distance matrix with a bounded row cache.
 
@@ -564,13 +572,14 @@ class LazyGroundMatrix:
         return row
 
     def rows(self, r0: int, r1: int) -> np.ndarray:
-        """Rows ``dG[r0:r1, :]`` in one row-kernel call (not cached).
+        """Rows ``dG[r0:r1, :]`` in one row-kernel call (not cached),
+        refused like a dense matrix if a cell is not finite.
 
         Bit-identical to stacking :meth:`row` calls: the row kernel is
         elementwise over its input rows.
         """
         self.rows_computed += r1 - r0
-        return self._row_kernel(self._a[r0:r1])
+        return _finite(self._row_kernel(self._a[r0:r1]))
 
     def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries ``dG[rows[k], cols[k]]`` for equal-shape index arrays.
@@ -600,8 +609,9 @@ class LazyGroundMatrix:
         return out.reshape(rows.shape)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Dense block ``dG[r0:r1, c0:c1]`` computed directly (not cached)."""
-        return self._metric.pairwise(self._a[r0:r1], self._b[c0:c1])
+        """Dense block ``dG[r0:r1, c0:c1]`` computed directly (not cached),
+        refused like a dense matrix if a cell is not finite."""
+        return _finite(self._metric.pairwise(self._a[r0:r1], self._b[c0:c1]))
 
     def value(self, i: int, j: int) -> float:
         """Single entry ``dG[i, j]``; uses the row cache when warm."""
@@ -628,10 +638,7 @@ class DenseGroundMatrix:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise TrajectoryError("ground matrix must be 2-D")
-        if validate and not np.isfinite(matrix).all():
-            # NaN/inf entries would silently poison the pruning bounds.
-            raise TrajectoryError("ground matrix contains NaN or inf entries")
-        self._m = matrix
+        self._m = _finite(matrix) if validate else matrix
 
     @property
     def shape(self):

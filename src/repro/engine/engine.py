@@ -44,7 +44,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..core.gtm_star import GTMStar
+from ..core import gtm_star
 from ..core.motif import MotifResult, _as_trajectory, _make_algorithm
 from ..core.stats import PhaseTimer, SearchStats
 from ..distances.ground import GroundMetric, get_metric
@@ -397,7 +397,7 @@ class MotifEngine:
             return list(cached)  # copy: caller mutations must not poison it
         space = planner.build_space(traj_a, traj_b, min_length)
         oracle = self._oracles.lazy_oracle(
-            traj_a, traj_b, resolved, GTMStar().cache_rows
+            traj_a, traj_b, resolved, gtm_star.DEFAULT_CACHE_ROWS
         )
         stats = SearchStats(algorithm="topk", mode=space.mode, xi=space.xi)
         entries = top_k_entries(oracle, space, k, stats)

@@ -94,7 +94,11 @@ def scan_topk_entries(
     opens no source above it.  The subsets are expanded in
     one unchained :class:`~repro.core.dp.SweepFrontier`, which admits
     what the cut admits and lowers each new row to the ``k``-th best of
-    the rows before it; the entries are those of the per-subset loop.
+    the rows before it; the entries are those of the per-subset loop
+    of :func:`~repro.core.dp.expand_subset` on a dense oracle, whatever
+    ``oracle`` is: a tied subset reports the candidate the dense
+    dispatcher's scan order finds first, so ties resolve alike on every
+    path.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -108,7 +112,8 @@ def scan_topk_entries(
     count = 0
     exhausted = False
     block_iter = bounds.order_blocks()
-    frontier = SweepFrontier(oracle, space, bounds, cmin, rmin, stats, k=k)
+    frontier = SweepFrontier(oracle, space, bounds, cmin, rmin, stats, k=k,
+                             rowmajor=True)
     block = None
     while not exhausted:
         # Pull the next block only while still consuming -- once the
@@ -180,7 +185,7 @@ def top_k_entries(
     so the counter is that of bounding every subset.  On a lazy oracle
     no ``n x n`` ground matrix is ever held.
     """
-    tau = gtm_star.level_tau(GTMStar().tau, space)
+    tau = gtm_star.level_tau(gtm_star.DEFAULT_TAU, space)
     with PhaseTimer(stats, "time_grouping"):
         level, tables = GTMStar._build_level(oracle, space, tau)
         pairs = gtm_star.feasible_group_pairs(level, space)

@@ -210,7 +210,9 @@ def reference_best_first(case, bounds, bsf, best, use_kills, approx):
 
 
 def reference_topk(case, bounds, k, kth0):
-    """The per-subset loop ``scan_topk_entries`` ran before stacking."""
+    """The per-subset loop ``scan_topk_entries`` ran before stacking,
+    over the dense dispatcher whatever the case's oracle: top-k ties
+    resolve in its scan order on every oracle."""
     import heapq
 
     stats = SearchStats()
@@ -228,10 +230,12 @@ def reference_topk(case, bounds, k, kth0):
             if float(bounds.combined[idx]) > cut:
                 stop = True
                 break
-            dist, cand = case.expand(
+            dist, cand = expand_subset(
+                case.dense, case.space,
                 int(bounds.i_idx[idx]), int(bounds.j_idx[idx]),
                 float(np.nextafter(cut, np.inf)), None,
-                case.tables.cmin, case.tables.rmin, stats,
+                cmin=case.tables.cmin, rmin=case.tables.rmin, prune=True,
+                stats=stats,
             )
             count += 1
             if cand is None:

@@ -208,7 +208,7 @@ def test_batched_group_bounds_equal_the_scalar_kernel(walk_seed, shape, tau):
 
 def test_group_bound_block_fits_the_sweep_budget():
     """One batched block of ``GROUP_DFD_CELLS`` table cells peaks within
-    ``STACK_SWEEP_BYTES``, which GTM*'s space model charges."""
+    ``STACK_SWEEP_BYTES``, the budget the frontier takes after it."""
     pts = random_walk_points(500, SEED)
     space = self_space(500, 9)
     level, _ = GTMStar._build_level(lazy(pts), space, 32)
