@@ -993,20 +993,31 @@ def test_gtm_star_phases(benchmark):
     (``blocks_opened``: whole group pairs when every survivor is
     expanded, GTM*'s sub-blocks when they open lazily) against
     ``subsets_total``, and the ground cells the metric evaluated, in
-    total and in the level-plus-tables scan (one pass: ``n * n``).  A
-    ``glb_input`` record adds one GeoLife-like input at ``xi = 40``
-    where ``GLB_DFD`` prunes group pairs, with its group counters.
+    total and in the level-plus-tables scan (one pass over the upper
+    trapezoid).  It
+    also records the surviving group pairs (``group_survivors``), the
+    point phase's first best-so-far over the answer (``seed_ratio``:
+    the GUB or, where the tree has one, the lockstep seed), a ``top_k``
+    (k = 5) on the same oracle (``topk_ms``, ``topk_rounds``,
+    ``topk_cells_expanded``, ``topk_subsets_expanded``) and, where the
+    level scan takes ``k``, its time with the seed and without
+    (``level_ms``, ``seed_ms``, ``seed_share``; fastest of five, plain
+    Euclidean).  A ``glb_input`` record adds one GeoLife-like input at
+    ``xi = 40`` where ``GLB_DFD`` prunes group pairs, with its group
+    counters.
 
     The row keeps a ``parent`` record (this function run on the parent
     commit's source) and writes the current run as ``change``; each
     names its commit and whether ``src`` had uncommitted edits.
     Recorded in ``BENCH_engine_scaling.json``; no floor."""
+    import inspect
     import subprocess
 
     import repro.core.dp as dp
     import repro.core.gtm_star as gtm_star
     from repro.core import GTMStar, SearchStats, self_space
     from repro.distances.ground import EuclideanMetric, LazyGroundMatrix
+    from repro.extensions.topk import top_k_entries
 
     class Counting(EuclideanMetric):
         name = "euclidean-counting"
@@ -1029,7 +1040,9 @@ def test_gtm_star_phases(benchmark):
     one_round = dp.SweepFrontier._round
     expand = gtm_star.expand_pairs_to_subsets
     bound = gtm_star.relaxed_subset_bounds_for_pairs
-    counts = {"rounds": 0, "blocks": 0, "subsets": 0}
+    best_first = gtm_star.run_best_first
+    counts = {"rounds": 0, "blocks": 0, "subsets": 0, "bsf": math.inf}
+    seeded = "k" in inspect.signature(GTMStar._build_level).parameters
 
     def counting_round(self, totals):
         counts["rounds"] += 1
@@ -1044,11 +1057,30 @@ def test_gtm_star_phases(benchmark):
         counts["subsets"] += len(out)
         return out
 
+    def first_bsf(*args, **kwargs):
+        counts["bsf"] = kwargs["bsf"]
+        return best_first(*args, **kwargs)
+
+    def level_times(points, space):
+        """The plain scan's time without the seed and with it (ms)."""
+        if not seeded:
+            return math.nan, math.nan
+        oracle = LazyGroundMatrix(points, cache_rows=256)
+        tau = gtm_star.level_tau(GTMStar().tau, space)
+        times = {0: [], 1: []}
+        for _ in range(5):
+            for k in times:
+                started = time.perf_counter()
+                GTMStar._build_level(oracle, space, tau, k)
+                times[k].append(time.perf_counter() - started)
+        return 1e3 * min(times[0]), 1e3 * (min(times[1]) - min(times[0]))
+
     def run():
         rows = {}
         dp.SweepFrontier._round = counting_round
         gtm_star.expand_pairs_to_subsets = counting_expand
         gtm_star.relaxed_subset_bounds_for_pairs = counting_bound
+        gtm_star.run_best_first = first_bsf
         try:
             for name, points, min_length in inputs:
                 space = self_space(n, min_length)
@@ -1061,7 +1093,9 @@ def test_gtm_star_phases(benchmark):
                     metric.cells = 0
                     counts.update(rounds=0, blocks=0, subsets=0)
                     stats = SearchStats()
-                    GTMStar().search(oracle, space, stats)
+                    distance, _ = GTMStar().search(oracle, space, stats)
+                    ratio = counts["bsf"] / distance if distance else (
+                        1.0 if counts["bsf"] == 0 else math.inf)
                     runs.append((
                         1e3 * stats.time_grouping, 1e3 * stats.time_bounds,
                         1e3 * stats.time_dp, counts["rounds"], metric.cells,
@@ -1070,12 +1104,25 @@ def test_gtm_star_phases(benchmark):
                         stats.subsets_expanded, stats.group_pairs_considered,
                         stats.group_pairs_pruned_pattern,
                         stats.group_pairs_pruned_glb, stats.gub_tightenings,
+                        sum(stats.group_levels.values()), ratio,
                     ))
-                rows.setdefault(name, []).append(min(runs, key=lambda r: sum(r[:3])))
+                best = min(runs, key=lambda r: sum(r[:3]))
+                topk = []
+                for _ in range(3):
+                    counts.update(rounds=0)
+                    stats = SearchStats()
+                    started = time.perf_counter()
+                    top_k_entries(oracle, space, 5, stats)
+                    topk.append((1e3 * (time.perf_counter() - started),
+                                 counts["rounds"], stats.cells_expanded,
+                                 stats.subsets_expanded))
+                rows.setdefault(name, []).append(
+                    best + min(topk) + level_times(points, space))
         finally:
             dp.SweepFrontier._round = one_round
             gtm_star.expand_pairs_to_subsets = expand
             gtm_star.relaxed_subset_bounds_for_pairs = bound
+            gtm_star.run_best_first = best_first
         return rows
 
     def git(*args):
@@ -1088,6 +1135,11 @@ def test_gtm_star_phases(benchmark):
             return ""
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    # The scan reads each block of whole groups from its first row's
+    # column on (self mode: the upper trapezoid), once.
+    step = gtm_star._scan_rows(GTMStar().tau, n)
+    trapezoid = sum((min(n, r0 + step) - r0) * (n - r0)
+                    for r0 in range(0, n, step))
     record = {
         "commit": git("rev-parse", "HEAD"),
         "src_modified": bool(git("status", "--porcelain", "src")),
@@ -1107,8 +1159,20 @@ def test_gtm_star_phases(benchmark):
             "blocks_opened": float(cols[:, 8].mean()),
             "subsets_total": float(cols[:, 9].mean()),
             "subsets_expanded": float(cols[:, 10].mean()),
+            "group_survivors": float(cols[:, 15].mean()),
+            "seed_ratio": float(np.median(cols[:, 16])),
+            "topk_ms": float(np.median(cols[:, 17])),
+            "topk_rounds": float(cols[:, 18].mean()),
+            "topk_cells_expanded": float(cols[:, 19].mean()),
+            "topk_subsets_expanded": float(cols[:, 20].mean()),
         }
-        assert (cols[:, 5] == n * n).all()
+        if seeded:
+            level_ms, seed_ms = np.median(cols[:, 21]), np.median(cols[:, 22])
+            record[name].update({
+                "level_ms": float(level_ms), "seed_ms": float(seed_ms),
+                "seed_share": float(seed_ms / level_ms),
+            })
+        assert (cols[:, 5] == trapezoid).all()
     glb = rows["glb_input"][0]
     record["glb_input"].update({
         "xi": 40,

@@ -132,9 +132,14 @@ class GTMStar:
         tau = level_tau(self.tau, space)
 
         with PhaseTimer(stats, "time_grouping"):
-            level, point_tables = self._build_level(oracle, space, tau)
+            level, point_tables, seed = self._build_level(oracle, space, tau)
+            bsf, best = float(bsf0), best0
+            if seed.value < bsf:
+                # Unwitnessed, as a GUB: the loop's threshold is nudged
+                # one ulp, so a candidate at the seed still wins ties.
+                bsf, best = seed.value, None
             bsf, best, survivors = self._prune_groups(
-                level, space, float(bsf0), best0, stats, deadline
+                level, space, bsf, best, stats, deadline
             )
             stats.group_levels[tau] = len(survivors)
 
@@ -147,7 +152,7 @@ class GTMStar:
         )
         _credit_closed(level.sub or level, point_tables,
                        blocks[bounds.opened:], sizes[bounds.opened:], bsf, stats)
-        charge_space(stats, oracle, space, level, blocks, bounds)
+        charge_space(stats, oracle, space, level, blocks, bounds, seed)
         return bsf, best
 
     def _prune_groups(
@@ -216,11 +221,12 @@ class GTMStar:
 
     @staticmethod
     def _build_level(
-        oracle, space: SearchSpace, tau: int
-    ) -> Tuple[GroupLevel, BoundTables]:
+        oracle, space: SearchSpace, tau: int, k: int = 1
+    ) -> Tuple[GroupLevel, BoundTables, "LockstepSeed"]:
         """The group level, with the min-only sub-level at
         :func:`_sub_tau` as its ``sub`` (``None`` when that is ``tau``),
-        and the point-level bound tables, in one scan.
+        the point-level bound tables and the :class:`LockstepSeed` of
+        the ``k``-th best subset, in one scan.
 
         Reads the ground matrix once, in blocks of whole ``tau``-row
         groups (a metric call per block on a lazy oracle, a view on a
@@ -230,22 +236,30 @@ class GTMStar:
         applied to the bound phase.  The level and the tables equal
         :meth:`GroupLevel.from_matrix` and :meth:`BoundTables.build`
         bit for bit, the sub-level's minima those of
-        :meth:`GroupLevel.from_matrix` at ``tau'``.
+        :meth:`GroupLevel.from_matrix` at ``tau'``.  The seed reads the
+        same blocks; it is ``+inf`` unless the oracle's ``values`` cells
+        are its blocks' bit for bit (``exact_cells``) and a window of
+        ``xi + 2`` rows fits in a block.
         """
         n, m = space.n_rows, space.n_cols
         sub = _sub_tau(tau)
         scan = TableScan(space)
         step = _scan_rows(tau, m)
+        # The seed needs the DP's own cells and a window within a block.
+        fits = getattr(oracle, "exact_cells", False) and space.xi + 2 <= step
+        seed = LockstepSeed(space, k if fits else 0, step * m)
         bands = [
-            _fold_rows(oracle, scan, r0, min(n, r0 + step), tau, sub, space.mode)
+            _fold_rows(oracle, scan, seed, r0, min(n, r0 + step), tau, sub,
+                       space.mode)
             for r0 in range(0, n, step)
         ]
+        seed.finish()
         level = GroupLevel.from_bands([b[:2] for b in bands], n, m, tau, space.mode)
         if sub < tau:
             level.sub = GroupLevel.from_bands(
                 [(b[2], None) for b in bands], n, m, sub, space.mode
             )
-        return level, scan.tables()
+        return level, scan.tables(), seed
 
 
 def level_tau(tau: int, space: SearchSpace) -> int:
@@ -291,14 +305,17 @@ def charge_space(
     level: GroupLevel,
     blocks: np.ndarray,
     bounds: LazySubsetBounds,
+    seed: "LockstepSeed",
 ) -> None:
     """GTM*'s space model, for a search over :func:`level_sources`.
 
     It charges what the search holds: the level and sub-level, the
     ordered sub-blocks, the point tables, the subset bounds the cursor
-    opened, the rows the lazy oracle's cache holds (none with the
-    built-in metrics, which read single cells), the level scan's block
-    and the sweep frontier's peak buffers (``stats.sweep_bytes``).
+    opened and the rows the lazy oracle's cache holds (none with the
+    built-in metrics, which read single cells); and the larger of the
+    level scan's transients (its block, and the seed's kept cells at
+    their peak), which die with the scan, and the sweep frontier's peak
+    buffers (``stats.sweep_bytes``), which come after it.
     """
     sub_level = level.sub or level
     g = level.n_row_groups * level.n_col_groups
@@ -314,8 +331,11 @@ def charge_space(
         + 8 * 4 * space.n_cols                 # point-level tables
         + 8 * 6 * len(bounds)                  # opened subset bounds
         + 8 * held_rows * space.n_cols         # lazy row cache
-        + 3 * 8 * scan_rows * space.n_cols     # level-plus-tables scan
-        + stats.sweep_bytes,                   # sweep frontier buffers
+        + max(
+            3 * 8 * scan_rows * space.n_cols   # level-plus-tables scan
+            + seed.peak_bytes,                 # the seed's kept cells
+            stats.sweep_bytes,                 # sweep frontier buffers
+        ),
     )
 
 
@@ -334,16 +354,176 @@ def _scan_rows(tau: int, m: int) -> int:
     return tau * max(1, ROW_BLOCK_CELLS // (tau * m))
 
 
-def _fold_rows(oracle, scan: TableScan, r0: int, r1: int, tau: int, sub: int,
-               mode: str):
+def _fold_rows(oracle, scan: TableScan, seed: "LockstepSeed", r0: int,
+               r1: int, tau: int, sub: int, mode: str):
     """Read rows ``r0 .. r1 - 1`` of ``dG`` once (in self mode only their
-    upper trapezoid): fold them into ``scan`` and return their group
-    rows.  One masked copy serves both; the block dies on return, so
-    the scan's peak is one block, its masked copy and the metric's
-    temporaries."""
+    upper trapezoid): fold them into ``scan`` and ``seed`` and return
+    their group rows.  One masked copy serves all three; the block dies
+    on return, so the scan's peak is one block, its masked copy and the
+    metric's temporaries, besides the seed's carried windows."""
     block, upper = candidate_rows(oracle, r0, r1, mode)
     scan.add(r0, block, upper)
-    return band_levels(upper, r0, tau, sub, mode)
+    bands = band_levels(upper, r0, tau, sub, mode)
+    seed.add(r0, upper)  # last: it masks ``upper`` further
+    return bands
+
+
+class LockstepSeed:
+    """The ``k``-th smallest lockstep coupling over the feasible starts,
+    folded from the level scan's row blocks.
+
+    ``U(i, j) = max_{t <= xi + 1} dG(i + t, j + t)`` is the largest
+    cell on the lockstep walk of subset ``(i, j)``'s shortest candidate
+    ``(i, i + xi + 1, j, j + xi + 1)``, so the subset's best is at most
+    ``U`` -- exactly in floats when the DP reads the same cells (it only
+    selects among them).  Distinct starts are distinct subsets, so the
+    ``k``-th smallest ``U`` (:attr:`value`) bounds the ``k``-th best
+    subset: GTM*'s first best-so-far (``k = 1``) and top-k's first cut.
+
+    The first block reads the windows that end in it whole
+    (:meth:`_first`).  From then on a window can lower the value only
+    if every cell on it is below the value, so each block (:meth:`add`)
+    keeps just its cells below the value (one ulp up), and
+    :meth:`_fold` reads the windows whose cells are all kept once the
+    scan has passed them, the ones crossing blocks included.  It folds
+    when the kept cells pass ``cap`` (half a scan block: 16 bytes a
+    cell) and at the end (:meth:`finish`), and keeps after it only the
+    cells below the value in the rows a later window can reach.  Should
+    they still pass ``cap``, the lowest ``cap`` stay, and the value is
+    the ``k``-th smallest over the windows still whole: a bound either
+    way.  :attr:`peak_bytes` is the kept cells' peak between blocks, at
+    most ``16 * cap`` bytes.  ``k = 0`` reads nothing: ``+inf``.
+    """
+
+    def __init__(self, space: SearchSpace, k: int, block_cells: int) -> None:
+        self.space = space
+        self.k = k
+        self.width = space.xi + 2  # cells on a window
+        self.cap = max(1, block_cells // 2)
+        self.value = self.limit = math.inf
+        self.found = np.empty(0)  # the k least U read
+        # Kept cells: (diagonal-major key, value) chunks, the blocks'
+        # still as (flat index, value, first row, first column, columns).
+        self._keyed: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._blocks: List[Tuple[np.ndarray, np.ndarray, int, int, int]] = []
+        self._held = 0
+        self._rows = 0  # rows scanned
+        self._next = 0  # the first start row whose window is unread
+        self.peak_bytes = 0
+        self._t = np.arange(self.width)[:, None]
+        self._bands = {}  # the band masks, per block shape
+
+    def add(self, r0: int, upper: np.ndarray) -> None:
+        """Fold rows ``r0 ..`` in: ``upper`` as :func:`candidate_rows`
+        returns it (C-contiguous), after :func:`band_levels`.  In self
+        mode its cells on diagonals ``j - i < xi + 2`` (no window's)
+        become ``+inf``, in place."""
+        if not self.k:
+            return
+        rows, cols = upper.shape
+        first = 0
+        if self.space.mode == SELF_MODE:
+            first = r0
+            band = upper[:, : rows + self.width - 1]
+            mask = self._bands.get(band.shape)
+            if mask is None:
+                mask = self._bands[band.shape] = np.tri(
+                    *band.shape, self.width - 1, dtype=bool)
+            band[mask] = np.inf
+        flat = upper.reshape(-1)
+        if not r0:
+            self._first(flat, rows, cols, first)
+        hit = (flat < self.limit).nonzero()[0]
+        self._blocks.append((hit, flat[hit], r0, first, cols))
+        self._held += hit.shape[0]
+        self._rows = r0 + rows
+        if self._held > self.cap:
+            self._fold()
+        self.peak_bytes = max(self.peak_bytes, 16 * self._held)
+
+    def finish(self) -> None:
+        """Read the windows left once the scan is done."""
+        if self._held:
+            self._fold(last=True)
+
+    def _first(self, flat: np.ndarray, rows: int, cols: int,
+               first: int) -> None:
+        """Read the first block's windows that end in it, all at once:
+        maxima over diagonal runs of doubling length, a diagonal step
+        being ``cols + 1`` cells on the flat block."""
+        space, w = self.space, self.width
+        starts = min(rows - w + 1, space.i_max + 1)
+        width = space.n_cols - w - first + 1  # start columns
+        if starts <= 0 or width <= 0:
+            return
+        u = flat[: (starts + w - 1) * cols]  # to the last window's end
+        span = 1
+        while span < w:
+            step = min(span, w - span) * (cols + 1)
+            u = np.maximum(u[:-step], u[step:])
+            span += step // (cols + 1)
+        # Start (r, c) sits at r * cols + c, below starts * cols -
+        # (w - 1), the length left: windows past the last column
+        # wrapped into the next row, but start at no column kept.
+        u = np.lib.stride_tricks.as_strided(
+            u, (starts, width), (cols * u.itemsize, u.itemsize)).ravel()
+        if u.shape[0] > self.k:
+            u = np.partition(u, self.k - 1)[: self.k]
+        self._offer(u[u < math.inf])
+        self._next = starts
+
+    def _fold(self, last: bool = False) -> None:
+        """Read every window whose cells are all kept and whose last row
+        has been scanned, then drop the cells no later window needs
+        (all of them when the scan is done)."""
+        space, w, n = self.space, self.width, self.space.n_rows
+        if self._blocks:
+            # Diagonal-major keys, (j - i) * n + i, of the blocks' cells.
+            shape = np.array([b[2:] for b in self._blocks])
+            counts = [b[0].shape[0] for b in self._blocks]
+            hit = np.concatenate([b[0] for b in self._blocks])
+            r0, first, cols = np.repeat(shape, counts, axis=0).T
+            i = (hit / cols).astype(np.int64)  # exact: hit < 2 ** 53
+            key = (hit - i * (cols + 1) + first - r0) * n + i + r0
+            self._keyed.append(
+                (key, np.concatenate([b[1] for b in self._blocks])))
+            self._blocks = []
+        key = np.concatenate([kept[0] for kept in self._keyed])
+        cells = np.concatenate([kept[1] for kept in self._keyed])
+        # Sort the keys with their positions packed below them.
+        bits = max(1, int(key.shape[0]).bit_length())
+        packed = np.sort((key << bits) | np.arange(key.shape[0]))
+        key = packed >> bits
+        cells = cells[packed & ((1 << bits) - 1)]
+        # A window is w kept cells on consecutive rows of one diagonal.
+        starts = max(key.shape[0] - w + 1, 0)
+        whole = np.flatnonzero(key[w - 1:] == key[:starts] + (w - 1))
+        diag, i = np.divmod(key[whole], n)
+        ends = self._rows - w + 1  # windows from rows below end scanned
+        whole = whole[(i >= self._next) & (i < min(ends, space.i_max + 1))
+                      & (i + diag <= space.n_cols - w)]
+        if whole.shape[0]:
+            self._offer(cells[self._t + whole].max(axis=0))
+        self._next = max(self._next, ends)
+        if last:
+            self._keyed, self._held = [], 0
+            return
+        keep = (key % n >= self._next) & (cells < self.limit)
+        key, cells = key[keep], cells[keep]
+        if cells.shape[0] > self.cap:
+            low = np.sort(np.argpartition(cells, self.cap - 1)[: self.cap])
+            key, cells = key[low], cells[low]
+        self._keyed = [(key, cells)]
+        self._held = cells.shape[0]
+
+    def _offer(self, u: np.ndarray) -> None:
+        found = np.concatenate([self.found, u])
+        if found.shape[0] > self.k:
+            found = np.partition(found, self.k - 1)[: self.k]
+        self.found = found
+        if found.shape[0] == self.k:
+            self.value = float(found.max())
+            self.limit = float(np.nextafter(self.value, math.inf))
 
 
 def _sub_blocks(

@@ -552,6 +552,13 @@ class LazyGroundMatrix:
         """Rows the cache holds now (only :meth:`row` fills it)."""
         return len(self._cache)
 
+    @property
+    def exact_cells(self) -> bool:
+        """Whether :meth:`values` reads the cells of :meth:`rows` and
+        :meth:`block` bit for bit: an
+        :attr:`GroundMetric.exact_rowwise` metric."""
+        return self._metric.exact_rowwise
+
     def row(self, i: int) -> np.ndarray:
         """Full row ``dG[i, :]``, cached with true LRU eviction.
 
@@ -648,6 +655,9 @@ class DenseGroundMatrix:
     def array(self) -> np.ndarray:
         """The underlying dense matrix."""
         return self._m
+
+    #: Every read is of the one matrix.
+    exact_cells = True
 
     def row(self, i: int) -> np.ndarray:
         return self._m[i]

@@ -135,12 +135,10 @@ def scan_topk_entries(
                 exhausted = True
                 break
             if not frontier.ready(block, pos):
-                # Admit what the cut admits; while the heap is short of
-                # k entries only the subsets that can fill it.
-                if cut == math.inf:
-                    stop = pos + k - len(heap)
-                else:
-                    stop = int(np.searchsorted(lbs, cut, side="right"))
+                # Admit what the cut admits (the whole block while it is
+                # +inf): the frontier stops admission at the rows the
+                # earlier rows' k-th coupling already beats.
+                stop = int(np.searchsorted(lbs, cut, side="right"))
                 frontier.advance(block, pos, stop, threshold, lbs)
             dist, cand = frontier.result(pos)
             count += 1
@@ -178,25 +176,29 @@ def top_k_entries(
 ) -> List[TopKEntry]:
     """The canonical top-k entries of ``space`` over a ground oracle.
 
-    GTM*'s level scan at its default ``tau`` builds the level and the
-    point tables; every feasible group pair's sub-blocks become the
-    sources of a lazy cursor, and :func:`scan_topk_entries` reads it.
-    The sub-blocks it never opens join ``subsets_total`` in closed form,
-    so the counter is that of bounding every subset.  On a lazy oracle
-    no ``n x n`` ground matrix is ever held.
+    GTM*'s level scan at its default ``tau`` builds the level, the
+    point tables and the lockstep seed of the ``k``-th best subset
+    (:class:`~repro.core.gtm_star.LockstepSeed`); every feasible group
+    pair's sub-blocks become the sources of a lazy cursor limited to
+    the seed, and :func:`scan_topk_entries` reads it with the seed as
+    its first cut.  The sub-blocks it never opens join
+    ``subsets_total`` in closed form, so the counter is that of
+    bounding every subset.  On a lazy oracle no ``n x n`` ground matrix
+    is ever held.
     """
     tau = gtm_star.level_tau(gtm_star.DEFAULT_TAU, space)
     with PhaseTimer(stats, "time_grouping"):
-        level, tables = GTMStar._build_level(oracle, space, tau)
+        level, tables, seed = GTMStar._build_level(oracle, space, tau, k)
         pairs = gtm_star.feasible_group_pairs(level, space)
     bounds, blocks, sizes = gtm_star.level_sources(
-        oracle, space, level, tables, pairs, stats
+        oracle, space, level, tables, pairs, stats, limit=seed.value
     )
     entries = scan_topk_entries(
-        oracle, space, bounds, tables.cmin, tables.rmin, k, stats
+        oracle, space, bounds, tables.cmin, tables.rmin, k, stats,
+        kth0=seed.value,
     )
     stats.subsets_total += int(sizes[bounds.opened:].sum())
-    gtm_star.charge_space(stats, oracle, space, level, blocks, bounds)
+    gtm_star.charge_space(stats, oracle, space, level, blocks, bounds, seed)
     return entries
 
 

@@ -139,7 +139,7 @@ def test_scan_matches_level_and_tables(n, m, tau, xi, lazy):
     lazy_oracle = LazyGroundMatrix(a, b)
     dmat = lazy_oracle.rows(0, n)
     oracle = lazy_oracle if lazy else DenseGroundMatrix(dmat)
-    level, tables = GTMStar._build_level(oracle, space, tau)
+    level, tables, _ = GTMStar._build_level(oracle, space, tau)
     want = GroupLevel.from_matrix(dmat, tau, space.mode)
     for name in ("row_starts", "row_ends", "col_starts", "col_ends"):
         assert np.array_equal(getattr(level, name), getattr(want, name))

@@ -56,7 +56,7 @@ class TestGroupLevel:
         pts = random_walk_points(17, 2)
         dmat = ground_matrix(pts)
         a = GroupLevel.from_matrix(dmat, tau, "self")
-        b, _ = GTMStar._build_level(LazyGroundMatrix(pts), self_space(17, 2), tau)
+        b, _, _ = GTMStar._build_level(LazyGroundMatrix(pts), self_space(17, 2), tau)
         assert np.allclose(a.gmin, b.gmin)
         assert np.allclose(a.gmax, b.gmax)
 
@@ -65,7 +65,7 @@ class TestGroupLevel:
         b_pts = random_walk_points(19, 4)
         dmat = cross_ground_matrix(a_pts, b_pts)
         a = GroupLevel.from_matrix(dmat, 4, "cross")
-        b, _ = GTMStar._build_level(
+        b, _, _ = GTMStar._build_level(
             LazyGroundMatrix(a_pts, b_pts), cross_space(14, 19, 2), 4
         )
         assert np.allclose(a.gmin, b.gmin)

@@ -129,10 +129,12 @@ class TestGtmStarBehaviour:
     def test_space_accounting_charges_the_scan_block(self, monkeypatch):
         """Past ``tau * m > ROW_BLOCK_CELLS`` the level-plus-tables scan
         reads one whole group a block: three ``tau x m`` float arrays
-        (block, masked copy, reduction scratch), which the model charges
-        and which bound the scan's traced peak.  The model also charges
-        the sub-level (``tau / 8``), the ordered sub-blocks and only the
-        subset bounds the cursor opened."""
+        (block, masked copy, reduction scratch), which with the lockstep
+        seed's kept cells the model charges and which bound the scan's
+        traced peak; the sweep comes after the scan, so the model
+        charges the larger of the two.  It also charges the sub-level
+        (``tau / 8``), the ordered sub-blocks and only the subset bounds
+        the cursor opened."""
         n, tau = 700, 32
         pts = random_walk_points(n, 33)
         space = self_space(n, 6)
@@ -159,10 +161,12 @@ class TestGtmStarBehaviour:
         g = math.ceil(n / tau) ** 2
         g_sub = math.ceil(n / (tau // 8)) ** 2
         block = 3 * 8 * tau * n
+        seed = GTMStar._build_level(lazy, space, tau)[2]
         assert 0 < sum(opened) < stats.subsets_total
         assert stats.space_bytes == (
             2 * 8 * g + 8 * g_sub + 8 * 4 * sum(sub_blocks) + 8 * 4 * n
-            + 8 * 6 * sum(opened) + block + stats.sweep_bytes
+            + 8 * 6 * sum(opened)
+            + max(block + seed.peak_bytes, stats.sweep_bytes)
         )
         # The row cache is never filled (Euclidean reads single cells),
         # and the sweep is charged at the frontier's peak buffers.

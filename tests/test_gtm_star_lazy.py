@@ -13,9 +13,10 @@ check the pieces that make this exact:
   enumerates;
 * the cursor's order is the eager stable argsort (a prefix of it under
   a limit), on integer grids with many exact ties;
-* the answers and counters equal an eager reference kept here (expand
-  every survivor, bound everything, one ``run_best_first``), and the
-  answers equal ``brute``/``btm``/``gtm``, in self and cross mode,
+* the answers equal an eager reference kept here (expand every
+  survivor, bound everything, one ``run_best_first``), and its counters
+  too once it is given GTM*'s lockstep seed as an unwitnessed ``bsf0``;
+  the answers equal ``brute``/``btm``/``gtm``, in self and cross mode,
   with tau not dividing n, tiny n and haversine;
 * a timeout still raises; engine workers {1, 2} and ``service.submit``
   give the same answer.
@@ -84,7 +85,7 @@ def eager_gtm_star(oracle, space, tau=32, bsf0=math.inf, best0=None):
     every survivor expanded and bounded, one ``run_best_first``."""
     stats = SearchStats()
     tau = min(tau, max(2, space.n_rows // 2))
-    level, tables = GTMStar._build_level(oracle, space, tau)
+    level, tables, _ = GTMStar._build_level(oracle, space, tau)
     pairs = feasible_group_pairs(level, space)
     lbs = pattern_bounds_for_pairs(
         level, GroupBoundTables.build(level, space.xi), pairs)
@@ -114,8 +115,23 @@ def eager_gtm_star(oracle, space, tau=32, bsf0=math.inf, best0=None):
     return bsf, best, stats
 
 
+def lockstep_seed(oracle, space, tau=32, k=1):
+    """The lockstep seed GTM*'s level scan at ``tau`` reads."""
+    tau = min(tau, max(2, space.n_rows // 2))
+    return GTMStar._build_level(oracle, space, tau, k)[2].value
+
+
+def seeded_eager(oracle, space, tau=32, bsf0=math.inf, best0=None):
+    """The eager reference given the lockstep seed through ``bsf0``, as
+    ``GTMStar.search`` takes it: unwitnessed, when below ``bsf0``."""
+    seed = lockstep_seed(oracle, space, tau)
+    if seed < bsf0:
+        bsf0, best0 = seed, None
+    return eager_gtm_star(oracle, space, tau, bsf0=bsf0, best0=best0)
+
+
 def sub_blocks(oracle, space, tau, survivors=None):
-    level, tables = GTMStar._build_level(oracle, space, tau)
+    level, tables, _ = GTMStar._build_level(oracle, space, tau)
     sub_level = level.sub or level
     if survivors is None:
         survivors = feasible_group_pairs(level, space)
@@ -132,7 +148,7 @@ def test_sub_level_is_the_level_at_its_divisor(n, m, tau):
     ``tau' = tau / 8`` (3 for 24, 2 for 16) bit for bit."""
     a, b, space = case(n, n, 3, m, grid=False)
     oracle = lazy(a, b)
-    level, _ = GTMStar._build_level(oracle, space, tau)
+    level, _, _ = GTMStar._build_level(oracle, space, tau)
     sub = level.sub
     assert sub.tau == gtm_star._sub_tau(tau) == max(2, tau // 8)
     want = GroupLevel.from_matrix(oracle.rows(0, n), sub.tau, space.mode)
@@ -145,7 +161,7 @@ def test_sub_level_is_the_level_at_its_divisor(n, m, tau):
 
 def test_no_sub_level_without_a_divisor():
     a, _, space = case(1, 30, 2, grid=False)
-    level, _ = GTMStar._build_level(lazy(a), space, 7)
+    level, _, _ = GTMStar._build_level(lazy(a), space, 7)
     assert gtm_star._sub_tau(7) == 7 and level.sub is None
     assert GTMStar(tau=7).search(lazy(a), space) == eager_gtm_star(
         lazy(a), space, 7)[:2]
@@ -193,7 +209,7 @@ def test_batched_group_bounds_equal_the_scalar_kernel(walk_seed, shape, tau):
     any threshold it ran against."""
     n, xi, m = shape
     a, b, space = case(walk_seed, n, xi, m)
-    level, _ = GTMStar._build_level(lazy(a, b), space, tau)
+    level, _, _ = GTMStar._build_level(lazy(a, b), space, tau)
     pairs = feasible_group_pairs(level, space)
     uv = np.asarray(pairs)
     glb, gub = group_dfd_bounds_for_pairs(level, space, uv[:, 0], uv[:, 1])
@@ -211,7 +227,7 @@ def test_group_bound_block_fits_the_sweep_budget():
     ``STACK_SWEEP_BYTES``, the budget the frontier takes after it."""
     pts = random_walk_points(500, SEED)
     space = self_space(500, 9)
-    level, _ = GTMStar._build_level(lazy(pts), space, 32)
+    level, _, _ = GTMStar._build_level(lazy(pts), space, 32)
     uv = np.asarray(feasible_group_pairs(level, space))
     ends = np.cumsum(dfd_table_cells(level, space, uv[:, 0], uv[:, 1]))
     k = int(np.searchsorted(ends, GROUP_DFD_CELLS, "right"))
@@ -315,7 +331,8 @@ def test_answers_equal_the_eager_reference(walk_seed, shape, tau, grid):
     a, b, space = case(walk_seed, n, xi, m, grid=grid)
     stats = SearchStats()
     got = GTMStar(tau=tau).search(lazy(a, b), space, stats)
-    want_d, want_best, want_stats = eager_gtm_star(lazy(a, b), space, tau)
+    assert got == eager_gtm_star(lazy(a, b), space, tau)[:2]
+    want_d, want_best, want_stats = seeded_eager(lazy(a, b), space, tau)
     assert got == (want_d, want_best)
     assert _stats_key(stats) == _stats_key(want_stats)
     assert stats.subsets_total == (
@@ -353,7 +370,8 @@ def test_haversine_answers():
     oracle = lazy(pts, metric="haversine")
     stats = SearchStats()
     got = GTMStar(tau=16).search(oracle, space, stats)
-    d, best, want_stats = eager_gtm_star(
+    assert got == eager_gtm_star(lazy(pts, metric="haversine"), space, 16)[:2]
+    d, best, want_stats = seeded_eager(
         lazy(pts, metric="haversine"), space, 16)
     assert got == (d, best)
     assert _stats_key(stats) == _stats_key(want_stats)
@@ -364,14 +382,15 @@ def test_haversine_answers():
 def test_seeds_match_eager():
     """Seeded searches: a witnessed seed (streaming warm starts) keeps
     the tie rule, an unwitnessed one (the engine's resolution pass)
-    cuts the cursor's limit."""
+    cuts the cursor's limit; either meets the lockstep seed."""
     a, b, space = case(3, 80, 4)
     d, best, _ = eager_gtm_star(lazy(a, b), space, 16)
     for bsf0, best0 in [(d, best), (d, None), (d * 1.5, None)]:
         stats = SearchStats()
         got = GTMStar(tau=16).search(lazy(a, b), space, stats,
                                      bsf0=bsf0, best0=best0)
-        want = eager_gtm_star(lazy(a, b), space, 16, bsf0=bsf0, best0=best0)
+        assert got == (d, best)
+        want = seeded_eager(lazy(a, b), space, 16, bsf0=bsf0, best0=best0)
         assert got == want[:2]
         assert _stats_key(stats) == _stats_key(want[2])
 
@@ -394,7 +413,7 @@ def test_unopened_sub_blocks_are_counted(monkeypatch):
     stats = SearchStats()
     GTMStar().search(lazy(pts), space, stats)
     monkeypatch.undo()
-    _, _, want = eager_gtm_star(lazy(pts), space)
+    _, _, want = seeded_eager(lazy(pts), space)
     assert stats.subsets_total == want.subsets_total
     assert sum(opened) < stats.subsets_total
     assert stats.subsets_total == stats.subsets_expanded + stats.subsets_pruned

@@ -321,11 +321,13 @@ def test_tiny_budget_makes_admissions_wait():
 @settings(max_examples=30, deadline=None)
 @given(ref.cases(), st.integers(1, 5))
 def test_single_admission_under_infinite_threshold(drawn, k):
-    """With no cut yet, only the subsets that can set one join: one for
-    BTM, ``k`` for top-k (fewer when the block is shorter)."""
+    """With no cut yet, BTM admits only the subset that can set one.
+    Top-k offers its whole first block, and the frontier admits up to
+    the first subset whose bound is above the ``k``-th coupling of the
+    rows before it: ``k`` at least (fewer when the block is shorter)."""
     case, rng = drawn
     bounds = case.bounds(rng, False)
-    for loop, first in (("btm", 1), ("topk", k)):
+    for loop in ("btm", "topk"):
         rec = Recorder()
         with rec.watching():
             if loop == "btm":
@@ -333,7 +335,11 @@ def test_single_admission_under_infinite_threshold(drawn, k):
             else:
                 check_topk(case, bounds, k)
         _, admitted, admissible = rec.admissions[0]
-        assert admitted == admissible == min(first, len(bounds))
+        if loop == "btm":
+            assert admitted == admissible == min(1, len(bounds))
+        else:
+            assert admissible == min(1024, len(bounds))  # the first block
+            assert min(k, len(bounds)) <= admitted <= admissible
 
 
 # ----------------------------------------------------------------------

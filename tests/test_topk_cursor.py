@@ -62,14 +62,15 @@ def _grid(n, seed, side):
     return rng.integers(0, side, size=(n, 2)).astype(np.float64)
 
 
-def eager_entries(dense, space, k):
+def eager_entries(dense, space, k, kth0=math.inf):
     """The eager top-k: point tables and every subset's relaxed bound
-    over the dense matrix, read by the same heap-pruned scan."""
+    over the dense matrix, read by the same heap-pruned scan (seeded
+    with ``kth0``)."""
     stats = SearchStats()
     tables = BoundTables.build(space, dense)
     bounds = relaxed_subset_bounds(space, dense, tables)
     entries = scan_topk_entries(
-        dense, space, bounds, tables.cmin, tables.rmin, k, stats
+        dense, space, bounds, tables.cmin, tables.rmin, k, stats, kth0=kth0
     )
     return entries, stats
 
@@ -217,7 +218,7 @@ def test_trapezoid_scan_is_bit_equal(n, tau, cross):
     other = random_walk_points(n + 5, 8) if cross else None
     space = cross_space(n, n + 5, 3) if cross else self_space(n, 3)
     lazy = LazyGroundMatrix(pts, other, metric="euclidean")
-    level, tables = GTMStar._build_level(lazy, space, tau)
+    level, tables, _ = GTMStar._build_level(lazy, space, tau)
     dmat = get_metric("euclidean").pairwise(pts, pts if other is None else other)
     mode = space.mode
     want = GroupLevel.from_matrix(dmat, tau, mode)
